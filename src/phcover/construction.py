@@ -44,7 +44,6 @@ from .multilinear import (
     big_u,
     in_w2,
     in_w2_plus_u,
-    n_project,
     pack_sym,
     packed_in_w2_plus_u,
     phi,
@@ -57,6 +56,7 @@ from .multilinear import (
     wedge_covectors,
 )
 from .voltage import (
+    CapExceeded,
     DartTable,
     F2Span,
     check_reductive,
@@ -72,27 +72,27 @@ from .voltage import (
 
 def dart_voltage(gf: GF, a, b):
     """Voltage in S2(W) of the dart from vertex a to vertex b."""
+    mul = gf.mul_rows
     va, ha = a
     vb, hb = b
-    sa = evaluate(gf, ha, va)
-    sb = evaluate(gf, hb, vb)
+    a0, a1, a2, a3 = mul[ha[0]], mul[ha[1]], mul[ha[2]], mul[ha[3]]
+    b0, b1, b2, b3 = mul[hb[0]], mul[hb[1]], mul[hb[2]], mul[hb[3]]
+    sa = a0[va[0]] ^ a1[va[1]] ^ a2[va[2]] ^ a3[va[3]]
+    sb = b0[vb[0]] ^ b1[vb[1]] ^ b2[vb[2]] ^ b3[vb[3]]
     if sa == 0 or sb == 0:
         raise ValueError("inputs are not vertices (functional vanishes on its vector)")
-    if evaluate(gf, ha, vb) != 0 or evaluate(gf, hb, va) != 0:
+    if (a0[vb[0]] ^ a1[vb[1]] ^ a2[vb[2]] ^ a3[vb[3]]
+            or b0[va[0]] ^ b1[va[1]] ^ b2[va[2]] ^ b3[va[3]]):
         raise ValueError("vertices are not adjacent")
-    scale = gf.mul(gf.inv(sa), gf.inv(sb))
-    w = wedge(gf, va, vb)
-    d = phi(wedge_covectors(gf, ha, hb))
-    return sym_scale(gf, scale, sym_mul(gf, w, d))
+    # the scale (sa sb)^-1 is folded into the 6 bivector slots, not the 21
+    # slots of the product: the symmetric product is bilinear
+    by_scale = mul[mul[gf.inverses[sa]][gf.inverses[sb]]]
+    w = [by_scale[x] for x in wedge(gf, va, vb)]
+    return sym_mul(gf, w, phi(wedge_covectors(gf, ha, hb)))
 
 
 def dart_voltage_packed(gf: GF, a, b) -> int:
     return pack_sym(gf, dart_voltage(gf, a, b))
-
-
-def dart_voltage_n(gf: GF, a, b):
-    """The N-valued assignment: the voltage modulo {0, U}, canonical rep."""
-    return n_project(gf, dart_voltage(gf, a, b))
 
 
 def bulk_dart_voltage(gf: GF, va, ha, vb, hb) -> np.ndarray:
@@ -784,9 +784,15 @@ _cover_cache: list = []
 
 
 def cover_data(cap: int = 10 ** 7) -> dict:
+    """The GF(2) cover, built once; raises CapExceeded when it has more than
+    cap vertices, whether it was just built or cached by an earlier call."""
     if not _cover_cache:
         _cover_cache.append(build_cover(cap))
-    return _cover_cache[0]
+    data = _cover_cache[0]
+    if len(data["vertices"]) > cap:
+        raise CapExceeded(f"the cover has {len(data['vertices'])} vertices,"
+                          f" more than the cap of {cap}")
+    return data
 
 
 def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:

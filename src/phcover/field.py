@@ -76,12 +76,15 @@ class GF:
             raise AssertionError(f"modulus {self.modulus:#b} is reducible")
 
         # Dense multiplication and inverse tables; the field has at most
-        # 16 elements so these are tiny.
-        self._mul = [[self._mul_raw(a, b) for b in range(self.order)] for a in range(self.order)]
-        self._inv = [0] * self.order
+        # 16 elements so these are tiny.  Hot scalar loops index them
+        # directly: mul_rows[a][b] is a*b, and mul_rows[a] is the
+        # multiplication-by-a map.  inverses[0] is 0, not an inverse.
+        self.mul_rows = [[self._mul_raw(a, b) for b in range(self.order)]
+                         for a in range(self.order)]
+        self.inverses = [0] * self.order
         for a in range(1, self.order):
-            self._inv[a] = self.pow_(a, self.order - 2)
-            if self._mul[a][self._inv[a]] != 1:
+            self.inverses[a] = self.pow_(a, self.order - 2)
+            if self.mul_rows[a][self.inverses[a]] != 1:
                 raise AssertionError(f"inverse table broken at {a}")
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -110,13 +113,13 @@ class GF:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul_rows[a][b]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ValueError at 0."""
         if a == 0:
             raise ValueError("0 has no multiplicative inverse")
-        return self._inv[a]
+        return self.inverses[a]
 
     def pow_(self, a: int, n: int) -> int:
         """a**n by square and multiply (n >= 0)."""
@@ -131,7 +134,7 @@ class GF:
 
     def frob(self, a: int) -> int:
         """The Frobenius map a -> a^2."""
-        return self._mul[a][a]
+        return self.mul_rows[a][a]
 
     def elements(self) -> range:
         """All 2^k elements, 0 first, in a fixed order."""
@@ -147,7 +150,7 @@ class GF:
     def mul_table(self) -> np.ndarray:
         t = getattr(self, "_mul_np", None)
         if t is None:
-            t = np.array(self._mul, dtype=np.uint8)
+            t = np.array(self.mul_rows, dtype=np.uint8)
             self._mul_np = t
         return t
 
@@ -155,7 +158,7 @@ class GF:
     def inv_table(self) -> np.ndarray:
         t = getattr(self, "_inv_np", None)
         if t is None:
-            t = np.array(self._inv, dtype=np.uint8)
+            t = np.array(self.inverses, dtype=np.uint8)
             self._inv_np = t
         return t
 

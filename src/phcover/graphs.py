@@ -364,29 +364,34 @@ def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
 # ----------------------------------------------------------------------
 
 def random_nonzero_vector(gf: GF, rng):
+    q, draw = gf.order, rng.randrange
     while True:
-        v = tuple(rng.randrange(gf.order) for _ in range(4))
+        v = (draw(q), draw(q), draw(q), draw(q))
         if any(v):
             return v
 
 
 def random_affine_vertex(gf: GF, rng):
     v = random_nonzero_vector(gf, rng)
+    q, draw, mul = gf.order, rng.randrange, gf.mul_rows
+    # h(v) = sum_i v_i h_i, read off the multiplication-by-v_i rows
+    by0, by1, by2, by3 = mul[v[0]], mul[v[1]], mul[v[2]], mul[v[3]]
     while True:
-        h = tuple(rng.randrange(gf.order) for _ in range(4))
-        if evaluate(gf, h, v) != 0:
+        h = (draw(q), draw(q), draw(q), draw(q))
+        if by0[h[0]] ^ by1[h[1]] ^ by2[h[2]] ^ by3[h[3]]:
             return (v, h)
 
 
 def _random_in_span(gf: GF, basis, rng):
+    q, draw, mul = gf.order, rng.randrange, gf.mul_rows
     while True:
-        coeffs = [rng.randrange(gf.order) for _ in basis]
+        coeffs = [draw(q) for _ in basis]
         if any(coeffs):
             out = [0, 0, 0, 0]
             for c, b in zip(coeffs, basis):
                 if c:
-                    for i in range(4):
-                        out[i] ^= gf.mul(c, b[i])
+                    by_c = mul[c]
+                    out = [o ^ by_c[x] for o, x in zip(out, b)]
             return tuple(out)
 
 

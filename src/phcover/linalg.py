@@ -23,9 +23,10 @@ ZERO4 = (0, 0, 0, 0)
 
 def evaluate(gf: GF, f, v) -> int:
     """Apply the covector f to the vector v: sum_i f_i * v_i."""
+    mul = gf.mul_rows
     acc = 0
     for fi, vi in zip(f, v):
-        acc ^= gf.mul(fi, vi)
+        acc ^= mul[fi][vi]
     return acc
 
 
@@ -35,21 +36,17 @@ def vec_add(u, v):
 
 
 def vec_scale(gf: GF, c: int, v):
-    return tuple(gf.mul(c, a) for a in v)
-
-
-def is_zero(v) -> bool:
-    return not any(v)
+    return tuple(map(gf.mul_rows[c].__getitem__, v))
 
 
 def mat_vec(gf: GF, v, m):
     """Row vector times matrix: (v*m)_c = sum_r v_r m[r][c]."""
+    mul = gf.mul_rows
     out = [0, 0, 0, 0]
-    for r, vr in enumerate(v):
+    for vr, row in zip(v, m):
         if vr:
-            row = m[r]
-            for c in range(4):
-                out[c] ^= gf.mul(vr, row[c])
+            by_vr = mul[vr]
+            out = [o ^ by_vr[x] for o, x in zip(out, row)]
     return tuple(out)
 
 
@@ -61,29 +58,33 @@ def transpose(m):
     return tuple(zip(*m))
 
 
-def identity4():
-    return E4
-
-
 def rref(gf: GF, rows, ncols: int):
     """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    mul, inverses = gf.mul_rows, gf.inverses
+    rows = list(rows)  # rows are replaced, never changed in place
+    n = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
+        pr = r
+        while pr < n and not rows[pr][c]:
+            pr += 1
+        if pr == n:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv_inv = gf.inv(rows[r][c])
-        rows[r] = [gf.mul(piv_inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                coef = rows[i][c]
-                rows[i] = [x ^ gf.mul(coef, y) for x, y in zip(rows[i], rows[r])]
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        if prow[c] != 1:
+            by_inv = mul[inverses[prow[c]]]
+            prow = [by_inv[x] for x in prow]
+        rows[r] = prow
+        for i in range(n):
+            coef = rows[i][c]
+            if coef and i != r:
+                by_coef = mul[coef]
+                rows[i] = [x ^ by_coef[y] for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == n:
             break
     return [tuple(row) for row in rows[:r]], pivots
 
@@ -99,9 +100,10 @@ def kernel(gf: GF, functionals, dim: int = 4):
     lists of vectors (returning covectors).
     """
     reduced, pivots = rref(gf, functionals, dim)
-    free = [c for c in range(dim) if c not in pivots]
     basis = []
-    for c in free:
+    for c in range(dim):
+        if c in pivots:
+            continue
         v = [0] * dim
         v[c] = 1
         for row, p in zip(reduced, pivots):
@@ -145,10 +147,6 @@ def mat_inv(gf: GF, m):
                 coef = a[i][c]
                 a[i] = [x ^ gf.mul(coef, y) for x, y in zip(a[i], a[c])]
     return tuple(tuple(row[n:]) for row in a)
-
-
-def is_unimodular(gf: GF, m) -> bool:
-    return det(gf, m) == 1
 
 
 def transvection(gf: GF, i: int, j: int, lam: int):

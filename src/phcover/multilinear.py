@@ -23,6 +23,7 @@ exactly the symmetric tensors with diagonal support.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import xor
 
 from .field import GF
 from .linalg import E4, det, evaluate, mat_inv, mat_vec, transpose
@@ -41,12 +42,17 @@ ZERO21 = (0,) * 21
 
 def wedge(gf: GF, u, v):
     """Exterior product of two vectors: slot (a, b) carries u_a v_b + u_b v_a."""
-    return tuple(gf.mul(u[a], v[b]) ^ gf.mul(u[b], v[a]) for a, b in BIV_PAIRS)
+    mul = gf.mul_rows
+    u0, u1, u2, u3 = mul[u[0]], mul[u[1]], mul[u[2]], mul[u[3]]
+    v0, v1, v2, v3 = v
+    return (u0[v1] ^ u1[v0], u0[v2] ^ u2[v0], u0[v3] ^ u3[v0],
+            u1[v2] ^ u2[v1], u1[v3] ^ u3[v1], u2[v3] ^ u3[v2])
 
 
 def wedge_covectors(gf: GF, f, g):
-    """Exterior product of two covectors, coordinates over fi^fj (a dual bivector)."""
-    return tuple(gf.mul(f[a], g[b]) ^ gf.mul(f[b], g[a]) for a, b in BIV_PAIRS)
+    """Exterior product of two covectors, coordinates over fi^fj (a dual
+    bivector); the slot formula is the one of :func:`wedge`."""
+    return wedge(gf, f, g)
 
 
 def wedge4(gf: GF, a, b, c, d) -> int:
@@ -146,14 +152,17 @@ def phi_consistency_check(gf: GF, rng=None, samples: int = 50) -> bool:
 
 def sym_mul(gf: GF, a, b):
     """Product of two bivectors in S2(W): slot (i, j) carries a_i b_j + a_j b_i
-    off the diagonal and a_i b_i on it."""
-    out = []
-    for i, j in SYM_PAIRS:
-        if i == j:
-            out.append(gf.mul(a[i], b[i]))
-        else:
-            out.append(gf.mul(a[i], b[j]) ^ gf.mul(a[j], b[i]))
-    return tuple(out)
+    off the diagonal and a_i b_i on it, in SYM_PAIRS order."""
+    mul = gf.mul_rows
+    a0, a1, a2, a3, a4, a5 = mul[a[0]], mul[a[1]], mul[a[2]], mul[a[3]], mul[a[4]], mul[a[5]]
+    b0, b1, b2, b3, b4, b5 = b
+    return (a0[b0], a0[b1] ^ a1[b0], a0[b2] ^ a2[b0], a0[b3] ^ a3[b0],
+            a0[b4] ^ a4[b0], a0[b5] ^ a5[b0],
+            a1[b1], a1[b2] ^ a2[b1], a1[b3] ^ a3[b1], a1[b4] ^ a4[b1], a1[b5] ^ a5[b1],
+            a2[b2], a2[b3] ^ a3[b2], a2[b4] ^ a4[b2], a2[b5] ^ a5[b2],
+            a3[b3], a3[b4] ^ a4[b3], a3[b5] ^ a5[b3],
+            a4[b4], a4[b5] ^ a5[b4],
+            a5[b5])
 
 
 def square(gf: GF, a):
@@ -162,11 +171,11 @@ def square(gf: GF, a):
 
 
 def sym_add(s, t):
-    return tuple(x ^ y for x, y in zip(s, t))
+    return tuple(map(xor, s, t))
 
 
 def sym_scale(gf: GF, c: int, s):
-    return tuple(gf.mul(c, x) for x in s)
+    return tuple(map(gf.mul_rows[c].__getitem__, s))
 
 
 @lru_cache(maxsize=None)
@@ -240,10 +249,6 @@ def offdiag_mask(gf: GF) -> int:
     return acc
 
 
-def packed_in_w2(gf: GF, x: int) -> bool:
-    return x & offdiag_mask(gf) == 0
-
-
 def packed_in_w2_plus_u(gf: GF, x: int) -> bool:
     off = x & offdiag_mask(gf)
     return off == 0 or off == u_packed(gf)
@@ -273,13 +278,21 @@ def n_add(gf: GF, a, b):
     return n_project(gf, sym_add(a, b))
 
 
-def is_canonical_n(gf: GF, s) -> bool:
-    return n_project(gf, s) == tuple(s)
-
-
 # ----------------------------------------------------------------------
 # induced matrix actions
 # ----------------------------------------------------------------------
+
+def _combine(gf: GF, coeffs, rows, zero):
+    """sum_i coeffs[i] * rows[i], the image of a coordinate vector under the
+    linear map whose basis images are the given rows."""
+    mul = gf.mul_rows
+    out = zero
+    for c, row in zip(coeffs, rows):
+        if c:
+            by_c = mul[c]
+            out = [o ^ by_c[x] for o, x in zip(out, row)]
+    return tuple(out)
+
 
 class MatrixAction:
     """All induced actions of one 4x4 matrix, computed once and cached.
@@ -309,24 +322,10 @@ class MatrixAction:
         return mat_vec(self.gf, f, self.minv_t)
 
     def on_bivector(self, a):
-        gf = self.gf
-        out = [0] * 6
-        for s, c in enumerate(a):
-            if c:
-                row = self.w_rows[s]
-                for t in range(6):
-                    out[t] ^= gf.mul(c, row[t])
-        return tuple(out)
+        return _combine(self.gf, a, self.w_rows, ZERO6)
 
     def on_sym(self, s):
-        gf = self.gf
-        out = [0] * 21
-        for idx, c in enumerate(s):
-            if c:
-                row = self.s2_rows[idx]
-                for t in range(21):
-                    out[t] ^= gf.mul(c, row[t])
-        return tuple(out)
+        return _combine(self.gf, s, self.s2_rows, ZERO21)
 
     def on_n(self, n):
         if self.det != 1:

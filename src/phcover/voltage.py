@@ -15,6 +15,8 @@ verification) runs off it.  The scalar entry points take a plain
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .field import GF
@@ -27,7 +29,7 @@ from .graphs import (
     random_neighbor,
     reduct_class,
 )
-from .linalg import mat_mul
+from .linalg import mat_mul, vec_scale
 from .multilinear import (
     MatrixAction,
     ZERO21,
@@ -118,6 +120,7 @@ class DartTable:
         self.indptr = indptr
         self.indices = indices
         self.volts = volts
+        self._row_starts = indptr.tolist()  # plain ints for scalar lookups
         self._tree_cache: dict = {}
 
     @classmethod
@@ -156,17 +159,11 @@ class DartTable:
 
     def dart(self, i: int, j: int) -> int:
         """Packed voltage of the dart (i, j); raises on non-adjacent pairs."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        pos = lo + np.searchsorted(self.indices[lo:hi], j)
-        if pos >= hi or self.indices[pos] != j:
+        hi = self._row_starts[i + 1]
+        pos = bisect_left(self.indices, j, self._row_starts[i], hi)
+        if pos == hi or self.indices[pos] != j:
             raise ValueError(f"vertices {i} and {j} are not adjacent")
         return int(self.volts[pos])
-
-    def path(self, idx_path) -> int:
-        acc = 0
-        for a, b in zip(idx_path, idx_path[1:]):
-            acc ^= self.dart(a, b)
-        return acc
 
 
 def spanning_tree_potentials(table: DartTable, root: int):
@@ -201,13 +198,6 @@ def spanning_tree_potentials(table: DartTable, root: int):
     if len(table._tree_cache) < 8:
         table._tree_cache[root] = (parent, pot)
     return parent, pot
-
-
-def tree_path_to_root(parent, v: int):
-    path = [v]
-    while parent[path[-1]] >= 0:
-        path.append(int(parent[path[-1]]))
-    return path
 
 
 def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
@@ -328,6 +318,9 @@ def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") 
     fibers: dict[int, list[int]] = {}
     for b, t in component["vertices"]:
         fibers.setdefault(b, []).append(t)
+    members: dict[int, set[int]] = {}  # the tags over each base vertex
+    for b, t in component["index"]:
+        members.setdefault(b, set()).add(t)
     for base, tags in fibers.items():
         tags_arr = np.array(tags, dtype=np.uint64)
         nbrs = g.neighbors(base)
@@ -353,9 +346,11 @@ def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") 
                 have = np.minimum(have, have ^ np.uint64(up))
                 checked += tags_arr.size
                 violations += int((have != want).sum())
-        # bijectivity: one lift neighbour per base neighbour, all present
-        if cand.shape[1] != deg:
-            violations += 1
+        # bijectivity: a lift vertex has one lift neighbour over each base
+        # neighbour, so the projection is onto the base neighbourhood and
+        # one-to-one exactly when every such neighbour is in the component
+        for w, col in zip(nbrs.tolist(), cand.T.tolist()):
+            violations += len(col) - len(members.get(w, set()).intersection(col))
     return {"mode": mode, "checked": checked, "violations": violations,
             "passed": violations == 0}
 
@@ -454,8 +449,7 @@ def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None,
             v0, h0 = random_affine_vertex(gf, rng)
             lam = 1 + rng.randrange(gf.order - 1)
             mu = 1 + rng.randrange(gf.order - 1)
-            u = (tuple(gf.mul(lam, c) for c in v0),
-                 tuple(gf.mul(mu, c) for c in h0))
+            u = (vec_scale(gf, lam, v0), vec_scale(gf, mu, h0))
             v = (v0, h0)
             w = random_neighbor(gf, v, rng)
             if w is None:

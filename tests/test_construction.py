@@ -4,7 +4,7 @@ import random
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import E4, mat_mul, vec_scale
+from phcover.linalg import E4, evaluate, mat_mul, vec_add, vec_scale
 from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import multilinear as ml
@@ -55,12 +55,90 @@ def test_dart_voltage_rescale_invariant():
 
 
 def test_dart_voltage_errors():
-    gf = field_of_order(2)
     a = (E4[0], E4[0])
-    with pytest.raises(ValueError):
-        cons.dart_voltage(gf, a, (E4[0], E4[1]))  # not adjacent
-    with pytest.raises(ValueError):
-        cons.dart_voltage(gf, (E4[0], E4[1]), (E4[2], E4[2]))  # first not a vertex
+    b = (E4[1], E4[1])
+    # vertices not adjacent to a, each failing one clause of adjacency
+    first_fails = (E4[1], vec_add(E4[0], E4[1]))  # h_a(v) = 0, h(v_a) != 0
+    second_fails = (vec_add(E4[0], E4[1]), E4[1])  # h_a(v) != 0, h(v_a) = 0
+    for q in (2, 16):
+        gf = field_of_order(q)
+        with pytest.raises(ValueError, match="not vertices"):
+            cons.dart_voltage(gf, a, (E4[0], E4[1]))  # second not a vertex
+        with pytest.raises(ValueError, match="not vertices"):
+            cons.dart_voltage(gf, (E4[0], E4[1]), (E4[2], E4[2]))  # first not a vertex
+        assert evaluate(gf, a[1], first_fails[0]) == 0
+        assert evaluate(gf, first_fails[1], a[0]) != 0
+        assert evaluate(gf, a[1], second_fails[0]) != 0
+        assert evaluate(gf, second_fails[1], a[0]) == 0
+        for c in (first_fails, second_fails):
+            with pytest.raises(ValueError, match="not adjacent"):
+                cons.dart_voltage(gf, a, c)
+            with pytest.raises(ValueError, match="not adjacent"):
+                cons.dart_voltage(gf, c, a)
+        assert cons.dart_voltage(gf, a, b) == cons.dart_voltage(gf, b, a)
+
+
+def reference_dart_voltage(gf, a, b):
+    """h1(v1)^-1 h2(v2)^-1 (v1 ^ v2) * phi(h1 ^ h2) from gf.mul and gf.inv
+    alone, with the scale applied to the 21 product slots."""
+    (va, ha), (vb, hb) = a, b
+
+    def ev(f, v):
+        acc = 0
+        for x, y in zip(f, v):
+            acc ^= gf.mul(x, y)
+        return acc
+
+    def wedge(x, y):
+        return [gf.mul(x[i], y[j]) ^ gf.mul(x[j], y[i]) for i, j in ml.BIV_PAIRS]
+
+    w, d = wedge(va, vb), wedge(ha, hb)[::-1]
+    scale = gf.mul(gf.inv(ev(ha, va)), gf.inv(ev(hb, vb)))
+    return tuple(gf.mul(scale, gf.mul(w[i], d[i]) if i == j
+                        else gf.mul(w[i], d[j]) ^ gf.mul(w[j], d[i]))
+                 for i, j in ml.SYM_PAIRS)
+
+
+def _bulk_against_scalar(graph, srcs, dsts):
+    import numpy as np
+
+    gf = graph.gf
+    srcs, dsts = np.asarray(srcs), np.asarray(dsts)
+    packed = cons.bulk_dart_voltage(gf, graph.vmat[srcs], graph.hmat[srcs],
+                                    graph.vmat[dsts], graph.hmat[dsts])
+    for i, j, want in zip(srcs.tolist(), dsts.tolist(), packed.tolist()):
+        got = cons.dart_voltage(gf, graph.vertices[i], graph.vertices[j])
+        assert ml.pack_sym(gf, got) == want
+
+
+def test_scalar_voltage_matches_bulk_on_every_gf2_dart():
+    import numpy as np
+
+    graph = gr.build_affine_graph(field_of_order(2))
+    srcs = np.repeat(np.arange(graph.n), [graph.degree(i) for i in range(graph.n)])
+    dsts = np.concatenate([graph.neighbors(i) for i in range(graph.n)])
+    assert srcs.size == 2 * graph.edge_count()
+    _bulk_against_scalar(graph, srcs, dsts)
+
+
+def test_scalar_voltage_matches_bulk_on_seeded_gf4_projective_darts():
+    graph = gr.build_projective_graph(field_of_order(4))
+    rng = random.Random(11)
+    srcs = [rng.randrange(graph.n) for _ in range(2000)]
+    dsts = []
+    for i in srcs:
+        nbrs = graph.neighbors(i)
+        dsts.append(int(nbrs[rng.randrange(nbrs.size)]))
+    _bulk_against_scalar(graph, srcs, dsts)
+
+
+def test_scalar_voltage_matches_reference_formula_gf16():
+    gf = field_of_order(16)
+    rng = random.Random(16)
+    for _ in range(500):
+        a = gr.random_affine_vertex(gf, rng)
+        b = gr.random_neighbor(gf, a, rng)
+        assert cons.dart_voltage(gf, a, b) == reference_dart_voltage(gf, a, b)
 
 
 def test_bulk_voltages_match_scalar():
@@ -380,6 +458,18 @@ def test_cover_counts_and_structure():
     assert rep["fiber_sizes"] == [64]
     assert rep["connected"]
     assert rep["local_isomorphism"]["passed"]
+
+
+def test_cover_data_cap_applies_to_cached_cover(tmp_path):
+    data = cons.cover_data()
+    assert len(data["vertices"]) == 7680
+    with pytest.raises(vg.CapExceeded):
+        cons.cover_data(5)
+    path = tmp_path / "cover.json"
+    with pytest.raises(vg.CapExceeded):
+        cons.export_cover(str(path), cap=7679)
+    assert not path.exists()
+    assert cons.cover_data(7680) is data
 
 
 def test_cover_fibers_are_m_cosets():

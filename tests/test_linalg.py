@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phcover.field import FIELD_ORDERS, field_of_order
 from phcover import linalg as la
@@ -188,3 +189,22 @@ def test_f2_matrix_from_map_roundtrip():
     target = rng.integers(0, 2, size=(6, 9)).astype(np.uint8)
     built = la.f2_matrix_from_map(lambda v: (target @ v) % 2, 9, 6)
     assert np.array_equal(built, target)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_property(q, data):
+    gf = field_of_order(q)
+    coord = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=5))
+    basis = la.kernel(gf, rows)
+    assert len(basis) == 4 - la.rank(gf, rows)
+    for v in basis:
+        for f in rows:
+            assert la.evaluate(gf, f, v) == 0
+    assert la.rank(gf, basis) == len(basis)
+    if q <= 4:  # the whole null space, counted by brute force
+        null = sum(all(la.evaluate(gf, f, v) == 0 for f in rows)
+                   for v in itertools.product(gf.elements(), repeat=4))
+        assert null == q ** len(basis)

@@ -124,9 +124,18 @@ def test_dart_table_matches_scalar_voltages():
 
 def test_dart_table_rejects_non_adjacent():
     gf = field_of_order(2)
-    table = cons.voltage_table(gr.build_affine_graph(gf))
+    graph = gr.build_affine_graph(gf)
+    table = cons.voltage_table(graph)
     with pytest.raises(ValueError):
         table.dart(0, 0)
+    # every ordered pair: a lookup succeeds exactly on the adjacent ones
+    for i in range(graph.n):
+        for j in range(graph.n):
+            if graph.adjacent(i, j):
+                table.dart(i, j)
+            else:
+                with pytest.raises(ValueError, match="not adjacent"):
+                    table.dart(i, j)
 
 
 def test_fundamental_cycles_of_single_edge_graph():
@@ -229,6 +238,17 @@ def test_local_isomorphism_detects_corruption():
         volts[pos] ^= bad
     corrupted = vg.DartTable(graph, table.indptr, table.indices, volts)
     rep = vg.verify_local_isomorphism(corrupted, None, mode="triangles")
+    assert not rep["passed"] and rep["violations"] > 0
+    component = cons.cover_data()["component"]
+    rep = vg.verify_local_isomorphism(corrupted, component, mode="direct")
+    assert not rep["passed"] and rep["violations"] > 0
+
+
+def test_local_isomorphism_direct_detects_missing_vertices():
+    data = cons.cover_data()
+    verts = data["component"]["vertices"][:-64]
+    truncated = {"vertices": verts, "index": {v: i for i, v in enumerate(verts)}}
+    rep = vg.verify_local_isomorphism(data["table"], truncated, mode="direct")
     assert not rep["passed"] and rep["violations"] > 0
 
 
