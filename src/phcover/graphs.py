@@ -129,6 +129,23 @@ def _zero_pairing(gf: GF, frows: np.ndarray, vrows: np.ndarray) -> np.ndarray:
     return acc == 0
 
 
+def _zero_patterns(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
+    """Packed adjacency rows of a vertex stack, factored through its distinct
+    vectors and covectors.
+
+    Returns (kills, h_id, killed, v_id): kills[x] has bit j set when the x-th
+    distinct covector vanishes on v_j, killed[y] has bit j set when h_j
+    vanishes on the y-th distinct vector, and by the definition of adjacency
+    the neighbour row of vertex i is kills[h_id[i]] & killed[v_id[i]].  The
+    pairing is evaluated once per distinct value (85 of each over GF(4)),
+    not once per vertex."""
+    hvals, h_id = np.unique(hmat, axis=0, return_inverse=True)
+    vvals, v_id = np.unique(vmat, axis=0, return_inverse=True)
+    kills = np.packbits(_zero_pairing(gf, hvals, vmat), axis=1)
+    killed = np.packbits(_zero_pairing(gf, vvals, hmat), axis=1)
+    return kills, h_id.reshape(-1), killed, v_id.reshape(-1)
+
+
 class Graph:
     """A point-hyperplane graph with optional dense adjacency cache.
 
@@ -156,14 +173,16 @@ class Graph:
             self._build_cache()
 
     def _build_cache(self):
-        zero = _zero_pairing(self.gf, self.hmat, self.vmat)
-        adj = zero & zero.T
-        np.fill_diagonal(adj, False)  # redundant for valid vertices, cheap guard
-        self._rows = np.packbits(adj, axis=1)
-        counts = adj.sum(axis=1)
+        kills, h_id, killed, v_id = _zero_patterns(self.gf, self.vmat, self.hmat)
+        rows = kills[h_id] & killed[v_id]
+        diag = np.arange(self.n)
+        # redundant for valid vertices, cheap guard
+        rows[diag, diag >> 3] &= ~(np.uint8(0x80) >> (diag & 7).astype(np.uint8))
+        self._rows = rows
+        adj = np.unpackbits(rows, axis=1, count=self.n).view(bool)
         self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._indices = np.nonzero(adj)[1].astype(np.int32)
+        np.cumsum(np.count_nonzero(adj, axis=1), out=self._indptr[1:])
+        self._indices = (np.flatnonzero(adj) % self.n).astype(np.int32)
 
     @property
     def cached(self) -> bool:
@@ -286,32 +305,14 @@ def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
     sets exactly when their normalised pairs coincide, that the classes are
     cocliques, and that the class graph is the projective graph.
 
-    The neighbour bitsets are computed for every affine vertex; rows are
-    assembled from per-covector and per-vector zero patterns (the bitset of
-    an affine vertex is, by definition of adjacency, the AND of the pattern
-    of its covector against all vectors and the pattern of its vector
-    against all covectors).
+    The neighbour bitsets are computed for every affine vertex, one class at
+    a time, from the per-value zero patterns of :func:`_zero_patterns`.
     """
     verts = affine_vertices(gf, cap)
     n = len(verts)
     vmat = np.array([v for v, _ in verts], dtype=np.uint8)
     hmat = np.array([h for _, h in verts], dtype=np.uint8)
-    values = sorted({v for v, _ in verts} | {h for _, h in verts})
-    val_idx = {t: i for i, t in enumerate(values)}
-    vals = np.array(values, dtype=np.uint8)
-    t = gf.mul_table
-
-    # zero_vs_vert[x, j]: x(v_j) == 0 for every candidate covector value x
-    acc = t[vals[:, 0][:, None], vmat[:, 0][None, :]].copy()
-    for c in range(1, 4):
-        acc ^= t[vals[:, c][:, None], vmat[:, c][None, :]]
-    zero_vs_vert = np.packbits(acc == 0, axis=1)
-
-    # vert_vs_zero[x, j]: h_j(x) == 0 for every candidate vector value x
-    acc = t[vals[:, 0][:, None], hmat[:, 0][None, :]].copy()
-    for c in range(1, 4):
-        acc ^= t[vals[:, c][:, None], hmat[:, c][None, :]]
-    vert_vs_zero = np.packbits(acc == 0, axis=1)
+    kills, h_id, killed, v_id = _zero_patterns(gf, vmat, hmat)
 
     classes: dict = {}
     for j, (v, h) in enumerate(verts):
@@ -322,14 +323,9 @@ def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
     mismatched = 0
     coclique_violations = 0
     for rep, members in classes.items():
-        row0 = None
-        for j in members:
-            row = zero_vs_vert[val_idx[verts[j][1]]] & vert_vs_zero[val_idx[verts[j][0]]]
-            if row0 is None:
-                row0 = row
-            elif not np.array_equal(row, row0):
-                mismatched += 1
-        key = row0.tobytes()
+        rows = kills[h_id[members]] & killed[v_id[members]]
+        mismatched += int((rows[1:] != rows[0]).any(axis=1).sum())
+        key = rows[0].tobytes()
         if key in seen_rows:
             mismatched += 1
         seen_rows[key] = rep

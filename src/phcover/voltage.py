@@ -131,11 +131,10 @@ class DartTable:
             raise ValueError("dart tables need a graph with cached adjacency")
         indptr = graph._indptr
         indices = graph._indices
-        src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(indptr))
-        dst = indices.astype(np.int64)
+        degrees = np.diff(indptr)
         volts = bulk_fn(
-            graph.vmat[src], graph.hmat[src],
-            graph.vmat[dst], graph.hmat[dst],
+            np.repeat(graph.vmat, degrees, axis=0), np.repeat(graph.hmat, degrees, axis=0),
+            graph.vmat[indices], graph.hmat[indices],
         )
         return cls(graph, indptr, indices, volts)
 
@@ -169,30 +168,37 @@ class DartTable:
 def spanning_tree_potentials(table: DartTable, root: int):
     """BFS spanning tree from the root; pot[v] is the tree-path voltage from
     the root to v.  Neighbours are scanned in index order, so the tree (and
-    any tie-break among shortest paths) is deterministic."""
+    any tie-break among shortest paths) is deterministic.
+
+    The BFS runs one level at a time: the CSR rows of the frontier are
+    gathered in frontier order, and each new vertex takes its parent from
+    its first occurrence there, which is the tree a first-in-first-out
+    queue scan builds."""
     cached = table._tree_cache.get(root)
     if cached is not None:
         return cached
     g = table.graph
+    indptr = table.indptr
     parent = np.full(g.n, -1, dtype=np.int64)
     pot = np.zeros(g.n, dtype=table.volts.dtype if table.volts.dtype == object else np.uint64)
     if pot.dtype == object:
         pot[:] = 0
     seen = np.zeros(g.n, dtype=bool)
     seen[root] = True
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        lo, hi = table.indptr[u], table.indptr[u + 1]
-        for pos in range(lo, hi):
-            v = int(table.indices[pos])
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                pot[v] = pot[u] ^ table.volts[pos]
-                order.append(v)
+    frontier = np.array([root], dtype=np.int64)
+    while frontier.size:
+        starts = indptr[frontier]
+        lens = indptr[frontier + 1] - starts
+        src = np.repeat(frontier, lens)
+        pos = np.arange(src.size) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        dst = table.indices[pos]
+        fresh = ~seen[dst]
+        src, pos, dst = src[fresh], pos[fresh], dst[fresh]
+        first = np.sort(np.unique(dst, return_index=True)[1])
+        src, pos, frontier = src[first], pos[first], dst[first].astype(np.int64)
+        seen[frontier] = True
+        parent[frontier] = src
+        pot[frontier] = pot[src] ^ table.volts[pos]
     if not seen.all():
         raise ValueError("graph is not connected")
     if len(table._tree_cache) < 8:

@@ -106,6 +106,7 @@ def _bulk_against_scalar(graph, srcs, dsts):
     srcs, dsts = np.asarray(srcs), np.asarray(dsts)
     packed = cons.bulk_dart_voltage(gf, graph.vmat[srcs], graph.hmat[srcs],
                                     graph.vmat[dsts], graph.hmat[dsts])
+    assert packed.size == srcs.size
     for i, j, want in zip(srcs.tolist(), dsts.tolist(), packed.tolist()):
         got = cons.dart_voltage(gf, graph.vertices[i], graph.vertices[j])
         assert ml.pack_sym(gf, got) == want
@@ -158,6 +159,25 @@ def test_bulk_voltages_match_scalar():
     packed = cons.bulk_dart_voltage(gf, va, ha, vb, hb)
     for pos, (a, b) in enumerate(darts):
         assert int(packed[pos]) == ml.pack_sym(gf, cons.dart_voltage(gf, a, b))
+
+
+def test_bulk_voltages_on_empty_stack():
+    import numpy as np
+
+    z = np.zeros((0, 4), dtype=np.uint8)
+    for q in (2, 4, 8):
+        out = cons.bulk_dart_voltage(field_of_order(q), z, z, z, z)
+        assert out.dtype == np.uint64 and out.shape == (0,)
+
+
+def test_bulk_voltages_across_blocks():
+    import numpy as np
+
+    # two full blocks and a partial one of 7 darts
+    graph = gr.build_projective_graph(field_of_order(4))
+    pos = np.random.default_rng(8).integers(0, graph._indices.size, 2 * cons.BULK_BLOCK + 7)
+    _bulk_against_scalar(graph, np.searchsorted(graph._indptr, pos, side="right") - 1,
+                         graph._indices[pos])
 
 
 def test_bulk_voltages_refuse_k4():
@@ -523,6 +543,28 @@ def test_main_theorem_reports():
 
 def test_fiber_coset_report_gf4():
     assert cons.fiber_coset_report(field_of_order(4))["passed"]
+
+
+def test_fiber_coset_report_counts_comparisons(monkeypatch):
+    calls = []
+
+    def counted(gf, x):
+        calls.append(x)
+        return ml.packed_in_w2_plus_u(gf, x)
+
+    monkeypatch.setattr(cons, "packed_in_w2_plus_u", counted)
+    for kwargs in ({}, {"n_vertices": 3, "n_paths": 4, "seed": 1}):
+        del calls[:]
+        rep = cons.fiber_coset_report(field_of_order(4), **kwargs)
+        assert rep["passed"]
+        assert rep["samples"] == len(calls) == kwargs.get("n_vertices", 10) * kwargs.get("n_paths", 10)
+
+
+def test_fiber_coset_report_negative_control(monkeypatch):
+    monkeypatch.setattr(cons, "packed_in_w2_plus_u", lambda gf, x: False)
+    rep = cons.fiber_coset_report(field_of_order(4))
+    assert not rep["passed"]
+    assert rep["violations"] == rep["samples"] == 100
 
 
 def test_invariance_reports():

@@ -87,6 +87,52 @@ def test_adjacency_symmetric_irreflexive_gf2():
             assert g.adjacent(i, j) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
 
 
+def _thirteen_vertex_subgraph():
+    """Vertex 0 of the GF(2) affine graph and 12 of its neighbours, in a
+    seeded order: connected, and n is not a multiple of 8."""
+    g = gr.build_affine_graph(field_of_order(2))
+    ids = [0] + g.neighbors(0)[:12].tolist()
+    random.Random(13).shuffle(ids)
+    return gr.subgraph(g, ids)
+
+
+def _adjacency_test_graphs():
+    from phcover import construction as cons
+
+    return [gr.build_affine_graph(field_of_order(2)), _thirteen_vertex_subgraph(),
+            cons._rational_subgraph_with_twists(field_of_order(8)),
+            cons._rational_subgraph_with_twists(field_of_order(16))]
+
+
+def _assert_csr_row(g, i):
+    row = g.neighbors(i).tolist()
+    assert row == sorted(set(row)) and i not in row
+    assert row == [j for j in range(g.n) if g.adjacent(i, j)]
+
+
+def test_cached_adjacency_matches_definition_on_every_pair():
+    for g in _adjacency_test_graphs():
+        assert g.cached
+        for i in range(g.n):
+            for j in range(g.n):
+                assert g.adjacent(i, j) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
+            _assert_csr_row(g, i)
+        assert int(g._indptr[-1]) == g._indices.size == 2 * g.edge_count()
+
+
+def test_cached_adjacency_matches_definition_on_seeded_gf4_pairs():
+    g = gr.build_projective_graph(field_of_order(4))
+    rng = random.Random(41)
+    for _ in range(1000):
+        i, j = rng.randrange(g.n), rng.randrange(g.n)
+        assert g.adjacent(i, j) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
+        nbrs = g.neighbors(i)
+        j = int(nbrs[rng.randrange(nbrs.size)])
+        assert gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
+    for i in range(0, g.n, 97):
+        _assert_csr_row(g, i)
+
+
 def test_normalize_and_reduct_class():
     gf = field_of_order(4)
     v = (0, 0b10, 1, 0)

@@ -184,6 +184,68 @@ def test_potentials_follow_tree_edges():
         assert int(pot[v]) == int(pot[p]) ^ table.dart(p, v)
 
 
+def _queue_bfs_tree(table, root):
+    """Reference spanning tree: a first-in-first-out queue scan of the CSR
+    rows, each vertex's parent being the first scanned vertex that sees it."""
+    from collections import deque
+
+    n = table.graph.n
+    parent, pot, seen = [-1] * n, [0] * n, [False] * n
+    seen[root] = True
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for pos in range(int(table.indptr[u]), int(table.indptr[u + 1])):
+            v = int(table.indices[pos])
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                pot[v] = pot[u] ^ int(table.volts[pos])
+                queue.append(v)
+    assert all(seen)
+    return parent, pot
+
+
+def test_spanning_tree_matches_queue_bfs():
+    gf2 = gr.build_affine_graph(field_of_order(2))
+    star = [0] + gf2.neighbors(0)[:12].tolist()
+    random.Random(13).shuffle(star)
+    # a sparse induced subgraph four levels deep from vertex 0: past the
+    # second level, the order of a frontier decides the parents
+    sparse = gr.subgraph(gf2, random.Random(4).sample(range(gf2.n), 20))
+    assert gr.bfs(sparse, 0).max() >= 3
+    cases = [(gf2, (0, 77)),
+             (gr.subgraph(gf2, star), (0, 12)),
+             (sparse, (0, 19)),
+             (cons._rational_subgraph_with_twists(field_of_order(8)), (0, 50)),
+             (cons._rational_subgraph_with_twists(field_of_order(16)), (0, 50)),
+             (gr.build_projective_graph(field_of_order(4)), (1234,))]
+    for graph, roots in cases:
+        table = cons.voltage_table(graph)
+        for root in roots:
+            parent, pot = vg.spanning_tree_potentials(table, root)
+            want_parent, want_pot = _queue_bfs_tree(table, root)
+            assert parent.tolist() == want_parent
+            assert [int(x) for x in pot] == want_pot
+            assert pot.dtype == (object if graph.gf.k > 3 else "uint64")
+
+
+def test_spanning_tree_refuses_disconnected_graph():
+    gf = field_of_order(2)
+    # f1(e1) = 1: neither vertex's covector kills the other's vector
+    pair = gr.Graph(gf, [((1, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 1, 0, 0))],
+                    "affine", cache=True)
+    # a star around vertex 0 and one vertex adjacent to none of it
+    big = gr.build_affine_graph(gf)
+    star = [0] + big.neighbors(0)[:5].tolist()
+    lone = next(j for j in range(big.n)
+                if j not in star and not any(big.adjacent(i, j) for i in star))
+    for graph in (pair, gr.subgraph(big, star + [lone])):
+        table = cons.voltage_table(graph)
+        with pytest.raises(ValueError, match="not connected"):
+            vg.spanning_tree_potentials(table, 0)
+
+
 # ----------------------------------------------------------------------
 # lift components and local isomorphism
 # ----------------------------------------------------------------------
