@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .graphs import (
     Graph,
     build_affine_graph,
     build_projective_graph,
+    csr_distances,
+    frontier_darts,
     normalize,
     proj_points,
     sample_closed_walk,
@@ -61,7 +65,9 @@ from .voltage import (
     F2Span,
     check_reductive,
     component_of,
+    find_pairs,
     fundamental_cycle_span,
+    pair_arrays,
     path_voltage,
     verify_local_isomorphism,
 )
@@ -797,25 +803,25 @@ def build_cover(cap: int = 10 ** 7) -> dict:
     root = graph.index[vertex_v0(gf)]
     comp = component_of(table, root, cap=cap)
     verts = comp["vertices"]
-    index = comp["index"]
-    order = sorted(range(len(verts)), key=lambda i: verts[i])
-    relabel = {old: new for new, old in enumerate(order)}
-    up = u_packed(gf)
-    edges = set()
-    for i, (b, t) in enumerate(verts):
-        lo, hi = table.indptr[b], table.indptr[b + 1]
-        for pos in range(lo, hi):
-            nb = int(table.indices[pos])
-            nt = t ^ int(table.volts[pos])
-            nt = min(nt, nt ^ up)
-            j = index[(nb, nt)]
-            edges.add((min(relabel[i], relabel[j]), max(relabel[i], relabel[j])))
+    base, tag = pair_arrays(verts)
+    order = np.lexsort((tag, base))
+    base, tag = base[order], tag[order]
+    # the lift neighbour of each sorted vertex over each base neighbour
+    i, pos = frontier_darts(table.indptr, base)
+    nt = tag[i] ^ table.volts[pos]
+    up = np.uint64(u_packed(gf))
+    j = find_pairs(base, tag, table.indices[pos], np.minimum(nt, nt ^ up))
+    # labels sort by base first and each row runs in base order, so the
+    # edges i < j come out in (i, j) order
+    keep = i < j
+    labels = list(range(len(verts)))  # one int object per label, shared by the edges
     return {
         "graph": graph,
         "table": table,
         "component": comp,
-        "vertices": [verts[i] for i in order],
-        "edges": sorted(edges),
+        "vertices": [verts[k] for k in order.tolist()],
+        "edges": list(zip(map(labels.__getitem__, i[keep].tolist()),
+                          map(labels.__getitem__, j[keep].tolist()))),
     }
 
 
@@ -843,22 +849,24 @@ def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:
             "field": 2,
             "vertex_count": len(data["vertices"]),
             "edge_count": len(data["edges"]),
-            "base_vertices": [[list(v), list(h)] for v, h in graph.vertices],
-            "vertices": [[b, t] for b, t in data["vertices"]],
-            "edges": [[i, j] for i, j in data["edges"]],
+            # tuples encode as JSON arrays
+            "base_vertices": graph.vertices,
+            "vertices": data["vertices"],
+            "edges": data["edges"],
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        # json.dumps runs the C encoder; json.dump would stream through the
+        # pure-Python one
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     elif fmt == "edgelist":
-        with open(path, "w") as fh:
-            fh.write(f"# cover field=2 vertices={len(data['vertices'])} edges={len(data['edges'])}\n")
-            for i, (b, t) in enumerate(data["vertices"]):
-                fh.write(f"v {i} {b} {t}\n")
-            for i, j in data["edges"]:
-                fh.write(f"e {i} {j}\n")
+        text = "".join([
+            f"# cover field=2 vertices={len(data['vertices'])} edges={len(data['edges'])}\n",
+            *[f"v {i} {b} {t}\n" for i, (b, t) in enumerate(data["vertices"])],
+            *[f"e {i} {j}\n" for i, j in data["edges"]],
+        ])
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def load_cover(path: str, fmt: str = "json") -> dict:
@@ -870,18 +878,16 @@ def load_cover(path: str, fmt: str = "json") -> dict:
             "edges": [(i, j) for i, j in doc["edges"]],
         }
     if fmt == "edgelist":
-        verts = []
-        edges = []
         with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts or parts[0] == "#":
-                    continue
-                if parts[0] == "v":
-                    verts.append((int(parts[2]), int(parts[3])))
-                elif parts[0] == "e":
-                    edges.append((int(parts[1]), int(parts[2])))
-        return {"vertices": verts, "edges": edges}
+            words = re.sub(r"(?m)^#.*$", "", fh.read()).split()
+        # "v i base tag" records, then "e i j" records
+        nv = 4 * words.count("v")
+        vs, es = words[:nv], words[nv:]
+        if len(vs) < nv or set(vs[::4]) - {"v"} or set(es[::3]) - {"e"} or len(es) % 3:
+            raise ValueError(f"{path}: not a cover edge list")
+        b, t, i, j = (np.array(x, dtype=np.uint64).tolist()
+                      for x in (vs[2::4], vs[3::4], es[1::3], es[2::3]))
+        return {"vertices": list(zip(b, t)), "edges": list(zip(i, j))}
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -896,19 +902,13 @@ def cover_report() -> dict:
     m = len(data["edges"])
     liso = verify_local_isomorphism(table, comp, mode="direct")
     # independent connectivity check on the exported edge list
-    adj: dict[int, list[int]] = {}
-    for i, j in data["edges"]:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    connected = len(seen) == n
+    ends = np.fromiter(chain.from_iterable(data["edges"]), dtype=np.int64, count=2 * m).reshape(-1, 2)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    dist = csr_distances(indptr, dst[np.argsort(src, kind="stable")], 0)
+    connected = bool((dist >= 0).all())
     passed = (
         n == 7680 and m == 107520
         and set(fibers.values()) == {64}

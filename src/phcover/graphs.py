@@ -245,23 +245,37 @@ def local_graph(graph: Graph, i: int) -> Graph:
     return subgraph(graph, graph.neighbors(i).tolist())
 
 
+def frontier_darts(indptr: np.ndarray, frontier: np.ndarray):
+    """The darts leaving a frontier of CSR rows, row after row in frontier
+    order: pairs (slot, pos) where frontier[slot] is the row and pos the
+    dart's position in the CSR arrays."""
+    starts = indptr[frontier]
+    lens = indptr[frontier + 1] - starts
+    slot = np.repeat(np.arange(frontier.size), lens)
+    pos = np.arange(slot.size) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return slot, pos
+
+
+def csr_distances(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
+    """BFS distances over a CSR adjacency, one level at a time; unreachable
+    vertices get -1."""
+    dist = np.full(indptr.size - 1, -1, dtype=np.int32)
+    dist[start] = 0
+    frontier = np.array([start])
+    d = 0
+    while frontier.size:
+        d += 1
+        nxt = indices[frontier_darts(indptr, frontier)[1]]
+        frontier = np.unique(nxt[dist[nxt] < 0])
+        dist[frontier] = d
+    return dist
+
+
 def bfs(graph: Graph, start: int) -> np.ndarray:
     """Distances from start; unreachable vertices get -1."""
-    dist = np.full(graph.n, -1, dtype=np.int32)
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                v = int(v)
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    if not graph.cached:
+        raise ValueError("bfs needs a graph with cached adjacency")
+    return csr_distances(graph._indptr, graph._indices, start)
 
 
 def is_connected(graph: Graph) -> bool:
@@ -276,20 +290,24 @@ def diameter(graph: Graph) -> int:
     """
     rows = graph.packed_rows()
     n = graph.n
-    full = np.unpackbits(np.full(rows.shape[1], 0xFF, dtype=np.uint8))[:n]
+    # OR whole uint64 words: the rows and, last, the all-ones row, copied
+    # with zero padding to a multiple of 8 bytes
+    nbytes = rows.shape[1]
+    words = np.zeros((n + 1, -(-nbytes // 8) * 8), dtype=np.uint8)
+    words[:n, :nbytes] = rows
+    words[n, :nbytes] = np.packbits(np.ones(n, dtype=bool))
+    words = words.view(np.uint64)
+    full = words[n]
     some_dist2 = False
     for u in range(n):
         nbrs = graph.neighbors(u)
         if nbrs.size == 0:
             return max(int(bfs(graph, s).max()) for s in range(n))
-        reach = np.bitwise_or.reduce(rows[nbrs], axis=0) | rows[u]
-        bits = np.unpackbits(reach)[:n]
-        bits[u] = 1
-        if not np.array_equal(bits, full):
+        own = words[u].copy()
+        own.view(np.uint8)[u >> 3] |= 0x80 >> (u & 7)
+        if not np.array_equal(np.bitwise_or.reduce(words[nbrs], axis=0) | own, full):
             return max(int(bfs(graph, u).max()) for u in range(n))
-        row_u = np.unpackbits(rows[u])[:n]
-        row_u[u] = 1
-        if not row_u.all():
+        if not np.array_equal(own, full):
             some_dist2 = True
     if some_dist2:
         return 2

@@ -16,6 +16,7 @@ verification) runs off it.  The scalar entry points take a plain
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .graphs import (
     Graph,
     adjacent,
     build_affine_graph,
+    frontier_darts,
     normalize,
     random_affine_vertex,
     random_neighbor,
@@ -187,15 +189,12 @@ def spanning_tree_potentials(table: DartTable, root: int):
     seen[root] = True
     frontier = np.array([root], dtype=np.int64)
     while frontier.size:
-        starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
-        src = np.repeat(frontier, lens)
-        pos = np.arange(src.size) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        slot, pos = frontier_darts(indptr, frontier)
         dst = table.indices[pos]
         fresh = ~seen[dst]
-        src, pos, dst = src[fresh], pos[fresh], dst[fresh]
+        slot, pos, dst = slot[fresh], pos[fresh], dst[fresh]
         first = np.sort(np.unique(dst, return_index=True)[1])
-        src, pos, frontier = src[first], pos[first], dst[first].astype(np.int64)
+        src, pos, frontier = frontier[slot[first]], pos[first], dst[first].astype(np.int64)
         seen[frontier] = True
         parent[frontier] = src
         pot[frontier] = pot[src] ^ table.volts[pos]
@@ -253,37 +252,66 @@ class CapExceeded(RuntimeError):
     pass
 
 
+def pair_arrays(pairs):
+    """(base, tag) pairs as an int64 base array and a uint64 tag array."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.uint64, count=2 * len(pairs))
+    return flat[0::2].astype(np.int64), flat[1::2].copy()
+
+
+def find_pairs(keys_b, keys_t, b, t) -> np.ndarray:
+    """Position of each pair (b[i], t[i]) among the keys, sorted by base and
+    then tag, or -1.  Tags (42 bits over GF(4), 63 over GF(8)) are ranked
+    among the key tags, so that base and rank fit one int64 code."""
+    tags = np.unique(keys_t)
+    codes = keys_b * tags.size + np.searchsorted(tags, keys_t)
+    rank = np.minimum(np.searchsorted(tags, t), tags.size - 1)
+    want = b * tags.size + rank
+    at = np.minimum(np.searchsorted(codes, want), codes.size - 1)
+    return np.where((codes[at] == want) & (tags[rank] == t), at, -1)
+
+
 def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int = 0):
     """BFS over the lift with N-valued tags, starting at (root, root_tag).
 
     Tags are canonical packed representatives modulo U; the unique lift
     neighbour of (u, m) over the base neighbour v carries the tag
-    m + voltage(u, v).  Raises CapExceeded when the component grows past
-    the cap.
+    m + voltage(u, v).  Raises CapExceeded when the component has more than
+    cap vertices.
+
+    The BFS runs one level at a time: the darts of a level are gathered
+    row after row, and the lift neighbours not seen before are queued in
+    order of first occurrence, the order a first-in-first-out queue scan
+    gives them.
     """
-    gf = table.gf
-    up = u_packed(gf)
-    start = (root, min(root_tag, root_tag ^ up))
-    index = {start: 0}
-    verts = [start]
+    up = np.uint64(u_packed(table.gf))
+    queue_b = np.array([root], dtype=np.int64)
+    queue_t = np.array([min(root_tag, root_tag ^ int(up))], dtype=np.uint64)
+    seen_b, seen_t = queue_b, queue_t  # every key queued, sorted by base and tag
     head = 0
-    while head < len(verts):
-        u, tag = verts[head]
-        head += 1
-        lo, hi = table.indptr[u], table.indptr[u + 1]
-        for pos in range(lo, hi):
-            v = int(table.indices[pos])
-            t = tag ^ int(table.volts[pos])
-            t = min(t, t ^ up)
-            key = (v, t)
-            if key not in index:
-                if len(verts) >= cap:
-                    raise CapExceeded(
-                        f"lift component exceeded the cap of {cap} vertices;"
-                        " use the cycle-span computation instead"
-                    )
-                index[key] = len(verts)
-                verts.append(key)
+    while head < queue_b.size:
+        slot, pos = frontier_darts(table.indptr, queue_b[head:])
+        nb = table.indices[pos].astype(np.int64)
+        nt = queue_t[head + slot] ^ table.volts[pos]
+        nt = np.minimum(nt, nt ^ up)
+        head = queue_b.size
+        # seen keys first, then candidates in scan order; the stable sort
+        # puts the earliest entry of each key first
+        b, t = np.concatenate([seen_b, nb]), np.concatenate([seen_t, nt])
+        order = np.lexsort((t, b))
+        b, t = b[order], t[order]
+        first = np.concatenate([[True], (b[1:] != b[:-1]) | (t[1:] != t[:-1])])
+        fresh = order[first] - seen_b.size
+        fresh = np.sort(fresh[fresh >= 0])
+        seen_b, seen_t = b[first], t[first]
+        if queue_b.size + fresh.size > cap:
+            raise CapExceeded(
+                f"lift component exceeded the cap of {cap} vertices;"
+                " use the cycle-span computation instead"
+            )
+        queue_b = np.concatenate([queue_b, nb[fresh]])
+        queue_t = np.concatenate([queue_t, nt[fresh]])
+    verts = list(zip(queue_b.tolist(), queue_t.tolist()))
+    index = {key: i for i, key in enumerate(verts)}
     fibers: dict[int, int] = {}
     for b, _ in verts:
         fibers[b] = fibers.get(b, 0) + 1
@@ -294,9 +322,10 @@ def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") 
     """Check that projecting each lift vertex's neighbourhood onto the base
     neighbourhood is an adjacency-and-non-adjacency preserving bijection.
 
-    mode "direct" verifies this at every lift vertex of the component,
-    vectorised over each fiber; mode "triangles" verifies the equivalent
-    triangle condition (every base triangle has voltage 0 in N) instead.
+    mode "direct" verifies this at every lift vertex of the component, in
+    one pass over every (lift vertex, base triangle through its base) pair;
+    mode "triangles" verifies the equivalent triangle condition (every base
+    triangle has voltage 0 in N) instead.
     """
     gf = table.gf
     g = table.graph
@@ -321,42 +350,42 @@ def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") 
         return {"mode": mode, "checked": checked, "violations": violations,
                 "passed": violations == 0}
 
-    fibers: dict[int, list[int]] = {}
-    for b, t in component["vertices"]:
-        fibers.setdefault(b, []).append(t)
-    members: dict[int, set[int]] = {}  # the tags over each base vertex
-    for b, t in component["index"]:
-        members.setdefault(b, set()).add(t)
-    for base, tags in fibers.items():
-        tags_arr = np.array(tags, dtype=np.uint64)
-        nbrs = g.neighbors(base)
-        deg = len(nbrs)
-        lo = table.indptr[base]
-        lrow = table.volts[lo:lo + deg]
-        # canonical tags of the lift neighbours, one per base neighbour
-        cand = tags_arr[:, None] ^ lrow[None, :]
-        cand = np.minimum(cand, cand ^ np.uint64(up))
-        # pairwise adjacency of lift neighbours must mirror the base exactly
-        pos_of = {int(w): p for p, w in enumerate(nbrs)}
-        for p in range(deg):
-            w1 = int(nbrs[p])
-            for pos in range(table.indptr[w1], table.indptr[w1 + 1]):
-                w2 = int(table.indices[pos])
-                q = pos_of.get(w2)
-                if q is None or q <= p:
-                    continue
-                # base edge (w1, w2): lift neighbours must be adjacent too
-                want = int(table.volts[pos])
-                want = min(want, want ^ up)
-                have = cand[:, p] ^ cand[:, q]
-                have = np.minimum(have, have ^ np.uint64(up))
-                checked += tags_arr.size
-                violations += int((have != want).sum())
-        # bijectivity: a lift vertex has one lift neighbour over each base
-        # neighbour, so the projection is onto the base neighbourhood and
-        # one-to-one exactly when every such neighbour is in the component
-        for w, col in zip(nbrs.tolist(), cand.T.tolist()):
-            violations += len(col) - len(members.get(w, set()).intersection(col))
+    up = np.uint64(up)
+    indptr, indices, volts = table.indptr, table.indices, table.volts
+    vb, vt = pair_arrays(component["vertices"])
+    # the base triangles (u, w1, w2) with w1 < w2 through each base u of the
+    # component, as CSR positions of the darts u-w1 (p), u-w2 (q), w1-w2 (e)
+    bases, base_slot = np.unique(vb, return_inverse=True)
+    slot, p = frontier_darts(indptr, bases)
+    w1 = indices[p]
+    s2, e = frontier_darts(indptr, w1)
+    u, p, w1, w2 = bases[slot[s2]], p[s2], w1[s2], indices[e]
+    darts = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr)) * g.n + indices
+    key = u * g.n + w2
+    q = np.minimum(np.searchsorted(darts, key), darts.size - 1)
+    tri = (w2 > w1) & (darts[q] == key)
+    tri_indptr = np.zeros(bases.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot[s2][tri], minlength=bases.size), out=tri_indptr[1:])
+    p, q, e = p[tri], q[tri], e[tri]
+    # every lift vertex with every triangle through its base: the lift
+    # neighbours over w1 and w2 must be adjacent exactly as w1 and w2 are
+    want = np.minimum(volts[e], volts[e] ^ up)
+    k, ti = frontier_darts(tri_indptr, base_slot)
+    t = vt[k]
+    x = t ^ volts[p][ti]
+    y = t ^ volts[q][ti]
+    have = np.minimum(x, x ^ up) ^ np.minimum(y, y ^ up)
+    checked = int(k.size)
+    violations = int((np.minimum(have, have ^ up) != want[ti]).sum())
+    # bijectivity: a lift vertex has one lift neighbour over each base
+    # neighbour, so the projection is onto the base neighbourhood and
+    # one-to-one exactly when every such neighbour is in the component
+    kb, kt = pair_arrays(list(component["index"]))
+    order = np.lexsort((kt, kb))
+    k, pos = frontier_darts(indptr, vb)
+    nt = vt[k] ^ volts[pos]
+    missing = find_pairs(kb[order], kt[order], indices[pos], np.minimum(nt, nt ^ up)) < 0
+    violations += int(missing.sum())
     return {"mode": mode, "checked": checked, "violations": violations,
             "passed": violations == 0}
 

@@ -529,6 +529,25 @@ def test_export_unknown_format(tmp_path):
         cons.export_cover(str(tmp_path / "x"), "parquet")
 
 
+def test_load_edgelist_rejects_malformed(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text in ("v 0 1 2\ne 0\n", "v 0 1\n", "x 1 2\n", "e 0 1\nv 0 1 2\n", "v 0 a 2\n"):
+        path.write_text("# cover\n" + text)
+        with pytest.raises(ValueError):
+            cons.load_cover(str(path), "edgelist")
+
+
+def test_cover_connectivity_reads_the_edge_list(monkeypatch):
+    data = dict(cons.cover_data())
+    # without the edges at vertex 0 the edge list is disconnected, while
+    # the component it came from is unchanged
+    data["edges"] = [e for e in data["edges"] if 0 not in e]
+    monkeypatch.setattr(cons, "cover_data", lambda cap=10 ** 7: data)
+    rep = cons.cover_report()
+    assert not rep["connected"] and not rep["passed"]
+    assert rep["local_isomorphism"]["passed"]
+
+
 # ----------------------------------------------------------------------
 # composite reports
 # ----------------------------------------------------------------------

@@ -4,10 +4,13 @@ The CSR adjacency and packed dart voltages of the GF(4) projective and the
 GF(2) affine graph, and their BFS spanning trees at root 0, must stay
 bit-for-bit the same across refactors of graph enumeration, the bulk
 voltage kernel and the tree.  A digest is the sha256 of the arrays'
-little-endian bytes, taken in turn at fixed widths.
+little-endian bytes, taken in turn at fixed widths.  The GF(2) cover is
+pinned the same way, by the sha256 of both export formats and of the BFS
+order of its lift component.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -45,3 +48,22 @@ def test_table_and_tree_digests(name):
                    (table.volts, "<u8")) == table_digest
     parent, pot = vg.spanning_tree_potentials(table, 0)
     assert _digest((parent, "<i8"), (pot, "<u8")) == tree_digest
+
+
+COVER_GOLDEN = {
+    "json": "2d9e86f3870c713d6b35fa507c536d8fdb8630bf750ecd576ef58559aef41045",
+    "edgelist": "9e178312059633731c686183b51b08170d14a77b062dd3aea53f2d6b3834ed08",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(COVER_GOLDEN))
+def test_cover_export_digests(fmt, tmp_path):
+    path = tmp_path / f"cover.{fmt}"
+    cons.export_cover(str(path), fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COVER_GOLDEN[fmt]
+
+
+def test_cover_component_order_digest():
+    verts = cons.cover_data()["component"]["vertices"]
+    assert hashlib.sha256(json.dumps(verts).encode()).hexdigest() == \
+        "df6016b61dad524acb6cfd16fc2eea5475e9c7a8001a735ff6a254d13a3a869f"

@@ -185,6 +185,65 @@ def test_diameter_gf4():
     assert gr.diameter(g) == 2
 
 
+def _queue_distances(graph, start):
+    """Reference BFS: a first-in-first-out queue over graph.neighbors."""
+    from collections import deque
+
+    dist = [-1] * graph.n
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u).tolist():
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _induced_path(graph, length):
+    """Vertices of an induced path from vertex 0, grown greedily."""
+    path = [0]
+    while len(path) < length:
+        path.append(next(w for w in graph.neighbors(path[-1]).tolist()
+                         if w not in path
+                         and not any(graph.adjacent(w, p) for p in path[:-1])))
+    return path
+
+
+def _test_graphs():
+    """A sparse subgraph four levels deep from vertex 0, a star with an
+    isolated vertex, and induced paths on 2, 3 and 7 vertices."""
+    gf2 = gr.build_affine_graph(field_of_order(2))
+    sparse = gr.subgraph(gf2, random.Random(4).sample(range(gf2.n), 20))
+    star = [0] + gf2.neighbors(0)[:5].tolist()
+    lone = next(j for j in range(gf2.n)
+                if j not in star and not any(gf2.adjacent(i, j) for i in star))
+    paths = [gr.subgraph(gf2, _induced_path(gf2, k)) for k in (2, 3, 7)]
+    return [sparse, gr.subgraph(gf2, star + [lone])] + paths
+
+
+def test_bfs_matches_queue_bfs():
+    graphs = _test_graphs()
+    assert max(gr.bfs(graphs[0], 0)) >= 3
+    for graph in graphs:
+        for start in range(graph.n):
+            dist = gr.bfs(graph, start)
+            assert dist.dtype == "int32"
+            assert dist.tolist() == _queue_distances(graph, start)
+    assert not gr.is_connected(graphs[1])
+    assert gr.is_connected(graphs[0])
+
+
+def test_diameter_matches_queue_bfs():
+    graphs = _test_graphs()
+    # the paths need no fallback up to 3 vertices; the rest take it
+    assert [gr.diameter(g) for g in graphs[2:]] == [1, 2, 6]
+    for graph in graphs:
+        want = max(max(_queue_distances(graph, s)) for s in range(graph.n))
+        assert gr.diameter(graph) == want
+
+
 def test_local_graph_gf2():
     g = gr.build_affine_graph(field_of_order(2))
     sizes = {gr.local_graph(g, i).n for i in range(g.n)}

@@ -261,11 +261,56 @@ def test_component_zero_voltage_is_base():
     assert set(comp["fiber_sizes"].values()) == {1}
 
 
+def _queue_component(table, root, root_tag):
+    """Reference lift BFS: a first-in-first-out queue of (base, tag) keys."""
+    from collections import deque
+
+    up = ml.u_packed(table.gf)
+    start = (root, min(root_tag, root_tag ^ up))
+    verts, seen, queue = [start], {start}, deque([start])
+    while queue:
+        u, tag = queue.popleft()
+        for pos in range(int(table.indptr[u]), int(table.indptr[u + 1])):
+            t = tag ^ int(table.volts[pos])
+            key = (int(table.indices[pos]), min(t, t ^ up))
+            if key not in seen:
+                seen.add(key)
+                verts.append(key)
+                queue.append(key)
+    return verts
+
+
+def test_component_matches_queue_bfs():
+    gf = field_of_order(2)
+    table = cons.voltage_table(gr.build_affine_graph(gf))
+    comp = vg.component_of(table, 5, root_tag=3)
+    verts = comp["vertices"]
+    assert len(verts) == 7680
+    assert verts[:3] == [(5, 3), (17, 2305), (19, 3392)]
+    assert verts == _queue_component(table, 5, 3)
+    assert comp["index"] == {key: i for i, key in enumerate(verts)}
+    assert set(comp["fiber_sizes"].values()) == {64} and len(comp["fiber_sizes"]) == 120
+
+
 def test_component_cap_guard():
     gf = field_of_order(2)
     table = cons.voltage_table(gr.build_affine_graph(gf))
     with pytest.raises(vg.CapExceeded):
         vg.component_of(table, 0, cap=1000)
+    # the cap bounds the vertex count exactly
+    assert len(vg.component_of(table, 0, cap=7680)["vertices"]) == 7680
+    with pytest.raises(vg.CapExceeded):
+        vg.component_of(table, 0, cap=7679)
+
+
+def test_find_pairs_wide_tags():
+    # tags of 63 bits, as over GF(8), with bases sharing tags
+    keys = sorted({(b, t) for b in (0, 3, 9) for t in (5, 2 ** 62 + 1, 2 ** 63 - 1)} - {(3, 5)})
+    kb, kt = vg.pair_arrays(keys)
+    queries = keys[::-1] + [(3, 5), (0, 6), (9, 2 ** 63 - 2), (10, 5), (0, 2 ** 63)]
+    qb, qt = vg.pair_arrays(queries)
+    want = [keys.index(q) if q in keys else -1 for q in queries]
+    assert vg.find_pairs(kb, kt, qb, qt).tolist() == want
 
 
 def test_component_cap_guard_gf4():
@@ -281,6 +326,8 @@ def test_local_isomorphism_modes_agree_on_cover():
     direct = vg.verify_local_isomorphism(table, data["component"], mode="direct")
     tri = vg.verify_local_isomorphism(table, None, mode="triangles")
     assert direct["passed"] and tri["passed"]
+    # every lift vertex times the 84 base triangles through its base
+    assert (direct["checked"], direct["violations"]) == (7680 * 84, 0)
 
 
 def test_local_isomorphism_detects_corruption():
@@ -304,6 +351,7 @@ def test_local_isomorphism_detects_corruption():
     component = cons.cover_data()["component"]
     rep = vg.verify_local_isomorphism(corrupted, component, mode="direct")
     assert not rep["passed"] and rep["violations"] > 0
+    assert (rep["checked"], rep["violations"]) == (645120, 1280)
 
 
 def test_local_isomorphism_direct_detects_missing_vertices():
@@ -312,6 +360,7 @@ def test_local_isomorphism_direct_detects_missing_vertices():
     truncated = {"vertices": verts, "index": {v: i for i, v in enumerate(verts)}}
     rep = vg.verify_local_isomorphism(data["table"], truncated, mode="direct")
     assert not rep["passed"] and rep["violations"] > 0
+    assert (rep["checked"], rep["violations"]) == (639744, 1766)
 
 
 # ----------------------------------------------------------------------
