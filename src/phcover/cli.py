@@ -21,49 +21,38 @@ import sys
 from . import construction as cons
 from .field import field_of_order
 from .graphs import build_affine_graph, build_projective_graph
+from .voltage import CapExceeded
 
-SUITES = (
-    "reductive", "triangles", "quadrangles", "pentagons", "cycles",
-    "equivariance", "main-theorem", "cocycle", "nonsplit", "all",
-)
+# each suite's reports from (field, samples, seed, mode), in the order
+# `verify all` runs the suites
+SUITE_REPORTS = {
+    "reductive": lambda gf, n, seed, mode: [cons.reductivity_report(gf, samples=n, seed=seed)],
+    "triangles": lambda gf, n, seed, mode: [cons.verify_triangles(gf, mode, n, seed)],
+    "quadrangles": lambda gf, n, seed, mode: [cons.verify_quadrangles(gf, mode, n, seed)],
+    "pentagons": lambda gf, n, seed, mode: [cons.verify_pentagons(gf, samples=n, seed=seed)],
+    "cycles": lambda gf, n, seed, mode: [cons.cycle_span_report(gf, seed=seed)] + (
+        [cons.verify_long_cycles(gf, samples=max(1, n // 100), seed=seed)]
+        if gf.order <= 4 else []),
+    "equivariance": lambda gf, n, seed, mode: [
+        cons.equivariance_report(gf, samples=max(1, n // 10), seed=seed),
+        cons.u_invariance_report(gf, seed=seed)],
+    "main-theorem": lambda gf, n, seed, mode: [
+        cons.verify_main_theorem(gf, seed=seed, samples=max(1, n // 10))],
+    "cocycle": lambda gf, n, seed, mode: [cons.dart_lambda_report(gf), cons.cocycle_report(gf)],
+    "nonsplit": lambda gf, n, seed, mode: [cons.nonsplit_check(gf)] + (
+        [cons.brute_force_splitting_gf4()] if gf.order == 4 else []),
+}
+SUITES = (*SUITE_REPORTS, "all")
 
 
 def _suite_reports(suite: str, gf, cfg) -> list:
-    samples = cfg.samples
-    seed = cfg.seed
     # the aggregate run downgrades infeasible exhaustive requests to the
     # per-check default instead of failing halfway through
-    mode = cfg.mode if suite != "all" or gf.order == 2 else None
-    out = []
-    if suite in ("reductive", "all"):
-        out.append(cons.reductivity_report(gf, samples=samples, seed=seed))
-    if suite in ("triangles", "all"):
-        out.append(cons.verify_triangles(gf, mode="auto" if mode is None else mode,
-                                         samples=samples, seed=seed))
-    if suite in ("quadrangles", "all"):
-        out.append(cons.verify_quadrangles(gf, mode="auto" if mode is None else mode,
-                                           samples=samples, seed=seed))
-    if suite in ("pentagons", "all"):
-        out.append(cons.verify_pentagons(gf, samples=samples, seed=seed))
-    if suite in ("cycles", "all"):
-        out.append(cons.cycle_span_report(gf, seed=seed))
-        if gf.order <= 4:
-            out.append(cons.verify_long_cycles(gf, samples=max(1, samples // 100), seed=seed))
-    if suite in ("equivariance", "all"):
-        out.append(cons.equivariance_report(gf, samples=max(1, samples // 10), seed=seed))
-        out.append(cons.u_invariance_report(gf, seed=seed))
-    if suite in ("main-theorem", "all"):
-        out.append(cons.verify_main_theorem(gf, seed=seed, samples=max(1, samples // 10)))
-    if suite in ("cocycle", "all"):
-        out.append(cons.dart_lambda_report(gf))
-        out.append(cons.cocycle_report(gf))
-    if suite in ("nonsplit", "all"):
-        out.append(cons.nonsplit_check(gf))
-        if gf.order == 4:
-            out.append(cons.brute_force_splitting_gf4())
+    mode = (cfg.mode if suite != "all" or gf.order == 2 else None) or "auto"
+    suites = SUITE_REPORTS if suite == "all" else [suite]
+    out = [r for name in suites for r in SUITE_REPORTS[name](gf, cfg.samples, cfg.seed, mode)]
     if suite == "all":
-        out.append(cons.phi_table_report())
-        out.append(cons.order2_report(gf))
+        out += [cons.phi_table_report(), cons.order2_report(gf)]
         if gf.order <= 4:
             out.append(cons.diameter_report(gf))
     return out
@@ -188,16 +177,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return cfg.func(cfg)
-    except ValueError as exc:
+    except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # cap overruns and similar guards
-        from .voltage import CapExceeded
-
-        if isinstance(exc, CapExceeded):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

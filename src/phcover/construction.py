@@ -69,6 +69,7 @@ from .voltage import (
     fundamental_cycle_span,
     pair_arrays,
     path_voltage,
+    report,
     verify_local_isomorphism,
 )
 
@@ -95,6 +96,11 @@ def dart_voltage(gf: GF, a, b):
     by_scale = mul[mul[gf.inverses[sa]][gf.inverses[sb]]]
     w = [by_scale[x] for x in wedge(gf, va, vb)]
     return sym_mul(gf, w, phi(wedge_covectors(gf, ha, hb)))
+
+
+def cycle_voltage(gf: GF, cyc):
+    """Voltage in S2(W) of the closed walk through the vertices of cyc."""
+    return path_voltage(gf, lambda a, b: dart_voltage(gf, a, b), cyc + (cyc[0],))
 
 
 def dart_voltage_packed(gf: GF, a, b) -> int:
@@ -270,18 +276,35 @@ def cocycle_f(gf: GF, x: int, y: int):
 # lemma verifiers
 # ----------------------------------------------------------------------
 
-def _report(check, gf, mode, samples, violations, witnesses, **extra):
-    rep = {
-        "check": check,
-        "field": gf.order,
-        "mode": mode,
-        "samples": samples,
-        "violations": violations,
-        "witnesses": witnesses[:5],
-        "passed": violations == 0,
-    }
-    rep.update(extra)
-    return rep
+def _not_applicable(check, gf, mode):
+    """The report of a check that needs an element outside GF(2)."""
+    return {"check": check, "field": gf.order, "mode": mode, "status": "not-applicable",
+            "reason": "no element outside the prime field", "violations": 0, "passed": True}
+
+
+def _resolve_mode(gf: GF, mode: str, what: str) -> str:
+    """Resolve "auto" to exhaustive over GF(2) and to sample above it, and
+    refuse exhaustive enumeration above GF(2)."""
+    if mode == "auto":
+        return "exhaustive" if gf.order == 2 else "sample"
+    if mode == "exhaustive" and gf.order != 2:
+        raise ValueError(f"exhaustive {what} enumeration is only feasible over GF(2)")
+    return mode
+
+
+def _sampled_cycles(gf: GF, cycles, member, key):
+    """Test the voltage of each cycle with member; returns (checked, violations,
+    witnesses), each witness {key: cycle, "voltage": voltage}.  Given a
+    generator, each cycle is drawn just before it is evaluated."""
+    checked = violations = 0
+    witnesses = []
+    for cyc in cycles:
+        checked += 1
+        volt = cycle_voltage(gf, cyc)
+        if not member(volt):
+            violations += 1
+            witnesses.append({key: cyc, "voltage": volt})
+    return checked, violations, witnesses
 
 
 def _common_neighbors(graph: Graph, i: int, j: int) -> np.ndarray:
@@ -294,10 +317,7 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                      seed: int = 12345) -> dict:
     """Every triangle voltage equals U, exhaustively on the enumerated affine
     graph for GF(2) and on sampled triangles for larger fields."""
-    if mode == "auto":
-        mode = "exhaustive" if gf.order == 2 else "sample"
-    if mode == "exhaustive" and gf.order != 2:
-        raise ValueError("exhaustive triangle enumeration is only feasible over GF(2)")
+    mode = _resolve_mode(gf, mode, "triangle")
     u_pack = u_packed(gf)
     violations = 0
     witnesses = []
@@ -322,24 +342,16 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
     else:
         rng = random.Random(seed)
         u_tuple = big_u(gf)
-        for _ in range(samples):
-            tri = sample_triangle(gf, rng)
-            checked += 1
-            volt = path_voltage(gf, lambda a, b: dart_voltage(gf, a, b),
-                                tri + (tri[0],))
-            if volt != u_tuple:
-                violations += 1
-                witnesses.append({"triangle": tri, "voltage": volt})
-    return _report("triangles", gf, mode, checked, violations, witnesses)
+        checked, violations, witnesses = _sampled_cycles(
+            gf, (sample_triangle(gf, rng) for _ in range(samples)),
+            lambda volt: volt == u_tuple, "triangle")
+    return report("triangles", gf, mode, checked, violations, witnesses)
 
 
 def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                        seed: int = 12345) -> dict:
     """Every 4-cycle voltage lies in the span of the squares plus U."""
-    if mode == "auto":
-        mode = "exhaustive" if gf.order == 2 else "sample"
-    if mode == "exhaustive" and gf.order != 2:
-        raise ValueError("exhaustive 4-cycle enumeration is only feasible over GF(2)")
+    mode = _resolve_mode(gf, mode, "4-cycle")
     violations = 0
     witnesses = []
     checked = 0
@@ -360,55 +372,40 @@ def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                             witnesses.append({"cycle": (i, a, j, b), "voltage": volt})
     else:
         rng = random.Random(seed)
-        for _ in range(samples):
-            cyc = sample_quadrangle(gf, rng)
-            checked += 1
-            volt = path_voltage(gf, lambda a, b: dart_voltage(gf, a, b),
-                                cyc + (cyc[0],))
-            if not in_w2_plus_u(gf, volt):
-                violations += 1
-                witnesses.append({"cycle": cyc, "voltage": volt})
-    return _report("quadrangles", gf, mode, checked, violations, witnesses)
+        checked, violations, witnesses = _sampled_cycles(
+            gf, (sample_quadrangle(gf, rng) for _ in range(samples)),
+            lambda volt: in_w2_plus_u(gf, volt), "cycle")
+    return report("quadrangles", gf, mode, checked, violations, witnesses)
 
 
 def verify_pentagons(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
     """Every sampled 5-cycle voltage lies in the span of the squares plus U."""
     rng = random.Random(seed)
-    violations = 0
-    witnesses = []
-    for _ in range(samples):
-        cyc = sample_pentagon(gf, rng)
-        volt = path_voltage(gf, lambda a, b: dart_voltage(gf, a, b),
-                            cyc + (cyc[0],))
-        if not in_w2_plus_u(gf, volt):
-            violations += 1
-            witnesses.append({"cycle": cyc, "voltage": volt})
-    return _report("pentagons", gf, "sample", samples, violations, witnesses)
+    return report("pentagons", gf, "sample", *_sampled_cycles(
+        gf, (sample_pentagon(gf, rng) for _ in range(samples)),
+        lambda volt: in_w2_plus_u(gf, volt), "cycle"))
 
 
 def verify_long_cycles(gf: GF, lengths=(6, 7, 8), samples: int = 2000,
                        seed: int = 12345) -> dict:
     """Sampled closed walks of the given lengths stay in the same span."""
     rng = random.Random(seed)
-    violations = 0
-    witnesses = []
-    checked = 0
-    for length in lengths:
-        for _ in range(samples):
-            walk = sample_closed_walk(gf, length, rng)
-            checked += 1
-            volt = path_voltage(gf, lambda a, b: dart_voltage(gf, a, b),
-                                walk + (walk[0],))
-            if not in_w2_plus_u(gf, volt):
-                violations += 1
-                witnesses.append({"walk": walk, "voltage": volt})
-    return _report("long-cycles", gf, "sample", checked, violations, witnesses,
-                   lengths=list(lengths))
+    walks = (sample_closed_walk(gf, length, rng) for length in lengths for _ in range(samples))
+    return report("long-cycles", gf, "sample", *_sampled_cycles(
+        gf, walks, lambda volt: in_w2_plus_u(gf, volt), "walk"), lengths=list(lengths))
 
 
 # ----------------------------------------------------------------------
 # the explicit square-generating quadrangles
 # ----------------------------------------------------------------------
+
+def _square_basis(gf: GF):
+    """The packed tensors lam * w_s^2, s = 1..6, with lam running over the
+    F2-basis 1, x, .., x^(k-1) of the field: an F2-basis of the squares."""
+    units = [tuple(int(t == s) for t in range(6)) for s in range(6)]
+    return [pack_sym(gf, sym_scale(gf, 1 << bit, square(gf, unit)))
+            for unit in units for bit in range(gf.k)]
+
 
 def _square_patterns():
     """For each basis pair (a, b) the complementary pair (c, d), a < b, c < d."""
@@ -456,32 +453,22 @@ def w2_span_report(gf: GF) -> dict:
     witnesses = []
     span = F2Span()
     for item in w2_generator_cycles(gf):
-        cyc = item["cycle"]
-        volt = path_voltage(gf, lambda a, b: dart_voltage(gf, a, b), cyc + (cyc[0],))
+        volt = cycle_voltage(gf, item["cycle"])
         if volt != item["expected"]:
             violations += 1
             witnesses.append(item)
         span.add(pack_sym(gf, volt))
-    full = F2Span()
-    for slot in range(6):
-        unit = tuple(1 if t == slot else 0 for t in range(6))
-        for bit in range(gf.k):
-            full.add(pack_sym(gf, sym_scale(gf, 1 << bit, square(gf, unit))))
-    spans_match = span.dim == full.dim == 6 * gf.k and all(
-        span.contains(row) for row in full.pivots.values()
-    )
+    spans_match = span.dim == 6 * gf.k and all(span.contains(x) for x in _square_basis(gf))
     # every nonzero lam gives the predicted voltage too
     for lam in gf.nonzero():
         item = w2_generator_cycles(gf, lambdas=[lam])[0]
-        volt = path_voltage(gf, lambda a, b: dart_voltage(gf, a, b),
-                            item["cycle"] + (item["cycle"][0],))
-        if volt != item["expected"]:
+        if cycle_voltage(gf, item["cycle"]) != item["expected"]:
             violations += 1
             witnesses.append(item)
-    return _report("square-generators", gf, "exhaustive",
-                   6 * gf.k + gf.order - 1, violations, witnesses,
-                   span_dim=span.dim, expected_dim=6 * gf.k,
-                   spans_squares=spans_match)
+    return report("square-generators", gf, "exhaustive",
+                  6 * gf.k + gf.order - 1, violations, witnesses,
+                  span_dim=span.dim, expected_dim=6 * gf.k,
+                  spans_squares=spans_match)
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +495,7 @@ def _rational_subgraph_with_twists(gf: GF) -> Graph:
             if vert not in seen:
                 seen.add(vert)
                 verts.append(vert)
-    return Graph(gf, verts, "projective", cache=True)
+    return Graph(gf, verts, "projective")
 
 
 def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> dict:
@@ -532,33 +519,26 @@ def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> di
     contains_u = span.contains(u_packed(gf))
     span.add(u_packed(gf))
     dim_mod_u = span.dim - 1
-    missing = 0
-    for slot in range(6):
-        unit = tuple(1 if t == slot else 0 for t in range(6))
-        for bit in range(gf.k):
-            if not span.contains(pack_sym(gf, sym_scale(gf, 1 << bit, square(gf, unit)))):
-                missing += 1
-    sampled_violations = 0
-    if mode != "exhaustive" and walk_samples:
+    missing = sum(not span.contains(x) for x in _square_basis(gf))
+    walk_violations, walk_witnesses = 0, []
+    if mode != "exhaustive":
         rng = random.Random(seed)
-        for _ in range(walk_samples):
-            length = rng.choice((4, 5, 6, 7, 8))
-            walk = sample_closed_walk(gf, length, rng)
-            volt = path_voltage(gf, lambda a, b: dart_voltage(gf, a, b),
-                                walk + (walk[0],))
-            if not in_w2_plus_u(gf, volt):
-                sampled_violations += 1
+        # each walk draws its length first
+        walks = (sample_closed_walk(gf, rng.choice((4, 5, 6, 7, 8)), rng)
+                 for _ in range(walk_samples))
+        _, walk_violations, walk_witnesses = _sampled_cycles(
+            gf, walks, lambda volt: in_w2_plus_u(gf, volt), "walk")
     dim_ok = dim_mod_u == 6 * gf.k
-    violations = (res["violations"] + missing + sampled_violations
+    violations = (res["violations"] + missing + walk_violations
                   + (0 if dim_ok and contains_u else 1))
-    return _report("cycle-span", gf, mode, res["nontree_edges"], violations,
-                   res["witnesses"],
-                   dim_mod_u=dim_mod_u, expected_dim=6 * gf.k,
-                   contains_u=contains_u,
-                   squares_contained=missing == 0,
-                   fundamental_in_w2u=res["violations"] == 0,
-                   sampled_walks=walk_samples if mode != "exhaustive" else 0,
-                   dim_ok=dim_ok)
+    return report("cycle-span", gf, mode, res["nontree_edges"], violations,
+                  res["witnesses"] + walk_witnesses,
+                  dim_mod_u=dim_mod_u, expected_dim=6 * gf.k,
+                  contains_u=contains_u,
+                  squares_contained=missing == 0,
+                  fundamental_in_w2u=res["violations"] == 0,
+                  sampled_walks=walk_samples if mode != "exhaustive" else 0,
+                  dim_ok=dim_ok)
 
 
 # ----------------------------------------------------------------------
@@ -728,10 +708,7 @@ def splitting_system(gf: GF, alpha: int | None = None):
 def nonsplit_check(gf: GF, alpha: int | None = None) -> dict:
     """Build the splitting system and certify its inconsistency."""
     if gf.order <= 2:
-        return {"check": "nonsplit", "field": gf.order, "mode": "linear",
-                "status": "not-applicable",
-                "reason": "no element outside the prime field",
-                "violations": 0, "passed": True}
+        return _not_applicable("nonsplit", gf, "linear")
     a_mat, b = splitting_system(gf, alpha)
     x0, kern, cert = solve_affine_f2(a_mat, b)
     if cert is None:
@@ -950,7 +927,7 @@ def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
             compared += 1
             if not packed_in_w2_plus_u(gf, v ^ volts[0]):
                 violations += 1
-    return _report("fiber-cosets", gf, "sample", compared, violations, [])
+    return report("fiber-cosets", gf, "sample", compared, violations, [])
 
 
 def verify_main_theorem(gf: GF, seed: int = 12345, samples: int = 10 ** 4) -> dict:
@@ -999,7 +976,7 @@ def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
         act = action(gf, random_gl4(gf, rng))
         if act.on_sym(u) != sym_scale(gf, act.det, u):
             violations += 1
-    return _report("u-invariance", gf, "sample", n_sl + n_gl, violations, [])
+    return report("u-invariance", gf, "sample", n_sl + n_gl, violations, [])
 
 
 def reductivity_report(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
@@ -1055,18 +1032,14 @@ def diameter_report(gf: GF) -> dict:
 
     graph = build_projective_graph(gf)
     d = diameter(graph)
-    return {"check": "diameter", "field": gf.order, "mode": "exhaustive",
-            "samples": graph.n, "diameter": d, "violations": 0 if d == 2 else 1,
-            "witnesses": [], "passed": d == 2}
+    return report("diameter", gf, "exhaustive", graph.n, 0 if d == 2 else 1, [], diameter=d)
 
 
 def dart_lambda_report(gf: GF) -> dict:
     """The dart voltage between the two distinguished vertices and the
     path-based lambda value, for every element of the order-4 family."""
     if gf.order <= 2:
-        return {"check": "dart-lambda", "field": gf.order, "mode": "exhaustive",
-                "status": "not-applicable", "violations": 0, "passed": True,
-                "reason": "no element outside the prime field"}
+        return _not_applicable("dart-lambda", gf, "exhaustive")
     w2b = wedge(gf, E4[0], E4[2])
     w4b = wedge(gf, E4[1], E4[2])
     w5b = wedge(gf, E4[1], E4[3])
@@ -1080,16 +1053,14 @@ def dart_lambda_report(gf: GF) -> dict:
             violations += 1
         if lambda_ax(gf, x) != sym_scale(gf, x, sym_mul(gf, w4b, w5b)):
             violations += 1
-    return _report("dart-lambda", gf, "exhaustive", 8, violations, [])
+    return report("dart-lambda", gf, "exhaustive", 8, violations, [])
 
 
 def cocycle_report(gf: GF) -> dict:
     """The cocycle equals x y w5^2 on every pair of the order-4 family, and
     is symmetric with trivial first row."""
     if gf.order <= 2:
-        return {"check": "cocycle", "field": gf.order, "mode": "exhaustive",
-                "status": "not-applicable", "violations": 0, "passed": True,
-                "reason": "no element outside the prime field"}
+        return _not_applicable("cocycle", gf, "exhaustive")
     fam = order4_subgroup(gf)
     violations = 0
     vals = {}
@@ -1105,18 +1076,15 @@ def cocycle_report(gf: GF) -> dict:
         for y in fam:
             if vals[(x, y)] != vals[(y, x)]:
                 violations += 1
-    return _report("cocycle", gf, "exhaustive", len(fam) ** 2, violations, [])
+    return report("cocycle", gf, "exhaustive", len(fam) ** 2, violations, [])
 
 
 def order2_report(gf: GF) -> dict:
     """Order-2 solution spaces for every nonzero element of the family."""
     if gf.order <= 2:
-        return {"check": "order2-space", "field": gf.order, "mode": "exhaustive",
-                "status": "not-applicable", "violations": 0, "passed": True,
-                "reason": "no element outside the prime field"}
+        return _not_applicable("order2-space", gf, "exhaustive")
     parts = [order2_solution_space(gf, x) for x in order4_subgroup(gf)[1:]]
-    passed = all(p["passed"] for p in parts)
-    return {"check": "order2-space", "field": gf.order, "mode": "exhaustive",
-            "samples": len(parts), "parts": parts,
-            "violations": sum(p.get("violations", 1) for p in parts),
-            "witnesses": [], "passed": passed}
+    # a part passes exactly when it counts no violation; an inconsistent
+    # system carries no count and counts as one
+    return report("order2-space", gf, "exhaustive", len(parts),
+                  sum(p.get("violations", 1) for p in parts), [], parts=parts)

@@ -8,10 +8,11 @@ with identical neighbour sets yields exactly the projective graph,
 which :func:`verify_reduct_is_neighborhood_equality` checks computationally
 instead of assuming.
 
-Graphs over GF(2) and GF(4) are small enough for dense cached
-adjacency (packed bit rows plus CSR neighbour lists); larger fields
-are served by an adjacency oracle and by lazy random samplers, so full
-enumeration is refused above a vertex cap rather than attempted.
+A :class:`Graph` computes its full adjacency when it is made (packed bit
+rows plus CSR neighbour lists) and is refused above ``ADJ_CAP`` vertices;
+the largest the package builds is the GF(4) projective graph.  Larger
+fields are served by the adjacency oracle :func:`adjacent` and by lazy
+random samplers, never enumerated.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .field import GF
 from .linalg import evaluate, kernel
 
 ENUM_CAP = 10 ** 6
-_CACHE_LIMIT = 6100
+ADJ_CAP = 6100  # vertex cap of Graph, above the 5440 of the GF(4) projective graph
 
 
 def normalize(gf: GF, coords):
@@ -147,32 +148,26 @@ def _zero_patterns(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
 
 
 class Graph:
-    """A point-hyperplane graph with optional dense adjacency cache.
+    """A point-hyperplane graph with its adjacency.
 
-    Vertices are (vector, covector) pairs.  For at most a few thousand
-    vertices the full boolean adjacency is computed vectorised and kept
-    as packed bit rows plus CSR neighbour lists; above that the
-    adjacency oracle evaluates the incidence predicate on demand.
+    Vertices are (vector, covector) pairs.  The boolean adjacency is
+    computed vectorised from the per-value zero patterns and kept as
+    packed bit rows plus CSR neighbour lists.  More than ADJ_CAP vertices
+    raise ValueError before any of it is allocated.
     """
 
-    def __init__(self, gf: GF, vertices, kind: str, cache: bool | None = None):
-        self.gf = gf
-        self.kind = kind
+    def __init__(self, gf: GF, vertices, kind: str):
         self.vertices = list(vertices)
         self.n = len(self.vertices)
+        if self.n > ADJ_CAP:
+            raise ValueError(f"a graph of {self.n} vertices exceeds the adjacency cap"
+                             f" {ADJ_CAP}; use the adjacency oracle and the lazy samplers")
+        self.gf = gf
+        self.kind = kind
         self.index = {v: i for i, v in enumerate(self.vertices)}
         dim = len(self.vertices[0][0]) if self.vertices else 4
         self.vmat = np.array([v for v, _ in self.vertices], dtype=np.uint8).reshape(self.n, dim)
         self.hmat = np.array([h for _, h in self.vertices], dtype=np.uint8).reshape(self.n, dim)
-        self._rows = None
-        self._indptr = None
-        self._indices = None
-        if cache is None:
-            cache = self.n <= _CACHE_LIMIT
-        if cache:
-            self._build_cache()
-
-    def _build_cache(self):
         kills, h_id, killed, v_id = _zero_patterns(self.gf, self.vmat, self.hmat)
         rows = kills[h_id] & killed[v_id]
         diag = np.arange(self.n)
@@ -184,37 +179,19 @@ class Graph:
         np.cumsum(np.count_nonzero(adj, axis=1), out=self._indptr[1:])
         self._indices = (np.flatnonzero(adj) % self.n).astype(np.int32)
 
-    @property
-    def cached(self) -> bool:
-        return self._rows is not None
-
     def adjacent(self, i: int, j: int) -> bool:
-        if self._rows is not None:
-            return bool((self._rows[i, j >> 3] >> (7 - (j & 7))) & 1)
-        return adjacent(self.gf, self.vertices[i], self.vertices[j])
+        return bool((self._rows[i, j >> 3] >> (7 - (j & 7))) & 1)
 
     def neighbors(self, i: int) -> np.ndarray:
-        if self._indices is not None:
-            return self._indices[self._indptr[i]:self._indptr[i + 1]]
-        a = self.vertices[i]
-        return np.array(
-            [j for j, b in enumerate(self.vertices) if j != i and adjacent(self.gf, a, b)],
-            dtype=np.int32,
-        )
+        return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
     def degree(self, i: int) -> int:
-        if self._indptr is not None:
-            return int(self._indptr[i + 1] - self._indptr[i])
-        return len(self.neighbors(i))
+        return int(self._indptr[i + 1] - self._indptr[i])
 
     def edge_count(self) -> int:
-        if self._indptr is not None:
-            return int(self._indptr[-1]) // 2
-        return sum(self.degree(i) for i in range(self.n)) // 2
+        return int(self._indptr[-1]) // 2
 
     def packed_rows(self) -> np.ndarray:
-        if self._rows is None:
-            raise ValueError("adjacency cache not built for this graph")
         return self._rows
 
 
@@ -237,7 +214,7 @@ def build_projective_graph(gf: GF, cap: int = ENUM_CAP, dim: int = 4) -> Graph:
 
 def subgraph(graph: Graph, vertex_ids) -> Graph:
     """Induced subgraph on the given vertex indices (kept in the given order)."""
-    return Graph(graph.gf, [graph.vertices[i] for i in vertex_ids], graph.kind, cache=True)
+    return Graph(graph.gf, [graph.vertices[i] for i in vertex_ids], graph.kind)
 
 
 def local_graph(graph: Graph, i: int) -> Graph:
@@ -273,8 +250,6 @@ def csr_distances(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.nda
 
 def bfs(graph: Graph, start: int) -> np.ndarray:
     """Distances from start; unreachable vertices get -1."""
-    if not graph.cached:
-        raise ValueError("bfs needs a graph with cached adjacency")
     return csr_distances(graph._indptr, graph._indices, start)
 
 

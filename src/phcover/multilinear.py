@@ -182,12 +182,7 @@ def sym_scale(gf: GF, c: int, s):
 def big_u(gf: GF):
     """The invariant element, evaluated from its defining alternating sum at
     the standard basis (whose 4-wedge is 1)."""
-    w, x, y, z = E4
-    assert wedge4(gf, w, x, y, z) == 1
-    u = sym_mul(gf, wedge(gf, w, x), wedge(gf, y, z))
-    u = sym_add(u, sym_mul(gf, wedge(gf, w, y), wedge(gf, z, x)))
-    u = sym_add(u, sym_mul(gf, wedge(gf, w, z), wedge(gf, x, y)))
-    return u
+    return u_from_basis(gf, *E4)
 
 
 def u_from_basis(gf: GF, w, x, y, z):

@@ -73,6 +73,14 @@ class F2Span:
         return len(self.pivots)
 
 
+def report(check, gf: GF, mode, samples, violations, witnesses, **extra) -> dict:
+    """The shape every check report shares, with the first five witnesses
+    and any check-specific fields."""
+    return {"check": check, "field": gf.order, "mode": mode, "samples": samples,
+            "violations": violations, "witnesses": witnesses[:5],
+            "passed": violations == 0, **extra}
+
+
 def path_voltage(gf: GF, dart_fn, path):
     """Sum of the dart voltages along a path of pairwise-adjacent vertices."""
     acc = ZERO21
@@ -129,8 +137,6 @@ class DartTable:
     def from_bulk(cls, graph: Graph, bulk_fn) -> "DartTable":
         """Build from a vectorised voltage function taking coordinate stacks
         (VA, HA, VB, HB) and returning packed uint64 values."""
-        if not graph.cached:
-            raise ValueError("dart tables need a graph with cached adjacency")
         indptr = graph._indptr
         indices = graph._indices
         degrees = np.diff(indptr)
@@ -145,8 +151,6 @@ class DartTable:
         """Build dart by dart from a scalar packed voltage function.  Values
         are stored as Python ints (object dtype), so any packing width works;
         only sensible for small graphs."""
-        if not graph.cached:
-            raise ValueError("dart tables need a graph with cached adjacency")
         indptr = graph._indptr
         indices = graph._indices
         volts = np.empty(indices.size, dtype=object)
@@ -446,8 +450,7 @@ def stabilizer_closure_check(table: DartTable, action_pairs, v_idx: int, member_
 # reductivity and equivariance
 # ----------------------------------------------------------------------
 
-def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None,
-                    max_witnesses: int = 5) -> dict:
+def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None) -> dict:
     """Check that equivalent vertices receive equal voltages from any common
     neighbour: for u ~ v (same normalised class) and w adjacent to v, w is
     adjacent to u and voltage(w, u) == voltage(w, v).
@@ -475,8 +478,7 @@ def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None,
                         checked += 1
                         if not adjacent(gf, w, u) or dart_fn(w, u) != dart_fn(w, v):
                             violations += 1
-                            if len(witnesses) < max_witnesses:
-                                witnesses.append({"u": u, "v": v, "w": w})
+                            witnesses.append({"u": u, "v": v, "w": w})
     elif mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
@@ -492,18 +494,14 @@ def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None,
             checked += 1
             if not adjacent(gf, w, u) or dart_fn(w, u) != dart_fn(w, v):
                 violations += 1
-                if len(witnesses) < max_witnesses:
-                    witnesses.append({"u": u, "v": v, "w": w})
+                witnesses.append({"u": u, "v": v, "w": w})
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return {"check": "reductive", "field": gf.order, "mode": mode,
-            "samples": checked, "violations": violations,
-            "witnesses": witnesses, "passed": violations == 0}
+    return report("reductive", gf, mode, checked, violations, witnesses)
 
 
 def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
-                       rng=None, table: DartTable | None = None,
-                       max_witnesses: int = 5) -> dict:
+                       rng=None, table: DartTable | None = None) -> dict:
     """Check voltage equivariance: the voltage of the image dart equals the
     induced action on the voltage of the dart, for every supplied matrix.
 
@@ -528,8 +526,7 @@ def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
                     checked += 1
                     if table.dart(perm[u], perm[v]) != act.on_sym_packed(int(table.volts[pos])):
                         violations += 1
-                        if len(witnesses) < max_witnesses:
-                            witnesses.append({"dart": (u, v), "matrix": act.m})
+                        witnesses.append({"dart": (u, v), "matrix": act.m})
     elif mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
@@ -545,10 +542,7 @@ def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
                 gb = (act.on_vector(b[0]), act.on_covector(b[1]))
                 if dart_fn(ga, gb) != act.on_sym(dart_fn(a, b)):
                     violations += 1
-                    if len(witnesses) < max_witnesses:
-                        witnesses.append({"dart": (a, b), "matrix": act.m})
+                    witnesses.append({"dart": (a, b), "matrix": act.m})
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return {"check": "equivariance", "field": gf.order, "mode": mode,
-            "samples": checked, "violations": violations,
-            "witnesses": witnesses, "passed": violations == 0}
+    return report("equivariance", gf, mode, checked, violations, witnesses)

@@ -97,3 +97,21 @@ def test_verify_all_gf2_small(tmp_path):
     assert {"reductive", "triangles", "quadrangles", "pentagons", "cycle-span",
             "equivariance", "u-invariance", "main-theorem", "nonsplit",
             "phi-table", "diameter"} <= checks
+
+
+def test_verify_all_is_the_suites_in_order(capsys):
+    def results(suite):
+        assert run(["verify", suite, "--field", "4", "--samples", "200"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    singles = [r for suite in cli.SUITES if suite != "all" for r in results(suite)]
+    combined = results("all")
+    assert [r["check"] for r in combined[len(singles):]] == ["phi-table", "order2-space", "diameter"]
+    assert combined[:len(singles)] == singles
+
+
+def test_export_cover_over_the_cap_is_a_usage_error(capsys, tmp_path):
+    assert run(["export", "cover", "--field", "2", "--cap", "100",
+                "--out", str(tmp_path / "cover.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "cover.json").exists()

@@ -248,6 +248,63 @@ def test_long_cycles_stay_in_span():
     assert rep["passed"]
 
 
+# The sampled checks over GF(4), and the walks of the GF(8) cycle span:
+# (run, cycles drawn, darts per cycle, whether membership in W2 + U is
+# tested, witness key).
+SAMPLED_CHECKS = {
+    "triangles": (lambda: cons.verify_triangles(field_of_order(4), samples=40, seed=3),
+                  40, {3}, False, "triangle"),
+    "quadrangles": (lambda: cons.verify_quadrangles(field_of_order(4), samples=30, seed=3),
+                    30, {4}, True, "cycle"),
+    "pentagons": (lambda: cons.verify_pentagons(field_of_order(4), samples=20, seed=3),
+                  20, {5}, True, "cycle"),
+    "long-cycles": (lambda: cons.verify_long_cycles(field_of_order(4), lengths=(6, 7),
+                                                    samples=8, seed=3),
+                    16, {6, 7}, True, "walk"),
+    "cycle-span": (lambda: cons.cycle_span_report(field_of_order(8), seed=3, walk_samples=20),
+                   20, {4, 5, 6, 7, 8}, True, "walk"),
+}
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(cons, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cons, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("check", sorted(SAMPLED_CHECKS))
+def test_sampled_cycles_work_counts(check, monkeypatch):
+    run, cycles, lengths, membership, _ = SAMPLED_CHECKS[check]
+    paths = _counted(monkeypatch, "path_voltage")
+    darts = _counted(monkeypatch, "dart_voltage")
+    members = _counted(monkeypatch, "in_w2_plus_u")
+    rep = run()
+    assert rep["passed"]
+    # one closed path per cycle, one dart voltage per edge of it
+    assert len(paths) == cycles
+    assert all(path[0] == path[-1] and len(path) - 1 in lengths for _, _, path in paths)
+    assert len(darts) == sum(len(path) - 1 for _, _, path in paths)
+    assert len(members) == (cycles if membership else 0)
+
+
+@pytest.mark.parametrize("check", sorted(SAMPLED_CHECKS))
+def test_sampled_cycles_negative_control(check, monkeypatch):
+    run, cycles, _, _, key = SAMPLED_CHECKS[check]
+    monkeypatch.setattr(cons, "in_w2_plus_u", lambda gf, volt: False)
+    monkeypatch.setattr(cons, "dart_voltage", lambda gf, a, b: ml.ZERO21)
+    rep = run()
+    assert not rep["passed"]
+    assert rep["violations"] == rep.get("sampled_walks", rep["samples"]) == cycles
+    assert len(rep["witnesses"]) == 5
+    assert all(set(w) == {key, "voltage"} for w in rep["witnesses"])
+
+
 # ----------------------------------------------------------------------
 # the square-generating quadrangles
 # ----------------------------------------------------------------------
@@ -285,6 +342,11 @@ def test_w2_span_all_fields():
         assert rep["passed"], rep
         assert rep["span_dim"] == 6 * field_of_order(q).k
         assert rep["spans_squares"]
+        # the basis both span reports test against: 6k independent squares
+        gf, span = field_of_order(q), vg.F2Span()
+        basis = cons._square_basis(gf)
+        assert len(basis) == 6 * gf.k and all(span.add(x) for x in basis)
+        assert not any(x & ml.offdiag_mask(gf) for x in basis)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ bit-for-bit the same across refactors of graph enumeration, the bulk
 voltage kernel and the tree.  A digest is the sha256 of the arrays'
 little-endian bytes, taken in turn at fixed widths.  The GF(2) cover is
 pinned the same way, by the sha256 of both export formats and of the BFS
-order of its lift component.
+order of its lift component, and the `verify all` report of each field by
+the sha256 of its stdout.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from phcover import cli
 from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import voltage as vg
@@ -67,3 +69,18 @@ def test_cover_component_order_digest():
     verts = cons.cover_data()["component"]["vertices"]
     assert hashlib.sha256(json.dumps(verts).encode()).hexdigest() == \
         "df6016b61dad524acb6cfd16fc2eea5475e9c7a8001a735ff6a254d13a3a869f"
+
+
+VERIFY_ALL_GOLDEN = {
+    2: "0496e2c6fc5fdd975e5a24e0b121a7ad48f5c3dc8ef8d82d03ac3cc5a9777a62",
+    4: "ff791fcc8cfae619ad5024aec52443fcd839f4b1784cc494b8ca32e2baf7c7a6",
+    8: "edcc4aef32df1f144032ef7f439e13ee3448f8cb354e5ab1ebd6a82b05b47d43",
+    16: "8979cc69265923fa8938b69fff5042890d0a0099c0cc9dd0b318126effc868b3",
+}
+
+
+@pytest.mark.parametrize("q", sorted(VERIFY_ALL_GOLDEN))
+def test_verify_all_digests(q, capsys):
+    argv = ["verify", "all", "--field", str(q), "--samples", "1000", "--seed", "12345"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_GOLDEN[q]

@@ -49,6 +49,20 @@ def test_enumeration_caps():
         gr.projective_vertices(field_of_order(16))
 
 
+def test_graph_refuses_more_vertices_than_adj_cap():
+    gf = field_of_order(4)
+    verts = gr.affine_vertices(gf)[:gr.ADJ_CAP + 1]
+    with pytest.raises(ValueError, match="adjacency cap"):
+        gr.Graph(gf, verts, "affine")
+    g = gr.Graph(gf, verts[:gr.ADJ_CAP], "affine")
+    assert g.n == gr.ADJ_CAP and g.edge_count() > 0
+
+
+def test_build_projective_graph_refuses_gf8():
+    with pytest.raises(ValueError, match="adjacency cap"):
+        gr.build_projective_graph(field_of_order(8))
+
+
 def test_vertex_ordering_deterministic():
     gf = field_of_order(2)
     verts = gr.affine_vertices(gf)
@@ -112,7 +126,6 @@ def _assert_csr_row(g, i):
 
 def test_cached_adjacency_matches_definition_on_every_pair():
     for g in _adjacency_test_graphs():
-        assert g.cached
         for i in range(g.n):
             for j in range(g.n):
                 assert g.adjacent(i, j) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -141,7 +142,7 @@ def test_dart_table_rejects_non_adjacent():
 def test_fundamental_cycles_of_single_edge_graph():
     gf = field_of_order(2)
     verts = [((1, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, 1, 0), (0, 0, 1, 0))]
-    g = gr.Graph(gf, verts, "affine", cache=True)
+    g = gr.Graph(gf, verts, "affine")
     table = cons.voltage_table(g)
     res = vg.fundamental_cycle_span(table, 0)
     assert res["span"].dim == 0
@@ -234,7 +235,7 @@ def test_spanning_tree_refuses_disconnected_graph():
     gf = field_of_order(2)
     # f1(e1) = 1: neither vertex's covector kills the other's vector
     pair = gr.Graph(gf, [((1, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 1, 0, 0))],
-                    "affine", cache=True)
+                    "affine")
     # a star around vertex 0 and one vertex adjacent to none of it
     big = gr.build_affine_graph(gf)
     star = [0] + big.neighbors(0)[:5].tolist()
@@ -521,3 +522,21 @@ def test_check_equivariance_negative_control():
     rep = vg.check_equivariance(gf, ell(gf), [scale], "sample", samples=200,
                                 rng=random.Random(14))
     assert rep["violations"] > 0
+
+
+def test_sampled_checks_count_every_disagreement():
+    # a dart voltage that alternates between U and 0 disagrees with itself
+    # on every pair of calls a sampled check makes
+    for q in (4, 8):
+        gf = field_of_order(q)
+        flip = itertools.cycle((ml.big_u(gf), ml.ZERO21))
+        rng = random.Random(q)
+        actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(3)]
+        for rep, key in (
+                (vg.check_reductive(gf, lambda a, b: next(flip), "sample", samples=40, rng=rng),
+                 {"u", "v", "w"}),
+                (vg.check_equivariance(gf, lambda a, b: next(flip), actions, "sample",
+                                       samples=30, rng=rng), {"dart", "matrix"})):
+            assert rep["violations"] == rep["samples"] > 0 and not rep["passed"]
+            assert len(rep["witnesses"]) == 5
+            assert all(set(w) == key for w in rep["witnesses"])
