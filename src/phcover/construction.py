@@ -932,17 +932,9 @@ def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
 
 def verify_main_theorem(gf: GF, seed: int = 12345, samples: int = 10 ** 4) -> dict:
     """Composite check of the covering theorem for one field."""
-    rng = random.Random(seed)
-    if gf.order == 2:
-        reductive = check_reductive(gf, lambda a, b: dart_voltage(gf, a, b),
-                                    "exhaustive")
-        triangles = verify_triangles(gf, "exhaustive")
-    else:
-        reductive = check_reductive(gf, lambda a, b: dart_voltage(gf, a, b),
-                                    "sample", samples=samples, rng=rng)
-        triangles = verify_triangles(gf, "sample", samples=samples, seed=seed)
-    span = cycle_span_report(gf, seed=seed)
-    parts = {"reductive": reductive, "triangles": triangles, "cycle_span": span}
+    parts = {"reductive": reductivity_report(gf, samples=samples, seed=seed),
+             "triangles": verify_triangles(gf, samples=samples, seed=seed),
+             "cycle_span": cycle_span_report(gf, seed=seed)}
     if gf.order == 2:
         parts["cover"] = cover_report()
     elif gf.order == 4:

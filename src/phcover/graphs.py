@@ -147,6 +147,12 @@ def _zero_patterns(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
     return kills, h_id.reshape(-1), killed, v_id.reshape(-1)
 
 
+def _refuse_above_adj_cap(n: int) -> None:
+    if n > ADJ_CAP:
+        raise ValueError(f"a graph of {n} vertices exceeds the adjacency cap"
+                         f" {ADJ_CAP}; use the adjacency oracle and the lazy samplers")
+
+
 class Graph:
     """A point-hyperplane graph with its adjacency.
 
@@ -159,9 +165,7 @@ class Graph:
     def __init__(self, gf: GF, vertices, kind: str):
         self.vertices = list(vertices)
         self.n = len(self.vertices)
-        if self.n > ADJ_CAP:
-            raise ValueError(f"a graph of {self.n} vertices exceeds the adjacency cap"
-                             f" {ADJ_CAP}; use the adjacency oracle and the lazy samplers")
+        _refuse_above_adj_cap(self.n)
         self.gf = gf
         self.kind = kind
         self.index = {v: i for i, v in enumerate(self.vertices)}
@@ -199,15 +203,21 @@ _graph_cache: dict = {}
 
 
 def build_affine_graph(gf: GF, cap: int = ENUM_CAP, dim: int = 4) -> Graph:
+    """The affine graph, refused above ADJ_CAP vertices before any is
+    enumerated; each projective vertex has (q-1)^2 affine rescalings."""
     key = ("affine", gf.order, dim)
     if key not in _graph_cache:
+        _refuse_above_adj_cap(count_projective_vertices(gf, dim) * (gf.order - 1) ** 2)
         _graph_cache[key] = Graph(gf, affine_vertices(gf, cap, dim), "affine")
     return _graph_cache[key]
 
 
 def build_projective_graph(gf: GF, cap: int = ENUM_CAP, dim: int = 4) -> Graph:
+    """The projective graph, refused above ADJ_CAP vertices before any is
+    enumerated."""
     key = ("projective", gf.order, dim)
     if key not in _graph_cache:
+        _refuse_above_adj_cap(count_projective_vertices(gf, dim))
         _graph_cache[key] = Graph(gf, projective_vertices(gf, cap, dim), "projective")
     return _graph_cache[key]
 
@@ -352,36 +362,53 @@ def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
 # lazy samplers (any field, no enumeration)
 # ----------------------------------------------------------------------
 
+def _draw(getrandbits, q: int, bits: int) -> int:
+    """One uniform element of range(q), drawn exactly as CPython's
+    ``rng.randrange(q)`` draws it: ``getrandbits(bits)`` with bits equal to
+    ``q.bit_length()``, again while the value is >= q."""
+    r = getrandbits(bits)
+    while r >= q:
+        r = getrandbits(bits)
+    return r
+
+
 def random_nonzero_vector(gf: GF, rng):
-    q, draw = gf.order, rng.randrange
+    q, draw = gf.order, rng.getrandbits
+    bits = q.bit_length()
     while True:
-        v = (draw(q), draw(q), draw(q), draw(q))
+        v = (_draw(draw, q, bits), _draw(draw, q, bits), _draw(draw, q, bits),
+             _draw(draw, q, bits))
         if any(v):
             return v
 
 
 def random_affine_vertex(gf: GF, rng):
     v = random_nonzero_vector(gf, rng)
-    q, draw, mul = gf.order, rng.randrange, gf.mul_rows
+    q, draw, mul = gf.order, rng.getrandbits, gf.mul_rows
+    bits = q.bit_length()
     # h(v) = sum_i v_i h_i, read off the multiplication-by-v_i rows
     by0, by1, by2, by3 = mul[v[0]], mul[v[1]], mul[v[2]], mul[v[3]]
     while True:
-        h = (draw(q), draw(q), draw(q), draw(q))
+        h = (_draw(draw, q, bits), _draw(draw, q, bits), _draw(draw, q, bits),
+             _draw(draw, q, bits))
         if by0[h[0]] ^ by1[h[1]] ^ by2[h[2]] ^ by3[h[3]]:
             return (v, h)
 
 
 def _random_in_span(gf: GF, basis, rng):
-    q, draw, mul = gf.order, rng.randrange, gf.mul_rows
+    q, draw, mul = gf.order, rng.getrandbits, gf.mul_rows
+    bits = q.bit_length()
     while True:
-        coeffs = [draw(q) for _ in basis]
+        coeffs = [_draw(draw, q, bits) for _ in basis]
         if any(coeffs):
-            out = [0, 0, 0, 0]
-            for c, b in zip(coeffs, basis):
-                if c:
-                    by_c = mul[c]
-                    out = [o ^ by_c[x] for o, x in zip(out, b)]
-            return tuple(out)
+            o0 = o1 = o2 = o3 = 0
+            for c, (x0, x1, x2, x3) in zip(coeffs, basis):
+                by_c = mul[c]
+                o0 ^= by_c[x0]
+                o1 ^= by_c[x1]
+                o2 ^= by_c[x2]
+                o3 ^= by_c[x3]
+            return (o0, o1, o2, o3)
 
 
 def sample_common_neighbor(gf: GF, a, b, rng, tries: int = 64):

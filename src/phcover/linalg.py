@@ -97,8 +97,12 @@ def kernel(gf: GF, functionals, dim: int = 4):
     """Basis of the joint null space {v : sum_i f_i v_i = 0 for every f}.
 
     Works symmetrically for lists of covectors (returning vectors) and
-    lists of vectors (returning covectors).
+    lists of vectors (returning covectors).  There is one basis vector per
+    non-pivot column c of the RREF, in increasing c: 1 at c, column c of
+    the RREF at the pivots.
     """
+    if dim == 4 and len(functionals) == 2:
+        return _kernel_two_rows(gf, *functionals)
     reduced, pivots = rref(gf, functionals, dim)
     basis = []
     for c in range(dim):
@@ -110,6 +114,51 @@ def kernel(gf: GF, functionals, dim: int = 4):
             v[p] = row[c]  # -row[c], sign-free in characteristic 2
         basis.append(tuple(v))
     return basis
+
+
+# the pivot pairs (p0, p1) of a rank-2 RREF, in lexicographic order
+_PIVOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _kernel_two_rows(gf: GF, r0, r1):
+    """:func:`kernel` of two rows of length 4, read off their 2x2 minors
+    m(a, b) = r0[a] r1[b] + r0[b] r1[a] (signs vanish in characteristic 2).
+
+    The RREF of a row space is unique.  At rank 2 its pivots are the first
+    pair (p0, p1) in lexicographic order with m = m(p0, p1) nonzero, and by
+    Cramer's rule its rows are m(c, p1)/m and m(p0, c)/m over the columns c.
+    Below rank 2 it is the first nonzero row scaled to a leading 1, or
+    nothing.
+    """
+    mul, inverses = gf.mul_rows, gf.inverses
+    a0, a1, a2, a3 = mul[r0[0]], mul[r0[1]], mul[r0[2]], mul[r0[3]]
+    b0, b1, b2, b3 = r1
+    m01, m02, m03 = a0[b1] ^ a1[b0], a0[b2] ^ a2[b0], a0[b3] ^ a3[b0]
+    m12, m13, m23 = a1[b2] ^ a2[b1], a1[b3] ^ a3[b1], a2[b3] ^ a3[b2]
+    minors = ((0, m01, m02, m03), (m01, 0, m12, m13),
+              (m02, m12, 0, m23), (m03, m13, m23, 0))
+    basis = []
+    for p0, p1 in _PIVOT_PAIRS:
+        m = minors[p0][p1]
+        if m:
+            by_inv = mul[inverses[m]]
+            for c in range(4):
+                if c != p0 and c != p1:
+                    v = [0, 0, 0, 0]
+                    v[c], v[p0], v[p1] = 1, by_inv[minors[c][p1]], by_inv[minors[p0][c]]
+                    basis.append(tuple(v))
+            return basis
+    row = r0 if any(r0) else r1
+    for p, x in enumerate(row):
+        if x:
+            by_inv = mul[inverses[x]]
+            for c in range(4):
+                if c != p:
+                    v = [0, 0, 0, 0]
+                    v[c], v[p] = 1, by_inv[row[c]]
+                    basis.append(tuple(v))
+            return basis
+    return list(E4)
 
 
 def det(gf: GF, m) -> int:
@@ -149,23 +198,20 @@ def mat_inv(gf: GF, m):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def transvection(gf: GF, i: int, j: int, lam: int):
-    """Identity plus lam in off-diagonal position (i, j); determinant 1."""
-    if i == j:
-        raise ValueError("transvection needs i != j")
-    rows = [list(r) for r in E4]
-    rows[i][j] = lam
-    return tuple(tuple(r) for r in rows)
-
-
 def random_sl4(gf: GF, rng, length: int = 20):
-    """Product of `length` random transvections; unimodular by construction."""
-    m = E4
+    """Product of `length` random transvections; unimodular by construction.
+
+    Each factor is E_ij(lam), the identity plus lam at (i, j) with i != j;
+    right-multiplying by it adds lam times column i to column j, in place."""
+    mul = gf.mul_rows
+    m = [list(row) for row in E4]
     for _ in range(length):
         i = rng.randrange(4)
         j = (i + 1 + rng.randrange(3)) % 4
-        m = mat_mul(gf, m, transvection(gf, i, j, rng.randrange(gf.order)))
-    return m
+        by_lam = mul[rng.randrange(gf.order)]
+        for row in m:
+            row[j] ^= by_lam[row[i]]
+    return tuple(tuple(row) for row in m)
 
 
 def random_gl4(gf: GF, rng):

@@ -22,7 +22,7 @@ exactly the symmetric tensors with diagonal support.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import xor
 
 from .field import GF
@@ -289,6 +289,15 @@ def _combine(gf: GF, coeffs, rows, zero):
     return tuple(out)
 
 
+def _span_table(images):
+    """The XOR of the images selected by the bits of each index
+    0 .. 2**len(images) - 1, bit i selecting images[i]."""
+    table = [0]
+    for img in images:
+        table += [x ^ img for x in table]
+    return table
+
+
 class MatrixAction:
     """All induced actions of one 4x4 matrix, computed once and cached.
 
@@ -296,6 +305,8 @@ class MatrixAction:
     transpose; bivectors functorially through the wedge; symmetric
     tensors multiplicatively; N through canonical representatives,
     which requires the matrix to be unimodular so that U is fixed.
+    The symmetric-square action XORs precomputed packed images, built on
+    first use: one table per slot for tuples, one per byte for packed ints.
     """
 
     def __init__(self, gf: GF, m):
@@ -319,8 +330,38 @@ class MatrixAction:
     def on_bivector(self, a):
         return _combine(self.gf, a, self.w_rows, ZERO6)
 
+    @cached_property
+    def _bit_images(self):
+        """Packed image of each input bit, indexed by its position in the
+        packing: bit b of slot t sits at k*(20 - t) + b and maps to
+        (1 << b) * s2_rows[t]."""
+        gf, k = self.gf, self.gf.k
+        images = [0] * (21 * k)
+        for t, row in enumerate(self.s2_rows):
+            for b in range(k):
+                images[k * (20 - t) + b] = pack_sym(gf, sym_scale(gf, 1 << b, row))
+        return images
+
+    @cached_property
+    def _slot_tables(self):
+        """Per slot t, the packed image of c * s2_rows[t] for every field
+        element c."""
+        k = self.gf.k
+        return tuple(_span_table(self._bit_images[k * (20 - t):k * (21 - t)])
+                     for t in range(21))
+
+    @cached_property
+    def _byte_tables(self):
+        """Per byte of a packed input, lowest first, the packed image of
+        each value of that byte."""
+        images = self._bit_images
+        return tuple(_span_table(images[lo:lo + 8]) for lo in range(0, len(images), 8))
+
     def on_sym(self, s):
-        return _combine(self.gf, s, self.s2_rows, ZERO21)
+        acc = 0
+        for table, c in zip(self._slot_tables, s):
+            acc ^= table[c]
+        return unpack_sym(self.gf, acc)
 
     def on_n(self, n):
         if self.det != 1:
@@ -328,33 +369,11 @@ class MatrixAction:
         return n_project(self.gf, self.on_sym(n))
 
     # -- packed application, for bulk verification loops ---------------
-    @property
-    def packed_cols(self):
-        cols = getattr(self, "_packed_cols", None)
-        if cols is None:
-            gf, k = self.gf, self.gf.k
-            cols = []
-            for t in range(21):
-                for bit in range(k):
-                    s = [0] * 21
-                    s[t] = 1 << bit
-                    cols.append(pack_sym(gf, self.on_sym(tuple(s))))
-            # index by packed input bit position
-            by_pos = [0] * (21 * k)
-            for t in range(21):
-                for bit in range(k):
-                    by_pos[k * (20 - t) + bit] = cols[t * k + bit]
-            cols = by_pos
-            self._packed_cols = cols
-        return cols
-
     def on_sym_packed(self, x: int) -> int:
-        cols = self.packed_cols
         acc = 0
-        while x:
-            low = x & -x
-            acc ^= cols[low.bit_length() - 1]
-            x ^= low
+        for table in self._byte_tables:
+            acc ^= table[x & 0xFF]
+            x >>= 8
         return acc
 
     def on_n_packed(self, x: int) -> int:

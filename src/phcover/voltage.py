@@ -131,6 +131,7 @@ class DartTable:
         self.indices = indices
         self.volts = volts
         self._row_starts = indptr.tolist()  # plain ints for scalar lookups
+        self._rows: dict = {}  # row i -> (neighbours, voltages) as lists, see dart
         self._tree_cache: dict = {}
 
     @classmethod
@@ -163,12 +164,20 @@ class DartTable:
         return cls(graph, indptr, indices, volts)
 
     def dart(self, i: int, j: int) -> int:
-        """Packed voltage of the dart (i, j); raises on non-adjacent pairs."""
-        hi = self._row_starts[i + 1]
-        pos = bisect_left(self.indices, j, self._row_starts[i], hi)
-        if pos == hi or self.indices[pos] != j:
+        """Packed voltage of the dart (i, j); raises on non-adjacent pairs.
+
+        The first lookup in row i keeps the row's neighbours and voltages
+        as plain lists, which later lookups bisect; only touched rows are
+        kept."""
+        row = self._rows.get(i)
+        if row is None:
+            lo, hi = self._row_starts[i], self._row_starts[i + 1]
+            row = self._rows[i] = (self.indices[lo:hi].tolist(), self.volts[lo:hi].tolist())
+        nbrs, volts = row
+        pos = bisect_left(nbrs, j)
+        if pos == len(nbrs) or nbrs[pos] != j:
             raise ValueError(f"vertices {i} and {j} are not adjacent")
-        return int(self.volts[pos])
+        return volts[pos]
 
 
 def spanning_tree_potentials(table: DartTable, root: int):

@@ -6,8 +6,9 @@ bit-for-bit the same across refactors of graph enumeration, the bulk
 voltage kernel and the tree.  A digest is the sha256 of the arrays'
 little-endian bytes, taken in turn at fixed widths.  The GF(2) cover is
 pinned the same way, by the sha256 of both export formats and of the BFS
-order of its lift component, and the `verify all` report of each field by
-the sha256 of its stdout.
+order of its lift component, the `verify all` report of each field by
+the sha256 of its stdout, and the seeded sampled checks by the sha256 of
+their reports and of every dart they evaluated.
 """
 
 import hashlib
@@ -84,3 +85,40 @@ def test_verify_all_digests(q, capsys):
     argv = ["verify", "all", "--field", str(q), "--samples", "1000", "--seed", "12345"]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_GOLDEN[q]
+
+
+# sha256 of the reports, and of every dart the checks evaluated with its voltage
+SAMPLED_CYCLES_GOLDEN = (
+    "37acbef6cff57f3970af13fed9d8121a29c12ea303e1e923c10a2662a3577787",
+    "810719fba89fbd11b629ed2c410a0e37f13eab8adb619c1031dadd0f16b2f8da")
+
+
+def test_sampled_cycles_digests(monkeypatch):
+    """One round of the seeded sampled checks over GF(4), GF(8) and GF(16) at
+    a tenth of the benchmark's sample counts: triangles, 4- and 5-cycles,
+    closed walks of length 6-8, reductivity and equivariance under 20
+    matrices, 18 reports.  Every voltage goes through dart_voltage, so the
+    recorded darts pin the draws of every sampler in order."""
+    darts = hashlib.sha256()
+    dart_voltage = cons.dart_voltage
+
+    def recorded(gf, a, b):
+        volt = dart_voltage(gf, a, b)
+        darts.update(repr((a, b, volt)).encode())
+        return volt
+
+    monkeypatch.setattr(cons, "dart_voltage", recorded)
+    reports = []
+    for q in (4, 8, 16):
+        gf = field_of_order(q)
+        reports += [
+            cons.verify_triangles(gf, samples=150, seed=q + 1),
+            cons.verify_quadrangles(gf, samples=100, seed=q + 2),
+            cons.verify_pentagons(gf, samples=70, seed=q + 3),
+            cons.verify_long_cycles(gf, samples=10, seed=q + 4),
+            cons.reductivity_report(gf, samples=150, seed=q + 5),
+            cons.equivariance_report(gf, n_matrices=20, samples=6, seed=q + 6),
+        ]
+    assert all(r["passed"] for r in reports)
+    text = json.dumps(reports, sort_keys=True, default=repr)
+    assert (hashlib.sha256(text.encode()).hexdigest(), darts.hexdigest()) == SAMPLED_CYCLES_GOLDEN

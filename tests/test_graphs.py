@@ -3,7 +3,7 @@ import random
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import E4, evaluate
+from phcover.linalg import E4, evaluate, kernel, vec_add, vec_scale
 from phcover import graphs as gr
 
 
@@ -61,6 +61,18 @@ def test_graph_refuses_more_vertices_than_adj_cap():
 def test_build_projective_graph_refuses_gf8():
     with pytest.raises(ValueError, match="adjacency cap"):
         gr.build_projective_graph(field_of_order(8))
+
+
+def test_graph_builders_refuse_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the vertices were enumerated")
+
+    monkeypatch.setattr(gr, "projective_vertices", enumerate_nothing)
+    monkeypatch.setattr(gr, "affine_vertices", enumerate_nothing)
+    with pytest.raises(ValueError, match="adjacency cap"):
+        gr.build_projective_graph(field_of_order(8))
+    with pytest.raises(ValueError, match="adjacency cap"):
+        gr.build_affine_graph(field_of_order(4))
 
 
 def test_vertex_ordering_deterministic():
@@ -332,3 +344,47 @@ def test_sampled_cycles_are_cycles():
 def test_samplers_are_seeded():
     gf = field_of_order(16)
     assert gr.sample_triangle(gf, random.Random(5)) == gr.sample_triangle(gf, random.Random(5))
+
+
+# ----------------------------------------------------------------------
+# the samplers draw exactly what rng.randrange draws
+# ----------------------------------------------------------------------
+
+def _affine_vertex_by_randrange(gf, rng):
+    q = gf.order
+    while True:
+        v = tuple(rng.randrange(q) for _ in range(4))
+        if any(v):
+            break
+    while True:
+        h = tuple(rng.randrange(q) for _ in range(4))
+        if evaluate(gf, h, v):
+            return (v, h)
+
+
+def _in_span_by_randrange(gf, basis, rng):
+    while True:
+        coeffs = [rng.randrange(gf.order) for _ in basis]
+        if any(coeffs):
+            out = (0, 0, 0, 0)
+            for c, b in zip(coeffs, basis):
+                out = vec_add(out, vec_scale(gf, c, b))
+            return out
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_draws_match_randrange(q):
+    gf = field_of_order(q)
+    bits = q.bit_length()
+    for seed in range(50):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert [gr._draw(fast.getrandbits, q, bits) for _ in range(10)] == \
+            [slow.randrange(q) for _ in range(10)]
+        vert = gr.random_affine_vertex(gf, fast)
+        assert vert == _affine_vertex_by_randrange(gf, slow)
+        other = gr.random_affine_vertex(gf, fast)
+        assert other == _affine_vertex_by_randrange(gf, slow)
+        for rows in ([vert[1], vert[1]], [vert[1], other[1]], [vert[1], other[1], E4[0]]):
+            basis = kernel(gf, rows)
+            assert gr._random_in_span(gf, basis, fast) == _in_span_by_randrange(gf, basis, slow)
+        assert fast.getstate() == slow.getstate()

@@ -124,6 +124,28 @@ def test_random_sl4_is_unimodular_and_seeded():
             assert m == la.random_sl4(gf, random.Random(seed))
 
 
+def _random_sl4_by_products(gf, rng, length=20):
+    """random_sl4 as the product of explicit transvection matrices, with the
+    same draws in the same order."""
+    m = la.E4
+    for _ in range(length):
+        i = rng.randrange(4)
+        j = (i + 1 + rng.randrange(3)) % 4
+        t = [list(row) for row in la.E4]
+        t[i][j] = rng.randrange(gf.order)
+        m = la.mat_mul(gf, m, tuple(tuple(row) for row in t))
+    return m
+
+
+def test_random_sl4_equals_product_of_transvections():
+    for q in FIELD_ORDERS:
+        gf = field_of_order(q)
+        for seed in range(300):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert la.random_sl4(gf, fast) == _random_sl4_by_products(gf, slow)
+            assert fast.getstate() == slow.getstate()
+
+
 def test_random_sl4_spread_over_gf2():
     gf = field_of_order(2)
     rng = random.Random(0)
@@ -208,3 +230,50 @@ def test_kernel_property(q, data):
         null = sum(all(la.evaluate(gf, f, v) == 0 for f in rows)
                    for v in itertools.product(gf.elements(), repeat=4))
         assert null == q ** len(basis)
+
+
+def _rref_kernel(gf, rows):
+    """The null-space basis read off la.rref: one vector per non-pivot column
+    c, 1 at c and column c of the RREF at the pivots."""
+    reduced, pivots = la.rref(gf, rows, 4)
+    basis = []
+    for c in range(4):
+        if c in pivots:
+            continue
+        v = [0] * 4
+        v[c] = 1
+        for row, p in zip(reduced, pivots):
+            v[p] = row[c]
+        basis.append(tuple(v))
+    return basis
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_two_row_kernel_equals_rref_kernel_on_every_pair(q):
+    gf = field_of_order(q)
+    rows = list(itertools.product(range(q), repeat=4))
+    for r0 in rows:
+        for r1 in rows:
+            assert la.kernel(gf, [r0, r1]) == _rref_kernel(gf, [r0, r1])
+
+
+@pytest.mark.parametrize("q", (8, 16))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_two_row_kernel_equals_rref_kernel(q, data):
+    gf = field_of_order(q)
+    coord = st.integers(0, q - 1)
+    row = st.tuples(coord, coord, coord, coord)
+    r0 = data.draw(row)
+    kind = data.draw(st.sampled_from(("any", "zero", "equal", "proportional")))
+    if kind == "any":
+        r1 = data.draw(row)
+    elif kind == "zero":
+        r1 = la.ZERO4
+    elif kind == "equal":
+        r1 = r0
+    else:
+        r1 = la.vec_scale(gf, data.draw(coord), r0)
+    if data.draw(st.booleans()):
+        r0, r1 = r1, r0
+    assert la.kernel(gf, [r0, r1]) == _rref_kernel(gf, [r0, r1])

@@ -363,6 +363,30 @@ def test_packed_action_agrees_with_tuple_action():
             assert act.on_sym_packed(ml.pack_sym(gf, s)) == ml.pack_sym(gf, act.on_sym(s))
 
 
+def _on_sym_by_rows(gf, act, s):
+    """sum_t s_t * s2_rows[t], the image of s under the induced action."""
+    out = ml.ZERO21
+    for c, row in zip(s, act.s2_rows):
+        out = ml.sym_add(out, ml.sym_scale(gf, c, row))
+    return out
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_table_actions_match_row_combination(q):
+    gf = field_of_order(q)
+    rng = random.Random(20 + q)
+    for _ in range(8):
+        act = ml.action(gf, random_gl4(gf, rng))
+        inputs = [tuple(rng.randrange(q) for _ in range(21)) for _ in range(30)]
+        # and every field element in every single slot
+        inputs += [tuple(c if t == slot else 0 for t in range(21))
+                   for slot in range(21) for c in range(q)]
+        for s in inputs:
+            want = _on_sym_by_rows(gf, act, s)
+            assert act.on_sym(s) == want
+            assert act.on_sym_packed(ml.pack_sym(gf, s)) == ml.pack_sym(gf, want)
+
+
 def test_singular_matrix_rejected():
     gf = field_of_order(2)
     with pytest.raises(ValueError):

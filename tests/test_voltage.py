@@ -139,6 +139,25 @@ def test_dart_table_rejects_non_adjacent():
                     table.dart(i, j)
 
 
+def test_dart_lookups_repeat_on_a_kept_row():
+    gf = field_of_order(2)
+    graph = gr.build_affine_graph(gf)
+    built = cons.voltage_table(graph)
+    table = vg.DartTable(graph, built.indptr, built.indices, built.volts)
+    for i in (0, 57, graph.n - 1):
+        lo, hi = int(table.indptr[i]), int(table.indptr[i + 1])
+        nbrs = graph.neighbors(i).tolist()
+        first = [table.dart(i, j) for j in nbrs]
+        assert first == built.volts[lo:hi].tolist()
+        assert [table.dart(i, j) for j in nbrs] == first
+        assert all(type(v) is int for v in first)
+        for j in range(graph.n):
+            if j not in nbrs:
+                with pytest.raises(ValueError, match="not adjacent"):
+                    table.dart(i, j)
+        assert [table.dart(i, j) for j in reversed(nbrs)] == first[::-1]
+
+
 def test_fundamental_cycles_of_single_edge_graph():
     gf = field_of_order(2)
     verts = [((1, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, 1, 0), (0, 0, 1, 0))]
