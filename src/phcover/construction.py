@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from functools import lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -44,6 +45,7 @@ from .multilinear import (
     BIV_PAIRS,
     DIAG_SLOTS,
     SYM_SLOT,
+    _span_table,
     action,
     big_u,
     in_w2,
@@ -402,9 +404,7 @@ def verify_long_cycles(gf: GF, lengths=(6, 7, 8), samples: int = 2000,
 def _square_basis(gf: GF):
     """The packed tensors lam * w_s^2, s = 1..6, with lam running over the
     F2-basis 1, x, .., x^(k-1) of the field: an F2-basis of the squares."""
-    units = [tuple(int(t == s) for t in range(6)) for s in range(6)]
-    return [pack_sym(gf, sym_scale(gf, 1 << bit, square(gf, unit)))
-            for unit in units for bit in range(gf.k)]
+    return [pack_sym(gf, m_to_sym(gf, 1 << j)) for j in range(6 * gf.k)]
 
 
 def _square_patterns():
@@ -544,63 +544,70 @@ def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> di
 # ----------------------------------------------------------------------
 # order-2 condition and the splitting system
 # ----------------------------------------------------------------------
+#
+# An element sum_i m_i w_i^2 of the squares is packed into one int whose
+# bit k*i + b is bit b of m_i.  The F2 unknowns and equations below use
+# the same bit order.
 
-def _m_bits(gf: GF, m6) -> np.ndarray:
-    bits = np.zeros(6 * gf.k, dtype=np.uint8)
-    for i, c in enumerate(m6):
-        for b in range(gf.k):
-            bits[i * gf.k + b] = (c >> b) & 1
-    return bits
-
-
-def _bits_m(gf: GF, bits) -> tuple:
-    out = []
-    for i in range(6):
-        c = 0
-        for b in range(gf.k):
-            c |= int(bits[i * gf.k + b]) << b
-        out.append(c)
-    return tuple(out)
-
-
-def m_to_sym(gf: GF, m6):
-    """The diagonal symmetric tensor sum_i m_i * w_i^2."""
+def m_to_sym(gf: GF, m: int):
+    """The diagonal symmetric tensor of a packed element of the squares."""
     out = [0] * 21
-    for i, c in enumerate(m6):
-        unit = tuple(1 if t == i else 0 for t in range(6))
-        if c:
-            out = [a ^ b for a, b in zip(out, sym_scale(gf, c, square(gf, unit)))]
+    for i, t in enumerate(DIAG_SLOTS):
+        out[t] = (m >> (gf.k * i)) & (gf.order - 1)
     return tuple(out)
 
 
-def sym_to_m(gf: GF, s) -> tuple:
-    """Diagonal coordinates of a tensor in the span of squares."""
+def sym_to_m(gf: GF, s) -> int:
+    """The packed element of the squares of a tensor in their span."""
     if not in_w2(gf, s):
         raise ValueError("tensor has off-diagonal support")
-    return tuple(s[t] for t in DIAG_SLOTS)
+    return sum(s[t] << (gf.k * i) for i, t in enumerate(DIAG_SLOTS))
 
 
-def ax_on_m(gf: GF, x: int):
-    """The action of A_x on the span of squares, in diagonal coordinates."""
-    act = action(gf, ax_matrix(gf, x))
-
-    def apply(m6):
-        return sym_to_m(gf, act.on_sym(m_to_sym(gf, m6)))
-
-    return apply
+def w5_squared_m(gf: GF, coef: int) -> int:
+    """coef * w5^2, packed."""
+    return coef << (4 * gf.k)
 
 
 def s_generators(gf: GF):
-    """Field-span generators of the invariant subspace S, in diagonal
-    coordinates: w1^2, w3^2 + w4^2, w5^2, w6^2."""
-    return ((1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    """Field-span generators of the invariant subspace S, packed:
+    w1^2, w3^2 + w4^2, w5^2, w6^2."""
+    return tuple(sum(1 << (gf.k * i) for i in g) for g in ((0,), (2, 3), (4,), (5,)))
 
 
-def _pack_m(gf: GF, m6) -> int:
+@lru_cache(maxsize=None)
+def ax_on_squares(gf: GF, x: int) -> tuple:
+    """A_x on the squares: the packed images of the 6k basis bits.  Each
+    goes through the action on S2(W), and sym_to_m raises if it leaves the
+    diagonal, so the stability of the squares is checked, not assumed."""
+    act = action(gf, ax_matrix(gf, x))
+    return tuple(sym_to_m(gf, act.on_sym(m_to_sym(gf, 1 << j))) for j in range(6 * gf.k))
+
+
+def apply_ax(gf: GF, x: int, m: int) -> int:
+    """A_x applied to a packed element of the squares."""
     acc = 0
-    for i, c in enumerate(m6):
-        acc |= c << (i * gf.k)
+    for img in ax_on_squares(gf, x):
+        if m & 1:
+            acc ^= img
+        m >>= 1
     return acc
+
+
+def _bits(x: int, n: int) -> np.ndarray:
+    """The low n bits of x, lowest first, as a uint8 vector."""
+    return np.unpackbits(np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+                         count=n, bitorder="little")
+
+
+def _int(bits) -> int:
+    """The int whose bit j is bits[j]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _f2_matrix(fn, nin: int, nout: int) -> np.ndarray:
+    """The F2 matrix of a linear map on packed ints."""
+    return f2_matrix_from_map(lambda e: _bits(fn(_int(e)), nout), nin, nout)
 
 
 def order2_solution_space(gf: GF, x: int) -> dict:
@@ -608,44 +615,31 @@ def order2_solution_space(gf: GF, x: int) -> dict:
     solution set with w3^2 + S."""
     if x == 0:
         raise ValueError("x must be nonzero")
-    apply_ax = ax_on_m(gf, x)
-    nbits = 6 * gf.k
-
-    def cond(bits):
-        m6 = _bits_m(gf, bits)
-        img = apply_ax(m6)
-        return _m_bits(gf, tuple(a ^ b for a, b in zip(img, m6)))
-
-    a_mat = f2_matrix_from_map(cond, nbits, nbits)
-    x2 = gf.mul(x, x)
-    rhs = _m_bits(gf, (0, 0, 0, 0, x2, 0))
-    x0, kernel_basis, cert = solve_affine_f2(a_mat, rhs)
+    n = 6 * gf.k
+    a_mat = _f2_matrix(lambda m: apply_ax(gf, x, m) ^ m, n, n)
+    x0, kernel_basis, cert = solve_affine_f2(a_mat, _bits(w5_squared_m(gf, gf.mul(x, x)), n))
     if cert is not None:
         return {"check": "order2-space", "field": gf.order, "x": x,
                 "passed": False, "inconsistent": True}
 
     sol_span = F2Span()
     for v in kernel_basis:
-        sol_span.add(_pack_m(gf, _bits_m(gf, v)))
+        sol_span.add(_int(v))
     s_span = F2Span()
     for g in s_generators(gf):
+        # the coefficients of g are 0 or 1, so x^bit * g is g shifted by bit
         for bit in range(gf.k):
-            s_span.add(_pack_m(gf, tuple(gf.mul(1 << bit, c) for c in g)))
+            s_span.add(g << bit)
 
-    w3sq = (0, 0, 1, 0, 0, 0)
+    w3sq = 1 << (2 * gf.k)
     kernel_eq_s = (
         sol_span.dim == s_span.dim == 4 * gf.k
         and all(s_span.contains(r) for r in sol_span.pivots.values())
     )
-    particular = _bits_m(gf, x0)
-    shift_in_s = s_span.contains(_pack_m(gf, tuple(a ^ b for a, b in zip(particular, w3sq))))
-    w3_not_in_s = not s_span.contains(_pack_m(gf, w3sq))
-    invariant = True
-    for y in order4_subgroup(gf):
-        act_y = ax_on_m(gf, y) if y else (lambda m: m)
-        for g in s_generators(gf):
-            if not s_span.contains(_pack_m(gf, act_y(g))):
-                invariant = False
+    shift_in_s = s_span.contains(_int(x0) ^ w3sq)
+    w3_not_in_s = not s_span.contains(w3sq)
+    invariant = all(s_span.contains(apply_ax(gf, y, g))
+                    for y in order4_subgroup(gf) for g in s_generators(gf))
     passed = kernel_eq_s and shift_in_s and w3_not_in_s and invariant
     return {"check": "order2-space", "field": gf.order, "x": x,
             "solution_dim": sol_span.dim, "expected_dim": 4 * gf.k,
@@ -659,50 +653,36 @@ def splitting_system(gf: GF, alpha: int | None = None):
     lift of the transvection family: order-2 conditions for all three
     nonzero elements plus every cross product relation.
 
+    The unknowns are the 6k bits of c(1), then those of c(alpha); the
+    rows are eight blocks of 6k, one per relation in the order below.
     Returns (A, b) with the conventions of solve_affine_f2.
     """
     if alpha is None:
         alpha = alpha_element(gf)
     _, one, al, al1 = order4_subgroup(gf, alpha)
-    t1 = ax_on_m(gf, one)
-    ta = ax_on_m(gf, al)
-    ta1 = ax_on_m(gf, al1)
-    k = gf.k
-    nbits = 12 * k
+    n = 6 * gf.k
+    mul = gf.mul
+    t1, ta, ta1 = (partial(apply_ax, gf, y) for y in (one, al, al1))
+    w52 = partial(w5_squared_m, gf)
 
-    def w52(coef):
-        return (0, 0, 0, 0, coef, 0)
+    def conditions(z):
+        c1, ca = z & ((1 << n) - 1), z >> n
+        e = w52(al) ^ ta(c1) ^ ca
+        rows = (
+            t1(c1) ^ c1 ^ w52(mul(one, one)),           # [1,c1]^2 = 1
+            ta(ca) ^ ca ^ w52(mul(al, al)),             # [al,ca]^2 = 1
+            ta1(e) ^ e ^ w52(mul(al1, al1)),            # [al+1,e]^2 = 1
+            ta(c1) ^ ca ^ t1(ca) ^ c1,                  # both product orders agree
+            w52(al1) ^ ta1(c1) ^ e ^ ca,                # [1,c1][al+1,e] = [al,ca]
+            w52(al1) ^ t1(e) ^ c1 ^ ca,                 # [al+1,e][1,c1] = [al,ca]
+            w52(mul(al, al1)) ^ ta1(ca) ^ e ^ c1,       # [al,ca][al+1,e] = [1,c1]
+            w52(mul(al, al1)) ^ ta(e) ^ ca ^ c1,        # [al+1,e][al,ca] = [1,c1]
+        )
+        return sum(r << (n * i) for i, r in enumerate(rows))
 
-    def madd(*ms):
-        out = (0,) * 6
-        for m in ms:
-            out = tuple(a ^ b for a, b in zip(out, m))
-        return out
-
-    def conditions(zbits):
-        c1 = _bits_m(gf, zbits[: 6 * k])
-        ca = _bits_m(gf, zbits[6 * k:])
-        e = madd(w52(al), ta(c1), ca)
-        rows = [
-            madd(t1(c1), c1, w52(gf.mul(one, one))),          # [1,c1]^2 = 1
-            madd(ta(ca), ca, w52(gf.mul(al, al))),            # [al,ca]^2 = 1
-            madd(ta1(e), e, w52(gf.mul(al1, al1))),           # [al+1,e]^2 = 1
-            madd(ta(c1), ca, t1(ca), c1),                     # both product orders agree
-            madd(w52(al1), ta1(c1), e, ca),                   # [1,c1][al+1,e] = [al,ca]
-            madd(w52(al1), t1(e), c1, ca),                    # [al+1,e][1,c1] = [al,ca]
-            madd(w52(gf.mul(al, al1)), ta1(ca), e, c1),       # [al,ca][al+1,e] = [1,c1]
-            madd(w52(gf.mul(al, al1)), ta(e), ca, c1),        # [al+1,e][al,ca] = [1,c1]
-        ]
-        return np.concatenate([_m_bits(gf, r) for r in rows])
-
-    zero_bits = np.zeros(nbits, dtype=np.uint8)
-    const = conditions(zero_bits)
-
-    def linear(zbits):
-        return conditions(zbits) ^ const
-
-    a_mat = f2_matrix_from_map(linear, nbits, const.size)
-    return a_mat, const
+    const = conditions(0)
+    a_mat = _f2_matrix(lambda z: conditions(z) ^ const, 2 * n, 8 * n)
+    return a_mat, _bits(const, 8 * n)
 
 
 def nonsplit_check(gf: GF, alpha: int | None = None) -> dict:
@@ -729,23 +709,12 @@ def brute_force_splitting_gf4() -> dict:
     _, one, al, al1 = order4_subgroup(gf)
     n = 4096
     arr = np.arange(n, dtype=np.uint16)
-
-    def table_of(x):
-        apply_ax = ax_on_m(gf, x)
-        imgs = []
-        for bit in range(12):
-            m6 = _bits_m(gf, [(bit == t) for t in range(12)])
-            imgs.append(_pack_m(gf, apply_ax(m6)))
-        t = np.zeros(n, dtype=np.uint16)
-        for bit in range(12):
-            mask = ((arr >> bit) & 1).astype(bool)
-            t[mask] ^= np.uint16(imgs[bit])
-        return t
-
-    t1, ta, ta1 = table_of(one), table_of(al), table_of(al1)
+    # the image of every packed element of the squares
+    t1, ta, ta1 = (np.array(_span_table(ax_on_squares(gf, y)), dtype=np.uint16)
+                   for y in (one, al, al1))
 
     def w52(coef):
-        return np.uint16(_pack_m(gf, (0, 0, 0, 0, coef, 0)))
+        return np.uint16(w5_squared_m(gf, coef))
 
     o1 = (t1 ^ arr) == w52(gf.mul(one, one))
     oa = (ta ^ arr) == w52(gf.mul(al, al))
@@ -753,13 +722,13 @@ def brute_force_splitting_gf4() -> dict:
 
     c1 = arr[:, None]
     ca = arr[None, :]
-    e = (ta[arr][:, None] ^ ca) ^ w52(al)
+    e = (ta[:, None] ^ ca) ^ w52(al)
     valid = o1[:, None] & oa[None, :]
     valid &= (ta1[e] ^ e) == w52(gf.mul(al1, al1))
-    valid &= (ta[arr][:, None] ^ ca) == (t1[arr][None, :] ^ c1)
-    valid &= (ta1[arr][:, None] ^ e ^ w52(al1)) == ca
+    valid &= (ta[:, None] ^ ca) == (t1[None, :] ^ c1)
+    valid &= (ta1[:, None] ^ e ^ w52(al1)) == ca
     valid &= (t1[e] ^ c1 ^ w52(al1)) == ca
-    valid &= (ta1[arr][None, :] ^ e ^ w52(gf.mul(al, al1))) == c1
+    valid &= (ta1[None, :] ^ e ^ w52(gf.mul(al, al1))) == c1
     valid &= (ta[e] ^ ca ^ w52(gf.mul(al, al1))) == c1
     lifts = int(valid.sum())
     return {"check": "nonsplit-bruteforce", "field": 4, "mode": "exhaustive",
@@ -1032,18 +1001,15 @@ def dart_lambda_report(gf: GF) -> dict:
     path-based lambda value, for every element of the order-4 family."""
     if gf.order <= 2:
         return _not_applicable("dart-lambda", gf, "exhaustive")
-    w2b = wedge(gf, E4[0], E4[2])
-    w4b = wedge(gf, E4[1], E4[2])
-    w5b = wedge(gf, E4[1], E4[3])
+    w2w5 = sym_mul(gf, wedge(gf, E4[0], E4[2]), wedge(gf, E4[1], E4[3]))
     u = vertex_u(gf)
     violations = 0
     for x in order4_subgroup(gf):
         vx = vertex_vx(gf, x)
-        want = sym_add(sym_mul(gf, w2b, w5b),
-                       sym_scale(gf, x, sym_mul(gf, w4b, w5b)))
+        want = sym_add(w2w5, w4w5(gf, x))
         if dart_voltage(gf, u, vx) != want or dart_voltage(gf, vx, u) != want:
             violations += 1
-        if lambda_ax(gf, x) != sym_scale(gf, x, sym_mul(gf, w4b, w5b)):
+        if lambda_ax(gf, x) != w4w5(gf, x):
             violations += 1
     return report("dart-lambda", gf, "exhaustive", 8, violations, [])
 

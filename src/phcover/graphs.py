@@ -98,11 +98,10 @@ def affine_vertices(gf: GF, cap: int = ENUM_CAP, dim: int = 4):
 
 
 def count_projective_vertices(gf: GF, dim: int = 4) -> int:
-    """Number of non-incident (point, hyperplane) pairs, without enumerating them."""
-    pts = proj_points(gf, dim)
-    pmat = np.array(pts, dtype=np.uint8)
-    zero = _zero_pairing(gf, pmat, pmat)
-    return int((~zero).sum())
+    """Number of non-incident (point, hyperplane) pairs: each of the
+    (q^dim - 1)/(q - 1) points lies off q^(dim-1) of the hyperplanes."""
+    q = gf.order
+    return (q ** dim - 1) // (q - 1) * q ** (dim - 1)
 
 
 def projective_vertices(gf: GF, cap: int = ENUM_CAP, dim: int = 4):

@@ -102,22 +102,8 @@ def _chi_pairing_table(gf: GF):
     return tuple(tab)
 
 
-def pairing_dual(gf: GF, dual, biv) -> int:
-    """B(f, v) for a dual bivector and a bivector, extended bilinearly from
-    B(f1^f2, v1^v2) = f1(v1) f2(v2) + f1(v2) f2(v1)."""
-    tab = _dual_pairing_table(gf)
-    acc = 0
-    for s, ds in enumerate(dual):
-        if ds:
-            for t, bt in enumerate(biv):
-                if bt and tab[s][t]:
-                    acc ^= gf.mul(gf.mul(ds, bt), tab[s][t])
-    return acc
-
-
-def pairing_chi(gf: GF, x, y) -> int:
-    """(x ^ y)^chi for two bivectors, extended bilinearly from the 4-wedge."""
-    tab = _chi_pairing_table(gf)
+def _pairing(gf: GF, tab, x, y) -> int:
+    """The bilinear form with basis values tab[s][t] at coordinates x, y."""
     acc = 0
     for s, xs in enumerate(x):
         if xs:
@@ -125,6 +111,17 @@ def pairing_chi(gf: GF, x, y) -> int:
                 if yt and tab[s][t]:
                     acc ^= gf.mul(gf.mul(xs, yt), tab[s][t])
     return acc
+
+
+def pairing_dual(gf: GF, dual, biv) -> int:
+    """B(f, v) for a dual bivector and a bivector, extended bilinearly from
+    B(f1^f2, v1^v2) = f1(v1) f2(v2) + f1(v2) f2(v1)."""
+    return _pairing(gf, _dual_pairing_table(gf), dual, biv)
+
+
+def pairing_chi(gf: GF, x, y) -> int:
+    """(x ^ y)^chi for two bivectors, extended bilinearly from the 4-wedge."""
+    return _pairing(gf, _chi_pairing_table(gf), x, y)
 
 
 def phi_consistency_check(gf: GF, rng=None, samples: int = 50) -> bool:

@@ -439,10 +439,8 @@ def test_multiplication_rule_matches_extension_composition():
     lam = {x: ml.pack_sym(gf, cons.lambda_ax(gf, x)) for x in cons.order4_subgroup(gf)}
     for _ in range(40):
         x, y = rng.choice(cons.order4_subgroup(gf)), rng.choice(cons.order4_subgroup(gf))
-        m6 = tuple(rng.randrange(4) for _ in range(6))
-        n6 = tuple(rng.randrange(4) for _ in range(6))
-        m = ml.pack_sym(gf, cons.m_to_sym(gf, m6))
-        n = ml.pack_sym(gf, cons.m_to_sym(gf, n6))
+        m = ml.pack_sym(gf, cons.m_to_sym(gf, sum(rng.randrange(4) << (2 * i) for i in range(6))))
+        n = ml.pack_sym(gf, cons.m_to_sym(gf, sum(rng.randrange(4) << (2 * i) for i in range(6))))
         gx = ml.action(gf, cons.ax_matrix(gf, x))
         gy = ml.action(gf, cons.ax_matrix(gf, y))
         prod, kprod = vg.compose_extension(
@@ -475,19 +473,31 @@ def test_order2_rejects_zero():
 
 
 def test_order2_solutions_satisfy_condition():
-    # independent spot check: w3^2 + random element of S has order-2 defect 0
+    # independent spot check: w3^2 + random element s of S has order-2
+    # defect x^2 w5^2; elements of the squares are packed, 2 bits per w_i^2
     gf = field_of_order(4)
     rng = random.Random(13)
     for x in cons.order4_subgroup(gf)[1:]:
-        apply_ax = cons.ax_on_m(gf, x)
         for _ in range(25):
-            s = (0,) * 6
+            s = 0
             for g in cons.s_generators(gf):
                 c = rng.randrange(4)
-                s = tuple(a ^ gf.mul(c, b) for a, b in zip(s, g))
-            m = tuple(a ^ b for a, b in zip(s, (0, 0, 1, 0, 0, 0)))
-            lhs = tuple(a ^ b for a, b in zip(apply_ax(m), m))
-            assert lhs == (0, 0, 0, 0, gf.mul(x, x), 0)
+                s ^= cons.sym_to_m(gf, ml.sym_scale(gf, c, cons.m_to_sym(gf, g)))
+            m = s ^ (1 << 4)
+            assert cons.apply_ax(gf, x, m) ^ m == gf.mul(x, x) << 8
+
+
+def test_ax_on_squares_matches_the_action():
+    rng = random.Random(14)
+    for q in (4, 8, 16):
+        gf = field_of_order(q)
+        for x in cons.order4_subgroup(gf):
+            act = ml.action(gf, cons.ax_matrix(gf, x))
+            for _ in range(20):
+                m = rng.randrange(1 << (6 * gf.k))
+                assert cons.m_to_sym(gf, cons.apply_ax(gf, x, m)) == act.on_sym(cons.m_to_sym(gf, m))
+    with pytest.raises(ValueError):
+        cons.sym_to_m(gf, ml.big_u(gf))
 
 
 def test_nonsplit_linear_certificates():
@@ -518,6 +528,20 @@ def test_nonsplit_not_applicable_gf2():
     assert rep["status"] == "not-applicable" and rep["passed"]
     with pytest.raises(ValueError):
         cons.alpha_element(field_of_order(2))
+
+
+def test_nonsplit_layer_negative_controls(monkeypatch):
+    # without the w5^2 terms every system is homogeneous, so the zero pair
+    # lifts and the order-2 solutions are S itself, not w3^2 + S
+    monkeypatch.setattr(cons, "w5_squared_m", lambda gf, coef: 0)
+    for q in (4, 8, 16):
+        gf = field_of_order(q)
+        rep = cons.nonsplit_check(gf)
+        assert rep["status"] == "split-found" and not rep["passed"]
+        parts = cons.order2_report(gf)["parts"]
+        assert len(parts) == 3
+        assert not any(p["matches_w3_plus_s"] or p["passed"] for p in parts)
+    assert cons.brute_force_splitting_gf4()["subgroup_lifts"] >= 1
 
 
 def test_brute_force_splitting_gf4():
@@ -560,8 +584,7 @@ def test_cover_fibers_are_m_cosets():
     fibers: dict = {}
     for b, t in data["component"]["vertices"]:
         fibers.setdefault(b, set()).add(t)
-    m_elems = {ml.pack_sym(gf, cons.m_to_sym(gf, tuple((m >> i) & 1 for i in range(6))))
-               for m in range(64)}
+    m_elems = {ml.pack_sym(gf, cons.m_to_sym(gf, m)) for m in range(64)}
     up = ml.u_packed(gf)
     for b, tags in fibers.items():
         p0 = next(iter(tags))

@@ -122,3 +122,48 @@ def test_sampled_cycles_digests(monkeypatch):
     assert all(r["passed"] for r in reports)
     text = json.dumps(reports, sort_keys=True, default=repr)
     assert (hashlib.sha256(text.encode()).hexdigest(), darts.hexdigest()) == SAMPLED_CYCLES_GOLDEN
+
+
+# sha256 of the A and b bytes of the splitting system, per (field, alpha)
+SPLITTING_GOLDEN = {
+    (4, None): "34776d030e2e951daa1954b3a3f51f625267b2037a92c466782cacc526233c3a",
+    (8, None): "a46885e2be627094c4eaa207c5c986e6e2ef2ea4cea6ea4e54318da9ac1a1b0f",
+    (16, None): "c441f95ebc305d8e16c16707e2e960f30e6d49c956c9536f8264854baa4045c7",
+    (16, 0b100): "128896483b892567b6cd6ce8798ca4069020f64f684aa66a25c49e8389145db0",
+}
+
+
+@pytest.mark.parametrize("q, alpha", sorted(SPLITTING_GOLDEN, key=repr))
+def test_splitting_system_digests(q, alpha):
+    a_mat, b = cons.splitting_system(field_of_order(q), alpha)
+    assert _digest((a_mat, "u1"), (b, "u1")) == SPLITTING_GOLDEN[(q, alpha)]
+
+
+# sha256 of the main-theorem report, and of every dart it evaluated with its voltage
+MAIN_THEOREM_GOLDEN = {
+    8: ("12c6a1c3c205020409803ce6d18d76d66883daa4560d59ead90e4dcf8a75f3fa",
+        "676b7d5c327d8f500c4045b544ed9d44fd353ff96068a291cbbce59a8b3d1964"),
+    16: ("48828be2406a8a51b8969173353c07961bd2735292c307559511b14426eec3f4",
+         "8606e0cbfa718a38908a5d495cf6f577438f37403df162149d9402be16eae472"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(MAIN_THEOREM_GOLDEN))
+def test_main_theorem_digests(q, monkeypatch):
+    """The seeded parts of verify_main_theorem: sampled reductivity and
+    triangles, and the subgraph span with its sampled walks.  A passed
+    report carries only counts, so the recorded darts are what pin the
+    RNG stream of every part."""
+    darts = hashlib.sha256()
+    dart_voltage = cons.dart_voltage
+
+    def recorded(gf, a, b):
+        volt = dart_voltage(gf, a, b)
+        darts.update(repr((a, b, volt)).encode())
+        return volt
+
+    monkeypatch.setattr(cons, "dart_voltage", recorded)
+    rep = cons.verify_main_theorem(field_of_order(q), seed=q + 7, samples=100)
+    assert rep["passed"]
+    text = json.dumps(rep, sort_keys=True, default=repr)
+    assert (hashlib.sha256(text.encode()).hexdigest(), darts.hexdigest()) == MAIN_THEOREM_GOLDEN[q]

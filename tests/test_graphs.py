@@ -42,6 +42,16 @@ def test_projective_counts():
     assert gr.count_projective_vertices(field_of_order(16)) == 4369 * 4096
 
 
+def test_projective_count_formula_matches_enumeration():
+    for q in (2, 4, 8):
+        gf = field_of_order(q)
+        assert gr.count_projective_vertices(gf) == len(gr.projective_vertices(gf))
+        assert gr.count_projective_vertices(gf, dim=3) == len(gr.projective_vertices(gf, dim=3))
+    for q in (2, 4):
+        gf = field_of_order(q)
+        assert gr.count_projective_vertices(gf) == len(gr.affine_vertices(gf)) // (q - 1) ** 2
+
+
 def test_enumeration_caps():
     with pytest.raises(ValueError):
         gr.affine_vertices(field_of_order(8))

@@ -460,8 +460,7 @@ def test_stabilizer_maps_root_into_component():
     graph, table, comp = data["graph"], data["table"], data["component"]
     v0 = graph.index[cons.vertex_v0(gf)]
     rng = random.Random(8)
-    m_elems = [ml.pack_sym(gf, cons.m_to_sym(gf, tuple((m >> i) & 1 for i in range(6))))
-               for m in range(64)]
+    m_elems = [ml.pack_sym(gf, cons.m_to_sym(gf, m)) for m in range(64)]
     for _ in range(50):
         act = ml.action(gf, random_sl4(gf, rng))
         lam = vg.lambda_of(table, act, v0)
