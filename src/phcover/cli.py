@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import construction as cons
 from .field import field_of_order
 from .graphs import build_affine_graph, build_projective_graph
@@ -78,11 +80,10 @@ def cmd_verify(cfg) -> int:
 
 
 def _graph_doc(graph) -> dict:
-    edges = []
-    for i in range(graph.n):
-        for j in graph.neighbors(i):
-            if int(j) > i:
-                edges.append([i, int(j)])
+    # the darts i -> j with j > i, row by row, are the edges in row-major order
+    src = graph.dart_sources()
+    upper = graph._indices > src
+    edges = np.stack([src[upper], graph._indices[upper]], axis=1).tolist()
     return {
         "kind": graph.kind,
         "field": graph.gf.order,

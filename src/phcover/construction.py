@@ -141,39 +141,94 @@ def _chunk_product_tables(gf: GF):
     return tables
 
 
-def bulk_dart_voltage(gf: GF, va, ha, vb, hb) -> np.ndarray:
-    """Vectorised dart voltages for coordinate stacks, packed into uint64.
+def _pair_chunk_codes(gf: GF, rows, chunks) -> list:
+    """Chunk codes of the wedges of all pairs of distinct rows.
 
-    Assumes the rows describe valid adjacent vertex pairs.  Only valid
-    for k <= 3 (21k packed bits must fit into 64).  The darts run in
-    blocks of BULK_BLOCK; a product a*b is read from the flat
-    multiplication table at (a << k) | b, the scale is folded into the
-    vector of the first endpoint, and the 21 slots of the symmetric
-    product come from the four chunk-pair tables."""
+    rows are the coordinate columns of n distinct rows.  For each
+    chunk, a tuple of three wedge slots, the result is the flat n x n
+    uint16 table whose entry i * n + j codes those slots of row_i ^ row_j,
+    first slot highest, at k bits each."""
+    t = gf.mul_table
+    out = []
+    for chunk in chunks:
+        code = np.zeros((len(rows[0]),) * 2, dtype=np.uint16)
+        for s in chunk:
+            x, y = BIV_PAIRS[s]
+            code <<= gf.k
+            code |= t[rows[x][:, None], rows[y][None, :]] ^ t[rows[y][:, None], rows[x][None, :]]
+        out.append(code.ravel())
+    return out
+
+
+def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
+    """Packed uint64 voltages of the darts src[i] -> dst[i] between the
+    vertices whose coordinates are the rows of vmat and hmat.
+
+    Only valid for k <= 3 (21k packed bits must fit into 64).  Raises
+    ValueError, as dart_voltage does, when a row of (vmat, hmat) is not a
+    vertex or a dart joins two non-adjacent vertices.
+
+    What depends on one endpoint only is computed once per vertex: its
+    point id among the P distinct rows of vmat, its hyperplane id among
+    the H distinct rows of hmat, and h(v)^-1.  Each pair of distinct
+    values is evaluated once, into pair tables: the two chunk codes of
+    v1 ^ v2 (P x P), the two chunk codes of phi(h1 ^ h2) (H x H), and
+    h(v) (H x P), which also gives the adjacency test.  These take
+    4(P^2 + H^2) + PH bytes, so a caller with many distinct values passes
+    few vertices at a time; the GF(4) projective graph has P = H = 85.
+    One q x 2^(3k) table holds every chunk code times every scalar.  The
+    darts then run in blocks of BULK_BLOCK as gathers from these tables:
+    the scale h1(v1)^-1 h2(v2)^-1 is folded into the chunks of v1 ^ v2,
+    and the 21 slots of the symmetric product come from the four
+    chunk-pair tables.  Nothing here assumes the symmetry or the
+    rescaling invariance of the formula: every table entry is a function
+    of the values it is indexed by."""
     if gf.k > 3:
         raise ValueError("packed bulk voltages support k <= 3 only")
-    k = gf.k
-    t = gf.mul_table.ravel().astype(np.intp)
-    inv = gf.inv_table.astype(np.intp)
+    k, q = gf.k, gf.order
+    c3 = 3 * k
+    t = gf.mul_table
+    points, p_id = np.unique(vmat, axis=0, return_inverse=True)
+    planes, h_id = np.unique(hmat, axis=0, return_inverse=True)
+    p_rows, h_rows = points.T, planes.T
+    p_id, h_id = p_id.reshape(-1), h_id.reshape(-1)
+    n_p, n_h = len(points), len(planes)
+    # pairing[h * P + p] = h(p)
+    pairing = np.zeros((n_h, n_p), dtype=np.uint8)
+    for c in range(4):
+        pairing ^= t[h_rows[c][:, None], p_rows[c][None, :]]
+    pairing = pairing.ravel()
+    own = pairing[h_id * n_p + p_id]
+    if not own.all():
+        raise ValueError("inputs are not vertices (functional vanishes on its vector)")
+    inv_own = gf.inv_table.astype(np.intp)[own]
+    w_hi, w_lo = _pair_chunk_codes(gf, p_rows, ((0, 1, 2), (3, 4, 5)))
+    # phi is slot reversal: the chunks of phi(d) are d6 d5 d4 and d3 d2 d1
+    d_hi, d_lo = _pair_chunk_codes(gf, h_rows, ((5, 4, 3), (2, 1, 0)))
+    # scaled[(c << 3k) | code]: the chunk coded code times c, already
+    # shifted into the high half of a chunk-pair index
+    codes = np.arange(1 << c3)
+    scaled = np.zeros((q, codes.size), dtype=np.intp)
+    for s in range(3):
+        shift = k * (2 - s)
+        scaled |= t[:, (codes >> shift) & (q - 1)].astype(np.intp) << shift
+    scaled = (scaled << c3).ravel()
+    t_flat = t.ravel().astype(np.intp)
     t00, t01, t10, t11 = _chunk_product_tables(gf)
-    out = np.empty(len(va), dtype=np.uint64)
-    for lo in range(0, len(va), BULK_BLOCK):
+    out = np.empty(len(src), dtype=np.uint64)
+    for lo in range(0, len(src), BULK_BLOCK):
         hi = lo + BULK_BLOCK
-        va_, ha_, vb_, hb_ = (np.ascontiguousarray(m[lo:hi].T, dtype=np.intp)
-                              for m in (va, ha, vb, hb))
-        ha_ <<= k
-        sa = t[ha_[0] | va_[0]] ^ t[ha_[1] | va_[1]] ^ t[ha_[2] | va_[2]] ^ t[ha_[3] | va_[3]]
-        sb = t[(hb_[0] << k) | vb_[0]] ^ t[(hb_[1] << k) | vb_[1]] \
-            ^ t[(hb_[2] << k) | vb_[2]] ^ t[(hb_[3] << k) | vb_[3]]
-        scale = inv[t[(sa << k) | sb]] << k
-        sva = [t[scale | x] << k for x in va_]
-        w = [t[sva[x] | vb_[y]] ^ t[sva[y] | vb_[x]] for x, y in BIV_PAIRS]
-        d = [t[ha_[x] | hb_[y]] ^ t[ha_[y] | hb_[x]] for x, y in BIV_PAIRS]
-        # phi is slot reversal: the chunks of phi(d) are d6 d5 d4 and d3 d2 d1
-        w1 = ((w[0] << (2 * k)) | (w[1] << k) | w[2]) << (3 * k)
-        w2 = ((w[3] << (2 * k)) | (w[4] << k) | w[5]) << (3 * k)
-        p1 = (d[5] << (2 * k)) | (d[4] << k) | d[3]
-        p2 = (d[2] << (2 * k)) | (d[1] << k) | d[0]
+        a = np.asarray(src[lo:hi], dtype=np.intp)
+        b = np.asarray(dst[lo:hi], dtype=np.intp)
+        pa, ha, pb, hb = p_id[a], h_id[a], p_id[b], h_id[b]
+        if (pairing[ha * n_p + pb] | pairing[hb * n_p + pa]).any():
+            raise ValueError("vertices are not adjacent")
+        pp = pa * n_p + pb
+        hh = ha * n_h + hb
+        scale = t_flat[(inv_own[a] << k) | inv_own[b]] << c3
+        w1 = scaled[scale | w_hi[pp]]
+        w2 = scaled[scale | w_lo[pp]]
+        p1, p2 = d_hi[hh], d_lo[hh]
         out[lo:hi] = t00[w1 | p1] ^ t01[w1 | p2] ^ t10[w2 | p1] ^ t11[w2 | p2]
     return out
 
@@ -188,8 +243,7 @@ def voltage_table(graph: Graph) -> DartTable:
     if table is None:
         gf = graph.gf
         if gf.k <= 3:
-            table = DartTable.from_bulk(
-                graph, lambda va, ha, vb, hb: bulk_dart_voltage(gf, va, ha, vb, hb))
+            table = DartTable.from_bulk(graph, partial(bulk_dart_voltage, gf))
         else:
             table = DartTable.from_scalar(
                 graph, lambda a, b: dart_voltage_packed(gf, a, b))
@@ -236,12 +290,6 @@ def ax_matrix(gf: GF, x: int):
     e1 + x e2, e3 + x e4."""
     gf.check(x)
     return ((1, x, 0, 0), (0, 1, 0, 0), (0, 0, 1, x), (0, 0, 0, 1))
-
-
-def ax_action_table(gf: GF, x: int):
-    """Images of the six basis bivectors under A_x."""
-    act = action(gf, ax_matrix(gf, x))
-    return act.w_rows
 
 
 def w5_squared(gf: GF, coef: int = 1):
@@ -703,8 +751,10 @@ def nonsplit_check(gf: GF, alpha: int | None = None) -> dict:
 
 
 def brute_force_splitting_gf4() -> dict:
-    """Independent oracle over GF(4): enumerate all 4096^2 candidate pairs
-    (c(1), c(alpha)) and count those defining a subgroup lift."""
+    """Independent oracle over GF(4): run through all 4096^2 candidate pairs
+    (c(1), c(alpha)) and count those defining a subgroup lift.  A lift
+    needs c(1) and c(alpha) to satisfy their order-2 conditions, so the six
+    cross relations are evaluated on those 256 x 256 pairs only."""
     gf = field_of_order(4)
     _, one, al, al1 = order4_subgroup(gf)
     n = 4096
@@ -720,15 +770,14 @@ def brute_force_splitting_gf4() -> dict:
     oa = (ta ^ arr) == w52(gf.mul(al, al))
     order2_pairs = int(o1.sum()) * int(oa.sum())
 
-    c1 = arr[:, None]
-    ca = arr[None, :]
-    e = (ta[:, None] ^ ca) ^ w52(al)
-    valid = o1[:, None] & oa[None, :]
-    valid &= (ta1[e] ^ e) == w52(gf.mul(al1, al1))
-    valid &= (ta[:, None] ^ ca) == (t1[None, :] ^ c1)
-    valid &= (ta1[:, None] ^ e ^ w52(al1)) == ca
+    c1 = arr[o1][:, None]
+    ca = arr[oa][None, :]
+    e = (ta[c1] ^ ca) ^ w52(al)
+    valid = (ta1[e] ^ e) == w52(gf.mul(al1, al1))
+    valid &= (ta[c1] ^ ca) == (t1[ca] ^ c1)
+    valid &= (ta1[c1] ^ e ^ w52(al1)) == ca
     valid &= (t1[e] ^ c1 ^ w52(al1)) == ca
-    valid &= (ta1[None, :] ^ e ^ w52(gf.mul(al, al1))) == c1
+    valid &= (ta1[ca] ^ e ^ w52(gf.mul(al, al1))) == c1
     valid &= (ta[e] ^ ca ^ w52(gf.mul(al, al1))) == c1
     lifts = int(valid.sum())
     return {"check": "nonsplit-bruteforce", "field": 4, "mode": "exhaustive",

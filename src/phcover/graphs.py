@@ -194,6 +194,10 @@ class Graph:
     def edge_count(self) -> int:
         return int(self._indptr[-1]) // 2
 
+    def dart_sources(self) -> np.ndarray:
+        """The source vertex of every dart, in CSR order."""
+        return np.repeat(np.arange(self.n), np.diff(self._indptr))
+
     def packed_rows(self) -> np.ndarray:
         return self._rows
 

@@ -136,16 +136,11 @@ class DartTable:
 
     @classmethod
     def from_bulk(cls, graph: Graph, bulk_fn) -> "DartTable":
-        """Build from a vectorised voltage function taking coordinate stacks
-        (VA, HA, VB, HB) and returning packed uint64 values."""
-        indptr = graph._indptr
-        indices = graph._indices
-        degrees = np.diff(indptr)
-        volts = bulk_fn(
-            np.repeat(graph.vmat, degrees, axis=0), np.repeat(graph.hmat, degrees, axis=0),
-            graph.vmat[indices], graph.hmat[indices],
-        )
-        return cls(graph, indptr, indices, volts)
+        """Build from a vectorised voltage function taking the dart
+        endpoints (src, dst) as vertex ids, in CSR order, and the vertex
+        coordinates (vmat, hmat), and returning packed uint64 values."""
+        volts = bulk_fn(graph.dart_sources(), graph._indices, graph.vmat, graph.hmat)
+        return cls(graph, graph._indptr, graph._indices, volts)
 
     @classmethod
     def from_scalar(cls, graph: Graph, packed_dart_fn) -> "DartTable":
@@ -230,7 +225,7 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
     """
     parent, pot = spanning_tree_potentials(table, root)
     g = table.graph
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(table.indptr))
+    src = g.dart_sources()
     dst = table.indices.astype(np.int64)
     keep = src < dst
     fc = pot[src[keep]] ^ pot[dst[keep]] ^ table.volts[keep]
@@ -373,7 +368,7 @@ def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") 
     w1 = indices[p]
     s2, e = frontier_darts(indptr, w1)
     u, p, w1, w2 = bases[slot[s2]], p[s2], w1[s2], indices[e]
-    darts = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr)) * g.n + indices
+    darts = g.dart_sources() * g.n + indices
     key = u * g.n + w2
     q = np.minimum(np.searchsorted(darts, key), darts.size - 1)
     tri = (w2 > w1) & (darts[q] == key)

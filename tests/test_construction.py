@@ -104,8 +104,7 @@ def _bulk_against_scalar(graph, srcs, dsts):
 
     gf = graph.gf
     srcs, dsts = np.asarray(srcs), np.asarray(dsts)
-    packed = cons.bulk_dart_voltage(gf, graph.vmat[srcs], graph.hmat[srcs],
-                                    graph.vmat[dsts], graph.hmat[dsts])
+    packed = cons.bulk_dart_voltage(gf, srcs, dsts, graph.vmat, graph.hmat)
     assert packed.size == srcs.size
     for i, j, want in zip(srcs.tolist(), dsts.tolist(), packed.tolist()):
         got = cons.dart_voltage(gf, graph.vertices[i], graph.vertices[j])
@@ -142,31 +141,69 @@ def test_scalar_voltage_matches_reference_formula_gf16():
         assert cons.dart_voltage(gf, a, b) == reference_dart_voltage(gf, a, b)
 
 
+def _bulk_on_dart_list(gf, darts):
+    """Bulk voltages of a list of (a, b) vertex pairs, with the endpoints
+    stacked as rows 2i and 2i + 1."""
+    import numpy as np
+
+    verts = [v for dart in darts for v in dart]
+    vmat = np.array([v for v, _ in verts], dtype=np.uint8).reshape(-1, 4)
+    hmat = np.array([h for _, h in verts], dtype=np.uint8).reshape(-1, 4)
+    src = np.arange(0, len(verts), 2)
+    return cons.bulk_dart_voltage(gf, src, src + 1, vmat, hmat), vmat
+
+
+def _random_darts(gf, n, seed):
+    rng = random.Random(seed)
+    darts = []
+    for _ in range(n):
+        a = gr.random_affine_vertex(gf, rng)
+        darts.append((a, gr.random_neighbor(gf, a, rng)))
+    return darts
+
+
 def test_bulk_voltages_match_scalar():
+    gf = field_of_order(8)
+    darts = _random_darts(gf, 50, 2)
+    packed, _ = _bulk_on_dart_list(gf, darts)
+    for pos, (a, b) in enumerate(darts):
+        assert int(packed[pos]) == ml.pack_sym(gf, cons.dart_voltage(gf, a, b))
+
+
+def test_bulk_voltages_with_a_thousand_distinct_points():
+    # random affine vertices: the pair tables are far larger than the
+    # 85 x 85 of the GF(4) projective graph, and the point and hyperplane
+    # tables differ in size
     import numpy as np
 
     gf = field_of_order(8)
-    rng = random.Random(2)
-    darts = []
-    for _ in range(50):
-        a = gr.random_affine_vertex(gf, rng)
-        b = gr.random_neighbor(gf, a, rng)
-        darts.append((a, b))
-    va = np.array([d[0][0] for d in darts], dtype=np.uint8)
-    ha = np.array([d[0][1] for d in darts], dtype=np.uint8)
-    vb = np.array([d[1][0] for d in darts], dtype=np.uint8)
-    hb = np.array([d[1][1] for d in darts], dtype=np.uint8)
-    packed = cons.bulk_dart_voltage(gf, va, ha, vb, hb)
+    darts = _random_darts(gf, 600, 1)
+    packed, vmat = _bulk_on_dart_list(gf, darts)
+    n_points = len(np.unique(vmat, axis=0))
+    n_planes = len({h for dart in darts for _, h in dart})
+    assert n_points >= 1000 and n_planes != n_points
     for pos, (a, b) in enumerate(darts):
         assert int(packed[pos]) == ml.pack_sym(gf, cons.dart_voltage(gf, a, b))
+
+
+def test_bulk_voltages_on_every_dart_of_the_gf8_subgraph():
+    graph = cons._rational_subgraph_with_twists(field_of_order(8))
+    table = cons.voltage_table(graph)
+    assert table.volts.dtype.kind == "u"
+    for i in range(graph.n):
+        lo, hi = int(table.indptr[i]), int(table.indptr[i + 1])
+        for j, want in zip(table.indices[lo:hi].tolist(), table.volts[lo:hi].tolist()):
+            got = cons.dart_voltage(graph.gf, graph.vertices[i], graph.vertices[j])
+            assert ml.pack_sym(graph.gf, got) == want
 
 
 def test_bulk_voltages_on_empty_stack():
     import numpy as np
 
     z = np.zeros((0, 4), dtype=np.uint8)
+    empty = np.zeros(0, dtype=np.intp)
     for q in (2, 4, 8):
-        out = cons.bulk_dart_voltage(field_of_order(q), z, z, z, z)
+        out = cons.bulk_dart_voltage(field_of_order(q), empty, empty, z, z)
         assert out.dtype == np.uint64 and out.shape == (0,)
 
 
@@ -186,7 +223,36 @@ def test_bulk_voltages_refuse_k4():
     gf = field_of_order(16)
     z = np.zeros((1, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
-        cons.bulk_dart_voltage(gf, z, z, z, z)
+        cons.bulk_dart_voltage(gf, [0], [0], z, z)
+
+
+def test_bulk_voltages_refuse_what_the_scalar_refuses():
+    import numpy as np
+
+    gf = field_of_order(4)
+    v0 = cons.vertex_v0(gf)
+    # a row whose functional vanishes on its vector, here the zero row
+    z = np.zeros((2, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="not vertices"):
+        cons.dart_voltage(gf, ((0,) * 4, (0,) * 4), v0)
+    with pytest.raises(ValueError, match="not vertices"):
+        cons.bulk_dart_voltage(gf, [0], [1], z, z)
+    # (e1, f1) -> (e1, f1), and a non-adjacent pair in the middle of a block
+    with pytest.raises(ValueError, match="not adjacent"):
+        cons.dart_voltage(gf, v0, v0)
+    one = np.array([v0[0]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="not adjacent"):
+        cons.bulk_dart_voltage(gf, [0], [0], one, one)
+    graph = gr.build_projective_graph(gf)
+    src = graph.dart_sources()[:cons.BULK_BLOCK + 9].copy()
+    dst = graph._indices[:src.size].copy()
+    cons.bulk_dart_voltage(gf, src, dst, graph.vmat, graph.hmat)
+    far = next(j for j in range(graph.n) if j != src[-1] and not graph.adjacent(src[-1], j))
+    dst[-1] = far
+    with pytest.raises(ValueError, match="not adjacent"):
+        cons.dart_voltage(gf, graph.vertices[src[-1]], graph.vertices[far])
+    with pytest.raises(ValueError, match="not adjacent"):
+        cons.bulk_dart_voltage(gf, src, dst, graph.vmat, graph.hmat)
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +460,7 @@ def test_ax_action_table_lines():
         gf = field_of_order(q)
         for x in cons.order4_subgroup(gf):
             x2 = gf.mul(x, x)
-            tab = cons.ax_action_table(gf, x)
+            tab = ml.action(gf, cons.ax_matrix(gf, x)).w_rows
             assert tab[0] == (1, 0, 0, 0, 0, 0)
             assert tab[1] == (0, 1, x, x, x2, 0)
             assert tab[2] == (0, 0, 1, 0, x, 0)
@@ -541,7 +607,46 @@ def test_nonsplit_layer_negative_controls(monkeypatch):
         parts = cons.order2_report(gf)["parts"]
         assert len(parts) == 3
         assert not any(p["matches_w3_plus_s"] or p["passed"] for p in parts)
-    assert cons.brute_force_splitting_gf4()["subgroup_lifts"] >= 1
+    lifts = cons.brute_force_splitting_gf4()["subgroup_lifts"]
+    assert lifts >= 1
+    assert lifts == _full_grid_splitting_lifts_gf4()
+
+
+def _full_grid_splitting_lifts_gf4():
+    """The lift count of brute_force_splitting_gf4 with every relation
+    evaluated on the full 4096 x 4096 grid of (c(1), c(alpha)), in blocks
+    of rows."""
+    import numpy as np
+
+    gf = field_of_order(4)
+    _, one, al, al1 = cons.order4_subgroup(gf)
+    arr = np.arange(4096, dtype=np.uint16)
+    t1, ta, ta1 = (np.array([cons.apply_ax(gf, y, m) for m in range(4096)], dtype=np.uint16)
+                   for y in (one, al, al1))
+
+    def w52(coef):
+        return np.uint16(cons.w5_squared_m(gf, coef))
+
+    o1 = (t1 ^ arr) == w52(gf.mul(one, one))
+    oa = (ta ^ arr) == w52(gf.mul(al, al))
+    ca = arr[None, :]
+    lifts = 0
+    for lo in range(0, 4096, 512):
+        c1 = arr[lo:lo + 512, None]
+        e = (ta[c1] ^ ca) ^ w52(al)
+        valid = o1[c1] & oa[ca]
+        valid &= (ta1[e] ^ e) == w52(gf.mul(al1, al1))
+        valid &= (ta[c1] ^ ca) == (t1[ca] ^ c1)
+        valid &= (ta1[c1] ^ e ^ w52(al1)) == ca
+        valid &= (t1[e] ^ c1 ^ w52(al1)) == ca
+        valid &= (ta1[ca] ^ e ^ w52(gf.mul(al, al1))) == c1
+        valid &= (ta[e] ^ ca ^ w52(gf.mul(al, al1))) == c1
+        lifts += int(valid.sum())
+    return lifts
+
+
+def test_full_grid_splitting_reference_finds_no_lift():
+    assert _full_grid_splitting_lifts_gf4() == 0
 
 
 def test_brute_force_splitting_gf4():

@@ -3,7 +3,8 @@
 The CSR adjacency and packed dart voltages of the GF(4) projective and the
 GF(2) affine graph, and their BFS spanning trees at root 0, must stay
 bit-for-bit the same across refactors of graph enumeration, the bulk
-voltage kernel and the tree.  A digest is the sha256 of the arrays'
+voltage kernel and the tree; so must the table of the GF(8) canonical
+subgraph and both exports of the GF(4) projective base graph.  A digest is the sha256 of the arrays'
 little-endian bytes, taken in turn at fixed widths.  The GF(2) cover is
 pinned the same way, by the sha256 of both export formats and of the BFS
 order of its lift component, the `verify all` report of each field by
@@ -51,6 +52,27 @@ def test_table_and_tree_digests(name):
                    (table.volts, "<u8")) == table_digest
     parent, pot = vg.spanning_tree_potentials(table, 0)
     assert _digest((parent, "<i8"), (pot, "<u8")) == tree_digest
+
+
+def test_gf8_subgraph_table_digest():
+    table = cons.voltage_table(cons._rational_subgraph_with_twists(field_of_order(8)))
+    assert _digest((table.indptr, "<i8"), (table.indices, "<i4"),
+                   (table.volts, "<u8")) == \
+        "76d24d996035523939ff6f78851ab28dc0fc470cef9ae467668a69ae4cf8554a"
+
+
+BASE_GRAPH_GOLDEN = {
+    "json": "ba1f11726294523f0b892facf1f50534cb28a5f32a06f6061df92c3ed620d3d7",
+    "edgelist": "58c29cf0c25850ad94beee6bc3fcede062b246c254798f8fc3dcd24214112d43",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BASE_GRAPH_GOLDEN))
+def test_base_graph_export_digests(fmt, tmp_path):
+    path = tmp_path / f"graph.{fmt}"
+    argv = ["export", "base-graph", "--field", "4", "--format", fmt, "--out", str(path)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BASE_GRAPH_GOLDEN[fmt]
 
 
 COVER_GOLDEN = {
