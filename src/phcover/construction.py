@@ -80,24 +80,40 @@ from .voltage import (
 # ----------------------------------------------------------------------
 
 def dart_voltage(gf: GF, a, b):
-    """Voltage in S2(W) of the dart from vertex a to vertex b."""
+    """Voltage in S2(W) of the dart from vertex a to vertex b; the tests hold
+    it to sym_mul(scale * wedge(v1, v2), phi(wedge_covectors(h1, h2)))."""
     mul = gf.mul_rows
-    va, ha = a
-    vb, hb = b
-    a0, a1, a2, a3 = mul[ha[0]], mul[ha[1]], mul[ha[2]], mul[ha[3]]
-    b0, b1, b2, b3 = mul[hb[0]], mul[hb[1]], mul[hb[2]], mul[hb[3]]
-    sa = a0[va[0]] ^ a1[va[1]] ^ a2[va[2]] ^ a3[va[3]]
-    sb = b0[vb[0]] ^ b1[vb[1]] ^ b2[vb[2]] ^ b3[vb[3]]
+    (x0, x1, x2, x3), (f0, f1, f2, f3) = a
+    (y0, y1, y2, y3), (g0, g1, g2, g3) = b
+    a0, a1, a2, a3 = mul[f0], mul[f1], mul[f2], mul[f3]
+    b0, b1, b2, b3 = mul[g0], mul[g1], mul[g2], mul[g3]
+    sa = a0[x0] ^ a1[x1] ^ a2[x2] ^ a3[x3]
+    sb = b0[y0] ^ b1[y1] ^ b2[y2] ^ b3[y3]
     if sa == 0 or sb == 0:
         raise ValueError("inputs are not vertices (functional vanishes on its vector)")
-    if (a0[vb[0]] ^ a1[vb[1]] ^ a2[vb[2]] ^ a3[vb[3]]
-            or b0[va[0]] ^ b1[va[1]] ^ b2[va[2]] ^ b3[va[3]]):
+    if a0[y0] ^ a1[y1] ^ a2[y2] ^ a3[y3] or b0[x0] ^ b1[x1] ^ b2[x2] ^ b3[x3]:
         raise ValueError("vertices are not adjacent")
     # the scale (sa sb)^-1 is folded into the 6 bivector slots, not the 21
     # slots of the product: the symmetric product is bilinear
     by_scale = mul[mul[gf.inverses[sa]][gf.inverses[sb]]]
-    w = [by_scale[x] for x in wedge(gf, va, vb)]
-    return sym_mul(gf, w, phi(wedge_covectors(gf, ha, hb)))
+    # v1 ^ v2 scaled, as the multiplication rows of its six slots
+    u0, u1, u2, u3 = mul[x0], mul[x1], mul[x2], mul[x3]
+    w0 = mul[by_scale[u0[y1] ^ u1[y0]]]
+    w1 = mul[by_scale[u0[y2] ^ u2[y0]]]
+    w2 = mul[by_scale[u0[y3] ^ u3[y0]]]
+    w3 = mul[by_scale[u1[y2] ^ u2[y1]]]
+    w4 = mul[by_scale[u1[y3] ^ u3[y1]]]
+    w5 = mul[by_scale[u2[y3] ^ u3[y2]]]
+    # phi(h1 ^ h2): the slots of the covector wedge, last first
+    p0, p1, p2 = a2[g3] ^ a3[g2], a1[g3] ^ a3[g1], a1[g2] ^ a2[g1]
+    p3, p4, p5 = a0[g3] ^ a3[g0], a0[g2] ^ a2[g0], a0[g1] ^ a1[g0]
+    return (w0[p0], w0[p1] ^ w1[p0], w0[p2] ^ w2[p0], w0[p3] ^ w3[p0],
+            w0[p4] ^ w4[p0], w0[p5] ^ w5[p0],
+            w1[p1], w1[p2] ^ w2[p1], w1[p3] ^ w3[p1], w1[p4] ^ w4[p1], w1[p5] ^ w5[p1],
+            w2[p2], w2[p3] ^ w3[p2], w2[p4] ^ w4[p2], w2[p5] ^ w5[p2],
+            w3[p3], w3[p4] ^ w4[p3], w3[p5] ^ w5[p3],
+            w4[p4], w4[p5] ^ w5[p4],
+            w5[p5])
 
 
 def cycle_voltage(gf: GF, cyc):
@@ -113,7 +129,8 @@ def dart_voltage_packed(gf: GF, a, b) -> int:
 BULK_BLOCK = 1 << 16
 
 
-def _chunk_product_tables(gf: GF):
+@lru_cache(maxsize=None)
+def _chunk_product_tables(gf: GF) -> tuple:
     """Packed symmetric products of bivector chunks.
 
     The six bivector slots split into the chunks w1..w3 and w4..w6, and a
@@ -138,7 +155,7 @@ def _chunk_product_tables(gf: GF):
                     by_value ^= t[:, digits[b]].astype(np.uint64) << shift
                 acc ^= by_value[digits[a]]
             tables.append(acc.ravel())
-    return tables
+    return tuple(tables)
 
 
 def _pair_chunk_codes(gf: GF, rows, chunks) -> list:

@@ -365,22 +365,30 @@ def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
 # lazy samplers (any field, no enumeration)
 # ----------------------------------------------------------------------
 
-def _draw(getrandbits, q: int, bits: int) -> int:
-    """One uniform element of range(q), drawn exactly as CPython's
-    ``rng.randrange(q)`` draws it: ``getrandbits(bits)`` with bits equal to
-    ``q.bit_length()``, again while the value is >= q."""
-    r = getrandbits(bits)
-    while r >= q:
-        r = getrandbits(bits)
-    return r
+def _draw4(getrandbits, q: int, bits: int):
+    """Four uniform elements of range(q), drawn one after the other exactly as
+    CPython's ``rng.randrange(q)`` draws each: ``getrandbits(bits)`` with bits
+    equal to ``q.bit_length()``, again while the value is >= q."""
+    r0 = getrandbits(bits)
+    while r0 >= q:
+        r0 = getrandbits(bits)
+    r1 = getrandbits(bits)
+    while r1 >= q:
+        r1 = getrandbits(bits)
+    r2 = getrandbits(bits)
+    while r2 >= q:
+        r2 = getrandbits(bits)
+    r3 = getrandbits(bits)
+    while r3 >= q:
+        r3 = getrandbits(bits)
+    return (r0, r1, r2, r3)
 
 
 def random_nonzero_vector(gf: GF, rng):
     q, draw = gf.order, rng.getrandbits
     bits = q.bit_length()
     while True:
-        v = (_draw(draw, q, bits), _draw(draw, q, bits), _draw(draw, q, bits),
-             _draw(draw, q, bits))
+        v = _draw4(draw, q, bits)
         if any(v):
             return v
 
@@ -392,37 +400,44 @@ def random_affine_vertex(gf: GF, rng):
     # h(v) = sum_i v_i h_i, read off the multiplication-by-v_i rows
     by0, by1, by2, by3 = mul[v[0]], mul[v[1]], mul[v[2]], mul[v[3]]
     while True:
-        h = (_draw(draw, q, bits), _draw(draw, q, bits), _draw(draw, q, bits),
-             _draw(draw, q, bits))
+        h = _draw4(draw, q, bits)
         if by0[h[0]] ^ by1[h[1]] ^ by2[h[2]] ^ by3[h[3]]:
             return (v, h)
 
 
 def _random_in_span(gf: GF, basis, rng):
+    """A random nonzero combination of the basis: the coefficients are drawn
+    left to right as rng.randrange(q) draws them, and all of them again when
+    every one is zero."""
     q, draw, mul = gf.order, rng.getrandbits, gf.mul_rows
     bits = q.bit_length()
     while True:
-        coeffs = [_draw(draw, q, bits) for _ in basis]
-        if any(coeffs):
-            o0 = o1 = o2 = o3 = 0
-            for c, (x0, x1, x2, x3) in zip(coeffs, basis):
+        o0 = o1 = o2 = o3 = nonzero = 0
+        for x0, x1, x2, x3 in basis:
+            c = draw(bits)
+            while c >= q:
+                c = draw(bits)
+            if c:
                 by_c = mul[c]
                 o0 ^= by_c[x0]
                 o1 ^= by_c[x1]
                 o2 ^= by_c[x2]
                 o3 ^= by_c[x3]
+                nonzero = 1
+        if nonzero:
             return (o0, o1, o2, o3)
 
 
 def sample_common_neighbor(gf: GF, a, b, rng, tries: int = 64):
     """A uniformish random vertex adjacent to both a and b, or None when the
     rejection budget runs out (possible when the kernels pair to zero)."""
+    mul = gf.mul_rows
     tbasis = kernel(gf, [a[1], b[1]])
     gbasis = kernel(gf, [a[0], b[0]])
     for _ in range(tries):
         w = _random_in_span(gf, tbasis, rng)
         g = _random_in_span(gf, gbasis, rng)
-        if evaluate(gf, g, w) != 0:
+        if mul[g[0]][w[0]] ^ mul[g[1]][w[1]] ^ mul[g[2]][w[2]] ^ mul[g[3]][w[3]]:
             return (w, g)
     return None
 

@@ -40,14 +40,14 @@ def vec_scale(gf: GF, c: int, v):
 
 
 def mat_vec(gf: GF, v, m):
-    """Row vector times matrix: (v*m)_c = sum_r v_r m[r][c]."""
+    """Row vector times 4x4 matrix: (v*m)_c = sum_r v_r m[r][c]."""
     mul = gf.mul_rows
-    out = [0, 0, 0, 0]
-    for vr, row in zip(v, m):
-        if vr:
-            by_vr = mul[vr]
-            out = [o ^ by_vr[x] for o, x in zip(out, row)]
-    return tuple(out)
+    a0, a1, a2, a3 = mul[v[0]], mul[v[1]], mul[v[2]], mul[v[3]]
+    r0, r1, r2, r3 = m
+    return (a0[r0[0]] ^ a1[r1[0]] ^ a2[r2[0]] ^ a3[r3[0]],
+            a0[r0[1]] ^ a1[r1[1]] ^ a2[r2[1]] ^ a3[r3[1]],
+            a0[r0[2]] ^ a1[r1[2]] ^ a2[r2[2]] ^ a3[r3[2]],
+            a0[r0[3]] ^ a1[r1[3]] ^ a2[r2[3]] ^ a3[r3[3]])
 
 
 def mat_mul(gf: GF, a, b):
@@ -131,32 +131,33 @@ def _kernel_two_rows(gf: GF, r0, r1):
     nothing.
     """
     mul, inverses = gf.mul_rows, gf.inverses
-    a0, a1, a2, a3 = mul[r0[0]], mul[r0[1]], mul[r0[2]], mul[r0[3]]
-    b0, b1, b2, b3 = r1
-    m01, m02, m03 = a0[b1] ^ a1[b0], a0[b2] ^ a2[b0], a0[b3] ^ a3[b0]
-    m12, m13, m23 = a1[b2] ^ a2[b1], a1[b3] ^ a3[b1], a2[b3] ^ a3[b2]
-    minors = ((0, m01, m02, m03), (m01, 0, m12, m13),
-              (m02, m12, 0, m23), (m03, m13, m23, 0))
-    basis = []
-    for p0, p1 in _PIVOT_PAIRS:
-        m = minors[p0][p1]
-        if m:
-            by_inv = mul[inverses[m]]
-            for c in range(4):
-                if c != p0 and c != p1:
-                    v = [0, 0, 0, 0]
-                    v[c], v[p0], v[p1] = 1, by_inv[minors[c][p1]], by_inv[minors[p0][c]]
-                    basis.append(tuple(v))
-            return basis
+    if r0 != r1:  # equal rows have rank <= 1: no minors needed
+        a0, a1, a2, a3 = mul[r0[0]], mul[r0[1]], mul[r0[2]], mul[r0[3]]
+        b0, b1, b2, b3 = r1
+        m01, m02, m03 = a0[b1] ^ a1[b0], a0[b2] ^ a2[b0], a0[b3] ^ a3[b0]
+        m12, m13, m23 = a1[b2] ^ a2[b1], a1[b3] ^ a3[b1], a2[b3] ^ a3[b2]
+        minors = ((0, m01, m02, m03), (m01, 0, m12, m13),
+                  (m02, m12, 0, m23), (m03, m13, m23, 0))
+        for p0, p1 in _PIVOT_PAIRS:
+            m = minors[p0][p1]
+            if m:
+                by_inv = mul[inverses[m]]
+                basis = []
+                for c in range(4):
+                    if c != p0 and c != p1:
+                        v = [0, 0, 0, 0]
+                        v[c], v[p0], v[p1] = 1, by_inv[minors[c][p1]], by_inv[minors[p0][c]]
+                        basis.append(tuple(v))
+                return basis
     row = r0 if any(r0) else r1
     for p, x in enumerate(row):
         if x:
             by_inv = mul[inverses[x]]
-            for c in range(4):
-                if c != p:
-                    v = [0, 0, 0, 0]
-                    v[c], v[p] = 1, by_inv[row[c]]
-                    basis.append(tuple(v))
+            basis = list(E4[:p])  # the row is zero before its pivot
+            for c in range(p + 1, 4):
+                v = list(E4[c])
+                v[p] = by_inv[row[c]]
+                basis.append(tuple(v))
             return basis
     return list(E4)
 

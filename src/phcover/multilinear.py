@@ -23,7 +23,7 @@ exactly the symmetric tensors with diagonal support.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import xor
+from operator import itemgetter, xor
 
 from .field import GF
 from .linalg import E4, det, evaluate, mat_inv, mat_vec, transpose
@@ -193,6 +193,8 @@ def u_from_basis(gf: GF, w, x, y, z):
 
 
 _OFFDIAG_SLOTS = tuple(t for t in range(21) if t not in DIAG_SLOTS)
+_offdiag = itemgetter(*_OFFDIAG_SLOTS)
+_ZERO_OFFDIAG = (0,) * len(_OFFDIAG_SLOTS)
 
 
 def in_w2(gf: GF, s) -> bool:
@@ -201,8 +203,10 @@ def in_w2(gf: GF, s) -> bool:
 
 
 def in_w2_plus_u(gf: GF, s) -> bool:
-    """Membership in the F2-space spanned by the squares and U."""
-    return in_w2(gf, s) or in_w2(gf, sym_add(s, big_u(gf)))
+    """Membership in the F2-space spanned by the squares and U: the
+    off-diagonal part of s is zero or that of U."""
+    off = _offdiag(s)
+    return off == _ZERO_OFFDIAG or off == _offdiag(big_u(gf))
 
 
 # ----------------------------------------------------------------------

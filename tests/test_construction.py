@@ -4,7 +4,7 @@ import random
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import E4, evaluate, mat_mul, vec_add, vec_scale
+from phcover.linalg import E4, evaluate, kernel, mat_mul, vec_add, vec_scale
 from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import multilinear as ml
@@ -76,6 +76,56 @@ def test_dart_voltage_errors():
             with pytest.raises(ValueError, match="not adjacent"):
                 cons.dart_voltage(gf, c, a)
         assert cons.dart_voltage(gf, a, b) == cons.dart_voltage(gf, b, a)
+
+
+def spec_dart_voltage(gf, a, b):
+    """h1(v1)^-1 h2(v2)^-1 (v1 ^ v2) * phi(h1 ^ h2) from the package's own
+    wedge, wedge_covectors, phi and sym_mul."""
+    (va, ha), (vb, hb) = a, b
+    scale = gf.mul(gf.inv(evaluate(gf, ha, va)), gf.inv(evaluate(gf, hb, vb)))
+    return ml.sym_mul(gf, ml.biv_scale(gf, scale, ml.wedge(gf, va, vb)),
+                      ml.phi(ml.wedge_covectors(gf, ha, hb)))
+
+
+def _assert_dart_voltage_refuses(gf, a, c):
+    """a non-adjacent c and a non-vertex sharing a's vector both raise."""
+    if not gr.adjacent(gf, a, c):
+        for x, y in ((a, c), (c, a)):
+            with pytest.raises(ValueError, match="not adjacent"):
+                cons.dart_voltage(gf, x, y)
+    bad = (a[0], kernel(gf, [a[0]])[0])
+    for x, y in ((a, bad), (bad, a)):
+        with pytest.raises(ValueError, match="not vertices"):
+            cons.dart_voltage(gf, x, y)
+
+
+def test_dart_voltage_matches_spec_on_every_gf2_dart():
+    gf = field_of_order(2)
+    graph = gr.build_affine_graph(gf)
+    darts = 0
+    for i, a in enumerate(graph.vertices):
+        for j in graph.neighbors(i).tolist():
+            b = graph.vertices[j]
+            assert cons.dart_voltage(gf, a, b) == spec_dart_voltage(gf, a, b)
+            darts += 1
+        _assert_dart_voltage_refuses(gf, a, graph.vertices[(i + 1) % graph.n])
+    assert darts == 2 * graph.edge_count() == 3360
+
+
+@pytest.mark.parametrize("q", (4, 8, 16))
+def test_dart_voltage_matches_spec_on_seeded_darts(q):
+    gf = field_of_order(q)
+    rng = random.Random(100 + q)
+    darts = 0
+    while darts < 2000:
+        a = gr.random_affine_vertex(gf, rng)
+        b = gr.random_neighbor(gf, a, rng)
+        if b is None:
+            continue
+        assert cons.dart_voltage(gf, a, b) == spec_dart_voltage(gf, a, b)
+        darts += 1
+        if darts % 20 == 0:
+            _assert_dart_voltage_refuses(gf, a, gr.random_affine_vertex(gf, rng))
 
 
 def reference_dart_voltage(gf, a, b):

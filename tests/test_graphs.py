@@ -388,8 +388,15 @@ def test_draws_match_randrange(q):
     bits = q.bit_length()
     for seed in range(50):
         fast, slow = random.Random(seed), random.Random(seed)
-        assert [gr._draw(fast.getrandbits, q, bits) for _ in range(10)] == \
-            [slow.randrange(q) for _ in range(10)]
+        assert [gr._draw4(fast.getrandbits, q, bits) for _ in range(3)] == \
+            [tuple(slow.randrange(q) for _ in range(4)) for _ in range(3)]
+        assert fast.getstate() == slow.getstate()
+        v = gr.random_nonzero_vector(gf, fast)
+        while True:
+            want = tuple(slow.randrange(q) for _ in range(4))
+            if any(want):
+                break
+        assert v == want and fast.getstate() == slow.getstate()
         vert = gr.random_affine_vertex(gf, fast)
         assert vert == _affine_vertex_by_randrange(gf, slow)
         other = gr.random_affine_vertex(gf, fast)

@@ -257,6 +257,28 @@ def test_two_row_kernel_equals_rref_kernel_on_every_pair(q):
             assert la.kernel(gf, [r0, r1]) == _rref_kernel(gf, [r0, r1])
 
 
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_equal_row_kernel_equals_rref_kernel_on_every_row(q):
+    gf = field_of_order(q)
+    for r in itertools.product(range(q), repeat=4):
+        assert la._kernel_two_rows(gf, r, tuple(r)) == _rref_kernel(gf, [r, r])
+    assert la._kernel_two_rows(gf, la.ZERO4, la.ZERO4) == list(la.E4)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_mat_vec_equals_generic_sum(q):
+    gf = field_of_order(q)
+    rng = random.Random(q)
+    for _ in range(100):
+        m = la.random_gl4(gf, rng)
+        v = tuple(rng.randrange(q) for _ in range(4))
+        want = [0, 0, 0, 0]
+        for r in range(4):
+            for c in range(4):
+                want[c] ^= gf.mul(v[r], m[r][c])
+        assert la.mat_vec(gf, v, m) == tuple(want)
+
+
 @pytest.mark.parametrize("q", (8, 16))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())

@@ -181,6 +181,23 @@ def test_in_w2_diagonal():
         assert ml.in_w2(gf, s)
 
 
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_in_w2_plus_u_matches_its_definition(q):
+    gf = field_of_order(q)
+    rng = random.Random(q)
+    u = ml.big_u(gf)
+    found = set()
+    for _ in range(300):
+        s = tuple(rng.randrange(q) for _ in range(21))
+        sq = ml.square(gf, tuple(rng.randrange(q) for _ in range(6)))
+        for t in (s, ml.sym_add(s, u), sq, ml.sym_add(sq, u)):
+            want = ml.in_w2(gf, t) or ml.in_w2(gf, ml.sym_add(t, u))
+            assert ml.in_w2_plus_u(gf, t) == want
+            found.add(want)
+        assert ml.in_w2_plus_u(gf, sq) and ml.in_w2_plus_u(gf, ml.sym_add(sq, u))
+    assert found == {False, True}
+
+
 def test_square_additive_and_semilinear():
     rng = random.Random(7)
     for q in FIELD_ORDERS:
