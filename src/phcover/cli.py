@@ -79,13 +79,13 @@ def cmd_verify(cfg) -> int:
     return 0 if passed else 1
 
 
-def _graph_doc(graph) -> dict:
+def _graph_doc(graph, kind: str) -> dict:
     # the darts i -> j with j > i, row by row, are the edges in row-major order
     src = graph.dart_sources()
     upper = graph._indices > src
     edges = np.stack([src[upper], graph._indices[upper]], axis=1).tolist()
     return {
-        "kind": graph.kind,
+        "kind": kind,
         "field": graph.gf.order,
         "vertex_count": graph.n,
         "edge_count": len(edges),
@@ -111,7 +111,7 @@ def cmd_export(cfg) -> int:
                   " export the projective graph instead", file=sys.stderr)
             return 2
         graph = build_projective_graph(gf) if cfg.graph == "projective" else build_affine_graph(gf)
-        doc = _graph_doc(graph)
+        doc = _graph_doc(graph, cfg.graph)
         if cfg.format == "edgelist":
             lines = [f"# {doc['kind']} field={doc['field']} vertices={doc['vertex_count']}"
                      f" edges={doc['edge_count']}"]

@@ -22,7 +22,6 @@ import json
 import random
 import re
 from functools import lru_cache, partial
-from itertools import chain
 
 import numpy as np
 
@@ -69,7 +68,6 @@ from .voltage import (
     component_of,
     find_pairs,
     fundamental_cycle_span,
-    pair_arrays,
     path_voltage,
     report,
     verify_local_isomorphism,
@@ -560,7 +558,7 @@ def _rational_subgraph_with_twists(gf: GF) -> Graph:
             if vert not in seen:
                 seen.add(vert)
                 verts.append(vert)
-    return Graph(gf, verts, "projective")
+    return Graph(gf, verts)
 
 
 def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> dict:
@@ -808,16 +806,16 @@ def brute_force_splitting_gf4() -> dict:
 
 def build_cover(cap: int = 10 ** 7) -> dict:
     """The lift component over GF(2) through the base vertex (e1, f1) with
-    tag 0, with its edge list and verification data."""
+    tag 0, and its verification data.  "vertices" holds the sorted (base,
+    tag) labels as an (n, 2) array, "edges" the label pairs i < j as an
+    (m, 2) array."""
     gf = field_of_order(2)
     graph = build_affine_graph(gf)
     table = voltage_table(graph)
     root = graph.index[vertex_v0(gf)]
     comp = component_of(table, root, cap=cap)
-    verts = comp["vertices"]
-    base, tag = pair_arrays(verts)
-    order = np.lexsort((tag, base))
-    base, tag = base[order], tag[order]
+    verts = comp["vertices"][np.lexsort(comp["vertices"].T[::-1])]
+    base, tag = verts[:, 0], verts[:, 1].astype(np.uint64)
     # the lift neighbour of each sorted vertex over each base neighbour
     i, pos = frontier_darts(table.indptr, base)
     nt = tag[i] ^ table.volts[pos]
@@ -826,15 +824,8 @@ def build_cover(cap: int = 10 ** 7) -> dict:
     # labels sort by base first and each row runs in base order, so the
     # edges i < j come out in (i, j) order
     keep = i < j
-    labels = list(range(len(verts)))  # one int object per label, shared by the edges
-    return {
-        "graph": graph,
-        "table": table,
-        "component": comp,
-        "vertices": [verts[k] for k in order.tolist()],
-        "edges": list(zip(map(labels.__getitem__, i[keep].tolist()),
-                          map(labels.__getitem__, j[keep].tolist()))),
-    }
+    return {"graph": graph, "table": table, "component": comp, "vertices": verts,
+            "edges": np.stack([i[keep], j[keep]], axis=1)}
 
 
 _cover_cache: list = []
@@ -854,29 +845,29 @@ def cover_data(cap: int = 10 ** 7) -> dict:
 
 def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:
     """Write the GF(2) cover with canonical labels (base index, tag bits)."""
+    if fmt not in ("json", "edgelist"):
+        raise ValueError(f"unknown format {fmt!r}")
     data = cover_data(cap)
-    graph = data["graph"]
+    verts, edges = data["vertices"].tolist(), data["edges"].tolist()
     if fmt == "json":
         doc = {
             "field": 2,
-            "vertex_count": len(data["vertices"]),
-            "edge_count": len(data["edges"]),
-            # tuples encode as JSON arrays
-            "base_vertices": graph.vertices,
-            "vertices": data["vertices"],
-            "edges": data["edges"],
+            "vertex_count": len(verts),
+            "edge_count": len(edges),
+            # the base vertices' tuples encode as JSON arrays
+            "base_vertices": data["graph"].vertices,
+            "vertices": verts,
+            "edges": edges,
         }
         # json.dumps runs the C encoder; json.dump would stream through the
         # pure-Python one
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    elif fmt == "edgelist":
-        text = "".join([
-            f"# cover field=2 vertices={len(data['vertices'])} edges={len(data['edges'])}\n",
-            *[f"v {i} {b} {t}\n" for i, (b, t) in enumerate(data["vertices"])],
-            *[f"e {i} {j}\n" for i, j in data["edges"]],
-        ])
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        text = "".join([
+            f"# cover field=2 vertices={len(verts)} edges={len(edges)}\n",
+            *[f"v {i} {b} {t}\n" for i, (b, t) in enumerate(verts)],
+            *[f"e {i} {j}\n" for i, j in edges],
+        ])
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -885,10 +876,13 @@ def load_cover(path: str, fmt: str = "json") -> dict:
     if fmt == "json":
         with open(path) as fh:
             doc = json.load(fh)
-        return {
-            "vertices": [(b, t) for b, t in doc["vertices"]],
-            "edges": [(i, j) for i, j in doc["edges"]],
-        }
+        try:
+            return {
+                "vertices": [(b, t) for b, t in doc["vertices"]],
+                "edges": [(i, j) for i, j in doc["edges"]],
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a cover document with vertex and edge pairs") from exc
     if fmt == "edgelist":
         with open(path) as fh:
             words = re.sub(r"(?m)^#.*$", "", fh.read()).split()
@@ -904,32 +898,26 @@ def load_cover(path: str, fmt: str = "json") -> dict:
 
 
 def cover_report() -> dict:
-    """Verify the GF(2) cover: vertex and edge counts, constant fibers,
-    connectivity, and the local isomorphism at every lift vertex."""
+    """Verify the GF(2) cover: vertex and edge counts, constant fibers over
+    every base vertex, connectivity, and the local isomorphism at every lift
+    vertex."""
     data = cover_data()
-    comp = data["component"]
-    fibers = comp["fiber_sizes"]
     table = data["table"]
-    n = len(data["vertices"])
-    m = len(data["edges"])
-    liso = verify_local_isomorphism(table, comp, mode="direct")
+    edges = data["edges"]
+    n, m = len(data["vertices"]), len(edges)
+    fiber_sizes = np.unique(np.bincount(data["vertices"][:, 0], minlength=table.graph.n)).tolist()
+    liso = verify_local_isomorphism(table, data["component"])
     # independent connectivity check on the exported edge list
-    ends = np.fromiter(chain.from_iterable(data["edges"]), dtype=np.int64, count=2 * m).reshape(-1, 2)
-    src = np.concatenate([ends[:, 0], ends[:, 1]])
-    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     dist = csr_distances(indptr, dst[np.argsort(src, kind="stable")], 0)
     connected = bool((dist >= 0).all())
-    passed = (
-        n == 7680 and m == 107520
-        and set(fibers.values()) == {64}
-        and len(fibers) == table.graph.n
-        and liso["passed"] and connected
-    )
+    passed = (n == 7680 and m == 107520 and fiber_sizes == [64]
+              and liso["passed"] and connected)
     return {"check": "cover", "field": 2, "mode": "exhaustive",
-            "vertices": n, "edges": m,
-            "fiber_sizes": sorted(set(fibers.values())),
+            "vertices": n, "edges": m, "fiber_sizes": fiber_sizes,
             "local_isomorphism": liso, "connected": connected,
             "violations": 0 if passed else 1, "passed": passed}
 

@@ -10,9 +10,11 @@ instead of assuming.
 
 A :class:`Graph` computes its full adjacency when it is made (packed bit
 rows plus CSR neighbour lists) and is refused above ``ADJ_CAP`` vertices;
-the largest the package builds is the GF(4) projective graph.  Larger
-fields are served by the adjacency oracle :func:`adjacent` and by lazy
-random samplers, never enumerated.
+the largest the package builds is the GF(4) projective graph.  The only
+affine graph under that cap is the GF(2) one, where normalising changes
+nothing, so :func:`build_affine_graph` returns the projective graph
+object itself.  Larger fields are served by the adjacency oracle
+:func:`adjacent` and by lazy random samplers, never enumerated.
 """
 
 from __future__ import annotations
@@ -76,22 +78,17 @@ def proj_points(gf: GF, dim: int = 4):
     return list(_normalized_tuples(gf, dim))
 
 
-def affine_vertices(gf: GF, cap: int = ENUM_CAP, dim: int = 4):
-    """All affine vertices in lexicographic (v, h) order; refuses above cap.
-
-    dim is the vector-space dimension: 4 for the projective-dimension-3
-    graph at the heart of the construction, 3 for its local-graph
-    comparisons."""
-    q = gf.order
-    total = (q ** dim - 1) * (q ** dim - q ** (dim - 1))
+def affine_vertices(gf: GF, cap: int = ENUM_CAP):
+    """All affine vertices in lexicographic (v, h) order; refuses above cap."""
+    total = count_projective_vertices(gf) * (gf.order - 1) ** 2
     if total > cap:
         raise ValueError(
             f"affine vertex set of size {total} exceeds the enumeration cap {cap};"
             " use the lazy samplers or raise the cap"
         )
     verts = []
-    for v in _nonzero_tuples(gf, dim):
-        for h in _nonzero_tuples(gf, dim):
+    for v in _nonzero_tuples(gf):
+        for h in _nonzero_tuples(gf):
             if evaluate(gf, h, v) != 0:
                 verts.append((v, h))
     return verts
@@ -161,12 +158,11 @@ class Graph:
     raise ValueError before any of it is allocated.
     """
 
-    def __init__(self, gf: GF, vertices, kind: str):
+    def __init__(self, gf: GF, vertices):
         self.vertices = list(vertices)
         self.n = len(self.vertices)
         _refuse_above_adj_cap(self.n)
         self.gf = gf
-        self.kind = kind
         self.index = {v: i for i, v in enumerate(self.vertices)}
         dim = len(self.vertices[0][0]) if self.vertices else 4
         self.vmat = np.array([v for v, _ in self.vertices], dtype=np.uint8).reshape(self.n, dim)
@@ -205,29 +201,27 @@ class Graph:
 _graph_cache: dict = {}
 
 
-def build_affine_graph(gf: GF, cap: int = ENUM_CAP, dim: int = 4) -> Graph:
+def build_affine_graph(gf: GF) -> Graph:
     """The affine graph, refused above ADJ_CAP vertices before any is
-    enumerated; each projective vertex has (q-1)^2 affine rescalings."""
-    key = ("affine", gf.order, dim)
-    if key not in _graph_cache:
-        _refuse_above_adj_cap(count_projective_vertices(gf, dim) * (gf.order - 1) ** 2)
-        _graph_cache[key] = Graph(gf, affine_vertices(gf, cap, dim), "affine")
-    return _graph_cache[key]
+    enumerated; each projective vertex has (q-1)^2 affine rescalings, so
+    only GF(2) passes, where the affine graph is the projective one."""
+    _refuse_above_adj_cap(count_projective_vertices(gf) * (gf.order - 1) ** 2)
+    return build_projective_graph(gf)
 
 
-def build_projective_graph(gf: GF, cap: int = ENUM_CAP, dim: int = 4) -> Graph:
-    """The projective graph, refused above ADJ_CAP vertices before any is
-    enumerated."""
-    key = ("projective", gf.order, dim)
+def build_projective_graph(gf: GF, dim: int = 4) -> Graph:
+    """The projective graph, built once per field and dimension, and refused
+    above ADJ_CAP vertices before any is enumerated."""
+    key = (gf.order, dim)
     if key not in _graph_cache:
         _refuse_above_adj_cap(count_projective_vertices(gf, dim))
-        _graph_cache[key] = Graph(gf, projective_vertices(gf, cap, dim), "projective")
+        _graph_cache[key] = Graph(gf, projective_vertices(gf, dim=dim))
     return _graph_cache[key]
 
 
 def subgraph(graph: Graph, vertex_ids) -> Graph:
     """Induced subgraph on the given vertex indices (kept in the given order)."""
-    return Graph(graph.gf, [graph.vertices[i] for i in vertex_ids], graph.kind)
+    return Graph(graph.gf, [graph.vertices[i] for i in vertex_ids])
 
 
 def local_graph(graph: Graph, i: int) -> Graph:

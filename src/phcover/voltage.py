@@ -9,14 +9,14 @@ XOR folds of packed coordinate vectors.
 A :class:`DartTable` pins one voltage assignment to one enumerated
 graph as a CSR array of packed values; everything bulk (spanning-tree
 potentials, fundamental-cycle spans, lift components, local-isomorphism
-verification) runs off it.  The scalar entry points take a plain
+verification) runs off it.  A lift vertex is a (base index, packed tag)
+row of one ``(n, 2)`` int64 array.  The scalar entry points take a plain
 ``dart_fn(a, b) -> 21-tuple`` instead and work on any graph.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 
 import numpy as np
 
@@ -82,9 +82,12 @@ def report(check, gf: GF, mode, samples, violations, witnesses, **extra) -> dict
 
 
 def path_voltage(gf: GF, dart_fn, path):
-    """Sum of the dart voltages along a path of pairwise-adjacent vertices."""
-    acc = ZERO21
-    for a, b in zip(path, path[1:]):
+    """Sum of the dart voltages along a path of pairwise-adjacent vertices;
+    ZERO21 for a path of fewer than two vertices."""
+    if len(path) < 2:
+        return ZERO21
+    acc = dart_fn(path[0], path[1])
+    for a, b in zip(path[1:], path[2:]):
         acc = sym_add(acc, dart_fn(a, b))
     return acc
 
@@ -260,12 +263,6 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def pair_arrays(pairs):
-    """(base, tag) pairs as an int64 base array and a uint64 tag array."""
-    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.uint64, count=2 * len(pairs))
-    return flat[0::2].astype(np.int64), flat[1::2].copy()
-
-
 def find_pairs(keys_b, keys_t, b, t) -> np.ndarray:
     """Position of each pair (b[i], t[i]) among the keys, sorted by base and
     then tag, or -1.  Tags (42 bits over GF(4), 63 over GF(8)) are ranked
@@ -283,8 +280,9 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
 
     Tags are canonical packed representatives modulo U; the unique lift
     neighbour of (u, m) over the base neighbour v carries the tag
-    m + voltage(u, v).  Raises CapExceeded when the component has more than
-    cap vertices.
+    m + voltage(u, v).  Returns {"vertices": the (n, 2) int64 array of
+    (base, tag) rows in BFS order}.  Raises CapExceeded when the component
+    has more than cap vertices.
 
     The BFS runs one level at a time: the darts of a level are gathered
     row after row, and the lift neighbours not seen before are queued in
@@ -318,49 +316,18 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
             )
         queue_b = np.concatenate([queue_b, nb[fresh]])
         queue_t = np.concatenate([queue_t, nt[fresh]])
-    verts = list(zip(queue_b.tolist(), queue_t.tolist()))
-    index = {key: i for i, key in enumerate(verts)}
-    fibers: dict[int, int] = {}
-    for b, _ in verts:
-        fibers[b] = fibers.get(b, 0) + 1
-    return {"vertices": verts, "index": index, "fiber_sizes": fibers}
+    return {"vertices": np.stack([queue_b, queue_t.astype(np.int64)], axis=1)}
 
 
-def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") -> dict:
+def verify_local_isomorphism(table: DartTable, component) -> dict:
     """Check that projecting each lift vertex's neighbourhood onto the base
-    neighbourhood is an adjacency-and-non-adjacency preserving bijection.
-
-    mode "direct" verifies this at every lift vertex of the component, in
-    one pass over every (lift vertex, base triangle through its base) pair;
-    mode "triangles" verifies the equivalent triangle condition (every base
-    triangle has voltage 0 in N) instead.
-    """
-    gf = table.gf
+    neighbourhood is an adjacency-and-non-adjacency preserving bijection,
+    at every lift vertex of the component, in one pass over every (lift
+    vertex, base triangle through its base) pair."""
     g = table.graph
-    up = u_packed(gf)
-    violations = 0
-    checked = 0
-    if mode == "triangles":
-        for u in range(g.n):
-            nbrs = g.neighbors(u)
-            for a_pos in range(len(nbrs)):
-                a = int(nbrs[a_pos])
-                if a < u:
-                    continue
-                for b_pos in range(a_pos + 1, len(nbrs)):
-                    b = int(nbrs[b_pos])
-                    if b < u or not g.adjacent(a, b):
-                        continue
-                    tri = table.dart(u, a) ^ table.dart(a, b) ^ table.dart(b, u)
-                    checked += 1
-                    if tri not in (0, up):
-                        violations += 1
-        return {"mode": mode, "checked": checked, "violations": violations,
-                "passed": violations == 0}
-
-    up = np.uint64(up)
+    up = np.uint64(u_packed(table.gf))
     indptr, indices, volts = table.indptr, table.indices, table.volts
-    vb, vt = pair_arrays(component["vertices"])
+    vb, vt = component["vertices"][:, 0], component["vertices"][:, 1].astype(np.uint64)
     # the base triangles (u, w1, w2) with w1 < w2 through each base u of the
     # component, as CSR positions of the darts u-w1 (p), u-w2 (q), w1-w2 (e)
     bases, base_slot = np.unique(vb, return_inverse=True)
@@ -388,13 +355,12 @@ def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") 
     # bijectivity: a lift vertex has one lift neighbour over each base
     # neighbour, so the projection is onto the base neighbourhood and
     # one-to-one exactly when every such neighbour is in the component
-    kb, kt = pair_arrays(list(component["index"]))
-    order = np.lexsort((kt, kb))
+    order = np.lexsort((vt, vb))
     k, pos = frontier_darts(indptr, vb)
     nt = vt[k] ^ volts[pos]
-    missing = find_pairs(kb[order], kt[order], indices[pos], np.minimum(nt, nt ^ up)) < 0
+    missing = find_pairs(vb[order], vt[order], indices[pos], np.minimum(nt, nt ^ up)) < 0
     violations += int(missing.sum())
-    return {"mode": mode, "checked": checked, "violations": violations,
+    return {"mode": "direct", "checked": checked, "violations": violations,
             "passed": violations == 0}
 
 
@@ -403,14 +369,10 @@ def verify_local_isomorphism(table: DartTable, component, mode: str = "direct") 
 # ----------------------------------------------------------------------
 
 def vertex_image_index(table: DartTable, act: MatrixAction, i: int) -> int:
-    """Index of the image of vertex i under the matrix action, normalising
-    when the graph is projective."""
+    """Index of the normalised image of vertex i under the matrix action."""
     g = table.graph
     v, h = g.vertices[i]
-    vi, hi = act.on_vector(v), act.on_covector(h)
-    if g.kind == "projective":
-        vi, hi = normalize(g.gf, vi), normalize(g.gf, hi)
-    return g.index[(vi, hi)]
+    return g.index[(normalize(g.gf, act.on_vector(v)), normalize(g.gf, act.on_covector(h)))]
 
 
 def lambda_of(table: DartTable, act: MatrixAction, v_idx: int, via: int | None = None) -> int:

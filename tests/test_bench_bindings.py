@@ -1,0 +1,81 @@
+"""The package names and result shapes the benchmark's tracer relies on.
+
+``bench/tracing.py`` wraps named functions of the package and reads work
+counters off their arguments and results.  A renamed function or a changed
+result shape would otherwise show only in a traced benchmark run.  The
+tracer is loaded from its file without writing anything under ``bench/``.
+"""
+
+import importlib.util
+import pathlib
+import random
+import sys
+
+import pytest
+
+from phcover import construction as cons
+from phcover import graphs as gr
+from phcover import voltage as vg
+from phcover.field import field_of_order
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("phcover_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_bound(tracing):
+    tracer = tracing.Tracer()
+    try:
+        # raises when a traced function is bound nowhere or a method is gone
+        tracer.install()
+        assert hasattr(vg.component_of, "__wrapped__")
+    finally:
+        tracer.uninstall()
+    assert not hasattr(vg.component_of, "__wrapped__")
+
+
+def test_counters_read_real_results(tracing, tmp_path):
+    gf = field_of_order(2)
+    graph = gr.build_affine_graph(gf)
+    table = cons.voltage_table(graph)
+    cons.cover_data()  # built here, so that component_of runs once below
+    path = str(tmp_path / "cover.json")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        cons.bulk_dart_voltage(gf, graph.dart_sources(), graph._indices, graph.vmat, graph.hmat)
+        span = vg.fundamental_cycle_span(table, 0)
+        vg.component_of(table, 0)
+        cons.export_cover(path)
+        vertex = ((1, 0, 0, 0), (1, 0, 0, 0))
+        accepted = [gr.sample_common_neighbor(gf, vertex, vertex, random.Random(1))
+                    is not None for _ in range(5)]
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert set(tracing.COUNTERS) == {
+        "construction.bulk_dart_voltage", "construction.export_cover",
+        "voltage.fundamental_cycle_span", "voltage.component_of",
+        "graphs.sample_common_neighbor"}
+    assert summary["construction.bulk_dart_voltage"]["darts"] == 3360
+    assert summary["voltage.fundamental_cycle_span"]["distinct_voltages"] == \
+        span["distinct_voltages"] > 1
+    assert summary["voltage.component_of"]["lift_vertices"] == 7680
+    assert summary["construction.export_cover"]["bytes"] == pathlib.Path(path).stat().st_size
+    assert summary["graphs.sample_common_neighbor"].get("accepted", 0) == sum(accepted) > 0
+
+
+def test_cover_round_trip_expression(tmp_path):
+    # the comparison the benchmark makes after loading an exported cover
+    path = str(tmp_path / "cover.json")
+    cons.export_cover(path)
+    built, loaded = cons.cover_data(), cons.load_cover(path)
+    assert loaded["vertices"] == [tuple(v) for v in built["vertices"]]
+    assert loaded["edges"] == [tuple(e) for e in built["edges"]]

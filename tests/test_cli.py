@@ -79,6 +79,29 @@ def test_export_base_graph_edgelist(tmp_path):
     assert len([ln for ln in lines if ln.startswith("e ")]) == 1680
 
 
+def test_verify_all_gf2_builds_one_graph_and_one_table(monkeypatch):
+    from phcover import graphs as gr
+
+    # fresh caches, so that the run builds what it needs
+    monkeypatch.setattr(gr, "_graph_cache", {})
+    monkeypatch.setattr(cons, "_cover_cache", [])
+    graphs, tables = [], []
+    init, bulk = gr.Graph.__init__, cons.bulk_dart_voltage
+
+    def counted_init(self, gf, vertices):
+        init(self, gf, vertices)
+        graphs.append(gf.order)
+
+    def counted_bulk(gf, *args):
+        tables.append(gf.order)
+        return bulk(gf, *args)
+
+    monkeypatch.setattr(gr.Graph, "__init__", counted_init)
+    monkeypatch.setattr(cons, "bulk_dart_voltage", counted_bulk)
+    assert run(["verify", "all", "--field", "2", "--samples", "1000"]) == 0
+    assert graphs == [2] and tables == [2]
+
+
 def test_export_cover_and_guard(tmp_path):
     out = str(tmp_path / "cover.json")
     assert run(["export", "cover", "--field", "2", "--out", out]) == 0

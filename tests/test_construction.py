@@ -737,7 +737,7 @@ def test_cover_fibers_are_m_cosets():
     gf = field_of_order(2)
     data = cons.cover_data()
     fibers: dict = {}
-    for b, t in data["component"]["vertices"]:
+    for b, t in data["component"]["vertices"].tolist():
         fibers.setdefault(b, set()).add(t)
     m_elems = {ml.pack_sym(gf, cons.m_to_sym(gf, m)) for m in range(64)}
     up = ml.u_packed(gf)
@@ -753,8 +753,8 @@ def test_export_roundtrip(tmp_path):
         path = str(tmp_path / name)
         cons.export_cover(path, fmt)
         loaded = cons.load_cover(path, fmt)
-        assert [tuple(v) for v in loaded["vertices"]] == data["vertices"]
-        assert [tuple(e) for e in loaded["edges"]] == data["edges"]
+        assert loaded["vertices"] == list(map(tuple, data["vertices"].tolist()))
+        assert loaded["edges"] == list(map(tuple, data["edges"].tolist()))
 
 
 def test_export_deterministic(tmp_path):
@@ -769,6 +769,25 @@ def test_export_unknown_format(tmp_path):
         cons.export_cover(str(tmp_path / "x"), "parquet")
 
 
+def test_export_rejects_unknown_format_before_building(monkeypatch, tmp_path):
+    def no_cover(cap=10 ** 7):
+        raise AssertionError("cover_data called")
+
+    monkeypatch.setattr(cons, "cover_data", no_cover)
+    with pytest.raises(ValueError, match="unknown format"):
+        cons.export_cover(str(tmp_path / "x"), "parquet")
+    assert not (tmp_path / "x").exists()
+
+
+def test_load_json_rejects_malformed(tmp_path):
+    path = tmp_path / "bad.json"
+    for doc in ({}, {"vertices": [[0, 1]]}, {"vertices": [[0, 1]], "edges": [[0]]},
+                {"vertices": [0], "edges": []}, {"vertices": None, "edges": []}, [1, 2]):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="not a cover document"):
+            cons.load_cover(str(path), "json")
+
+
 def test_load_edgelist_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     for text in ("v 0 1 2\ne 0\n", "v 0 1\n", "x 1 2\n", "e 0 1\nv 0 1 2\n", "v 0 a 2\n"):
@@ -781,7 +800,7 @@ def test_cover_connectivity_reads_the_edge_list(monkeypatch):
     data = dict(cons.cover_data())
     # without the edges at vertex 0 the edge list is disconnected, while
     # the component it came from is unchanged
-    data["edges"] = [e for e in data["edges"] if 0 not in e]
+    data["edges"] = data["edges"][(data["edges"] != 0).all(axis=1)]
     monkeypatch.setattr(cons, "cover_data", lambda cap=10 ** 7: data)
     rep = cons.cover_report()
     assert not rep["connected"] and not rep["passed"]

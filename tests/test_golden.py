@@ -4,8 +4,9 @@ The CSR adjacency and packed dart voltages of the GF(4) projective and the
 GF(2) affine graph, and their BFS spanning trees at root 0, must stay
 bit-for-bit the same across refactors of graph enumeration, the bulk
 voltage kernel and the tree; so must the table of the GF(8) canonical
-subgraph and both exports of the GF(4) projective base graph.  A digest is the sha256 of the arrays'
-little-endian bytes, taken in turn at fixed widths.  The GF(2) cover is
+subgraph, both exports of the GF(4) projective base graph and both
+exports of the GF(2) base graph under either label.  A digest is the
+sha256 of the arrays' little-endian bytes, taken in turn at fixed widths.  The GF(2) cover is
 pinned the same way, by the sha256 of both export formats and of the BFS
 order of its lift component, the `verify all` report of each field by
 the sha256 of its stdout, and the seeded sampled checks by the sha256 of
@@ -75,6 +76,25 @@ def test_base_graph_export_digests(fmt, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BASE_GRAPH_GOLDEN[fmt]
 
 
+# over GF(2) the affine and the projective graph are one graph: the two
+# exports differ only in the label of their kind
+GF2_BASE_GRAPH_GOLDEN = {
+    ("affine", "json"): "792444a044081da8a255ac940363343079d8a9f58422fe65fbc6e0f1c9def59b",
+    ("affine", "edgelist"): "0081a618fcd667d9a724a2ff84a4da8fdf6fb64b934468ae138eaa0b0f3bdd87",
+    ("projective", "json"): "8084e6676bfa844f82e648a0f0fc4d3088e23b493b3534b807408336e43b6fe3",
+    ("projective", "edgelist"): "8c897544a028793aed08d25b95a1f070ceb5daac9c39bcf3878af41945ac1057",
+}
+
+
+@pytest.mark.parametrize("graph, fmt", sorted(GF2_BASE_GRAPH_GOLDEN))
+def test_gf2_base_graph_export_digests(graph, fmt, tmp_path):
+    path = tmp_path / f"graph.{fmt}"
+    argv = ["export", "base-graph", "--field", "2", "--graph", graph, "--format", fmt,
+            "--out", str(path)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GF2_BASE_GRAPH_GOLDEN[(graph, fmt)]
+
+
 COVER_GOLDEN = {
     "json": "2d9e86f3870c713d6b35fa507c536d8fdb8630bf750ecd576ef58559aef41045",
     "edgelist": "9e178312059633731c686183b51b08170d14a77b062dd3aea53f2d6b3834ed08",
@@ -89,7 +109,7 @@ def test_cover_export_digests(fmt, tmp_path):
 
 
 def test_cover_component_order_digest():
-    verts = cons.cover_data()["component"]["vertices"]
+    verts = cons.cover_data()["component"]["vertices"].tolist()
     assert hashlib.sha256(json.dumps(verts).encode()).hexdigest() == \
         "df6016b61dad524acb6cfd16fc2eea5475e9c7a8001a735ff6a254d13a3a869f"
 

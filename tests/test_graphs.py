@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -63,8 +64,8 @@ def test_graph_refuses_more_vertices_than_adj_cap():
     gf = field_of_order(4)
     verts = gr.affine_vertices(gf)[:gr.ADJ_CAP + 1]
     with pytest.raises(ValueError, match="adjacency cap"):
-        gr.Graph(gf, verts, "affine")
-    g = gr.Graph(gf, verts[:gr.ADJ_CAP], "affine")
+        gr.Graph(gf, verts)
+    g = gr.Graph(gf, verts[:gr.ADJ_CAP])
     assert g.n == gr.ADJ_CAP and g.edge_count() > 0
 
 
@@ -83,6 +84,17 @@ def test_graph_builders_refuse_before_enumerating(monkeypatch):
         gr.build_projective_graph(field_of_order(8))
     with pytest.raises(ValueError, match="adjacency cap"):
         gr.build_affine_graph(field_of_order(4))
+
+
+def test_one_gf2_graph():
+    gf = field_of_order(2)
+    g = gr.build_affine_graph(gf)
+    assert g is gr.build_projective_graph(gf)
+    # normalising changes nothing over GF(2)
+    assert g.vertices == gr.affine_vertices(gf)
+    assert not hasattr(g, "kind")
+    for fn in (gr.Graph, gr.subgraph, gr.build_affine_graph, gr.build_projective_graph):
+        assert not {"kind", "cap"} & set(inspect.signature(fn).parameters)
 
 
 def test_vertex_ordering_deterministic():
@@ -295,7 +307,7 @@ def test_local_graph_gf2():
 
 def test_empty_local_graph_guard():
     gf = field_of_order(2)
-    g = gr.Graph(gf, [(E4[0], E4[0])], "affine")
+    g = gr.Graph(gf, [(E4[0], E4[0])])
     assert gr.local_graph(g, 0).n == 0
 
 
@@ -303,7 +315,7 @@ def test_local_graph_looks_like_dimension_three_graph():
     # the big graph is locally the one of one lower projective dimension:
     # same vertex count, same regular degree, same edge count
     gf = field_of_order(2)
-    small = gr.build_affine_graph(gf, dim=3)
+    small = gr.build_projective_graph(gf, dim=3)
     assert small.n == 28
     small_degrees = {small.degree(i) for i in range(small.n)}
     big = gr.build_affine_graph(gf)

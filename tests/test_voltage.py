@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from phcover.field import field_of_order
@@ -31,7 +33,9 @@ def test_path_voltage_empty_and_two_cycle():
     rng = random.Random(0)
     a = gr.random_affine_vertex(gf, rng)
     b = gr.random_neighbor(gf, a, rng)
+    assert vg.path_voltage(gf, ell(gf), ()) == ml.ZERO21
     assert vg.path_voltage(gf, ell(gf), (a,)) == ml.ZERO21
+    assert vg.path_voltage(gf, ell(gf), (a, b)) == ell(gf)(a, b)
     assert vg.path_voltage(gf, ell(gf), (a, b, a)) == ml.ZERO21
 
 
@@ -161,7 +165,7 @@ def test_dart_lookups_repeat_on_a_kept_row():
 def test_fundamental_cycles_of_single_edge_graph():
     gf = field_of_order(2)
     verts = [((1, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, 1, 0), (0, 0, 1, 0))]
-    g = gr.Graph(gf, verts, "affine")
+    g = gr.Graph(gf, verts)
     table = cons.voltage_table(g)
     res = vg.fundamental_cycle_span(table, 0)
     assert res["span"].dim == 0
@@ -253,8 +257,7 @@ def test_spanning_tree_matches_queue_bfs():
 def test_spanning_tree_refuses_disconnected_graph():
     gf = field_of_order(2)
     # f1(e1) = 1: neither vertex's covector kills the other's vector
-    pair = gr.Graph(gf, [((1, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 1, 0, 0))],
-                    "affine")
+    pair = gr.Graph(gf, [((1, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 1, 0, 0))])
     # a star around vertex 0 and one vertex adjacent to none of it
     big = gr.build_affine_graph(gf)
     star = [0] + big.neighbors(0)[:5].tolist()
@@ -276,9 +279,9 @@ def test_component_zero_voltage_is_base():
     table = cons.voltage_table(graph)
     zero_table = vg.DartTable(graph, table.indptr, table.indices,
                               table.volts * 0)
-    comp = vg.component_of(zero_table, 0)
-    assert len(comp["vertices"]) == graph.n
-    assert set(comp["fiber_sizes"].values()) == {1}
+    verts = vg.component_of(zero_table, 0)["vertices"]
+    assert verts.shape == (graph.n, 2)
+    assert sorted(verts[:, 0].tolist()) == list(range(graph.n))
 
 
 def _queue_component(table, root, root_tag):
@@ -304,12 +307,12 @@ def test_component_matches_queue_bfs():
     gf = field_of_order(2)
     table = cons.voltage_table(gr.build_affine_graph(gf))
     comp = vg.component_of(table, 5, root_tag=3)
+    assert list(comp) == ["vertices"]
     verts = comp["vertices"]
-    assert len(verts) == 7680
-    assert verts[:3] == [(5, 3), (17, 2305), (19, 3392)]
-    assert verts == _queue_component(table, 5, 3)
-    assert comp["index"] == {key: i for i, key in enumerate(verts)}
-    assert set(comp["fiber_sizes"].values()) == {64} and len(comp["fiber_sizes"]) == 120
+    assert verts.shape == (7680, 2) and verts.dtype == np.int64
+    assert verts[:3].tolist() == [[5, 3], [17, 2305], [19, 3392]]
+    assert list(map(tuple, verts.tolist())) == _queue_component(table, 5, 3)
+    assert set(np.bincount(verts[:, 0]).tolist()) == {64} and verts[:, 0].max() == 119
 
 
 def test_component_cap_guard():
@@ -326,9 +329,9 @@ def test_component_cap_guard():
 def test_find_pairs_wide_tags():
     # tags of 63 bits, as over GF(8), with bases sharing tags
     keys = sorted({(b, t) for b in (0, 3, 9) for t in (5, 2 ** 62 + 1, 2 ** 63 - 1)} - {(3, 5)})
-    kb, kt = vg.pair_arrays(keys)
+    kb, kt = np.array([b for b, _ in keys]), np.array([t for _, t in keys], dtype=np.uint64)
     queries = keys[::-1] + [(3, 5), (0, 6), (9, 2 ** 63 - 2), (10, 5), (0, 2 ** 63)]
-    qb, qt = vg.pair_arrays(queries)
+    qb, qt = np.array([b for b, _ in queries]), np.array([t for _, t in queries], dtype=np.uint64)
     want = [keys.index(q) if q in keys else -1 for q in queries]
     assert vg.find_pairs(kb, kt, qb, qt).tolist() == want
 
@@ -340,45 +343,53 @@ def test_component_cap_guard_gf4():
         vg.component_of(table, 0, cap=2000)
 
 
-def test_local_isomorphism_modes_agree_on_cover():
+def test_local_isomorphism_on_cover():
     data = cons.cover_data()
-    table = data["table"]
-    direct = vg.verify_local_isomorphism(table, data["component"], mode="direct")
-    tri = vg.verify_local_isomorphism(table, None, mode="triangles")
-    assert direct["passed"] and tri["passed"]
+    rep = vg.verify_local_isomorphism(data["table"], data["component"])
+    assert rep["passed"] and rep["mode"] == "direct"
+    assert list(inspect.signature(vg.verify_local_isomorphism).parameters) == ["table", "component"]
+    assert not hasattr(vg, "pair_arrays")
     # every lift vertex times the 84 base triangles through its base
-    assert (direct["checked"], direct["violations"]) == (7680 * 84, 0)
+    assert (rep["checked"], rep["violations"]) == (7680 * 84, 0)
 
 
-def test_local_isomorphism_detects_corruption():
+def _corrupted_gf2_table():
+    """The GF(2) dart table with one dart pair flipped to a non-U
+    off-diagonal voltage."""
     gf = field_of_order(2)
     graph = gr.build_affine_graph(gf)
     table = cons.voltage_table(graph)
     volts = table.volts.copy()
-    # flip one dart pair to a non-U off-diagonal voltage
     i = 0
     j = int(graph.neighbors(0)[0])
-    import numpy as np
-
     bad = np.uint64(ml.pack_sym(gf, ml.sym_mul(gf, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))))
     for a, b in ((i, j), (j, i)):
         lo, hi = table.indptr[a], table.indptr[a + 1]
         pos = lo + int(np.searchsorted(table.indices[lo:hi], b))
         volts[pos] ^= bad
-    corrupted = vg.DartTable(graph, table.indptr, table.indices, volts)
-    rep = vg.verify_local_isomorphism(corrupted, None, mode="triangles")
-    assert not rep["passed"] and rep["violations"] > 0
+    return vg.DartTable(graph, table.indptr, table.indices, volts)
+
+
+def test_local_isomorphism_detects_corruption():
     component = cons.cover_data()["component"]
-    rep = vg.verify_local_isomorphism(corrupted, component, mode="direct")
+    rep = vg.verify_local_isomorphism(_corrupted_gf2_table(), component)
     assert not rep["passed"] and rep["violations"] > 0
     assert (rep["checked"], rep["violations"]) == (645120, 1280)
 
 
+def test_exhaustive_triangles_detect_corruption(monkeypatch):
+    # the triangle lemma's check reads the same corrupted table: the flipped
+    # edge lies on 6 of the 3360 triangles, whose voltage is then not U
+    corrupted = _corrupted_gf2_table()
+    monkeypatch.setattr(cons, "voltage_table", lambda graph: corrupted)
+    rep = cons.verify_triangles(field_of_order(2), "exhaustive")
+    assert (rep["samples"], rep["violations"], rep["passed"]) == (3360, 6, False)
+
+
 def test_local_isomorphism_direct_detects_missing_vertices():
     data = cons.cover_data()
-    verts = data["component"]["vertices"][:-64]
-    truncated = {"vertices": verts, "index": {v: i for i, v in enumerate(verts)}}
-    rep = vg.verify_local_isomorphism(data["table"], truncated, mode="direct")
+    truncated = {"vertices": data["component"]["vertices"][:-64]}
+    rep = vg.verify_local_isomorphism(data["table"], truncated)
     assert not rep["passed"] and rep["violations"] > 0
     assert (rep["checked"], rep["violations"]) == (639744, 1766)
 
@@ -404,7 +415,7 @@ def test_act_lift_preserves_adjacency():
     for _ in range(200):
         act = ml.action(gf, random_sl4(gf, rng))
         k = ml.n_project_packed(gf, ml.pack_sym(gf, tuple(rng.randrange(2) for _ in range(21))))
-        bi, ti = comp["vertices"][rng.randrange(len(comp["vertices"]))]
+        bi, ti = comp["vertices"][rng.randrange(len(comp["vertices"]))].tolist()
         nbrs = graph.neighbors(bi)
         bj = int(nbrs[rng.randrange(len(nbrs))])
         tj = ti ^ table.dart(bi, bj)
@@ -460,13 +471,14 @@ def test_stabilizer_maps_root_into_component():
     graph, table, comp = data["graph"], data["table"], data["component"]
     v0 = graph.index[cons.vertex_v0(gf)]
     rng = random.Random(8)
+    keys = set(map(tuple, comp["vertices"].tolist()))
     m_elems = [ml.pack_sym(gf, cons.m_to_sym(gf, m)) for m in range(64)]
     for _ in range(50):
         act = ml.action(gf, random_sl4(gf, rng))
         lam = vg.lambda_of(table, act, v0)
         k = ml.n_project_packed(gf, lam ^ rng.choice(m_elems))
         vert, tag = vg.act_lift(gf, act, graph.vertices[v0], 0, k)
-        assert (graph.index[vert], tag) in comp["index"]
+        assert (graph.index[vert], tag) in keys
 
 
 def test_stabilizer_cocycle_lands_in_m():
