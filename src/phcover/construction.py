@@ -19,9 +19,11 @@ rather than assumed.
 from __future__ import annotations
 
 import json
+import operator
 import random
 import re
 from functools import lru_cache, partial
+from itertools import combinations
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .multilinear import (
     BIV_PAIRS,
     DIAG_SLOTS,
     SYM_SLOT,
+    ZERO21,
     _span_table,
     action,
     big_u,
@@ -70,6 +73,7 @@ from .voltage import (
     fundamental_cycle_span,
     path_voltage,
     report,
+    tally,
     verify_local_isomorphism,
 )
 
@@ -117,10 +121,6 @@ def dart_voltage(gf: GF, a, b):
 def cycle_voltage(gf: GF, cyc):
     """Voltage in S2(W) of the closed walk through the vertices of cyc."""
     return path_voltage(gf, lambda a, b: dart_voltage(gf, a, b), cyc + (cyc[0],))
-
-
-def dart_voltage_packed(gf: GF, a, b) -> int:
-    return pack_sym(gf, dart_voltage(gf, a, b))
 
 
 # darts per block of bulk_dart_voltage, which bounds its temporaries
@@ -261,7 +261,7 @@ def voltage_table(graph: Graph) -> DartTable:
             table = DartTable.from_bulk(graph, partial(bulk_dart_voltage, gf))
         else:
             table = DartTable.from_scalar(
-                graph, lambda a, b: dart_voltage_packed(gf, a, b))
+                graph, lambda a, b: pack_sym(gf, dart_voltage(gf, a, b)))
         graph._dart_table = table
     return table
 
@@ -322,7 +322,7 @@ def lambda_ax(gf: GF, x: int):
     """Voltage of the chosen path from the image of the base vertex back to
     it, routed through the (e3, f3) vertex; an empty path for x = 0."""
     if x == 0:
-        return (0,) * 21
+        return ZERO21
     vx, u, v0 = vertex_vx(gf, x), vertex_u(gf), vertex_v0(gf)
     return path_voltage(gf, lambda a, b: dart_voltage(gf, a, b), (vx, u, v0))
 
@@ -357,19 +357,21 @@ def _resolve_mode(gf: GF, mode: str, what: str) -> str:
     return mode
 
 
-def _sampled_cycles(gf: GF, cycles, member, key):
-    """Test the voltage of each cycle with member; returns (checked, violations,
-    witnesses), each witness {key: cycle, "voltage": voltage}.  Given a
-    generator, each cycle is drawn just before it is evaluated."""
-    checked = violations = 0
-    witnesses = []
-    for cyc in cycles:
-        checked += 1
-        volt = cycle_voltage(gf, cyc)
-        if not member(volt):
-            violations += 1
-            witnesses.append({key: cyc, "voltage": volt})
-    return checked, violations, witnesses
+def _check_cycles(cycles, voltage, member, key):
+    """Tally the cycles whose voltage(cycle) fails member, each witness
+    {key: cycle, "voltage": voltage}.  Given a generator, each cycle is
+    drawn just before it is evaluated."""
+    return tally(None if member(volt) else {key: cyc, "voltage": volt}
+                 for cyc in cycles for volt in (voltage(cyc),))
+
+
+def _table_voltage(table: DartTable, cyc):
+    """Packed voltage of the closed walk through the vertex ids of cyc: the
+    XOR of its table darts, in walk order."""
+    volt = 0
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        volt ^= table.dart(a, b)
+    return volt
 
 
 def _common_neighbors(graph: Graph, i: int, j: int) -> np.ndarray:
@@ -383,72 +385,45 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
     """Every triangle voltage equals U, exhaustively on the enumerated affine
     graph for GF(2) and on sampled triangles for larger fields."""
     mode = _resolve_mode(gf, mode, "triangle")
-    u_pack = u_packed(gf)
-    violations = 0
-    witnesses = []
-    checked = 0
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
-        table = voltage_table(graph)
-        for i in range(graph.n):
-            for j in graph.neighbors(i):
-                j = int(j)
-                if j < i:
-                    continue
-                for w in _common_neighbors(graph, i, j):
-                    w = int(w)
-                    if w < j:
-                        continue
-                    checked += 1
-                    volt = table.dart(i, j) ^ table.dart(j, w) ^ table.dart(w, i)
-                    if volt != u_pack:
-                        violations += 1
-                        witnesses.append({"triangle": (i, j, w), "voltage": volt})
+        # every triangle (i, j, w) with i < j < w, once
+        cycles = ((i, j, w) for i in range(graph.n)
+                  for j in graph.neighbors(i).tolist() if j > i
+                  for w in _common_neighbors(graph, i, j).tolist() if w > j)
+        voltage, u = partial(_table_voltage, voltage_table(graph)), u_packed(gf)
     else:
         rng = random.Random(seed)
-        u_tuple = big_u(gf)
-        checked, violations, witnesses = _sampled_cycles(
-            gf, (sample_triangle(gf, rng) for _ in range(samples)),
-            lambda volt: volt == u_tuple, "triangle")
-    return report("triangles", gf, mode, checked, violations, witnesses)
+        cycles = (sample_triangle(gf, rng) for _ in range(samples))
+        voltage, u = partial(cycle_voltage, gf), big_u(gf)
+    return report("triangles", gf, mode, *_check_cycles(
+        cycles, voltage, partial(operator.eq, u), "triangle"))
 
 
 def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                        seed: int = 12345) -> dict:
     """Every 4-cycle voltage lies in the span of the squares plus U."""
     mode = _resolve_mode(gf, mode, "4-cycle")
-    violations = 0
-    witnesses = []
-    checked = 0
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
-        table = voltage_table(graph)
-        for i in range(graph.n):
-            for j in range(i + 1, graph.n):
-                common = _common_neighbors(graph, i, j)
-                for p in range(len(common)):
-                    for q in range(p + 1, len(common)):
-                        a, b = int(common[p]), int(common[q])
-                        checked += 1
-                        volt = (table.dart(i, a) ^ table.dart(a, j)
-                                ^ table.dart(j, b) ^ table.dart(b, i))
-                        if not packed_in_w2_plus_u(gf, volt):
-                            violations += 1
-                            witnesses.append({"cycle": (i, a, j, b), "voltage": volt})
+        # every 4-cycle (i, a, j, b) with i < j and a < b, once
+        cycles = ((i, a, j, b) for i in range(graph.n) for j in range(i + 1, graph.n)
+                  for a, b in combinations(_common_neighbors(graph, i, j).tolist(), 2))
+        voltage = partial(_table_voltage, voltage_table(graph))
+        member = partial(packed_in_w2_plus_u, gf)
     else:
         rng = random.Random(seed)
-        checked, violations, witnesses = _sampled_cycles(
-            gf, (sample_quadrangle(gf, rng) for _ in range(samples)),
-            lambda volt: in_w2_plus_u(gf, volt), "cycle")
-    return report("quadrangles", gf, mode, checked, violations, witnesses)
+        cycles = (sample_quadrangle(gf, rng) for _ in range(samples))
+        voltage, member = partial(cycle_voltage, gf), partial(in_w2_plus_u, gf)
+    return report("quadrangles", gf, mode, *_check_cycles(cycles, voltage, member, "cycle"))
 
 
 def verify_pentagons(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
     """Every sampled 5-cycle voltage lies in the span of the squares plus U."""
     rng = random.Random(seed)
-    return report("pentagons", gf, "sample", *_sampled_cycles(
-        gf, (sample_pentagon(gf, rng) for _ in range(samples)),
-        lambda volt: in_w2_plus_u(gf, volt), "cycle"))
+    return report("pentagons", gf, "sample", *_check_cycles(
+        (sample_pentagon(gf, rng) for _ in range(samples)),
+        partial(cycle_voltage, gf), partial(in_w2_plus_u, gf), "cycle"))
 
 
 def verify_long_cycles(gf: GF, lengths=(6, 7, 8), samples: int = 2000,
@@ -456,8 +431,9 @@ def verify_long_cycles(gf: GF, lengths=(6, 7, 8), samples: int = 2000,
     """Sampled closed walks of the given lengths stay in the same span."""
     rng = random.Random(seed)
     walks = (sample_closed_walk(gf, length, rng) for length in lengths for _ in range(samples))
-    return report("long-cycles", gf, "sample", *_sampled_cycles(
-        gf, walks, lambda volt: in_w2_plus_u(gf, volt), "walk"), lengths=list(lengths))
+    return report("long-cycles", gf, "sample", *_check_cycles(
+        walks, partial(cycle_voltage, gf), partial(in_w2_plus_u, gf), "walk"),
+        lengths=list(lengths))
 
 
 # ----------------------------------------------------------------------
@@ -512,26 +488,18 @@ def w2_generator_cycles(gf: GF, lambdas=None):
 def w2_span_report(gf: GF) -> dict:
     """Evaluate every generator quadrangle and check the predicted voltages
     and the F2 span (dimension 6k, equal to the full space of squares)."""
-    violations = 0
-    witnesses = []
+    # the 6k basis quadrangles, then the first pattern at every nonzero lam
+    items = w2_generator_cycles(gf) + [w2_generator_cycles(gf, lambdas=[lam])[0]
+                                       for lam in gf.nonzero()]
+    volts = [cycle_voltage(gf, item["cycle"]) for item in items]
     span = F2Span()
-    for item in w2_generator_cycles(gf):
-        volt = cycle_voltage(gf, item["cycle"])
-        if volt != item["expected"]:
-            violations += 1
-            witnesses.append(item)
+    for volt in volts[:6 * gf.k]:
         span.add(pack_sym(gf, volt))
     spans_match = span.dim == 6 * gf.k and all(span.contains(x) for x in _square_basis(gf))
-    # every nonzero lam gives the predicted voltage too
-    for lam in gf.nonzero():
-        item = w2_generator_cycles(gf, lambdas=[lam])[0]
-        if cycle_voltage(gf, item["cycle"]) != item["expected"]:
-            violations += 1
-            witnesses.append(item)
-    return report("square-generators", gf, "exhaustive",
-                  6 * gf.k + gf.order - 1, violations, witnesses,
-                  span_dim=span.dim, expected_dim=6 * gf.k,
-                  spans_squares=spans_match)
+    return report("square-generators", gf, "exhaustive", *tally(
+        None if volt == item["expected"] else dict(item, voltage=volt)
+        for item, volt in zip(items, volts)),
+        span_dim=span.dim, expected_dim=6 * gf.k, spans_squares=spans_match)
 
 
 # ----------------------------------------------------------------------
@@ -589,8 +557,8 @@ def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> di
         # each walk draws its length first
         walks = (sample_closed_walk(gf, rng.choice((4, 5, 6, 7, 8)), rng)
                  for _ in range(walk_samples))
-        _, walk_violations, walk_witnesses = _sampled_cycles(
-            gf, walks, lambda volt: in_w2_plus_u(gf, volt), "walk")
+        _, walk_violations, walk_witnesses = _check_cycles(
+            walks, partial(cycle_voltage, gf), partial(in_w2_plus_u, gf), "walk")
     dim_ok = dim_mod_u == 6 * gf.k
     violations = (res["violations"] + missing + walk_violations
                   + (0 if dim_ok and contains_u else 1))
@@ -928,29 +896,27 @@ def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
     building the lift: all sampled path voltages from the root to a vertex
     agree modulo the cycle span, so each fiber is a coset of it.
 
-    Each vertex draws one reference path and n_paths paths compared with
-    it; the report counts the comparisons actually made."""
+    Each vertex draws one reference path root-m0-target and n_paths paths
+    root-m-target compared with it, as the 4-cycle (root, m0, target, m);
+    the report counts the comparisons actually made."""
     graph = build_projective_graph(gf)
     table = voltage_table(graph)
     rng = random.Random(seed)
     root = graph.index[vertex_v0(gf)]
-    violations = 0
-    compared = 0
-    for _ in range(n_vertices):
-        target = rng.randrange(graph.n)
-        mids = _common_neighbors(graph, root, target)
-        if mids.size == 0:
-            continue
-        # the graph has no loops, so no mid is the root or the target
-        volts = []
-        for _ in range(n_paths + 1):
-            mid = int(mids[rng.randrange(mids.size)])
-            volts.append(table.dart(root, mid) ^ table.dart(mid, target))
-        for v in volts[1:]:
-            compared += 1
-            if not packed_in_w2_plus_u(gf, v ^ volts[0]):
-                violations += 1
-    return report("fiber-cosets", gf, "sample", compared, violations, [])
+
+    def cycles():
+        for _ in range(n_vertices):
+            target = rng.randrange(graph.n)
+            # the graph has no loops, so no mid is the root or the target
+            mids = _common_neighbors(graph, root, target).tolist()
+            if not mids:
+                continue
+            m0 = mids[rng.randrange(len(mids))]
+            for _ in range(n_paths):
+                yield (root, m0, target, mids[rng.randrange(len(mids))])
+
+    return report("fiber-cosets", gf, "sample", *_check_cycles(
+        cycles(), partial(_table_voltage, table), partial(packed_in_w2_plus_u, gf), "cycle"))
 
 
 def verify_main_theorem(gf: GF, seed: int = 12345, samples: int = 10 ** 4) -> dict:
@@ -982,16 +948,21 @@ def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
 
     rng = random.Random(seed)
     u = big_u(gf)
-    violations = 0
-    for _ in range(n_sl):
-        act = action(gf, random_sl4(gf, rng))
-        if act.on_sym(u) != u:
-            violations += 1
-    for _ in range(n_gl):
-        act = action(gf, random_gl4(gf, rng))
-        if act.on_sym(u) != sym_scale(gf, act.det, u):
-            violations += 1
-    return report("u-invariance", gf, "sample", n_sl + n_gl, violations, [])
+
+    def witness(act, want):
+        image = act.on_sym(u)
+        return None if image == want else {"matrix": act.m, "image": image}
+
+    def results():
+        # n_sl random SL4 matrices must fix U, then n_gl random GL4 matrices
+        # must scale it by their determinant
+        for _ in range(n_sl):
+            yield witness(action(gf, random_sl4(gf, rng)), u)
+        for _ in range(n_gl):
+            act = action(gf, random_gl4(gf, rng))
+            yield witness(act, sym_scale(gf, act.det, u))
+
+    return report("u-invariance", gf, "sample", *tally(results()))
 
 
 def reductivity_report(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
@@ -1057,15 +1028,19 @@ def dart_lambda_report(gf: GF) -> dict:
         return _not_applicable("dart-lambda", gf, "exhaustive")
     w2w5 = sym_mul(gf, wedge(gf, E4[0], E4[2]), wedge(gf, E4[1], E4[3]))
     u = vertex_u(gf)
-    violations = 0
-    for x in order4_subgroup(gf):
-        vx = vertex_vx(gf, x)
-        want = sym_add(w2w5, w4w5(gf, x))
-        if dart_voltage(gf, u, vx) != want or dart_voltage(gf, vx, u) != want:
-            violations += 1
-        if lambda_ax(gf, x) != w4w5(gf, x):
-            violations += 1
-    return report("dart-lambda", gf, "exhaustive", 8, violations, [])
+
+    def results():
+        # per x: both darts between u and v_x, then lambda(x)
+        for x in order4_subgroup(gf):
+            vx = vertex_vx(gf, x)
+            want = sym_add(w2w5, w4w5(gf, x))
+            volt = dart_voltage(gf, u, vx)
+            yield None if volt == want and dart_voltage(gf, vx, u) == want \
+                else {"x": x, "quantity": "dart", "voltage": volt}
+            volt = lambda_ax(gf, x)
+            yield None if volt == w4w5(gf, x) else {"x": x, "quantity": "lambda", "voltage": volt}
+
+    return report("dart-lambda", gf, "exhaustive", *tally(results()))
 
 
 def cocycle_report(gf: GF) -> dict:
@@ -1074,21 +1049,17 @@ def cocycle_report(gf: GF) -> dict:
     if gf.order <= 2:
         return _not_applicable("cocycle", gf, "exhaustive")
     fam = order4_subgroup(gf)
-    violations = 0
-    vals = {}
-    for x in fam:
-        for y in fam:
-            f = cocycle_f(gf, x, y)
-            vals[(x, y)] = f
-            if f != w5_squared(gf, gf.mul(x, y)):
-                violations += 1
-    for x in fam:
-        if vals[(0, x)] != (0,) * 21 or vals[(x, 0)] != (0,) * 21:
-            violations += 1
-        for y in fam:
-            if vals[(x, y)] != vals[(y, x)]:
-                violations += 1
-    return report("cocycle", gf, "exhaustive", len(fam) ** 2, violations, [])
+    vals = {(x, y): cocycle_f(gf, x, y) for x in fam for y in fam}
+
+    def results():
+        # one item per pair: the value, symmetry, and the trivial first row
+        # and column
+        for (x, y), f in vals.items():
+            ok = (f == w5_squared(gf, gf.mul(x, y)) and f == vals[(y, x)]
+                  and (f == ZERO21 or (x != 0 and y != 0)))
+            yield None if ok else {"x": x, "y": y, "cocycle": f}
+
+    return report("cocycle", gf, "exhaustive", *tally(results()))
 
 
 def order2_report(gf: GF) -> dict:

@@ -28,6 +28,7 @@ from .linalg import evaluate, kernel
 
 ENUM_CAP = 10 ** 6
 ADJ_CAP = 6100  # vertex cap of Graph, above the 5440 of the GF(4) projective graph
+NEIGHBOR_TRIES = 64  # rejection budget of sample_common_neighbor
 
 
 def normalize(gf: GF, coords):
@@ -78,13 +79,14 @@ def proj_points(gf: GF, dim: int = 4):
     return list(_normalized_tuples(gf, dim))
 
 
-def affine_vertices(gf: GF, cap: int = ENUM_CAP):
-    """All affine vertices in lexicographic (v, h) order; refuses above cap."""
+def affine_vertices(gf: GF):
+    """All affine vertices in lexicographic (v, h) order; refuses above
+    ENUM_CAP."""
     total = count_projective_vertices(gf) * (gf.order - 1) ** 2
-    if total > cap:
+    if total > ENUM_CAP:
         raise ValueError(
-            f"affine vertex set of size {total} exceeds the enumeration cap {cap};"
-            " use the lazy samplers or raise the cap"
+            f"affine vertex set of size {total} exceeds the enumeration cap {ENUM_CAP};"
+            " use the lazy samplers"
         )
     verts = []
     for v in _nonzero_tuples(gf):
@@ -101,13 +103,14 @@ def count_projective_vertices(gf: GF, dim: int = 4) -> int:
     return (q ** dim - 1) // (q - 1) * q ** (dim - 1)
 
 
-def projective_vertices(gf: GF, cap: int = ENUM_CAP, dim: int = 4):
-    """All projective vertices in lexicographic order; refuses above cap."""
+def projective_vertices(gf: GF, dim: int = 4):
+    """All projective vertices in lexicographic order; refuses above
+    ENUM_CAP."""
     pts = proj_points(gf, dim)
     total = count_projective_vertices(gf, dim)
-    if total > cap:
+    if total > ENUM_CAP:
         raise ValueError(
-            f"projective vertex set of size {total} exceeds the enumeration cap {cap}"
+            f"projective vertex set of size {total} exceeds the enumeration cap {ENUM_CAP}"
         )
     verts = []
     for p in pts:
@@ -272,22 +275,16 @@ def diameter(graph: Graph) -> int:
     """
     rows = graph.packed_rows()
     n = graph.n
-    # OR whole uint64 words: the rows and, last, the all-ones row, copied
-    # with zero padding to a multiple of 8 bytes
-    nbytes = rows.shape[1]
-    words = np.zeros((n + 1, -(-nbytes // 8) * 8), dtype=np.uint8)
-    words[:n, :nbytes] = rows
-    words[n, :nbytes] = np.packbits(np.ones(n, dtype=bool))
-    words = words.view(np.uint64)
-    full = words[n]
+    # the packed all-ones row; the padding bits of every row are zero
+    full = np.packbits(np.ones(n, dtype=bool))
     some_dist2 = False
     for u in range(n):
         nbrs = graph.neighbors(u)
         if nbrs.size == 0:
             return max(int(bfs(graph, s).max()) for s in range(n))
-        own = words[u].copy()
-        own.view(np.uint8)[u >> 3] |= 0x80 >> (u & 7)
-        if not np.array_equal(np.bitwise_or.reduce(words[nbrs], axis=0) | own, full):
+        own = rows[u].copy()
+        own[u >> 3] |= 0x80 >> (u & 7)
+        if not np.array_equal(np.bitwise_or.reduce(rows[nbrs], axis=0) | own, full):
             return max(int(bfs(graph, u).max()) for u in range(n))
         if not np.array_equal(own, full):
             some_dist2 = True
@@ -300,7 +297,7 @@ def diameter(graph: Graph) -> int:
 # reduct verification
 # ----------------------------------------------------------------------
 
-def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
+def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     """Exhaustively check that two affine vertices have identical neighbour
     sets exactly when their normalised pairs coincide, that the classes are
     cocliques, and that the class graph is the projective graph.
@@ -308,7 +305,7 @@ def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
     The neighbour bitsets are computed for every affine vertex, one class at
     a time, from the per-value zero patterns of :func:`_zero_patterns`.
     """
-    verts = affine_vertices(gf, cap)
+    verts = affine_vertices(gf)
     n = len(verts)
     vmat = np.array([v for v, _ in verts], dtype=np.uint8)
     hmat = np.array([h for _, h in verts], dtype=np.uint8)
@@ -335,7 +332,7 @@ def verify_reduct_is_neighborhood_equality(gf: GF, cap: int = ENUM_CAP) -> dict:
                     coclique_violations += 1
 
     class_list = sorted(classes)
-    proj = projective_vertices(gf, cap)
+    proj = projective_vertices(gf)
     report = {
         "check": "reduct-neighborhood-equality",
         "field": gf.order,
@@ -422,13 +419,14 @@ def _random_in_span(gf: GF, basis, rng):
             return (o0, o1, o2, o3)
 
 
-def sample_common_neighbor(gf: GF, a, b, rng, tries: int = 64):
+def sample_common_neighbor(gf: GF, a, b, rng):
     """A uniformish random vertex adjacent to both a and b, or None when the
-    rejection budget runs out (possible when the kernels pair to zero)."""
+    NEIGHBOR_TRIES draws are all rejected (possible when the kernels pair to
+    zero)."""
     mul = gf.mul_rows
     tbasis = kernel(gf, [a[1], b[1]])
     gbasis = kernel(gf, [a[0], b[0]])
-    for _ in range(tries):
+    for _ in range(NEIGHBOR_TRIES):
         w = _random_in_span(gf, tbasis, rng)
         g = _random_in_span(gf, gbasis, rng)
         if mul[g[0]][w[0]] ^ mul[g[1]][w[1]] ^ mul[g[2]][w[2]] ^ mul[g[3]][w[3]]:
@@ -436,8 +434,8 @@ def sample_common_neighbor(gf: GF, a, b, rng, tries: int = 64):
     return None
 
 
-def random_neighbor(gf: GF, a, rng, tries: int = 64):
-    return sample_common_neighbor(gf, a, a, rng, tries)
+def random_neighbor(gf: GF, a, rng):
+    return sample_common_neighbor(gf, a, a, rng)
 
 
 def sample_triangle(gf: GF, rng):

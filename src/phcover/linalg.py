@@ -199,14 +199,17 @@ def mat_inv(gf: GF, m):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def random_sl4(gf: GF, rng, length: int = 20):
-    """Product of `length` random transvections; unimodular by construction.
+SL4_FACTORS = 20  # transvections per random_sl4 matrix
+
+
+def random_sl4(gf: GF, rng):
+    """Product of SL4_FACTORS random transvections; unimodular by construction.
 
     Each factor is E_ij(lam), the identity plus lam at (i, j) with i != j;
     right-multiplying by it adds lam times column i to column j, in place."""
     mul = gf.mul_rows
     m = [list(row) for row in E4]
-    for _ in range(length):
+    for _ in range(SL4_FACTORS):
         i = rng.randrange(4)
         j = (i + 1 + rng.randrange(3)) % 4
         by_lam = mul[rng.randrange(gf.order)]

@@ -12,11 +12,13 @@ potentials, fundamental-cycle spans, lift components, local-isomorphism
 verification) runs off it.  A lift vertex is a (base index, packed tag)
 row of one ``(n, 2)`` int64 array.  The scalar entry points take a plain
 ``dart_fn(a, b) -> 21-tuple`` instead and work on any graph.
+
+Every check that tests items one at a time feeds :func:`tally` one
+result per item, ``None`` or a witness, and :func:`report` turns the
+tally into the report shape all checks share.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 
@@ -71,6 +73,20 @@ class F2Span:
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+
+def tally(results) -> tuple:
+    """Count a stream with one result per checked item: None when the item
+    passed, its witness when it failed.  Returns (checked, violations,
+    witnesses) with the first five witnesses, in stream order."""
+    checked = violations = 0
+    witnesses = []
+    for checked, witness in enumerate(results, 1):
+        if witness is not None:
+            violations += 1
+            if violations <= 5:
+                witnesses.append(witness)
+    return checked, violations, witnesses
 
 
 def report(check, gf: GF, mode, samples, violations, witnesses, **extra) -> dict:
@@ -133,8 +149,7 @@ class DartTable:
         self.indptr = indptr
         self.indices = indices
         self.volts = volts
-        self._row_starts = indptr.tolist()  # plain ints for scalar lookups
-        self._rows: dict = {}  # row i -> (neighbours, voltages) as lists, see dart
+        self._rows: dict = {}  # row i -> {neighbour: voltage}, see dart
         self._tree_cache: dict = {}
 
     @classmethod
@@ -164,18 +179,17 @@ class DartTable:
     def dart(self, i: int, j: int) -> int:
         """Packed voltage of the dart (i, j); raises on non-adjacent pairs.
 
-        The first lookup in row i keeps the row's neighbours and voltages
-        as plain lists, which later lookups bisect; only touched rows are
-        kept."""
+        The first lookup in row i keeps the row as a dict from neighbour
+        to voltage, in plain ints; only touched rows are kept."""
         row = self._rows.get(i)
         if row is None:
-            lo, hi = self._row_starts[i], self._row_starts[i + 1]
-            row = self._rows[i] = (self.indices[lo:hi].tolist(), self.volts[lo:hi].tolist())
-        nbrs, volts = row
-        pos = bisect_left(nbrs, j)
-        if pos == len(nbrs) or nbrs[pos] != j:
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            row = self._rows[i] = dict(zip(self.indices[lo:hi].tolist(),
+                                           self.volts[lo:hi].tolist()))
+        volt = row.get(j)
+        if volt is None:
             raise ValueError(f"vertices {i} and {j} are not adjacent")
-        return volts[pos]
+        return volt
 
 
 def spanning_tree_potentials(table: DartTable, root: int):
@@ -193,9 +207,7 @@ def spanning_tree_potentials(table: DartTable, root: int):
     g = table.graph
     indptr = table.indptr
     parent = np.full(g.n, -1, dtype=np.int64)
-    pot = np.zeros(g.n, dtype=table.volts.dtype if table.volts.dtype == object else np.uint64)
-    if pot.dtype == object:
-        pot[:] = 0
+    pot = np.zeros(g.n, dtype=table.volts.dtype)  # object zeros are int 0
     seen = np.zeros(g.n, dtype=bool)
     seen[root] = True
     frontier = np.array([root], dtype=np.int64)
@@ -236,15 +248,11 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
     uniq = np.unique(fc)
     span = F2Span()
     for x in uniq.tolist():
-        span.add(int(x))
-    violations = 0
-    witnesses = []
+        span.add(x)
+    violations, witnesses = 0, []
     if member_fn is not None:
-        for x in uniq.tolist():
-            if not member_fn(int(x)):
-                violations += 1
-                if len(witnesses) < 5:
-                    witnesses.append({"voltage": int(x)})
+        _, violations, witnesses = tally(None if member_fn(x) else {"voltage": x}
+                                         for x in uniq.tolist())
     return {
         "span": span,
         "edges": int(keep.sum()),
@@ -397,18 +405,17 @@ def stabilizer_closure_check(table: DartTable, action_pairs, v_idx: int, member_
     pairs: lambda(gh) + lambda(g)^h + lambda(h) must satisfy member_fn
     (membership in the cycle-voltage subgroup)."""
     gf = table.gf
-    violations = 0
-    witnesses = []
-    for g_act, h_act in action_pairs:
-        gh = action(gf, mat_mul(gf, g_act.m, h_act.m))
-        c = lambda_of(table, gh, v_idx) \
-            ^ h_act.on_sym_packed(lambda_of(table, g_act, v_idx)) \
-            ^ lambda_of(table, h_act, v_idx)
-        if not member_fn(c):
-            violations += 1
-            if len(witnesses) < 5:
-                witnesses.append({"cocycle": c})
-    return {"pairs": len(action_pairs), "violations": violations,
+
+    def results():
+        for g_act, h_act in action_pairs:
+            gh = action(gf, mat_mul(gf, g_act.m, h_act.m))
+            c = lambda_of(table, gh, v_idx) \
+                ^ h_act.on_sym_packed(lambda_of(table, g_act, v_idx)) \
+                ^ lambda_of(table, h_act, v_idx)
+            yield None if member_fn(c) else {"cocycle": c}
+
+    pairs, violations, witnesses = tally(results())
+    return {"pairs": pairs, "violations": violations,
             "witnesses": witnesses, "passed": violations == 0}
 
 
@@ -425,45 +432,36 @@ def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None) -> d
     triples (only feasible for small fields); sample mode draws random
     rescalings of random vertices.
     """
-    violations = 0
-    witnesses = []
-    checked = 0
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
+        vs = graph.vertices
         classes: dict = {}
-        for i, vert in enumerate(graph.vertices):
+        for i, vert in enumerate(vs):
             classes.setdefault(reduct_class(gf, vert), []).append(i)
-        for members in classes.values():
-            for ui in members:
-                for vi in members:
-                    if ui == vi:
-                        continue
-                    u, v = graph.vertices[ui], graph.vertices[vi]
-                    for wi in graph.neighbors(vi):
-                        w = graph.vertices[int(wi)]
-                        checked += 1
-                        if not adjacent(gf, w, u) or dart_fn(w, u) != dart_fn(w, v):
-                            violations += 1
-                            witnesses.append({"u": u, "v": v, "w": w})
+        triples = ((vs[ui], vs[vi], vs[wi]) for members in classes.values()
+                   for ui in members for vi in members if ui != vi
+                   for wi in graph.neighbors(vi).tolist())
     elif mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
-        for _ in range(samples):
-            v0, h0 = random_affine_vertex(gf, rng)
-            lam = 1 + rng.randrange(gf.order - 1)
-            mu = 1 + rng.randrange(gf.order - 1)
-            u = (vec_scale(gf, lam, v0), vec_scale(gf, mu, h0))
-            v = (v0, h0)
-            w = random_neighbor(gf, v, rng)
-            if w is None:
-                continue
-            checked += 1
-            if not adjacent(gf, w, u) or dart_fn(w, u) != dart_fn(w, v):
-                violations += 1
-                witnesses.append({"u": u, "v": v, "w": w})
+
+        def rescalings():
+            # draw v, the rescaling factors, then a neighbour w of v
+            for _ in range(samples):
+                v0, h0 = random_affine_vertex(gf, rng)
+                lam = 1 + rng.randrange(gf.order - 1)
+                mu = 1 + rng.randrange(gf.order - 1)
+                w = random_neighbor(gf, (v0, h0), rng)
+                if w is not None:
+                    yield (vec_scale(gf, lam, v0), vec_scale(gf, mu, h0)), (v0, h0), w
+
+        triples = rescalings()
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return report("reductive", gf, mode, checked, violations, witnesses)
+    return report("reductive", gf, mode, *tally(
+        None if adjacent(gf, w, u) and dart_fn(w, u) == dart_fn(w, v)
+        else {"u": u, "v": v, "w": w}
+        for u, v, w in triples))
 
 
 def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
@@ -471,44 +469,39 @@ def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
     """Check voltage equivariance: the voltage of the image dart equals the
     induced action on the voltage of the dart, for every supplied matrix.
 
-    Exhaustive mode runs over all darts of an enumerated affine graph
+    Exhaustive mode runs over all edges of an enumerated affine graph
     through its packed table; sample mode draws random darts lazily.
     """
-    violations = 0
-    checked = 0
-    witnesses = []
     if mode == "exhaustive":
         if table is None:
             raise ValueError("exhaustive mode needs a dart table")
         g = table.graph
-        for act in actions:
-            perm = [vertex_image_index(table, act, i) for i in range(g.n)]
-            for u in range(g.n):
-                lo, hi = table.indptr[u], table.indptr[u + 1]
-                for pos in range(lo, hi):
-                    v = int(table.indices[pos])
-                    if v < u:
-                        continue
-                    checked += 1
-                    if table.dart(perm[u], perm[v]) != act.on_sym_packed(int(table.volts[pos])):
-                        violations += 1
-                        witnesses.append({"dart": (u, v), "matrix": act.m})
+        src, dst = g.dart_sources(), table.indices
+        keep = src < dst
+        edges = list(zip(src[keep].tolist(), dst[keep].tolist(), table.volts[keep].tolist()))
+
+        def results():
+            for act in actions:
+                perm = [vertex_image_index(table, act, i) for i in range(g.n)]
+                for u, v, volt in edges:
+                    yield None if table.dart(perm[u], perm[v]) == act.on_sym_packed(volt) \
+                        else {"dart": (u, v), "matrix": act.m}
     elif mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
         per_action = max(1, samples // max(1, len(actions)))
-        for act in actions:
-            for _ in range(per_action):
-                a = random_affine_vertex(gf, rng)
-                b = random_neighbor(gf, a, rng)
-                if b is None:
-                    continue
-                checked += 1
-                ga = (act.on_vector(a[0]), act.on_covector(a[1]))
-                gb = (act.on_vector(b[0]), act.on_covector(b[1]))
-                if dart_fn(ga, gb) != act.on_sym(dart_fn(a, b)):
-                    violations += 1
-                    witnesses.append({"dart": (a, b), "matrix": act.m})
+
+        def results():
+            for act in actions:
+                for _ in range(per_action):
+                    a = random_affine_vertex(gf, rng)
+                    b = random_neighbor(gf, a, rng)
+                    if b is None:
+                        continue
+                    ga = (act.on_vector(a[0]), act.on_covector(a[1]))
+                    gb = (act.on_vector(b[0]), act.on_covector(b[1]))
+                    yield None if dart_fn(ga, gb) == act.on_sym(dart_fn(a, b)) \
+                        else {"dart": (a, b), "matrix": act.m}
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return report("equivariance", gf, mode, checked, violations, witnesses)
+    return report("equivariance", gf, mode, *tally(results()))

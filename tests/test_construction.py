@@ -7,6 +7,7 @@ from phcover.field import field_of_order
 from phcover.linalg import E4, evaluate, kernel, mat_mul, vec_add, vec_scale
 from phcover import construction as cons
 from phcover import graphs as gr
+from phcover import linalg as la
 from phcover import multilinear as ml
 from phcover import voltage as vg
 
@@ -840,9 +841,112 @@ def test_fiber_coset_report_counts_comparisons(monkeypatch):
 
 def test_fiber_coset_report_negative_control(monkeypatch):
     monkeypatch.setattr(cons, "packed_in_w2_plus_u", lambda gf, x: False)
-    rep = cons.fiber_coset_report(field_of_order(4))
+    gf = field_of_order(4)
+    rep = cons.fiber_coset_report(gf)
     assert not rep["passed"]
     assert rep["violations"] == rep["samples"] == 100
+    # each witness is a 4-cycle (root, m0, target, m) of the graph
+    graph = gr.build_projective_graph(gf)
+    table = cons.voltage_table(graph)
+    assert len(rep["witnesses"]) == 5
+    for w in rep["witnesses"]:
+        assert set(w) == {"cycle", "voltage"}
+        cyc = w["cycle"]
+        assert cyc[0] == graph.index[cons.vertex_v0(gf)]
+        assert w["voltage"] == cons._table_voltage(table, cyc)
+        assert all(graph.adjacent(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+
+
+def _assert_failed(rep, violations, samples, keys):
+    assert not rep["passed"]
+    assert (rep["violations"], rep["samples"]) == (violations, samples)
+    assert 1 <= len(rep["witnesses"]) == min(5, violations)
+    assert all(set(w) == keys for w in rep["witnesses"])
+
+
+def test_u_invariance_negative_control(monkeypatch):
+    # SL4 does not fix w1^2, and GL4 does not scale it by the determinant;
+    # replaying the report's draws counts the matrices that expose it
+    gf = field_of_order(4)
+    w1sq = sym_unit(0, 0)
+    rng = random.Random(5)
+    sl = [ml.action(gf, la.random_sl4(gf, rng)) for _ in range(30)]
+    gl = [ml.action(gf, la.random_gl4(gf, rng)) for _ in range(10)]
+    want = (sum(a.on_sym(w1sq) != w1sq for a in sl)
+            + sum(a.on_sym(w1sq) != ml.sym_scale(gf, a.det, w1sq) for a in gl))
+    assert want > 5
+    monkeypatch.setattr(cons, "big_u", lambda gf: w1sq)
+    rep = cons.u_invariance_report(gf, n_sl=30, n_gl=10, seed=5)
+    _assert_failed(rep, want, 40, {"matrix", "image"})
+    assert rep["witnesses"][0]["matrix"] in [a.m for a in sl + gl]
+
+
+def test_dart_lambda_negative_control(monkeypatch):
+    # a zero dart voltage misses w2w5 + x w4w5 for all four x, and lambda(x)
+    # misses x w4w5 for the three nonzero x
+    monkeypatch.setattr(cons, "dart_voltage", lambda gf, a, b: ml.ZERO21)
+    rep = cons.dart_lambda_report(field_of_order(4))
+    _assert_failed(rep, 7, 8, {"x", "quantity", "voltage"})
+
+
+def test_cocycle_negative_control(monkeypatch):
+    # U is never x y w5^2, so every one of the 16 pairs fails
+    monkeypatch.setattr(cons, "cocycle_f", lambda gf, x, y: ml.big_u(gf))
+    rep = cons.cocycle_report(field_of_order(4))
+    _assert_failed(rep, 16, 16, {"x", "y", "cocycle"})
+
+
+def test_square_generators_negative_control(monkeypatch):
+    # every generator quadrangle predicts a nonzero square: 6k basis
+    # quadrangles and one per nonzero lam, here 12 + 3
+    monkeypatch.setattr(cons, "cycle_voltage", lambda gf, cyc: ml.ZERO21)
+    rep = cons.w2_span_report(field_of_order(4))
+    _assert_failed(rep, 15, 15, {"pattern", "lam", "cycle", "expected", "voltage"})
+    assert rep["span_dim"] == 0 and not rep["spans_squares"]
+
+
+def _counted_table_darts(monkeypatch):
+    """Count DartTable.dart calls; returns a function reading the count."""
+    count = [0]
+    real = vg.DartTable.dart
+
+    def counted(self, i, j):
+        count[0] += 1
+        return real(self, i, j)
+
+    monkeypatch.setattr(vg.DartTable, "dart", counted)
+    return lambda: count[0]
+
+
+def test_exhaustive_gf2_dart_lookup_counts(monkeypatch):
+    # one table lookup per edge of every triangle and quadrangle, and one
+    # per edge and matrix of the equivariance check
+    gf = field_of_order(2)
+    rng = random.Random(9)
+    actions = [ml.action(gf, la.random_sl4(gf, rng)) for _ in range(3)]
+    table = cons.voltage_table(gr.build_affine_graph(gf))
+    darts = _counted_table_darts(monkeypatch)
+    for run, samples, per_item in (
+            (lambda: cons.verify_triangles(gf, "exhaustive"), 3360, 3),
+            (lambda: cons.verify_quadrangles(gf, "exhaustive"), 138600, 4),
+            (lambda: vg.check_equivariance(gf, lambda a, b: cons.dart_voltage(gf, a, b),
+                                           actions, "exhaustive", table=table), 3 * 1680, 1)):
+        before = darts()
+        rep = run()
+        assert rep["passed"] and rep["samples"] == samples
+        assert darts() - before == per_item * samples
+
+
+def test_sampled_gf4_scalar_voltages_per_item(monkeypatch):
+    # sampled reductivity and equivariance evaluate two darts per checked item
+    gf = field_of_order(4)
+    darts = _counted(monkeypatch, "dart_voltage")
+    for run in (lambda: cons.reductivity_report(gf, samples=200, seed=3),
+                lambda: cons.equivariance_report(gf, n_matrices=3, samples=40, seed=3)):
+        del darts[:]
+        rep = run()
+        assert rep["passed"] and rep["samples"] > 0
+        assert len(darts) == 2 * rep["samples"]
 
 
 def test_invariance_reports():

@@ -6,6 +6,7 @@ import pytest
 from phcover.field import field_of_order
 from phcover.linalg import E4, evaluate, kernel, vec_add, vec_scale
 from phcover import graphs as gr
+from phcover import linalg as la
 
 
 def count_affine_by_brute_force(gf):
@@ -58,6 +59,13 @@ def test_enumeration_caps():
         gr.affine_vertices(field_of_order(8))
     with pytest.raises(ValueError):
         gr.projective_vertices(field_of_order(16))
+    # the cap and the sampling budgets are constants, not parameters
+    for fn, knob in ((gr.affine_vertices, "cap"), (gr.projective_vertices, "cap"),
+                     (gr.verify_reduct_is_neighborhood_equality, "cap"),
+                     (gr.sample_common_neighbor, "tries"), (gr.random_neighbor, "tries"),
+                     (la.random_sl4, "length")):
+        assert knob not in inspect.signature(fn).parameters
+    assert (gr.ENUM_CAP, gr.NEIGHBOR_TRIES, la.SL4_FACTORS) == (10 ** 6, 64, 20)
 
 
 def test_graph_refuses_more_vertices_than_adj_cap():

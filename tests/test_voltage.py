@@ -17,6 +17,13 @@ def ell(gf):
     return lambda a, b: cons.dart_voltage(gf, a, b)
 
 
+def test_tally_counts_items_and_keeps_the_first_five_witnesses():
+    assert vg.tally(iter(())) == (0, 0, [])
+    assert vg.tally([None] * 4) == (4, 0, [])
+    stream = (w for w in [None, "a", "b", None, "c", "d", "e", "f", None, "g"])
+    assert vg.tally(stream) == (10, 7, ["a", "b", "c", "d", "e"])
+
+
 def test_f2_span_basics():
     span = vg.F2Span()
     assert span.dim == 0
