@@ -170,7 +170,9 @@ class Graph:
         dim = len(self.vertices[0][0]) if self.vertices else 4
         self.vmat = np.array([v for v, _ in self.vertices], dtype=np.uint8).reshape(self.n, dim)
         self.hmat = np.array([h for _, h in self.vertices], dtype=np.uint8).reshape(self.n, dim)
-        kills, h_id, killed, v_id = _zero_patterns(self.gf, self.vmat, self.hmat)
+        # the factored adjacency, kept for two_step_reach
+        self._kills, self._h_id, self._killed, self._v_id = kills, h_id, killed, v_id = \
+            _zero_patterns(self.gf, self.vmat, self.hmat)
         rows = kills[h_id] & killed[v_id]
         diag = np.arange(self.n)
         # redundant for valid vertices, cheap guard
@@ -267,30 +269,52 @@ def is_connected(graph: Graph) -> bool:
     return graph.n == 0 or int((bfs(graph, 0) >= 0).sum()) == graph.n
 
 
-def diameter(graph: Graph) -> int:
-    """Exact diameter, exhaustive over all sources.
+def two_step_reach(graph: Graph) -> np.ndarray:
+    """Packed rows R(u): the OR of the adjacency rows of the neighbours of u,
+    the vertices joined to u by a walk of two edges.
 
-    Uses the packed adjacency rows to test the distance <= 2 property in
-    bulk; falls back to per-source BFS only when that test fails.
+    The neighbours w of u are the vertices with h_u(v_w) = 0 and
+    h_w(v_u) = 0.  Grouped by the id y of their vector, they give
+    R(u) = OR over {y : h_u kills vector y} of killed[y] & T[y, v_id[u]],
+    where T[y, x] is the OR of kills[h_id[w]] over the vertices w with
+    vector y whose covector kills vector x.  T takes one masked OR per
+    distinct covector and one AND with killed for all of it, and the
+    vertices sharing a covector are summed together, over the same y's."""
+    kills, h_id, killed, v_id = graph._kills, graph._h_id, graph._killed, graph._v_id
+    # zero[c, y]: covector c kills vector y, read at a vertex carrying y
+    zero = np.unpackbits(kills, axis=1, count=graph.n)[:, np.unique(v_id, return_index=True)[1]]
+    by_covector = np.split(np.argsort(h_id, kind="stable"),
+                           np.cumsum(np.bincount(h_id, minlength=kills.shape[0]))[:-1])
+    table = np.zeros((killed.shape[0], killed.shape[0], kills.shape[1]), dtype=np.uint8)
+    for c, members in enumerate(by_covector):
+        table[np.ix_(v_id[members], np.flatnonzero(zero[c]))] |= kills[c]
+    table &= killed[:, None, :]
+    reach = np.zeros_like(graph.packed_rows())
+    for c, members in enumerate(by_covector):
+        ys = np.flatnonzero(zero[c])
+        reach[members] = np.bitwise_or.reduce(table[ys[:, None], v_id[members][None, :]], axis=0)
+    return reach
+
+
+def diameter(graph: Graph) -> int:
+    """Exact diameter, exhaustive over all sources; -1 when the graph is
+    disconnected.
+
+    Tests the distance <= 2 property in bulk on the two-step reach of every
+    vertex; falls back to per-source BFS only when that test fails.
     """
-    rows = graph.packed_rows()
     n = graph.n
+    if n <= 1:
+        return 0
+    reach = two_step_reach(graph) | graph.packed_rows()
+    diag = np.arange(n)
+    reach[diag, diag >> 3] |= np.uint8(0x80) >> (diag & 7).astype(np.uint8)
     # the packed all-ones row; the padding bits of every row are zero
-    full = np.packbits(np.ones(n, dtype=bool))
-    some_dist2 = False
-    for u in range(n):
-        nbrs = graph.neighbors(u)
-        if nbrs.size == 0:
-            return max(int(bfs(graph, s).max()) for s in range(n))
-        own = rows[u].copy()
-        own[u >> 3] |= 0x80 >> (u & 7)
-        if not np.array_equal(np.bitwise_or.reduce(rows[nbrs], axis=0) | own, full):
-            return max(int(bfs(graph, u).max()) for u in range(n))
-        if not np.array_equal(own, full):
-            some_dist2 = True
-    if some_dist2:
-        return 2
-    return 1 if n > 1 else 0
+    if (reach == np.packbits(np.ones(n, dtype=bool))).all():
+        return 1 if graph.edge_count() == n * (n - 1) // 2 else 2
+    if not is_connected(graph):
+        return -1
+    return max(int(bfs(graph, u).max()) for u in range(n))
 
 
 # ----------------------------------------------------------------------

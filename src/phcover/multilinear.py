@@ -25,6 +25,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from operator import itemgetter, xor
 
+import numpy as np
+
 from .field import GF
 from .linalg import E4, det, evaluate, mat_inv, mat_vec, transpose
 
@@ -375,6 +377,18 @@ class MatrixAction:
         for table in self._byte_tables:
             acc ^= table[x & 0xFF]
             x >>= 8
+        return acc
+
+    def on_sym_packed_array(self, xs) -> np.ndarray:
+        """on_sym_packed of every entry of an array of packed values, as one
+        uint64 gather per byte; only valid for k <= 3 (21k packed bits must
+        fit into 64)."""
+        if self.gf.k > 3:
+            raise ValueError("packed bulk images support k <= 3 only")
+        xs = np.asarray(xs, dtype=np.uint64)
+        acc = np.zeros(xs.shape, dtype=np.uint64)
+        for b, table in enumerate(self._byte_tables):
+            acc ^= np.array(table, dtype=np.uint64)[(xs >> np.uint64(8 * b)) & np.uint64(0xFF)]
         return acc
 
     def on_n_packed(self, x: int) -> int:

@@ -470,7 +470,8 @@ def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
     induced action on the voltage of the dart, for every supplied matrix.
 
     Exhaustive mode runs over all edges of an enumerated affine graph
-    through its packed table; sample mode draws random darts lazily.
+    through its packed table, with the images of their voltages taken in
+    bulk per matrix (k <= 3); sample mode draws random darts lazily.
     """
     if mode == "exhaustive":
         if table is None:
@@ -478,13 +479,15 @@ def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
         g = table.graph
         src, dst = g.dart_sources(), table.indices
         keep = src < dst
-        edges = list(zip(src[keep].tolist(), dst[keep].tolist(), table.volts[keep].tolist()))
+        edges = list(zip(src[keep].tolist(), dst[keep].tolist()))
+        volts = table.volts[keep]
 
         def results():
             for act in actions:
                 perm = [vertex_image_index(table, act, i) for i in range(g.n)]
-                for u, v, volt in edges:
-                    yield None if table.dart(perm[u], perm[v]) == act.on_sym_packed(volt) \
+                images = act.on_sym_packed_array(volts).tolist()
+                for (u, v), image in zip(edges, images):
+                    yield None if table.dart(perm[u], perm[v]) == image \
                         else {"dart": (u, v), "matrix": act.m}
     elif mode == "sample":
         if rng is None:

@@ -901,8 +901,34 @@ def test_square_generators_negative_control(monkeypatch):
     # quadrangles and one per nonzero lam, here 12 + 3
     monkeypatch.setattr(cons, "cycle_voltage", lambda gf, cyc: ml.ZERO21)
     rep = cons.w2_span_report(field_of_order(4))
-    _assert_failed(rep, 15, 15, {"pattern", "lam", "cycle", "expected", "voltage"})
+    # the 15 wrong voltages, and the span short of the squares
+    _assert_failed(rep, 16, 15, {"pattern", "lam", "cycle", "expected", "voltage"})
     assert rep["span_dim"] == 0 and not rep["spans_squares"]
+
+
+def test_square_span_negative_control(monkeypatch):
+    # U is no square, so a basis with U added is out of the generators' span
+    gf = field_of_order(4)
+    basis = cons._square_basis(gf)
+    monkeypatch.setattr(cons, "_square_basis", lambda gf: basis + [ml.u_packed(gf)])
+    rep = cons.w2_span_report(gf)
+    _assert_failed(rep, 1, 15, {"span_dim", "missing_squares"})
+    assert rep["witnesses"] == [{"span_dim": 12, "missing_squares": [ml.u_packed(gf)]}]
+    assert rep["span_dim"] == 12 and not rep["spans_squares"]
+
+
+def test_diameter_negative_control(monkeypatch):
+    # a star and an isolated vertex: every vertex of the star is within two
+    # edges of every other, but the graph is disconnected
+    g2 = gr.build_affine_graph(field_of_order(2))
+    star = [0] + g2.neighbors(0)[:5].tolist()
+    lone = next(j for j in range(g2.n)
+                if j not in star and not any(g2.adjacent(i, j) for i in star))
+    monkeypatch.setattr(cons, "build_projective_graph",
+                        lambda gf: gr.subgraph(g2, star + [lone]))
+    rep = cons.diameter_report(field_of_order(2))
+    assert rep["diameter"] == -1
+    assert not rep["passed"] and rep["violations"] == 1
 
 
 def _counted_table_darts(monkeypatch):

@@ -1,6 +1,7 @@
 import inspect
 import random
 
+import numpy as np
 import pytest
 
 from phcover.field import field_of_order
@@ -292,11 +293,52 @@ def test_bfs_matches_queue_bfs():
 
 def test_diameter_matches_queue_bfs():
     graphs = _test_graphs()
-    # the paths need no fallback up to 3 vertices; the rest take it
-    assert [gr.diameter(g) for g in graphs[2:]] == [1, 2, 6]
+    # the paths need no fallback up to 3 vertices; the rest take it, and
+    # the star with an isolated vertex is disconnected
+    assert [gr.diameter(g) for g in graphs[1:]] == [-1, 1, 2, 6]
     for graph in graphs:
-        want = max(max(_queue_distances(graph, s)) for s in range(graph.n))
+        dists = [_queue_distances(graph, s) for s in range(graph.n)]
+        want = -1 if any(-1 in d for d in dists) else max(map(max, dists))
         assert gr.diameter(graph) == want
+
+
+def _neighbour_row_reach(graph):
+    """Reference two-step reach: the OR of the packed rows of the
+    neighbours of each vertex, one vertex at a time."""
+    rows = graph.packed_rows()
+    reach = np.zeros_like(rows)
+    for u in range(graph.n):
+        nbrs = graph.neighbors(u)
+        if nbrs.size:
+            reach[u] = np.bitwise_or.reduce(rows[nbrs], axis=0)
+    return reach
+
+
+def test_two_step_reach_matches_neighbour_rows():
+    g4 = gr.build_projective_graph(field_of_order(4))
+    rng = random.Random(17)
+    induced = [gr.subgraph(g4, rng.sample(range(g4.n), 300)) for _ in range(3)]
+    for graph in _test_graphs() + [gr.build_affine_graph(field_of_order(2)), g4] + induced:
+        assert np.array_equal(gr.two_step_reach(graph), _neighbour_row_reach(graph))
+
+
+def test_diameter_takes_bfs_only_past_distance_two(monkeypatch):
+    calls = []
+    real = gr.bfs
+    monkeypatch.setattr(gr, "bfs", lambda graph, start: calls.append(start) or real(graph, start))
+    for q in (2, 4):
+        assert gr.diameter(gr.build_projective_graph(field_of_order(q))) == 2
+    assert calls == []
+    sparse, star, p2, p3, p7 = _test_graphs()
+    assert (gr.diameter(p2), gr.diameter(p3), calls) == (1, 2, [])
+    # diameter 3 or more: one connectivity BFS, then one BFS per source
+    for graph in (sparse, p7):
+        del calls[:]
+        assert gr.diameter(graph) >= 3
+        assert calls == [0] + list(range(graph.n))
+    # disconnected: the connectivity BFS alone
+    del calls[:]
+    assert (gr.diameter(star), calls) == (-1, [0])
 
 
 def test_local_graph_gf2():

@@ -544,6 +544,64 @@ def test_check_equivariance_exhaustive_gf2():
     assert rep["passed"] and rep["samples"] == 5 * 1680
 
 
+def test_bulk_images_match_on_sym_packed():
+    # every GF(2) table voltage under 100 seeded SL4 actions
+    gf2 = field_of_order(2)
+    volts = cons.voltage_table(gr.build_affine_graph(gf2)).volts
+    rng = random.Random(21)
+    for _ in range(100):
+        act = ml.action(gf2, random_sl4(gf2, rng))
+        assert act.on_sym_packed_array(volts).tolist() == [act.on_sym_packed(x)
+                                                            for x in volts.tolist()]
+    # seeded packed values over GF(4) and GF(8), the top bit of the packing included
+    for q in (4, 8):
+        gf = field_of_order(q)
+        top = 21 * gf.k
+        xs = [rng.getrandbits(top) for _ in range(2000)] + [(1 << top) - 1, 1 << (top - 1), 0]
+        for _ in range(5):
+            act = ml.action(gf, random_sl4(gf, rng))
+            images = act.on_sym_packed_array(np.array(xs, dtype=np.uint64))
+            assert images.dtype == np.uint64
+            assert images.tolist() == [act.on_sym_packed(x) for x in xs]
+    # 84 bits do not fit a uint64
+    gf16 = field_of_order(16)
+    with pytest.raises(ValueError, match="k <= 3"):
+        ml.action(gf16, random_sl4(gf16, rng)).on_sym_packed_array(np.zeros(3, dtype=np.uint64))
+
+
+def _scalar_equivariance(table, actions):
+    """Reference exhaustive equivariance: one on_sym_packed per edge and
+    action, over the CSR rows; returns the violations and the first five
+    witnesses."""
+    g = table.graph
+    violations, witnesses = 0, []
+    for act in actions:
+        perm = [vg.vertex_image_index(table, act, i) for i in range(g.n)]
+        for u in range(g.n):
+            for pos in range(int(table.indptr[u]), int(table.indptr[u + 1])):
+                v = int(table.indices[pos])
+                if v > u and table.dart(perm[u], perm[v]) != act.on_sym_packed(int(table.volts[pos])):
+                    violations += 1
+                    if len(witnesses) < 5:
+                        witnesses.append({"dart": (u, v), "matrix": act.m})
+    return violations, witnesses
+
+
+def test_check_equivariance_exhaustive_corrupted_table():
+    gf = field_of_order(2)
+    good = cons.voltage_table(gr.build_affine_graph(gf))
+    volts = good.volts.copy()
+    volts[::97] ^= np.uint64(1 << 20)
+    bad = vg.DartTable(good.graph, good.indptr, good.indices, volts)
+    rng = random.Random(22)
+    actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(4)]
+    rep = vg.check_equivariance(gf, ell(gf), actions, "exhaustive", table=bad)
+    violations, witnesses = _scalar_equivariance(bad, actions)
+    assert not rep["passed"] and rep["samples"] == 4 * 1680
+    assert (rep["violations"], rep["witnesses"]) == (violations, witnesses)
+    assert violations > 5
+
+
 def test_check_equivariance_sampled_gf8():
     gf = field_of_order(8)
     rng = random.Random(13)
