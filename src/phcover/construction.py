@@ -30,10 +30,11 @@ import numpy as np
 from .field import GF, field_of_order
 from .graphs import (
     Graph,
+    blocks,
     build_affine_graph,
     build_projective_graph,
     csr_distances,
-    frontier_darts,
+    frontier_blocks,
     normalize,
     proj_points,
     sample_closed_walk,
@@ -69,8 +70,8 @@ from .voltage import (
     F2Span,
     check_reductive,
     component_of,
-    find_pairs,
     fundamental_cycle_span,
+    pair_index,
     path_voltage,
     report,
     tally,
@@ -121,10 +122,6 @@ def dart_voltage(gf: GF, a, b):
 def cycle_voltage(gf: GF, cyc):
     """Voltage in S2(W) of the closed walk through the vertices of cyc."""
     return path_voltage(gf, lambda a, b: dart_voltage(gf, a, b), cyc + (cyc[0],))
-
-
-# darts per block of bulk_dart_voltage, which bounds its temporaries
-BULK_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +189,7 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
     4(P^2 + H^2) + PH bytes, so a caller with many distinct values passes
     few vertices at a time; the GF(4) projective graph has P = H = 85.
     One q x 2^(3k) table holds every chunk code times every scalar.  The
-    darts then run in blocks of BULK_BLOCK as gathers from these tables:
+    darts then run in blocks of graphs.BULK_BLOCK as gathers from these tables:
     the scale h1(v1)^-1 h2(v2)^-1 is folded into the chunks of v1 ^ v2,
     and the 21 slots of the symmetric product come from the four
     chunk-pair tables.  Nothing here assumes the symmetry or the
@@ -231,19 +228,21 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
     t_flat = t.ravel().astype(np.intp)
     t00, t01, t10, t11 = _chunk_product_tables(gf)
     out = np.empty(len(src), dtype=np.uint64)
-    for lo in range(0, len(src), BULK_BLOCK):
-        hi = lo + BULK_BLOCK
+    for lo, hi in blocks(len(src)):
         a = np.asarray(src[lo:hi], dtype=np.intp)
         b = np.asarray(dst[lo:hi], dtype=np.intp)
+        scale = t_flat[(inv_own[a] << k) | inv_own[b]] << c3
         pa, ha, pb, hb = p_id[a], h_id[a], p_id[b], h_id[b]
         if (pairing[ha * n_p + pb] | pairing[hb * n_p + pa]).any():
             raise ValueError("vertices are not adjacent")
         pp = pa * n_p + pb
         hh = ha * n_h + hb
-        scale = t_flat[(inv_own[a] << k) | inv_own[b]] << c3
+        # drop what the rest of the block does not read, to lower its peak
+        del a, b, pa, ha, pb, hb
         w1 = scaled[scale | w_hi[pp]]
         w2 = scaled[scale | w_lo[pp]]
         p1, p2 = d_hi[hh], d_lo[hh]
+        del pp, hh, scale
         out[lo:hi] = t00[w1 | p1] ^ t01[w1 | p2] ^ t10[w2 | p1] ^ t11[w2 | p2]
     return out
 
@@ -792,16 +791,19 @@ def build_cover(cap: int = 10 ** 7) -> dict:
     comp = component_of(table, root, cap=cap)
     verts = comp["vertices"][np.lexsort(comp["vertices"].T[::-1])]
     base, tag = verts[:, 0], verts[:, 1].astype(np.uint64)
-    # the lift neighbour of each sorted vertex over each base neighbour
-    i, pos = frontier_darts(table.indptr, base)
-    nt = tag[i] ^ table.volts[pos]
     up = np.uint64(u_packed(gf))
-    j = find_pairs(base, tag, table.indices[pos], np.minimum(nt, nt ^ up))
-    # labels sort by base first and each row runs in base order, so the
-    # edges i < j come out in (i, j) order
-    keep = i < j
+    find = pair_index(base, tag)
+    # the lift neighbour of each sorted vertex over each base neighbour, in
+    # blocks of vertices; labels sort by base first and each row runs in
+    # base order, so the edges i < j come out in (i, j) order
+    edges = []
+    for i, pos in frontier_blocks(table.indptr, base):
+        nt = tag[i] ^ table.volts[pos]
+        j = find(table.indices[pos], np.minimum(nt, nt ^ up))
+        keep = i < j
+        edges.append(np.stack([i[keep], j[keep]], axis=1))
     return {"graph": graph, "table": table, "component": comp, "vertices": verts,
-            "edges": np.stack([i[keep], j[keep]], axis=1)}
+            "edges": np.concatenate(edges)}
 
 
 _cover_cache: list = []
@@ -819,46 +821,59 @@ def cover_data(cap: int = 10 ** 7) -> dict:
     return data
 
 
+def _write_rows(fh, rows, fmt: str, sep: str = "") -> None:
+    """Write the rows of an int array through fmt, which has one %d per
+    column, joined by sep, in blocks of rows."""
+    for lo, hi in blocks(len(rows), rows.shape[1]):
+        if lo:
+            fh.write(sep)
+        fh.write(sep.join([fmt] * (hi - lo)) % tuple(rows[lo:hi].ravel().tolist()))
+
+
 def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:
-    """Write the GF(2) cover with canonical labels (base index, tag bits)."""
+    """Write the GF(2) cover with canonical labels (base index, tag bits).
+
+    The JSON document is compact with sorted keys, the bytes that
+    json.dumps(doc, sort_keys=True, separators=(",", ":")) gives; the
+    label and edge arrays are written straight from the arrays, a block
+    at a time."""
     if fmt not in ("json", "edgelist"):
         raise ValueError(f"unknown format {fmt!r}")
     data = cover_data(cap)
-    verts, edges = data["vertices"].tolist(), data["edges"].tolist()
-    if fmt == "json":
-        doc = {
-            "field": 2,
-            "vertex_count": len(verts),
-            "edge_count": len(edges),
-            # the base vertices' tuples encode as JSON arrays
-            "base_vertices": data["graph"].vertices,
-            "vertices": verts,
-            "edges": edges,
-        }
-        # json.dumps runs the C encoder; json.dump would stream through the
-        # pure-Python one
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        text = "".join([
-            f"# cover field=2 vertices={len(verts)} edges={len(edges)}\n",
-            *[f"v {i} {b} {t}\n" for i, (b, t) in enumerate(verts)],
-            *[f"e {i} {j}\n" for i, j in edges],
-        ])
+    verts, edges = data["vertices"], data["edges"]
     with open(path, "w") as fh:
-        fh.write(text)
+        if fmt == "json":
+            # the base vertices' tuples encode as JSON arrays
+            base = json.dumps(data["graph"].vertices, separators=(",", ":"))
+            fh.write(f'{{"base_vertices":{base},"edge_count":{len(edges)},"edges":[')
+            _write_rows(fh, edges, "[%d,%d]", ",")
+            fh.write(f'],"field":2,"vertex_count":{len(verts)},"vertices":[')
+            _write_rows(fh, verts, "[%d,%d]", ",")
+            fh.write("]}\n")
+        else:
+            fh.write(f"# cover field=2 vertices={len(verts)} edges={len(edges)}\n")
+            _write_rows(fh, np.column_stack([np.arange(len(verts)), verts]), "v %d %d %d\n")
+            _write_rows(fh, edges, "e %d %d\n")
 
 
 def load_cover(path: str, fmt: str = "json") -> dict:
+    """Read an exported cover back as lists of (base, tag) and (i, j)
+    tuples."""
     if fmt == "json":
         with open(path) as fh:
             doc = json.load(fh)
         try:
-            return {
-                "vertices": [(b, t) for b, t in doc["vertices"]],
-                "edges": [(i, j) for i, j in doc["edges"]],
-            }
+            pairs = doc["vertices"], doc["edges"]
+            # each parsed pair is replaced by its tuple in place, so the
+            # lists and the tuples never coexist
+            for rows in pairs:
+                if not isinstance(rows, list):
+                    raise TypeError("not a list")
+                for n, (a, b) in enumerate(rows):
+                    rows[n] = (a, b)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a cover document with vertex and edge pairs") from exc
+        return {"vertices": pairs[0], "edges": pairs[1]}
     if fmt == "edgelist":
         with open(path) as fh:
             words = re.sub(r"(?m)^#.*$", "", fh.read()).split()

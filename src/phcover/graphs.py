@@ -15,6 +15,12 @@ affine graph under that cap is the GF(2) one, where normalising changes
 nothing, so :func:`build_affine_graph` returns the projective graph
 object itself.  Larger fields are served by the adjacency oracle
 :func:`adjacent` and by lazy random samplers, never enumerated.
+
+Every pass over all the darts of a graph or of a lift, here and in
+:mod:`phcover.voltage` and :mod:`phcover.construction`, runs in blocks
+of about ``BULK_BLOCK`` darts (:func:`blocks`, :func:`frontier_blocks`),
+so that its temporaries do not grow with the dart count; only its output
+does.
 """
 
 from __future__ import annotations
@@ -29,6 +35,16 @@ from .linalg import evaluate, kernel
 ENUM_CAP = 10 ** 6
 ADJ_CAP = 6100  # vertex cap of Graph, above the 5440 of the GF(4) projective graph
 NEIGHBOR_TRIES = 64  # rejection budget of sample_common_neighbor
+# darts (or array elements) per block of every bulk pass, which bounds
+# the temporaries of each pass
+BULK_BLOCK = 1 << 16
+
+
+def blocks(size: int, per_item: int = 1):
+    """The bounds (lo, hi) of consecutive blocks of range(size), each of
+    BULK_BLOCK // per_item items, and of at least one."""
+    step = max(1, BULK_BLOCK // max(1, per_item))
+    return ((lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
 def normalize(gf: GF, coords):
@@ -157,8 +173,10 @@ class Graph:
 
     Vertices are (vector, covector) pairs.  The boolean adjacency is
     computed vectorised from the per-value zero patterns and kept as
-    packed bit rows plus CSR neighbour lists.  More than ADJ_CAP vertices
-    raise ValueError before any of it is allocated.
+    packed bit rows plus CSR neighbour lists, int64 row pointers and int32
+    neighbours.  The neighbour lists are read off the packed rows a few
+    rows at a time, so no n x n boolean matrix is ever made.  More than
+    ADJ_CAP vertices raise ValueError before any of it is allocated.
     """
 
     def __init__(self, gf: GF, vertices):
@@ -178,10 +196,12 @@ class Graph:
         # redundant for valid vertices, cheap guard
         rows[diag, diag >> 3] &= ~(np.uint8(0x80) >> (diag & 7).astype(np.uint8))
         self._rows = rows
-        adj = np.unpackbits(rows, axis=1, count=self.n).view(bool)
-        self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(adj, axis=1), out=self._indptr[1:])
-        self._indices = (np.flatnonzero(adj) % self.n).astype(np.int32)
+        self._indptr = indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(rows).sum(axis=1, dtype=np.int64), out=indptr[1:])
+        self._indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        for lo, hi in blocks(self.n, self.n):
+            adj = np.unpackbits(rows[lo:hi], axis=1, count=self.n).view(bool)
+            self._indices[indptr[lo]:indptr[hi]] = np.flatnonzero(adj) % self.n
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool((self._rows[i, j >> 3] >> (7 - (j & 7))) & 1)
@@ -196,8 +216,8 @@ class Graph:
         return int(self._indptr[-1]) // 2
 
     def dart_sources(self) -> np.ndarray:
-        """The source vertex of every dart, in CSR order."""
-        return np.repeat(np.arange(self.n), np.diff(self._indptr))
+        """The source vertex of every dart, in CSR order, as int32."""
+        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._indptr))
 
     def packed_rows(self) -> np.ndarray:
         return self._rows
@@ -245,18 +265,45 @@ def frontier_darts(indptr: np.ndarray, frontier: np.ndarray):
     return slot, pos
 
 
+def frontier_blocks(indptr: np.ndarray, frontier: np.ndarray):
+    """frontier_darts in blocks of whole rows of at most BULK_BLOCK darts
+    (or of one row, when a row is longer): the (slot, pos) pairs of each
+    block in turn, slot indexing the whole frontier."""
+    ends = np.cumsum(indptr[frontier + 1] - indptr[frontier])
+    lo = 0
+    while lo < frontier.size:
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + BULK_BLOCK, side="right")))
+        slot, pos = frontier_darts(indptr, frontier[lo:hi])
+        yield slot + lo, pos
+        lo = hi
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an array, by one sort; np.unique
+    (NumPy 2) is several times slower on these int arrays."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def csr_distances(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
-    """BFS distances over a CSR adjacency, one level at a time; unreachable
-    vertices get -1."""
+    """BFS distances over a CSR adjacency, one level at a time and each
+    level in frontier blocks; unreachable vertices get -1."""
     dist = np.full(indptr.size - 1, -1, dtype=np.int32)
     dist[start] = 0
     frontier = np.array([start])
     d = 0
     while frontier.size:
         d += 1
-        nxt = indices[frontier_darts(indptr, frontier)[1]]
-        frontier = np.unique(nxt[dist[nxt] < 0])
-        dist[frontier] = d
+        found = []
+        for _, pos in frontier_blocks(indptr, frontier):
+            nxt = distinct(indices[pos])
+            nxt = nxt[dist[nxt] < 0]
+            dist[nxt] = d
+            found.append(nxt)
+        frontier = np.concatenate(found)
     return dist
 
 

@@ -9,9 +9,13 @@ XOR folds of packed coordinate vectors.
 A :class:`DartTable` pins one voltage assignment to one enumerated
 graph as a CSR array of packed values; everything bulk (spanning-tree
 potentials, fundamental-cycle spans, lift components, local-isomorphism
-verification) runs off it.  A lift vertex is a (base index, packed tag)
-row of one ``(n, 2)`` int64 array.  The scalar entry points take a plain
-``dart_fn(a, b) -> 21-tuple`` instead and work on any graph.
+verification) runs off it.  The spanning tree, the span and the
+local-isomorphism check walk their darts in the frontier blocks of
+:func:`phcover.graphs.frontier_blocks`, so that beside their output they
+hold about ``BULK_BLOCK`` darts at a time.  A lift vertex is a (base
+index, packed tag) row of one ``(n, 2)`` int64 array.  The scalar entry
+points take a plain ``dart_fn(a, b) -> 21-tuple`` instead and work on
+any graph.
 
 Every check that tests items one at a time feeds :func:`tally` one
 result per item, ``None`` or a witness, and :func:`report` turns the
@@ -27,6 +31,8 @@ from .graphs import (
     Graph,
     adjacent,
     build_affine_graph,
+    distinct,
+    frontier_blocks,
     frontier_darts,
     normalize,
     random_affine_vertex,
@@ -197,30 +203,33 @@ def spanning_tree_potentials(table: DartTable, root: int):
     the root to v.  Neighbours are scanned in index order, so the tree (and
     any tie-break among shortest paths) is deterministic.
 
-    The BFS runs one level at a time: the CSR rows of the frontier are
-    gathered in frontier order, and each new vertex takes its parent from
-    its first occurrence there, which is the tree a first-in-first-out
-    queue scan builds."""
+    The BFS runs one level at a time, and each level in frontier blocks,
+    in frontier order: the CSR rows of a block are gathered, each vertex
+    not seen before takes its parent from its first occurrence there, and
+    it is marked seen before the next block.  That is the tree a
+    first-in-first-out queue scan builds."""
     cached = table._tree_cache.get(root)
     if cached is not None:
         return cached
     g = table.graph
-    indptr = table.indptr
     parent = np.full(g.n, -1, dtype=np.int64)
     pot = np.zeros(g.n, dtype=table.volts.dtype)  # object zeros are int 0
     seen = np.zeros(g.n, dtype=bool)
     seen[root] = True
-    frontier = np.array([root], dtype=np.int64)
+    frontier = np.array([root])
     while frontier.size:
-        slot, pos = frontier_darts(indptr, frontier)
-        dst = table.indices[pos]
-        fresh = ~seen[dst]
-        slot, pos, dst = slot[fresh], pos[fresh], dst[fresh]
-        first = np.sort(np.unique(dst, return_index=True)[1])
-        src, pos, frontier = frontier[slot[first]], pos[first], dst[first].astype(np.int64)
-        seen[frontier] = True
-        parent[frontier] = src
-        pot[frontier] = pot[src] ^ table.volts[pos]
+        found = []
+        for slot, pos in frontier_blocks(table.indptr, frontier):
+            dst = table.indices[pos]
+            fresh = ~seen[dst]
+            slot, pos, dst = slot[fresh], pos[fresh], dst[fresh]
+            first = np.sort(np.unique(dst, return_index=True)[1])
+            src, pos, new = frontier[slot[first]], pos[first], dst[first]
+            seen[new] = True
+            parent[new] = src
+            pot[new] = pot[src] ^ table.volts[pos]
+            found.append(new)
+        frontier = np.concatenate(found)
     if not seen.all():
         raise ValueError("graph is not connected")
     if len(table._tree_cache) < 8:
@@ -235,17 +244,20 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
     pot[a] + volt(a, b) + pot[b]; tree edges contribute zero.  In an
     abelian exponent-2 group this set generates the same span as the
     voltages of all closed walks.  When member_fn is given, every
-    fundamental voltage is additionally tested with it and failures are
-    counted as violations.
+    distinct fundamental voltage is additionally tested with it and
+    failures are counted as violations.  The edges a < b are read in
+    blocks of rows, each reduced to its distinct nonzero voltages.
     """
     parent, pot = spanning_tree_potentials(table, root)
     g = table.graph
-    src = g.dart_sources()
-    dst = table.indices.astype(np.int64)
-    keep = src < dst
-    fc = pot[src[keep]] ^ pot[dst[keep]] ^ table.volts[keep]
-    fc = fc[fc != 0]
-    uniq = np.unique(fc)
+    edges, parts = 0, []
+    for src, pos in frontier_blocks(table.indptr, np.arange(g.n)):
+        dst = table.indices[pos]
+        keep = src < dst
+        fc = pot[src[keep]] ^ pot[dst[keep]] ^ table.volts[pos[keep]]
+        parts.append(distinct(fc[fc != 0]))
+        edges += int(keep.sum())
+    uniq = distinct(np.concatenate(parts))
     span = F2Span()
     for x in uniq.tolist():
         span.add(x)
@@ -255,8 +267,8 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
                                          for x in uniq.tolist())
     return {
         "span": span,
-        "edges": int(keep.sum()),
-        "nontree_edges": int(keep.sum()) - (g.n - 1),
+        "edges": edges,
+        "nontree_edges": edges - (g.n - 1),
         "distinct_voltages": int(uniq.size) + 1,  # including 0
         "violations": violations,
         "witnesses": witnesses,
@@ -271,16 +283,21 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def find_pairs(keys_b, keys_t, b, t) -> np.ndarray:
-    """Position of each pair (b[i], t[i]) among the keys, sorted by base and
-    then tag, or -1.  Tags (42 bits over GF(4), 63 over GF(8)) are ranked
-    among the key tags, so that base and rank fit one int64 code."""
-    tags = np.unique(keys_t)
+def pair_index(keys_b, keys_t):
+    """The lookup of pairs among the keys, sorted by base and then tag: a
+    function taking arrays (b, t) to the position of each pair (b[i], t[i])
+    among the keys, or -1.  Tags (42 bits over GF(4), 63 over GF(8)) are
+    ranked among the key tags, so that base and rank fit one int64 code."""
+    tags = distinct(keys_t)
     codes = keys_b * tags.size + np.searchsorted(tags, keys_t)
-    rank = np.minimum(np.searchsorted(tags, t), tags.size - 1)
-    want = b * tags.size + rank
-    at = np.minimum(np.searchsorted(codes, want), codes.size - 1)
-    return np.where((codes[at] == want) & (tags[rank] == t), at, -1)
+
+    def find(b, t) -> np.ndarray:
+        rank = np.minimum(np.searchsorted(tags, t), tags.size - 1)
+        want = b * tags.size + rank
+        at = np.minimum(np.searchsorted(codes, want), codes.size - 1)
+        return np.where((codes[at] == want) & (tags[rank] == t), at, -1)
+
+    return find
 
 
 def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int = 0):
@@ -331,7 +348,8 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     """Check that projecting each lift vertex's neighbourhood onto the base
     neighbourhood is an adjacency-and-non-adjacency preserving bijection,
     at every lift vertex of the component, in one pass over every (lift
-    vertex, base triangle through its base) pair."""
+    vertex, base triangle through its base) pair.  Both passes run in
+    blocks of lift vertices."""
     g = table.graph
     up = np.uint64(u_packed(table.gf))
     indptr, indices, volts = table.indptr, table.indices, table.volts
@@ -343,7 +361,8 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     w1 = indices[p]
     s2, e = frontier_darts(indptr, w1)
     u, p, w1, w2 = bases[slot[s2]], p[s2], w1[s2], indices[e]
-    darts = g.dart_sources() * g.n + indices
+    # int64 keys: an int32 source times n could overflow
+    darts = g.dart_sources().astype(np.int64) * g.n + indices
     key = u * g.n + w2
     q = np.minimum(np.searchsorted(darts, key), darts.size - 1)
     tri = (w2 > w1) & (darts[q] == key)
@@ -353,21 +372,22 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     # every lift vertex with every triangle through its base: the lift
     # neighbours over w1 and w2 must be adjacent exactly as w1 and w2 are
     want = np.minimum(volts[e], volts[e] ^ up)
-    k, ti = frontier_darts(tri_indptr, base_slot)
-    t = vt[k]
-    x = t ^ volts[p][ti]
-    y = t ^ volts[q][ti]
-    have = np.minimum(x, x ^ up) ^ np.minimum(y, y ^ up)
-    checked = int(k.size)
-    violations = int((np.minimum(have, have ^ up) != want[ti]).sum())
+    vp, vq = volts[p], volts[q]
+    checked = violations = 0
+    for k, ti in frontier_blocks(tri_indptr, base_slot):
+        x = vt[k] ^ vp[ti]
+        y = vt[k] ^ vq[ti]
+        have = np.minimum(x, x ^ up) ^ np.minimum(y, y ^ up)
+        checked += int(k.size)
+        violations += int((np.minimum(have, have ^ up) != want[ti]).sum())
     # bijectivity: a lift vertex has one lift neighbour over each base
     # neighbour, so the projection is onto the base neighbourhood and
     # one-to-one exactly when every such neighbour is in the component
     order = np.lexsort((vt, vb))
-    k, pos = frontier_darts(indptr, vb)
-    nt = vt[k] ^ volts[pos]
-    missing = find_pairs(vb[order], vt[order], indices[pos], np.minimum(nt, nt ^ up)) < 0
-    violations += int(missing.sum())
+    find = pair_index(vb[order], vt[order])
+    for k, pos in frontier_blocks(indptr, vb):
+        nt = vt[k] ^ volts[pos]
+        violations += int((find(indices[pos], np.minimum(nt, nt ^ up)) < 0).sum())
     return {"mode": "direct", "checked": checked, "violations": violations,
             "passed": violations == 0}
 

@@ -263,7 +263,7 @@ def test_bulk_voltages_across_blocks():
 
     # two full blocks and a partial one of 7 darts
     graph = gr.build_projective_graph(field_of_order(4))
-    pos = np.random.default_rng(8).integers(0, graph._indices.size, 2 * cons.BULK_BLOCK + 7)
+    pos = np.random.default_rng(8).integers(0, graph._indices.size, 2 * gr.BULK_BLOCK + 7)
     _bulk_against_scalar(graph, np.searchsorted(graph._indptr, pos, side="right") - 1,
                          graph._indices[pos])
 
@@ -295,7 +295,7 @@ def test_bulk_voltages_refuse_what_the_scalar_refuses():
     with pytest.raises(ValueError, match="not adjacent"):
         cons.bulk_dart_voltage(gf, [0], [0], one, one)
     graph = gr.build_projective_graph(gf)
-    src = graph.dart_sources()[:cons.BULK_BLOCK + 9].copy()
+    src = graph.dart_sources()[:gr.BULK_BLOCK + 9].copy()
     dst = graph._indices[:src.size].copy()
     cons.bulk_dart_voltage(gf, src, dst, graph.vmat, graph.hmat)
     far = next(j for j in range(graph.n) if j != src[-1] and not graph.adjacent(src[-1], j))
@@ -756,6 +756,24 @@ def test_export_roundtrip(tmp_path):
         loaded = cons.load_cover(path, fmt)
         assert loaded["vertices"] == list(map(tuple, data["vertices"].tolist()))
         assert loaded["edges"] == list(map(tuple, data["edges"].tolist()))
+
+
+def test_cover_and_exports_are_the_same_at_any_block_size(monkeypatch, tmp_path):
+    import numpy as np
+
+    want = cons.cover_data()
+    files = {"json": "cover.json", "edgelist": "cover.txt"}
+    for fmt, name in files.items():
+        cons.export_cover(str(tmp_path / name), fmt)
+    # a block of 7 darts holds one lift vertex's row, and one of the exports 3 rows
+    monkeypatch.setattr(gr, "BULK_BLOCK", 7)
+    got = cons.build_cover()
+    for key in ("vertices", "edges"):
+        assert got[key].dtype == want[key].dtype and np.array_equal(got[key], want[key])
+    assert np.array_equal(got["component"]["vertices"], want["component"]["vertices"])
+    for fmt, name in files.items():
+        cons.export_cover(str(tmp_path / ("small-" + name)), fmt)
+        assert (tmp_path / ("small-" + name)).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_export_deterministic(tmp_path):

@@ -467,3 +467,23 @@ def test_draws_match_randrange(q):
             basis = kernel(gf, rows)
             assert gr._random_in_span(gf, basis, fast) == _in_span_by_randrange(gf, basis, slow)
         assert fast.getstate() == slow.getstate()
+
+
+def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):
+    # with blocks of 7 elements each packed row is a block of its own, and a
+    # frontier block holds one long row or a few short ones
+    graphs = [gr.build_projective_graph(field_of_order(q)) for q in (2, 4)] + _test_graphs()
+    want = [(g._indptr, g._indices, [gr.bfs(g, s) for s in (0, g.n - 1)]) for g in graphs]
+    monkeypatch.setattr(gr, "BULK_BLOCK", 7)
+    for g, (indptr, indices, dists) in zip(graphs, want):
+        got = gr.Graph(g.gf, g.vertices)
+        assert got._indptr.dtype == np.int64 and got._indices.dtype == np.int32
+        assert np.array_equal(got._indptr, indptr) and np.array_equal(got._indices, indices)
+        # each row against its own unpacked packed row
+        for i in range(0, g.n, max(1, g.n // 97)):
+            row = np.unpackbits(got.packed_rows()[i], count=g.n)
+            assert got.neighbors(i).tolist() == np.flatnonzero(row).tolist()
+        src = got.dart_sources()
+        assert src.dtype == np.int32
+        assert src.tolist() == [i for i in range(g.n) for _ in range(got.degree(i))]
+        assert all(np.array_equal(gr.bfs(got, s), d) for s, d in zip((0, g.n - 1), dists))

@@ -1,0 +1,79 @@
+"""Every bulk pass over the darts of the GF(4) graph or of the GF(2) cover
+keeps its temporaries within a fixed budget, whatever the dart count:
+the traced peak allocation minus what the call keeps (its output and its
+caches)."""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from phcover.field import field_of_order
+from phcover import construction as cons
+from phcover import graphs as gr
+from phcover import voltage as vg
+
+BUDGET = 16 * 2 ** 20  # bytes; each of these passes took 19 to 50 MiB before blocking
+
+
+def _transient_bytes(call) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - kept
+
+
+# each case sets up untraced and returns the call to trace
+
+
+def _graph(tmp_path):
+    gf = field_of_order(4)
+    verts = gr.projective_vertices(gf)
+    return lambda: gr.Graph(gf, verts)
+
+
+def _voltage_table(tmp_path):
+    gf = field_of_order(4)
+    graph = gr.Graph(gf, gr.build_projective_graph(gf).vertices)
+    return lambda: cons.voltage_table(graph)
+
+
+def _spanning_tree(tmp_path):
+    graph = gr.build_projective_graph(field_of_order(4))
+    table = cons.voltage_table(graph)
+    fresh = vg.DartTable(graph, table.indptr, table.indices, table.volts)
+    return lambda: vg.spanning_tree_potentials(fresh, 0)
+
+
+def _cycle_span_report(tmp_path):
+    gf = field_of_order(4)
+    # the tree is rebuilt, so the report pays for both passes
+    cons.voltage_table(gr.build_projective_graph(gf))._tree_cache.clear()
+    return lambda: cons.cycle_span_report(gf)
+
+
+def _local_isomorphism(tmp_path):
+    data = cons.cover_data()
+    return lambda: vg.verify_local_isomorphism(data["table"], data["component"])
+
+
+def _export(fmt):
+    def setup(tmp_path):
+        cons.cover_data()
+        return lambda: cons.export_cover(str(tmp_path / "cover"), fmt)
+    return setup
+
+
+PASSES = {"graph": _graph, "voltage_table": _voltage_table, "spanning_tree": _spanning_tree,
+          "cycle_span_report": _cycle_span_report, "local_isomorphism": _local_isomorphism,
+          "export_json": _export("json"), "export_edgelist": _export("edgelist")}
+
+
+@pytest.mark.parametrize("name", PASSES)
+def test_bulk_pass_memory_budget(name, tmp_path):
+    assert _transient_bytes(PASSES[name](tmp_path)) <= BUDGET

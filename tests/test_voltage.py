@@ -261,6 +261,30 @@ def test_spanning_tree_matches_queue_bfs():
             assert pot.dtype == (object if graph.gf.k > 3 else "uint64")
 
 
+@pytest.mark.parametrize("q", (2, 4, 16))
+def test_tree_and_span_are_the_same_at_any_block_size(q, monkeypatch):
+    gf = field_of_order(q)
+    graph = (cons._rational_subgraph_with_twists(gf) if q == 16
+             else gr.build_projective_graph(gf))
+    table = cons.voltage_table(graph)
+
+    def run(root):
+        # a fresh table shares the arrays but not the cached trees
+        fresh = vg.DartTable(graph, table.indptr, table.indices, table.volts)
+        parent, pot = vg.spanning_tree_potentials(fresh, root)
+        # a third of the voltages fail, so the witnesses and their order count
+        res = vg.fundamental_cycle_span(fresh, root, member_fn=lambda x: x % 3 != 0)
+        res["span"] = res["span"].pivots
+        return parent.tolist(), [int(x) for x in pot], res
+
+    roots = (0, graph.n - 1)
+    want = [run(root) for root in roots]
+    assert want[0][2]["violations"] > 5
+    # a block of 7 darts holds one long frontier row or a few short ones
+    monkeypatch.setattr(gr, "BULK_BLOCK", 7)
+    assert [run(root) for root in roots] == want
+
+
 def test_spanning_tree_refuses_disconnected_graph():
     gf = field_of_order(2)
     # f1(e1) = 1: neither vertex's covector kills the other's vector
@@ -340,7 +364,7 @@ def test_find_pairs_wide_tags():
     queries = keys[::-1] + [(3, 5), (0, 6), (9, 2 ** 63 - 2), (10, 5), (0, 2 ** 63)]
     qb, qt = np.array([b for b, _ in queries]), np.array([t for _, t in queries], dtype=np.uint64)
     want = [keys.index(q) if q in keys else -1 for q in queries]
-    assert vg.find_pairs(kb, kt, qb, qt).tolist() == want
+    assert vg.pair_index(kb, kt)(qb, qt).tolist() == want
 
 
 def test_component_cap_guard_gf4():
@@ -382,6 +406,18 @@ def test_local_isomorphism_detects_corruption():
     rep = vg.verify_local_isomorphism(_corrupted_gf2_table(), component)
     assert not rep["passed"] and rep["violations"] > 0
     assert (rep["checked"], rep["violations"]) == (645120, 1280)
+
+
+def test_local_isomorphism_is_the_same_at_any_block_size(monkeypatch):
+    data = cons.cover_data()
+    truncated = {"vertices": data["component"]["vertices"][:-64]}
+    cases = [(data["table"], data["component"]), (_corrupted_gf2_table(), data["component"]),
+             (data["table"], truncated)]
+    want = [vg.verify_local_isomorphism(*case) for case in cases]
+    assert [(r["checked"], r["violations"]) for r in want] == [
+        (645120, 0), (645120, 1280), (639744, 1766)]
+    monkeypatch.setattr(gr, "BULK_BLOCK", 7)
+    assert [vg.verify_local_isomorphism(*case) for case in cases] == want
 
 
 def test_exhaustive_triangles_detect_corruption(monkeypatch):
