@@ -15,6 +15,7 @@ across runs with the same flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import construction as cons
 from .field import field_of_order
-from .graphs import build_affine_graph, build_projective_graph
+from .graphs import build_affine_graph, build_projective_graph, edge_blocks
 from .voltage import CapExceeded
 
 # each suite's reports from (field, samples, seed, mode), in the order
@@ -79,19 +80,20 @@ def cmd_verify(cfg) -> int:
     return 0 if passed else 1
 
 
-def _graph_doc(graph, kind: str) -> dict:
-    # the darts i -> j with j > i, row by row, are the edges in row-major order
-    src = graph.dart_sources()
-    upper = graph._indices > src
-    edges = np.stack([src[upper], graph._indices[upper]], axis=1).tolist()
-    return {
-        "kind": kind,
-        "field": graph.gf.order,
-        "vertex_count": graph.n,
-        "edge_count": len(edges),
-        "vertices": [[list(v), list(h)] for v, h in graph.vertices],
-        "edges": edges,
-    }
+def _write_graph(fh, graph, kind: str, fmt: str) -> None:
+    """Write the base graph as an edge list, or as the compact JSON document
+    with sorted keys that json.dumps gives, the edges a block at a time."""
+    q, n, m = graph.gf.order, graph.n, graph.edge_count()
+    edges = (np.stack(ij, axis=1) for ij in edge_blocks(graph))
+    if fmt == "edgelist":
+        fh.write(f"# {kind} field={q} vertices={n} edges={m}\n")
+        cons._write_rows(fh, edges, "e %d %d\n")
+        return
+    fh.write(f'{{"edge_count":{m},"edges":[')
+    cons._write_rows(fh, edges, "[%d,%d]", ",")
+    # the vertices' (vector, covector) tuples encode as JSON arrays
+    fh.write(f'],"field":{q},"kind":{json.dumps(kind)},"vertex_count":{n},'
+             f'"vertices":{json.dumps(graph.vertices, separators=(",", ":"))}}}\n')
 
 
 def cmd_export(cfg) -> int:
@@ -111,19 +113,8 @@ def cmd_export(cfg) -> int:
                   " export the projective graph instead", file=sys.stderr)
             return 2
         graph = build_projective_graph(gf) if cfg.graph == "projective" else build_affine_graph(gf)
-        doc = _graph_doc(graph, cfg.graph)
-        if cfg.format == "edgelist":
-            lines = [f"# {doc['kind']} field={doc['field']} vertices={doc['vertex_count']}"
-                     f" edges={doc['edge_count']}"]
-            lines += [f"e {i} {j}" for i, j in doc["edges"]]
-            text = "\n".join(lines) + "\n"
-            if cfg.out:
-                with open(cfg.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-        else:
-            _emit(doc, cfg.out)
+        with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+            _write_graph(fh, graph, cfg.graph, cfg.format)
         return 0
     if cfg.what == "report":
         cfg.suite = "all"

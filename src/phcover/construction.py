@@ -23,7 +23,6 @@ import operator
 import random
 import re
 from functools import lru_cache, partial
-from itertools import combinations
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .graphs import (
     build_affine_graph,
     build_projective_graph,
     csr_distances,
+    edge_blocks,
     frontier_blocks,
     normalize,
     proj_points,
@@ -53,6 +53,7 @@ from .multilinear import (
     big_u,
     in_w2,
     in_w2_plus_u,
+    offdiag_mask,
     pack_sym,
     packed_in_w2_plus_u,
     phi,
@@ -380,6 +381,54 @@ def _common_neighbors(graph: Graph, i: int, j: int) -> np.ndarray:
     return np.nonzero(both)[0]
 
 
+def _common_neighbor_blocks(graph: Graph, i: np.ndarray, j: np.ndarray):
+    """The common neighbours of each pair (i[t], j[t]) from the packed rows,
+    in blocks of pairs: (t, w) arrays sorted by pair and then neighbour,
+    t indexing the whole pair arrays."""
+    rows = graph.packed_rows()
+    for lo, hi in blocks(i.size, graph.n):
+        both = np.unpackbits(rows[i[lo:hi]] & rows[j[lo:hi]], axis=1, count=graph.n)
+        t, w = np.nonzero(both)
+        yield t + lo, w
+
+
+def _triangle_blocks(graph: Graph):
+    """Every triangle (i, j, w) with i < j < w, once, in lexicographic
+    order, as (B, 3) blocks: the edges i < j in order, each with its common
+    neighbours w > j."""
+    for i, j in edge_blocks(graph):
+        for t, w in _common_neighbor_blocks(graph, i, j):
+            up = w > j[t]
+            yield np.stack([i[t[up]], j[t[up]], w[up]], axis=1)
+
+
+def _quadrangle_blocks(graph: Graph):
+    """Every 4-cycle (i, a, j, b) with i < j and a < b, once, in
+    lexicographic order of (i, j, a, b), as (B, 4) blocks: the pairs i < j
+    in order, each with the pairs a < b of its common neighbours."""
+    i, j = np.triu_indices(graph.n, 1)
+    for t, w in _common_neighbor_blocks(graph, i, j):
+        # each common neighbour pairs with those after it in its pair's row
+        after = np.searchsorted(t, t, side="right") - np.arange(t.size) - 1
+        a = np.repeat(np.arange(t.size), after)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(after) - after, after)
+        yield np.stack([i[t[a]], w[a], j[t[a]], w[b]], axis=1)
+
+
+def _check_table_cycles(cycle_blocks, voltages, passes, key):
+    """Tally the closed walks of (B, L) blocks of vertex ids by the pass
+    mask passes(volts), each witness {key: cycle, "voltage": voltage}.
+    voltages(rows) lists the packed voltage of each walk of a block, given
+    the block's rows as lists."""
+    cycles, volts = [], []
+    for block in cycle_blocks:
+        cycles.append(block.astype(np.int32))
+        volts.append(np.array(voltages(block.tolist()), dtype=np.uint64))
+    cycles, volts = np.concatenate(cycles), np.concatenate(volts)
+    return tally(passes(volts), lambda t: {key: tuple(cycles[t].tolist()),
+                                           "voltage": int(volts[t])})
+
+
 def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                      seed: int = 12345) -> dict:
     """Every triangle voltage equals U, exhaustively on the enumerated affine
@@ -387,17 +436,15 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
     mode = _resolve_mode(gf, mode, "triangle")
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
-        # every triangle (i, j, w) with i < j < w, once
-        cycles = ((i, j, w) for i in range(graph.n)
-                  for j in graph.neighbors(i).tolist() if j > i
-                  for w in _common_neighbors(graph, i, j).tolist() if w > j)
-        voltage, u = partial(_table_voltage, voltage_table(graph)), u_packed(gf)
-    else:
-        rng = random.Random(seed)
-        cycles = (sample_triangle(gf, rng) for _ in range(samples))
-        voltage, u = partial(cycle_voltage, gf), big_u(gf)
+        dart, u = voltage_table(graph).dart, np.uint64(u_packed(gf))
+        return report("triangles", gf, mode, *_check_table_cycles(
+            _triangle_blocks(graph),
+            lambda rows: [dart(i, j) ^ dart(j, w) ^ dart(w, i) for i, j, w in rows],
+            lambda volts: volts == u, "triangle"))
+    rng = random.Random(seed)
     return report("triangles", gf, mode, *_check_cycles(
-        cycles, voltage, partial(operator.eq, u), "triangle"))
+        (sample_triangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
+        partial(operator.eq, big_u(gf)), "triangle"))
 
 
 def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
@@ -406,16 +453,17 @@ def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
     mode = _resolve_mode(gf, mode, "4-cycle")
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
-        # every 4-cycle (i, a, j, b) with i < j and a < b, once
-        cycles = ((i, a, j, b) for i in range(graph.n) for j in range(i + 1, graph.n)
-                  for a, b in combinations(_common_neighbors(graph, i, j).tolist(), 2))
-        voltage = partial(_table_voltage, voltage_table(graph))
-        member = partial(packed_in_w2_plus_u, gf)
-    else:
-        rng = random.Random(seed)
-        cycles = (sample_quadrangle(gf, rng) for _ in range(samples))
-        voltage, member = partial(cycle_voltage, gf), partial(in_w2_plus_u, gf)
-    return report("quadrangles", gf, mode, *_check_cycles(cycles, voltage, member, "cycle"))
+        dart = voltage_table(graph).dart
+        mask, u = np.uint64(offdiag_mask(gf)), np.uint64(u_packed(gf))
+        return report("quadrangles", gf, mode, *_check_table_cycles(
+            _quadrangle_blocks(graph),
+            lambda rows: [dart(i, a) ^ dart(a, j) ^ dart(j, b) ^ dart(b, i)
+                          for i, a, j, b in rows],
+            lambda volts: ((volts & mask) == 0) | ((volts & mask) == u), "cycle"))
+    rng = random.Random(seed)
+    return report("quadrangles", gf, mode, *_check_cycles(
+        (sample_quadrangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
+        partial(in_w2_plus_u, gf), "cycle"))
 
 
 def verify_pentagons(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
@@ -821,13 +869,19 @@ def cover_data(cap: int = 10 ** 7) -> dict:
     return data
 
 
-def _write_rows(fh, rows, fmt: str, sep: str = "") -> None:
-    """Write the rows of an int array through fmt, which has one %d per
-    column, joined by sep, in blocks of rows."""
-    for lo, hi in blocks(len(rows), rows.shape[1]):
-        if lo:
-            fh.write(sep)
-        fh.write(sep.join([fmt] * (hi - lo)) % tuple(rows[lo:hi].ravel().tolist()))
+def _write_rows(fh, row_blocks, fmt: str, sep: str = "") -> None:
+    """Write blocks of rows of int arrays through fmt, which has one %d per
+    column, every row joined to the next by sep."""
+    lead = ""
+    for rows in row_blocks:
+        if len(rows):
+            fh.write(lead + (sep.join([fmt] * len(rows)) % tuple(rows.ravel().tolist())))
+            lead = sep
+
+
+def _row_blocks(rows: np.ndarray):
+    """The rows of a 2-d array in blocks of at most BULK_BLOCK entries."""
+    return (rows[lo:hi] for lo, hi in blocks(len(rows), rows.shape[1]))
 
 
 def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:
@@ -846,14 +900,22 @@ def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:
             # the base vertices' tuples encode as JSON arrays
             base = json.dumps(data["graph"].vertices, separators=(",", ":"))
             fh.write(f'{{"base_vertices":{base},"edge_count":{len(edges)},"edges":[')
-            _write_rows(fh, edges, "[%d,%d]", ",")
+            _write_rows(fh, _row_blocks(edges), "[%d,%d]", ",")
             fh.write(f'],"field":2,"vertex_count":{len(verts)},"vertices":[')
-            _write_rows(fh, verts, "[%d,%d]", ",")
+            _write_rows(fh, _row_blocks(verts), "[%d,%d]", ",")
             fh.write("]}\n")
         else:
             fh.write(f"# cover field=2 vertices={len(verts)} edges={len(edges)}\n")
-            _write_rows(fh, np.column_stack([np.arange(len(verts)), verts]), "v %d %d %d\n")
-            _write_rows(fh, edges, "e %d %d\n")
+            _write_rows(fh, _row_blocks(np.column_stack([np.arange(len(verts)), verts])),
+                        "v %d %d %d\n")
+            _write_rows(fh, _row_blocks(edges), "e %d %d\n")
+
+
+# the first line of a cover edge list, past its comment and blank lines,
+# that is not a "v i base tag" record, and the first that is not an
+# "e i j" record; a search keeps no state from one line to the next
+_NOT_V = re.compile(r"(?m)^(?!v(?:[ \t]+[0-9]+){3}[ \t]*\n).")
+_NOT_E = re.compile(r"(?m)^(?!e(?:[ \t]+[0-9]+){2}[ \t]*\n).")
 
 
 def load_cover(path: str, fmt: str = "json") -> dict:
@@ -876,15 +938,18 @@ def load_cover(path: str, fmt: str = "json") -> dict:
         return {"vertices": pairs[0], "edges": pairs[1]}
     if fmt == "edgelist":
         with open(path) as fh:
-            words = re.sub(r"(?m)^#.*$", "", fh.read()).split()
-        # "v i base tag" records, then "e i j" records
-        nv = 4 * words.count("v")
-        vs, es = words[:nv], words[nv:]
-        if len(vs) < nv or set(vs[::4]) - {"v"} or set(es[::3]) - {"e"} or len(es) % 3:
+            text = re.sub(r"(?m)^(?:#.*)?\n", "", fh.read() + "\n")
+        # the "v" records, then the "e" records
+        first_e = re.search(r"(?m)^e", text)
+        k = first_e.start() if first_e else len(text)
+        vs, es = text[:k], text[k:]
+        if _NOT_V.search(vs) or _NOT_E.search(es):
             raise ValueError(f"{path}: not a cover edge list")
-        b, t, i, j = (np.array(x, dtype=np.uint64).tolist()
-                      for x in (vs[2::4], vs[3::4], es[1::3], es[2::3]))
-        return {"vertices": list(zip(b, t)), "edges": list(zip(i, j))}
+        # the numbers of each part, with its record letter read as a blank
+        v, e = (np.fromstring(part.replace(letter, " "), dtype=np.uint64, sep=" ")
+                for part, letter in ((vs, "v"), (es, "e")))
+        v, e = v.reshape(-1, 3).T.tolist(), e.reshape(-1, 2).T.tolist()
+        return {"vertices": list(zip(v[1], v[2])), "edges": list(zip(e[0], e[1]))}
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -279,6 +279,15 @@ def frontier_blocks(indptr: np.ndarray, frontier: np.ndarray):
         lo = hi
 
 
+def edge_blocks(graph: Graph):
+    """The edges i < j of a graph in row-major order, a block of CSR rows at
+    a time: arrays (i, j) per block."""
+    for src, pos in frontier_blocks(graph._indptr, np.arange(graph.n)):
+        dst = graph._indices[pos]
+        keep = src < dst
+        yield src[keep], dst[keep]
+
+
 def distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values of an array, by one sort; np.unique
     (NumPy 2) is several times slower on these int arrays."""

@@ -18,8 +18,9 @@ points take a plain ``dart_fn(a, b) -> 21-tuple`` instead and work on
 any graph.
 
 Every check that tests items one at a time feeds :func:`tally` one
-result per item, ``None`` or a witness, and :func:`report` turns the
-tally into the report shape all checks share.
+result per item, ``None`` or a witness, or a pass mask over its items
+with a function that builds the witness of a failed one, and
+:func:`report` turns the tally into the report shape all checks share.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .field import GF
 from .graphs import (
     Graph,
     adjacent,
+    blocks,
     build_affine_graph,
     distinct,
     frontier_blocks,
@@ -81,10 +83,15 @@ class F2Span:
         return len(self.pivots)
 
 
-def tally(results) -> tuple:
+def tally(results, witness=None) -> tuple:
     """Count a stream with one result per checked item: None when the item
-    passed, its witness when it failed.  Returns (checked, violations,
-    witnesses) with the first five witnesses, in stream order."""
+    passed, its witness when it failed.  Given witness, results is instead
+    a boolean pass mask with one entry per item, and witness(i) builds the
+    witness of the failed item i.  Returns (checked, violations,
+    witnesses) with the first five witnesses, in item order."""
+    if witness is not None:
+        failed = np.flatnonzero(~np.asarray(results, dtype=bool))
+        return len(results), int(failed.size), [witness(int(i)) for i in failed[:5]]
     checked = violations = 0
     witnesses = []
     for checked, witness in enumerate(results, 1):
@@ -187,15 +194,16 @@ class DartTable:
 
         The first lookup in row i keeps the row as a dict from neighbour
         to voltage, in plain ints; only touched rows are kept."""
-        row = self._rows.get(i)
-        if row is None:
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            row = self._rows[i] = dict(zip(self.indices[lo:hi].tolist(),
-                                           self.volts[lo:hi].tolist()))
-        volt = row.get(j)
-        if volt is None:
-            raise ValueError(f"vertices {i} and {j} are not adjacent")
-        return volt
+        try:
+            return self._rows[i][j]
+        except KeyError:
+            if i not in self._rows:
+                lo, hi = self.indptr[i], self.indptr[i + 1]
+                self._rows[i] = dict(zip(self.indices[lo:hi].tolist(),
+                                         self.volts[lo:hi].tolist()))
+                if j in self._rows[i]:
+                    return self._rows[i][j]
+        raise ValueError(f"vertices {i} and {j} are not adjacent")
 
 
 def spanning_tree_potentials(table: DartTable, root: int):
@@ -403,6 +411,43 @@ def vertex_image_index(table: DartTable, act: MatrixAction, i: int) -> int:
     return g.index[(normalize(g.gf, act.on_vector(v)), normalize(g.gf, act.on_covector(h)))]
 
 
+def _row_codes(gf: GF, rows: np.ndarray) -> np.ndarray:
+    """The coordinate rows (last axis) read as base-q numbers, first
+    coordinate first, as int64."""
+    return rows.astype(np.int64) @ gf.order ** np.arange(rows.shape[-1] - 1, -1, -1)
+
+
+def _image_codes(gf: GF, rows: np.ndarray, mats) -> np.ndarray:
+    """The code of normalize(x m) for each 4x4 matrix m and each row x of a
+    coordinate stack, as an (A, len(rows)) array."""
+    mul = gf.mul_table
+    at = rows.astype(np.intp)[None, :, :, None] * gf.order
+    x = mul.ravel()[at + np.array(mats, dtype=np.intp).reshape(-1, 1, 4, 4)]
+    out = x[:, :, 0] ^ x[:, :, 1] ^ x[:, :, 2] ^ x[:, :, 3]
+    lead = np.take_along_axis(out, (out != 0).argmax(axis=2)[..., None], axis=2)
+    return _row_codes(gf, mul[gf.inv_table[lead], out])
+
+
+def vertex_images(table: DartTable, actions) -> np.ndarray:
+    """vertex_image_index of every vertex under each action, as an (A, n)
+    int64 array: the normalised images of the distinct vectors and
+    covectors are coded once per action, and each vertex's image is found
+    by its code among the vertex codes.  Raises KeyError when an image is
+    not a vertex."""
+    g, gf = table.graph, table.gf
+    codes, images = 0, 0
+    for rows, mats in ((g.vmat, [a.m for a in actions]), (g.hmat, [a.minv_t for a in actions])):
+        distinct, first, inverse = np.unique(_row_codes(gf, rows), return_index=True,
+                                             return_inverse=True)
+        codes = codes * gf.order ** 4 + distinct[inverse]
+        images = images * gf.order ** 4 + _image_codes(gf, rows[first], mats)[:, inverse]
+    order = np.argsort(codes)
+    at = order[np.minimum(np.searchsorted(codes, images, sorter=order), codes.size - 1)]
+    if (codes[at] != images).any():
+        raise KeyError("the image of a vertex is not a vertex of the graph")
+    return at
+
+
 def lambda_of(table: DartTable, act: MatrixAction, v_idx: int, via: int | None = None) -> int:
     """Packed voltage of a chosen path from the image of v back to v.
 
@@ -489,26 +534,28 @@ def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
     """Check voltage equivariance: the voltage of the image dart equals the
     induced action on the voltage of the dart, for every supplied matrix.
 
-    Exhaustive mode runs over all edges of an enumerated affine graph
-    through its packed table, with the images of their voltages taken in
-    bulk per matrix (k <= 3); sample mode draws random darts lazily.
+    Exhaustive mode runs over all edges u < v of an enumerated graph
+    through its packed table, one matrix at a time and each matrix in
+    blocks of edges: the image vertices come from vertex_images, the image
+    darts from the table, and the images of the voltages from
+    on_sym_packed_array (k <= 3).  Sample mode draws random darts lazily.
     """
     if mode == "exhaustive":
         if table is None:
             raise ValueError("exhaustive mode needs a dart table")
-        g = table.graph
-        src, dst = g.dart_sources(), table.indices
+        src, dst = table.graph.dart_sources(), table.indices
         keep = src < dst
-        edges = list(zip(src[keep].tolist(), dst[keep].tolist()))
-        volts = table.volts[keep]
-
-        def results():
-            for act in actions:
-                perm = [vertex_image_index(table, act, i) for i in range(g.n)]
-                images = act.on_sym_packed_array(volts).tolist()
-                for (u, v), image in zip(edges, images):
-                    yield None if table.dart(perm[u], perm[v]) == image \
-                        else {"dart": (u, v), "matrix": act.m}
+        src, dst, volts = src[keep], dst[keep], table.volts[keep]
+        dart, m = table.dart, src.size
+        passed = np.empty(len(actions) * m, dtype=bool)
+        for n, (act, perm) in enumerate(zip(actions, vertex_images(table, actions))):
+            for lo, hi in blocks(m):
+                have = [dart(a, b) for a, b in zip(perm[src[lo:hi]].tolist(),
+                                                    perm[dst[lo:hi]].tolist())]
+                passed[n * m + lo:n * m + hi] = \
+                    np.array(have, dtype=np.uint64) == act.on_sym_packed_array(volts[lo:hi])
+        return report("equivariance", gf, mode, *tally(passed, lambda i: {
+            "dart": (int(src[i % m]), int(dst[i % m])), "matrix": actions[i // m].m}))
     elif mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")

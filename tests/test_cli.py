@@ -2,6 +2,8 @@ import json
 
 from phcover import cli
 from phcover import construction as cons
+from phcover import graphs as gr
+from phcover.field import field_of_order
 
 
 def run(args):
@@ -77,6 +79,29 @@ def test_export_base_graph_edgelist(tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0].startswith("#")
     assert len([ln for ln in lines if ln.startswith("e ")]) == 1680
+
+
+def test_export_base_graph_is_the_document_at_any_block_size(monkeypatch, capsys, tmp_path):
+    # the document json.dumps gives, and its edge list, from the adjacency
+    graph = gr.build_projective_graph(field_of_order(2))
+    edges = [[i, j] for i in range(graph.n) for j in range(i + 1, graph.n)
+             if graph.adjacent(i, j)]
+    doc = {"kind": "projective", "field": 2, "vertex_count": graph.n,
+           "edge_count": len(edges), "vertices": [[list(v), list(h)] for v, h in graph.vertices],
+           "edges": edges}
+    want = {"json": json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+            "edgelist": "".join([f"# projective field=2 vertices=120 edges={len(edges)}\n"]
+                                + [f"e {i} {j}\n" for i, j in edges])}
+    for block in (gr.BULK_BLOCK, 7):
+        monkeypatch.setattr(gr, "BULK_BLOCK", block)
+        for fmt, text in want.items():
+            out = tmp_path / f"g.{fmt}"
+            argv = ["export", "base-graph", "--field", "2", "--format", fmt]
+            assert run(argv + ["--out", str(out)]) == 0
+            assert out.read_text() == text
+            capsys.readouterr()
+            assert run(argv) == 0
+            assert capsys.readouterr().out == text
 
 
 def test_verify_all_gf2_builds_one_graph_and_one_table(monkeypatch):

@@ -815,6 +815,24 @@ def test_load_edgelist_rejects_malformed(tmp_path):
             cons.load_cover(str(path), "edgelist")
 
 
+def test_load_edgelist_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "small.txt"
+    path.write_text("# cover\nv 0 1 2\n\nv 1 3 4\n# edges\ne 0 1\ne\t1  0")
+    assert cons.load_cover(str(path), "edgelist") == {"vertices": [(1, 2), (3, 4)],
+                                                      "edges": [(0, 1), (1, 0)]}
+    path.write_text("# nothing\n")
+    assert cons.load_cover(str(path), "edgelist") == {"vertices": [], "edges": []}
+
+
+def test_load_edgelist_rejects_records_of_the_wrong_length(tmp_path):
+    # whole numbers of records, but not one record a line
+    path = tmp_path / "bad.txt"
+    for text in ("v 0 1 2 3 4 5\n", "v 0 1 2\ne 0 1 2 3\n", "v 0 1 2\ne 0 1\ne 2\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a cover edge list"):
+            cons.load_cover(str(path), "edgelist")
+
+
 def test_cover_connectivity_reads_the_edge_list(monkeypatch):
     data = dict(cons.cover_data())
     # without the edges at vertex 0 the edge list is disconnected, while

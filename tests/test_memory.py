@@ -1,19 +1,24 @@
-"""Every bulk pass over the darts of the GF(4) graph or of the GF(2) cover
-keeps its temporaries within a fixed budget, whatever the dart count:
-the traced peak allocation minus what the call keeps (its output and its
-caches)."""
+"""Every bulk pass over the darts of the GF(4) graph or of the GF(2) cover,
+and every exhaustive GF(2) check, keeps its temporaries within a fixed
+budget, whatever the item count: the traced peak allocation minus what
+the call keeps (its output and its caches)."""
 
 import gc
+import random
 import tracemalloc
 
 import pytest
 
 from phcover.field import field_of_order
+from phcover import cli
 from phcover import construction as cons
 from phcover import graphs as gr
+from phcover import linalg as la
+from phcover import multilinear as ml
 from phcover import voltage as vg
 
-BUDGET = 16 * 2 ** 20  # bytes; each of these passes took 19 to 50 MiB before blocking
+BUDGET = 16 * 2 ** 20  # bytes; the blocked passes took 19 to 50 MiB before blocking,
+# the base-graph exports 145 and 203 MiB and the edge-list load 19 MiB
 
 
 def _transient_bytes(call) -> int:
@@ -69,9 +74,46 @@ def _export(fmt):
     return setup
 
 
+def _exhaustive(check):
+    def setup(tmp_path):
+        gf = field_of_order(2)
+        cons.voltage_table(gr.build_affine_graph(gf))
+        return lambda: check(gf, "exhaustive")
+    return setup
+
+
+def _equivariance(tmp_path):
+    gf = field_of_order(2)
+    table = cons.voltage_table(gr.build_affine_graph(gf))
+    rng = random.Random(3)
+    actions = [ml.action(gf, la.random_sl4(gf, rng)) for _ in range(100)]
+    return lambda: vg.check_equivariance(gf, None, actions, "exhaustive", table=table)
+
+
+def _base_graph_export(fmt):
+    def setup(tmp_path):
+        gr.build_projective_graph(field_of_order(4))
+        argv = ["export", "base-graph", "--field", "4", "--format", fmt,
+                "--out", str(tmp_path / "graph")]
+        return lambda: cli.main(argv)
+    return setup
+
+
+def _load_edgelist(tmp_path):
+    path = str(tmp_path / "cover")
+    cons.export_cover(path, "edgelist")
+    return lambda: cons.load_cover(path, "edgelist")
+
+
 PASSES = {"graph": _graph, "voltage_table": _voltage_table, "spanning_tree": _spanning_tree,
           "cycle_span_report": _cycle_span_report, "local_isomorphism": _local_isomorphism,
-          "export_json": _export("json"), "export_edgelist": _export("edgelist")}
+          "export_json": _export("json"), "export_edgelist": _export("edgelist"),
+          "verify_triangles": _exhaustive(cons.verify_triangles),
+          "verify_quadrangles": _exhaustive(cons.verify_quadrangles),
+          "check_equivariance": _equivariance,
+          "base_graph_json": _base_graph_export("json"),
+          "base_graph_edgelist": _base_graph_export("edgelist"),
+          "load_edgelist": _load_edgelist}
 
 
 @pytest.mark.parametrize("name", PASSES)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import random_sl4
+from phcover.linalg import random_gl4, random_sl4
 from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import multilinear as ml
@@ -22,6 +22,15 @@ def test_tally_counts_items_and_keeps_the_first_five_witnesses():
     assert vg.tally([None] * 4) == (4, 0, [])
     stream = (w for w in [None, "a", "b", None, "c", "d", "e", "f", None, "g"])
     assert vg.tally(stream) == (10, 7, ["a", "b", "c", "d", "e"])
+
+
+def test_tally_takes_a_pass_mask_and_a_witness_builder():
+    passed = np.array([True, False, False, True, False, False, False, False, True, False])
+    assert vg.tally(passed, lambda i: "abcdefghij"[i]) == (10, 7, ["b", "c", "e", "f", "g"])
+    assert vg.tally(np.ones(4, dtype=bool), lambda i: i) == (4, 0, [])
+    assert vg.tally(np.zeros(0, dtype=bool), lambda i: i) == (0, 0, [])
+    # the witness builder gets plain int indices
+    assert vg.tally(np.array([False]), lambda i: type(i)) == (1, 1, [int])
 
 
 def test_f2_span_basics():
@@ -148,6 +157,20 @@ def test_dart_table_rejects_non_adjacent():
             else:
                 with pytest.raises(ValueError, match="not adjacent"):
                     table.dart(i, j)
+
+
+def test_dart_lookup_first_in_a_row_may_be_non_adjacent():
+    gf = field_of_order(2)
+    graph = gr.build_affine_graph(gf)
+    built = cons.voltage_table(graph)
+    table = vg.DartTable(graph, built.indptr, built.indices, built.volts)
+    # the row is kept by the failed lookup, and later lookups read it
+    with pytest.raises(ValueError, match="vertices 5 and 5 are not adjacent"):
+        table.dart(5, 5)
+    j = int(graph.neighbors(5)[3])
+    assert table.dart(5, j) == int(built.volts[built.indptr[5] + 3])
+    with pytest.raises(ValueError, match="not adjacent"):
+        table.dart(5, 5)
 
 
 def test_dart_lookups_repeat_on_a_kept_row():
@@ -420,13 +443,98 @@ def test_local_isomorphism_is_the_same_at_any_block_size(monkeypatch):
     assert [vg.verify_local_isomorphism(*case) for case in cases] == want
 
 
+def _per_item_report(table, cycles, passes, key):
+    """Reference for the exhaustive cycle checks: one cycle at a time, its
+    voltage the XOR of its table darts; returns (samples, violations,
+    witnesses)."""
+    checked = violations = 0
+    witnesses = []
+    for cyc in cycles:
+        checked += 1
+        volt = 0
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            volt ^= table.dart(a, b)
+        if not passes(volt):
+            violations += 1
+            if len(witnesses) < 5:
+                witnesses.append({key: cyc, "voltage": volt})
+    return checked, violations, witnesses
+
+
+def _gf2_cycles(graph):
+    """The triangles i < j < w and the 4-cycles (i, a, j, b) with i < j and
+    a < b of a graph, in lexicographic order, from neighbour sets."""
+    nbrs = [set(graph.neighbors(i).tolist()) for i in range(graph.n)]
+    triangles = [(i, j, w) for i in range(graph.n) for j in sorted(nbrs[i]) if j > i
+                 for w in sorted(nbrs[i] & nbrs[j]) if w > j]
+    quadrangles = [(i, a, j, b) for i in range(graph.n) for j in range(i + 1, graph.n)
+                   for a, b in itertools.combinations(sorted(nbrs[i] & nbrs[j]), 2)]
+    return triangles, quadrangles
+
+
+def _exhaustive_cycle_cases(monkeypatch):
+    """The GF(2) cycle checks on the corrupted table, with their per-item
+    references."""
+    gf = field_of_order(2)
+    corrupted = _corrupted_gf2_table()
+    monkeypatch.setattr(cons, "voltage_table", lambda graph: corrupted)
+    triangles, quadrangles = _gf2_cycles(corrupted.graph)
+    u = ml.u_packed(gf)
+    return [
+        (lambda: cons.verify_triangles(gf, "exhaustive"),
+         _per_item_report(corrupted, triangles, lambda x: x == u, "triangle")),
+        (lambda: cons.verify_quadrangles(gf, "exhaustive"),
+         _per_item_report(corrupted, quadrangles, lambda x: ml.packed_in_w2_plus_u(gf, x),
+                          "cycle"))]
+
+
 def test_exhaustive_triangles_detect_corruption(monkeypatch):
     # the triangle lemma's check reads the same corrupted table: the flipped
     # edge lies on 6 of the 3360 triangles, whose voltage is then not U
-    corrupted = _corrupted_gf2_table()
-    monkeypatch.setattr(cons, "voltage_table", lambda graph: corrupted)
-    rep = cons.verify_triangles(field_of_order(2), "exhaustive")
+    (run, want), _ = _exhaustive_cycle_cases(monkeypatch)
+    rep = run()
     assert (rep["samples"], rep["violations"], rep["passed"]) == (3360, 6, False)
+    assert (rep["samples"], rep["violations"], rep["witnesses"]) == want
+    assert all(set(w) == {"triangle", "voltage"} for w in rep["witnesses"])
+
+
+def test_exhaustive_quadrangles_detect_corruption(monkeypatch):
+    # the flipped w1*w2 is off-diagonal and not U, so every 4-cycle through
+    # the flipped edge leaves the squares plus U
+    _, (run, want) = _exhaustive_cycle_cases(monkeypatch)
+    rep = run()
+    assert not rep["passed"] and rep["samples"] == 138600 and rep["violations"] > 5
+    assert (rep["samples"], rep["violations"], rep["witnesses"]) == want
+
+
+def test_exhaustive_quadrangles_accept_the_u_coset(monkeypatch):
+    # one dart pair shifted by U: its triangles lose U, while its 4-cycles
+    # stay in the squares plus U, by their U part
+    gf = field_of_order(2)
+    good = cons.voltage_table(gr.build_affine_graph(gf))
+    volts = good.volts.copy()
+    j = int(good.graph.neighbors(0)[0])
+    for a, b in ((0, j), (j, 0)):
+        lo = good.indptr[a]
+        volts[lo + int(np.searchsorted(good.indices[lo:good.indptr[a + 1]], b))] ^= \
+            np.uint64(ml.u_packed(gf))
+    shifted = vg.DartTable(good.graph, good.indptr, good.indices, volts)
+    monkeypatch.setattr(cons, "voltage_table", lambda graph: shifted)
+    _, quadrangles = _gf2_cycles(good.graph)
+    rep = cons.verify_quadrangles(gf, "exhaustive")
+    assert rep["passed"] and rep["samples"] == 138600
+    assert _per_item_report(shifted, quadrangles, lambda x: ml.packed_in_w2_plus_u(gf, x),
+                            "cycle") == (138600, 0, [])
+    assert cons.verify_triangles(gf, "exhaustive")["violations"] == 6
+
+
+def test_exhaustive_cycle_checks_are_the_same_at_any_block_size(monkeypatch):
+    cases = _exhaustive_cycle_cases(monkeypatch)
+    want = [run() for run, _ in cases]
+    assert [(r["samples"], r["violations"], r["witnesses"]) for r in want] == \
+        [ref for _, ref in cases]
+    monkeypatch.setattr(gr, "BULK_BLOCK", 7)
+    assert [run() for run, _ in cases] == want
 
 
 def test_local_isomorphism_direct_detects_missing_vertices():
@@ -623,7 +731,7 @@ def _scalar_equivariance(table, actions):
     return violations, witnesses
 
 
-def test_check_equivariance_exhaustive_corrupted_table():
+def test_check_equivariance_exhaustive_corrupted_table(monkeypatch):
     gf = field_of_order(2)
     good = cons.voltage_table(gr.build_affine_graph(gf))
     volts = good.volts.copy()
@@ -636,6 +744,41 @@ def test_check_equivariance_exhaustive_corrupted_table():
     assert not rep["passed"] and rep["samples"] == 4 * 1680
     assert (rep["violations"], rep["witnesses"]) == (violations, witnesses)
     assert violations > 5
+    monkeypatch.setattr(gr, "BULK_BLOCK", 7)
+    assert vg.check_equivariance(gf, ell(gf), actions, "exhaustive", table=bad) == rep
+
+
+def test_vertex_images_match_vertex_image_index():
+    # 20 SL4(2) matrices on the GF(2) graph, and GL4(4) matrices, which
+    # rescale vectors and covectors, on the GF(4) graph
+    gf2 = field_of_order(2)
+    graph2 = gr.build_projective_graph(gf2)
+    # the same vertices in reverse order, so that vertex ids and codes
+    # sort differently
+    reverse = gr.subgraph(graph2, range(graph2.n - 1, -1, -1))
+    for graph, count, draw in ((graph2, 20, random_sl4), (reverse, 5, random_sl4),
+                               (gr.build_projective_graph(field_of_order(4)), 3, random_gl4)):
+        gf, q = graph.gf, graph.gf.order
+        table = cons.voltage_table(graph)
+        rng = random.Random(40 + q)
+        actions = [ml.action(gf, draw(gf, rng)) for _ in range(count)]
+        perms = vg.vertex_images(table, actions)
+        assert perms.shape == (count, table.graph.n)
+        for act, perm in zip(actions, perms.tolist()):
+            assert perm == [vg.vertex_image_index(table, act, i) for i in range(table.graph.n)]
+            assert sorted(perm) == list(range(table.graph.n))
+    assert vg.vertex_images(table, []).shape == (0, table.graph.n)
+
+
+def test_vertex_images_refuse_images_outside_the_graph():
+    gf = field_of_order(2)
+    sub = gr.subgraph(gr.build_affine_graph(gf), range(60))
+    table = cons.voltage_table(sub)
+    act = ml.action(gf, random_sl4(gf, random.Random(8)))
+    with pytest.raises(KeyError):
+        [vg.vertex_image_index(table, act, i) for i in range(sub.n)]
+    with pytest.raises(KeyError):
+        vg.vertex_images(table, [act])
 
 
 def test_check_equivariance_sampled_gf8():
