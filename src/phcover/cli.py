@@ -103,24 +103,18 @@ def cmd_export(cfg) -> int:
             return 2
         cons.export_cover(cfg.out or "cover.json", cfg.format, cap=cfg.cap)
         return 0
+    if cfg.field > 4:
+        print("error: base-graph export is limited to GF(2) and GF(4)", file=sys.stderr)
+        return 2
+    if cfg.graph == "affine" and cfg.field > 2:
+        print("error: affine base-graph export is limited to GF(2);"
+              " export the projective graph instead", file=sys.stderr)
+        return 2
     gf = field_of_order(cfg.field)
-    if cfg.what == "base-graph":
-        if cfg.field > 4:
-            print("error: base-graph export is limited to GF(2) and GF(4)", file=sys.stderr)
-            return 2
-        if cfg.graph == "affine" and cfg.field > 2:
-            print("error: affine base-graph export is limited to GF(2);"
-                  " export the projective graph instead", file=sys.stderr)
-            return 2
-        graph = build_projective_graph(gf) if cfg.graph == "projective" else build_affine_graph(gf)
-        with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
-            _write_graph(fh, graph, cfg.graph, cfg.format)
-        return 0
-    if cfg.what == "report":
-        cfg.suite = "all"
-        return cmd_verify(cfg)
-    print(f"error: unknown export target {cfg.what!r}", file=sys.stderr)
-    return 2
+    graph = build_projective_graph(gf) if cfg.graph == "projective" else build_affine_graph(gf)
+    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_graph(fh, graph, cfg.graph, cfg.format)
+    return 0
 
 
 def _emit(doc, out_path) -> None:
@@ -151,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=SUITES)
     pv.set_defaults(func=cmd_verify)
 
-    pe = sub.add_parser("export", parents=[common], help="export graphs or reports")
-    pe.add_argument("what", choices=("base-graph", "cover", "report"))
+    pe = sub.add_parser("export", parents=[common], help="export the base graph or the cover")
+    pe.add_argument("what", choices=("base-graph", "cover"))
     pe.add_argument("--graph", choices=("affine", "projective"), default="projective")
     pe.set_defaults(func=cmd_export)
     return parser

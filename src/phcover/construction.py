@@ -32,9 +32,10 @@ from .graphs import (
     blocks,
     build_affine_graph,
     build_projective_graph,
-    csr_distances,
+    csr_bfs,
     edge_blocks,
     frontier_blocks,
+    nonincident_pairs,
     normalize,
     proj_points,
     sample_closed_walk,
@@ -42,7 +43,7 @@ from .graphs import (
     sample_quadrangle,
     sample_triangle,
 )
-from .linalg import E4, evaluate, f2_matrix_from_map, solve_affine_f2, vec_add
+from .linalg import E4, solve_affine_f2, vec_add
 from .multilinear import (
     BIV_PAIRS,
     DIAG_SLOTS,
@@ -53,7 +54,6 @@ from .multilinear import (
     big_u,
     in_w2,
     in_w2_plus_u,
-    offdiag_mask,
     pack_sym,
     packed_in_w2_plus_u,
     phi,
@@ -258,7 +258,8 @@ def voltage_table(graph: Graph) -> DartTable:
     if table is None:
         gf = graph.gf
         if gf.k <= 3:
-            table = DartTable.from_bulk(graph, partial(bulk_dart_voltage, gf))
+            table = DartTable(graph, graph._indptr, graph._indices, bulk_dart_voltage(
+                gf, graph.dart_sources(), graph._indices, graph.vmat, graph.hmat))
         else:
             table = DartTable.from_scalar(
                 graph, lambda a, b: pack_sym(gf, dart_voltage(gf, a, b)))
@@ -365,22 +366,6 @@ def _check_cycles(cycles, voltage, member, key):
                  for cyc in cycles for volt in (voltage(cyc),))
 
 
-def _table_voltage(table: DartTable, cyc):
-    """Packed voltage of the closed walk through the vertex ids of cyc: the
-    XOR of its table darts, in walk order."""
-    dart, a, volt = table.dart, cyc[0], 0
-    for b in cyc[1:]:
-        volt ^= dart(a, b)
-        a = b
-    return volt ^ dart(a, cyc[0])
-
-
-def _common_neighbors(graph: Graph, i: int, j: int) -> np.ndarray:
-    rows = graph.packed_rows()
-    both = np.unpackbits(rows[i] & rows[j])[: graph.n]
-    return np.nonzero(both)[0]
-
-
 def _common_neighbor_blocks(graph: Graph, i: np.ndarray, j: np.ndarray):
     """The common neighbours of each pair (i[t], j[t]) from the packed rows,
     in blocks of pairs: (t, w) arrays sorted by pair and then neighbour,
@@ -429,6 +414,17 @@ def _check_table_cycles(cycle_blocks, voltages, passes, key):
                                            "voltage": int(volts[t])})
 
 
+def _check_table_quadrangles(gf: GF, table: DartTable, cycle_blocks):
+    """_check_table_cycles of (B, 4) blocks of 4-cycles (i, a, j, b), each
+    voltage the XOR of its four table darts in walk order, against the
+    span of the squares and U."""
+    dart = table.dart
+    return _check_table_cycles(
+        cycle_blocks,
+        lambda rows: [dart(i, a) ^ dart(a, j) ^ dart(j, b) ^ dart(b, i) for i, a, j, b in rows],
+        partial(packed_in_w2_plus_u, gf), "cycle")
+
+
 def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                      seed: int = 12345) -> dict:
     """Every triangle voltage equals U, exhaustively on the enumerated affine
@@ -453,13 +449,8 @@ def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
     mode = _resolve_mode(gf, mode, "4-cycle")
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
-        dart = voltage_table(graph).dart
-        mask, u = np.uint64(offdiag_mask(gf)), np.uint64(u_packed(gf))
-        return report("quadrangles", gf, mode, *_check_table_cycles(
-            _quadrangle_blocks(graph),
-            lambda rows: [dart(i, a) ^ dart(a, j) ^ dart(j, b) ^ dart(b, i)
-                          for i, a, j, b in rows],
-            lambda volts: ((volts & mask) == 0) | ((volts & mask) == u), "cycle"))
+        return report("quadrangles", gf, mode, *_check_table_quadrangles(
+            gf, voltage_table(graph), _quadrangle_blocks(graph)))
     rng = random.Random(seed)
     return report("quadrangles", gf, mode, *_check_cycles(
         (sample_quadrangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
@@ -566,21 +557,15 @@ def _rational_subgraph_with_twists(gf: GF) -> Graph:
     with 0/1 coordinates plus, for every square pattern, the extra vertex of
     each twisted generator quadrangle.  Used where the full graph has too
     many edges to enumerate."""
-    pts = [p for p in proj_points(gf) if all(c <= 1 for c in p)]
-    verts = []
-    for p in pts:
-        for h in pts:
-            if evaluate(gf, h, p) != 0:
-                verts.append((p, h))
+    verts = nonincident_pairs(gf, [p for p in proj_points(gf) if all(c <= 1 for c in p)])
     seen = set(verts)
-    for a, b, c, d in _square_patterns():
-        for bit in range(1, gf.k):
-            lam = 1 << bit
-            v3 = tuple(E4[c][i] ^ gf.mul(lam, E4[b][i]) for i in range(4))
-            vert = (normalize(gf, v3), E4[c])
-            if vert not in seen:
-                seen.add(vert)
-                verts.append(vert)
+    # the fourth vertex of each generator quadrangle with lam outside GF(2)
+    for item in w2_generator_cycles(gf, [1 << bit for bit in range(1, gf.k)]):
+        v3, h = item["cycle"][3]
+        vert = (normalize(gf, v3), h)
+        if vert not in seen:
+            seen.add(vert)
+            verts.append(vert)
     return Graph(gf, verts)
 
 
@@ -600,7 +585,7 @@ def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> di
         graph = _rational_subgraph_with_twists(gf)
         mode = "subgraph+sampled"
     table = voltage_table(graph)
-    res = fundamental_cycle_span(table, 0, member_fn=lambda x: packed_in_w2_plus_u(gf, x))
+    res = fundamental_cycle_span(table, 0, member_fn=partial(packed_in_w2_plus_u, gf))
     span = res["span"]
     contains_u = span.contains(u_packed(gf))
     span.add(u_packed(gf))
@@ -692,8 +677,9 @@ def _int(bits) -> int:
 
 
 def _f2_matrix(fn, nin: int, nout: int) -> np.ndarray:
-    """The F2 matrix of a linear map on packed ints."""
-    return f2_matrix_from_map(lambda e: _bits(fn(_int(e)), nout), nin, nout)
+    """The F2 matrix (nout x nin, uint8) of a linear map on packed ints:
+    column j holds the bits of the image of bit j."""
+    return np.stack([_bits(fn(1 << j), nout) for j in range(nin)], axis=1)
 
 
 def order2_solution_space(gf: GF, x: int) -> dict:
@@ -948,7 +934,11 @@ def load_cover(path: str, fmt: str = "json") -> dict:
         # the numbers of each part, with its record letter read as a blank
         v, e = (np.fromstring(part.replace(letter, " "), dtype=np.uint64, sep=" ")
                 for part, letter in ((vs, "v"), (es, "e")))
-        v, e = v.reshape(-1, 3).T.tolist(), e.reshape(-1, 2).T.tolist()
+        v, e = v.reshape(-1, 3).T, e.reshape(-1, 2).T
+        # the vertex indices run 0..n-1 in order, and every edge end is one
+        if (v[0] != np.arange(v.shape[1], dtype=np.uint64)).any() or (e >= v.shape[1]).any():
+            raise ValueError(f"{path}: not a cover edge list")
+        v, e = v.tolist(), e.tolist()
         return {"vertices": list(zip(v[1], v[2])), "edges": list(zip(e[0], e[1]))}
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -968,7 +958,7 @@ def cover_report() -> dict:
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    dist = csr_distances(indptr, dst[np.argsort(src, kind="stable")], 0)
+    dist = csr_bfs(indptr, dst[np.argsort(src, kind="stable")], 0)[0]
     connected = bool((dist >= 0).all())
     passed = (n == 7680 and m == 107520 and fiber_sizes == [64]
               and liso["passed"] and connected)
@@ -992,19 +982,17 @@ def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
     rng = random.Random(seed)
     root = graph.index[vertex_v0(gf)]
 
-    def cycles():
-        for _ in range(n_vertices):
-            target = rng.randrange(graph.n)
-            # the graph has no loops, so no mid is the root or the target
-            mids = _common_neighbors(graph, root, target).tolist()
-            if not mids:
-                continue
-            m0 = mids[rng.randrange(len(mids))]
-            for _ in range(n_paths):
-                yield (root, m0, target, mids[rng.randrange(len(mids))])
-
-    return report("fiber-cosets", gf, "sample", *_check_cycles(
-        cycles(), partial(_table_voltage, table), partial(packed_in_w2_plus_u, gf), "cycle"))
+    cycles = []
+    for _ in range(n_vertices):
+        target = rng.randrange(graph.n)
+        # the graph has no loops, so no mid is the root or the target
+        mids = next(_common_neighbor_blocks(graph, np.array([root]), np.array([target])))[1]
+        if not mids.size:
+            continue
+        m0 = mids[rng.randrange(len(mids))]
+        cycles += [(root, m0, target, mids[rng.randrange(len(mids))]) for _ in range(n_paths)]
+    return report("fiber-cosets", gf, "sample", *_check_table_quadrangles(
+        gf, table, [np.array(cycles, dtype=np.int64).reshape(-1, 4)]))
 
 
 def verify_main_theorem(gf: GF, seed: int = 12345, samples: int = 10 ** 4) -> dict:

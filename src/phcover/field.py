@@ -132,10 +132,6 @@ class GF:
             n >>= 1
         return r
 
-    def frob(self, a: int) -> int:
-        """The Frobenius map a -> a^2."""
-        return self.mul_rows[a][a]
-
     def elements(self) -> range:
         """All 2^k elements, 0 first, in a fixed order."""
         return range(self.order)

@@ -58,11 +58,6 @@ def normalize(gf: GF, coords):
     raise ValueError("cannot normalise the zero tuple")
 
 
-def is_vertex(gf: GF, vert) -> bool:
-    v, h = vert
-    return evaluate(gf, h, v) != 0
-
-
 def adjacent(gf: GF, a, b) -> bool:
     """Mutual incidence: each hyperplane contains the other point."""
     return evaluate(gf, a[1], b[0]) == 0 and evaluate(gf, b[1], a[0]) == 0
@@ -95,6 +90,12 @@ def proj_points(gf: GF, dim: int = 4):
     return list(_normalized_tuples(gf, dim))
 
 
+def nonincident_pairs(gf: GF, points):
+    """The pairs (p, h) of two of the points, the second read as a covector,
+    with h(p) != 0, in lexicographic order of the points."""
+    return [(p, h) for p in points for h in points if evaluate(gf, h, p)]
+
+
 def affine_vertices(gf: GF):
     """All affine vertices in lexicographic (v, h) order; refuses above
     ENUM_CAP."""
@@ -104,12 +105,7 @@ def affine_vertices(gf: GF):
             f"affine vertex set of size {total} exceeds the enumeration cap {ENUM_CAP};"
             " use the lazy samplers"
         )
-    verts = []
-    for v in _nonzero_tuples(gf):
-        for h in _nonzero_tuples(gf):
-            if evaluate(gf, h, v) != 0:
-                verts.append((v, h))
-    return verts
+    return nonincident_pairs(gf, list(_nonzero_tuples(gf)))
 
 
 def count_projective_vertices(gf: GF, dim: int = 4) -> int:
@@ -128,12 +124,7 @@ def projective_vertices(gf: GF, dim: int = 4):
         raise ValueError(
             f"projective vertex set of size {total} exceeds the enumeration cap {ENUM_CAP}"
         )
-    verts = []
-    for p in pts:
-        for h in pts:
-            if evaluate(gf, h, p) != 0:
-                verts.append((p, h))
-    return verts
+    return nonincident_pairs(gf, pts)
 
 
 def _zero_pairing(gf: GF, frows: np.ndarray, vrows: np.ndarray) -> np.ndarray:
@@ -249,11 +240,6 @@ def subgraph(graph: Graph, vertex_ids) -> Graph:
     return Graph(graph.gf, [graph.vertices[i] for i in vertex_ids])
 
 
-def local_graph(graph: Graph, i: int) -> Graph:
-    """Induced graph on the neighbourhood of vertex i."""
-    return subgraph(graph, graph.neighbors(i).tolist())
-
-
 def frontier_darts(indptr: np.ndarray, frontier: np.ndarray):
     """The darts leaving a frontier of CSR rows, row after row in frontier
     order: pairs (slot, pos) where frontier[slot] is the row and pos the
@@ -297,28 +283,43 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def csr_distances(indptr: np.ndarray, indices: np.ndarray, start: int) -> np.ndarray:
-    """BFS distances over a CSR adjacency, one level at a time and each
-    level in frontier blocks; unreachable vertices get -1."""
-    dist = np.full(indptr.size - 1, -1, dtype=np.int32)
+def csr_bfs(indptr: np.ndarray, indices: np.ndarray, start: int):
+    """Breadth-first search over a CSR adjacency from start.
+
+    Returns (dist, parent, dart): the int32 distances, -1 where
+    unreachable, and each reached vertex's parent and the CSR position of
+    the dart from it (int64, -1 at start and where unreachable).  The
+    search runs one level at a time, and each level in frontier blocks, in
+    frontier order: a vertex not seen before takes its parent from its
+    first occurrence in the gathered rows, and it is marked seen before the
+    next block.  That is the tree a first-in-first-out queue scan builds."""
+    n = indptr.size - 1
+    dist = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int64)
+    dart = np.full(n, -1, dtype=np.int64)
     dist[start] = 0
     frontier = np.array([start])
     d = 0
     while frontier.size:
         d += 1
         found = []
-        for _, pos in frontier_blocks(indptr, frontier):
-            nxt = distinct(indices[pos])
-            nxt = nxt[dist[nxt] < 0]
-            dist[nxt] = d
-            found.append(nxt)
+        for slot, pos in frontier_blocks(indptr, frontier):
+            dst = indices[pos]
+            fresh = dist[dst] < 0
+            slot, pos, dst = slot[fresh], pos[fresh], dst[fresh]
+            first = np.sort(np.unique(dst, return_index=True)[1])
+            new = dst[first]
+            dist[new] = d
+            parent[new] = frontier[slot[first]]
+            dart[new] = pos[first]
+            found.append(new)
         frontier = np.concatenate(found)
-    return dist
+    return dist, parent, dart
 
 
 def bfs(graph: Graph, start: int) -> np.ndarray:
     """Distances from start; unreachable vertices get -1."""
-    return csr_distances(graph._indptr, graph._indices, start)
+    return csr_bfs(graph._indptr, graph._indices, start)[0]
 
 
 def is_connected(graph: Graph) -> bool:

@@ -89,10 +89,6 @@ def rref(gf: GF, rows, ncols: int):
     return [tuple(row) for row in rows[:r]], pivots
 
 
-def rank(gf: GF, rows, ncols: int = 4) -> int:
-    return len(rref(gf, rows, ncols)[1])
-
-
 def kernel(gf: GF, functionals, dim: int = 4):
     """Basis of the joint null space {v : sum_i f_i v_i = 0 for every f}.
 
@@ -229,19 +225,6 @@ def random_gl4(gf: GF, rng):
 # ----------------------------------------------------------------------
 # F2 affine systems
 # ----------------------------------------------------------------------
-
-def f2_matrix_from_map(fn, nin: int, nout: int) -> np.ndarray:
-    """Matrix (nout x nin, uint8) of an F2-linear map given as a bit-vector function.
-
-    fn takes and returns numpy uint8 vectors.
-    """
-    a = np.zeros((nout, nin), dtype=np.uint8)
-    for j in range(nin):
-        e = np.zeros(nin, dtype=np.uint8)
-        e[j] = 1
-        a[:, j] = fn(e)
-    return a
-
 
 def solve_affine_f2(a_matrix, rhs):
     """Solve A x = b over F2.

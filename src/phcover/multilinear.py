@@ -62,14 +62,6 @@ def wedge4(gf: GF, a, b, c, d) -> int:
     return det(gf, (a, b, c, d))
 
 
-def biv_add(a, b):
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def biv_scale(gf: GF, c: int, a):
-    return tuple(gf.mul(c, x) for x in a)
-
-
 def phi(dual):
     """The duality map on coordinates: fi^fj goes to the complementary basis
     bivector, which in the fixed slot order is coordinate reversal."""
@@ -247,9 +239,11 @@ def offdiag_mask(gf: GF) -> int:
     return acc
 
 
-def packed_in_w2_plus_u(gf: GF, x: int) -> bool:
+def packed_in_w2_plus_u(gf: GF, x):
+    """Membership of a packed int in the span of the squares and U, or the
+    membership mask of an array of them."""
     off = x & offdiag_mask(gf)
-    return off == 0 or off == u_packed(gf)
+    return (off == 0) | (off == u_packed(gf))
 
 
 # ----------------------------------------------------------------------
@@ -266,31 +260,9 @@ def n_project(gf: GF, s):
     return unpack_sym(gf, n_project_packed(gf, pack_sym(gf, s)))
 
 
-def lift_n(gf: GF, n):
-    """Both symmetric tensors in the coset represented by n."""
-    return n, sym_add(n, big_u(gf))
-
-
-def n_add(gf: GF, a, b):
-    """Induced addition on canonical representatives."""
-    return n_project(gf, sym_add(a, b))
-
-
 # ----------------------------------------------------------------------
 # induced matrix actions
 # ----------------------------------------------------------------------
-
-def _combine(gf: GF, coeffs, rows, zero):
-    """sum_i coeffs[i] * rows[i], the image of a coordinate vector under the
-    linear map whose basis images are the given rows."""
-    mul = gf.mul_rows
-    out = zero
-    for c, row in zip(coeffs, rows):
-        if c:
-            by_c = mul[c]
-            out = [o ^ by_c[x] for o, x in zip(out, row)]
-    return tuple(out)
-
 
 def _span_table(images):
     """The XOR of the images selected by the bits of each index
@@ -308,8 +280,8 @@ class MatrixAction:
     transpose; bivectors functorially through the wedge; symmetric
     tensors multiplicatively; N through canonical representatives,
     which requires the matrix to be unimodular so that U is fixed.
-    The symmetric-square action XORs precomputed packed images, built on
-    first use: one table per slot for tuples, one per byte for packed ints.
+    The symmetric-square action XORs precomputed packed images, one table
+    per slot of the input, built on first use.
     """
 
     def __init__(self, gf: GF, m):
@@ -330,65 +302,39 @@ class MatrixAction:
     def on_covector(self, f):
         return mat_vec(self.gf, f, self.minv_t)
 
-    def on_bivector(self, a):
-        return _combine(self.gf, a, self.w_rows, ZERO6)
-
-    @cached_property
-    def _bit_images(self):
-        """Packed image of each input bit, indexed by its position in the
-        packing: bit b of slot t sits at k*(20 - t) + b and maps to
-        (1 << b) * s2_rows[t]."""
-        gf, k = self.gf, self.gf.k
-        images = [0] * (21 * k)
-        for t, row in enumerate(self.s2_rows):
-            for b in range(k):
-                images[k * (20 - t) + b] = pack_sym(gf, sym_scale(gf, 1 << b, row))
-        return images
-
     @cached_property
     def _slot_tables(self):
         """Per slot t, the packed image of c * s2_rows[t] for every field
-        element c."""
-        k = self.gf.k
-        return tuple(_span_table(self._bit_images[k * (20 - t):k * (21 - t)])
-                     for t in range(21))
+        element c, XORed together from the images of the bits of c."""
+        gf = self.gf
+        return tuple(_span_table([pack_sym(gf, sym_scale(gf, 1 << b, row)) for b in range(gf.k)])
+                     for row in self.s2_rows)
 
-    @cached_property
-    def _byte_tables(self):
-        """Per byte of a packed input, lowest first, the packed image of
-        each value of that byte."""
-        images = self._bit_images
-        return tuple(_span_table(images[lo:lo + 8]) for lo in range(0, len(images), 8))
+    def _packed_image(self, coords) -> int:
+        """The packed image of the symmetric tensor with these coordinates."""
+        acc = 0
+        for table, c in zip(self._slot_tables, coords):
+            acc ^= table[c]
+        return acc
 
     def on_sym(self, s):
-        acc = 0
-        for table, c in zip(self._slot_tables, s):
-            acc ^= table[c]
-        return unpack_sym(self.gf, acc)
+        return unpack_sym(self.gf, self._packed_image(s))
 
-    def on_n(self, n):
-        if self.det != 1:
-            raise ValueError("the quotient action needs a unimodular matrix")
-        return n_project(self.gf, self.on_sym(n))
-
-    # -- packed application, for bulk verification loops ---------------
     def on_sym_packed(self, x: int) -> int:
-        acc = 0
-        for table in self._byte_tables:
-            acc ^= table[x & 0xFF]
-            x >>= 8
-        return acc
+        return self._packed_image(unpack_sym(self.gf, x))
 
     def on_sym_packed_array(self, xs) -> np.ndarray:
         """on_sym_packed of every entry of an array of packed values, as one
-        uint64 gather per byte; only valid for k <= 3 (21k packed bits must
+        uint64 gather per slot; only valid for k <= 3 (21k packed bits must
         fit into 64)."""
-        if self.gf.k > 3:
+        k = self.gf.k
+        if k > 3:
             raise ValueError("packed bulk images support k <= 3 only")
         xs = np.asarray(xs, dtype=np.uint64)
         acc = np.zeros(xs.shape, dtype=np.uint64)
-        for b, table in enumerate(self._byte_tables):
-            acc ^= np.array(table, dtype=np.uint64)[(xs >> np.uint64(8 * b)) & np.uint64(0xFF)]
+        for t, table in enumerate(self._slot_tables):
+            coord = (xs >> np.uint64(k * (20 - t))) & np.uint64(self.gf.order - 1)
+            acc ^= np.array(table, dtype=np.uint64)[coord]
         return acc
 
     def on_n_packed(self, x: int) -> int:

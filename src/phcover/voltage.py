@@ -33,6 +33,7 @@ from .graphs import (
     adjacent,
     blocks,
     build_affine_graph,
+    csr_bfs,
     distinct,
     frontier_blocks,
     frontier_darts,
@@ -166,14 +167,6 @@ class DartTable:
         self._tree_cache: dict = {}
 
     @classmethod
-    def from_bulk(cls, graph: Graph, bulk_fn) -> "DartTable":
-        """Build from a vectorised voltage function taking the dart
-        endpoints (src, dst) as vertex ids, in CSR order, and the vertex
-        coordinates (vmat, hmat), and returning packed uint64 values."""
-        volts = bulk_fn(graph.dart_sources(), graph._indices, graph.vmat, graph.hmat)
-        return cls(graph, graph._indptr, graph._indices, volts)
-
-    @classmethod
     def from_scalar(cls, graph: Graph, packed_dart_fn) -> "DartTable":
         """Build dart by dart from a scalar packed voltage function.  Values
         are stored as Python ints (object dtype), so any packing width works;
@@ -190,14 +183,15 @@ class DartTable:
         return cls(graph, indptr, indices, volts)
 
     def dart(self, i: int, j: int) -> int:
-        """Packed voltage of the dart (i, j); raises on non-adjacent pairs.
+        """Packed voltage of the dart (i, j); raises ValueError on
+        non-adjacent pairs and when i is not a vertex.
 
         The first lookup in row i keeps the row as a dict from neighbour
         to voltage, in plain ints; only touched rows are kept."""
         try:
             return self._rows[i][j]
         except KeyError:
-            if i not in self._rows:
+            if i not in self._rows and 0 <= i < self.graph.n:
                 lo, hi = self.indptr[i], self.indptr[i + 1]
                 self._rows[i] = dict(zip(self.indices[lo:hi].tolist(),
                                          self.volts[lo:hi].tolist()))
@@ -209,37 +203,19 @@ class DartTable:
 def spanning_tree_potentials(table: DartTable, root: int):
     """BFS spanning tree from the root; pot[v] is the tree-path voltage from
     the root to v.  Neighbours are scanned in index order, so the tree (and
-    any tie-break among shortest paths) is deterministic.
-
-    The BFS runs one level at a time, and each level in frontier blocks,
-    in frontier order: the CSR rows of a block are gathered, each vertex
-    not seen before takes its parent from its first occurrence there, and
-    it is marked seen before the next block.  That is the tree a
-    first-in-first-out queue scan builds."""
+    any tie-break among shortest paths) is deterministic: it is the tree
+    of :func:`phcover.graphs.csr_bfs`, and pot is filled one level at a
+    time from it."""
     cached = table._tree_cache.get(root)
     if cached is not None:
         return cached
-    g = table.graph
-    parent = np.full(g.n, -1, dtype=np.int64)
-    pot = np.zeros(g.n, dtype=table.volts.dtype)  # object zeros are int 0
-    seen = np.zeros(g.n, dtype=bool)
-    seen[root] = True
-    frontier = np.array([root])
-    while frontier.size:
-        found = []
-        for slot, pos in frontier_blocks(table.indptr, frontier):
-            dst = table.indices[pos]
-            fresh = ~seen[dst]
-            slot, pos, dst = slot[fresh], pos[fresh], dst[fresh]
-            first = np.sort(np.unique(dst, return_index=True)[1])
-            src, pos, new = frontier[slot[first]], pos[first], dst[first]
-            seen[new] = True
-            parent[new] = src
-            pot[new] = pot[src] ^ table.volts[pos]
-            found.append(new)
-        frontier = np.concatenate(found)
-    if not seen.all():
+    dist, parent, dart = csr_bfs(table.indptr, table.indices, root)
+    if (dist < 0).any():
         raise ValueError("graph is not connected")
+    pot = np.zeros(dist.size, dtype=table.volts.dtype)  # object zeros are int 0
+    for d in range(1, int(dist.max()) + 1):
+        level = np.flatnonzero(dist == d)
+        pot[level] = pot[parent[level]] ^ table.volts[dart[level]]
     if len(table._tree_cache) < 8:
         table._tree_cache[root] = (parent, pot)
     return parent, pot
@@ -251,10 +227,10 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
     For the non-tree edge (a, b) the fundamental voltage is
     pot[a] + volt(a, b) + pot[b]; tree edges contribute zero.  In an
     abelian exponent-2 group this set generates the same span as the
-    voltages of all closed walks.  When member_fn is given, every
-    distinct fundamental voltage is additionally tested with it and
-    failures are counted as violations.  The edges a < b are read in
-    blocks of rows, each reduced to its distinct nonzero voltages.
+    voltages of all closed walks.  When member_fn is given, it takes the
+    array of the distinct fundamental voltages and returns their membership
+    mask, and failures are counted as violations.  The edges a < b are read
+    in blocks of rows, each reduced to its distinct nonzero voltages.
     """
     parent, pot = spanning_tree_potentials(table, root)
     g = table.graph
@@ -271,8 +247,7 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
         span.add(x)
     violations, witnesses = 0, []
     if member_fn is not None:
-        _, violations, witnesses = tally(None if member_fn(x) else {"voltage": x}
-                                         for x in uniq.tolist())
+        _, violations, witnesses = tally(member_fn(uniq), lambda i: {"voltage": int(uniq[i])})
     return {
         "span": span,
         "edges": edges,
@@ -291,6 +266,13 @@ class CapExceeded(RuntimeError):
     pass
 
 
+def find_sorted(keys: np.ndarray, values) -> np.ndarray:
+    """The position of each of the values among the sorted keys, or -1
+    where a value is not a key."""
+    at = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    return np.where(keys[at] == values, at, -1)
+
+
 def pair_index(keys_b, keys_t):
     """The lookup of pairs among the keys, sorted by base and then tag: a
     function taking arrays (b, t) to the position of each pair (b[i], t[i])
@@ -300,10 +282,8 @@ def pair_index(keys_b, keys_t):
     codes = keys_b * tags.size + np.searchsorted(tags, keys_t)
 
     def find(b, t) -> np.ndarray:
-        rank = np.minimum(np.searchsorted(tags, t), tags.size - 1)
-        want = b * tags.size + rank
-        at = np.minimum(np.searchsorted(codes, want), codes.size - 1)
-        return np.where((codes[at] == want) & (tags[rank] == t), at, -1)
+        rank = find_sorted(tags, t)
+        return np.where(rank < 0, -1, find_sorted(codes, b * tags.size + rank))
 
     return find
 
@@ -371,9 +351,8 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     u, p, w1, w2 = bases[slot[s2]], p[s2], w1[s2], indices[e]
     # int64 keys: an int32 source times n could overflow
     darts = g.dart_sources().astype(np.int64) * g.n + indices
-    key = u * g.n + w2
-    q = np.minimum(np.searchsorted(darts, key), darts.size - 1)
-    tri = (w2 > w1) & (darts[q] == key)
+    q = find_sorted(darts, u * g.n + w2)
+    tri = (w2 > w1) & (q >= 0)
     tri_indptr = np.zeros(bases.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(slot[s2][tri], minlength=bases.size), out=tri_indptr[1:])
     p, q, e = p[tri], q[tri], e[tri]
@@ -442,10 +421,10 @@ def vertex_images(table: DartTable, actions) -> np.ndarray:
         codes = codes * gf.order ** 4 + distinct[inverse]
         images = images * gf.order ** 4 + _image_codes(gf, rows[first], mats)[:, inverse]
     order = np.argsort(codes)
-    at = order[np.minimum(np.searchsorted(codes, images, sorter=order), codes.size - 1)]
-    if (codes[at] != images).any():
+    at = find_sorted(codes[order], images)
+    if (at < 0).any():
         raise KeyError("the image of a vertex is not a vertex of the graph")
-    return at
+    return order[at]
 
 
 def lambda_of(table: DartTable, act: MatrixAction, v_idx: int, via: int | None = None) -> int:

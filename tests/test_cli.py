@@ -51,6 +51,7 @@ def test_usage_errors():
     assert run(["verify", "triangles", "--field", "2", "--samples", "0"]) == 2
     assert run(["verify", "quadrangles", "--field", "8", "--mode", "exhaustive"]) == 2
     assert run(["export", "cover", "--field", "4"]) == 2
+    assert run(["export", "report"]) == 2  # reports come from verify all --out
 
 
 def test_verification_failure_exits_one(monkeypatch, tmp_path):

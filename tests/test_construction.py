@@ -84,7 +84,7 @@ def spec_dart_voltage(gf, a, b):
     wedge, wedge_covectors, phi and sym_mul."""
     (va, ha), (vb, hb) = a, b
     scale = gf.mul(gf.inv(evaluate(gf, ha, va)), gf.inv(evaluate(gf, hb, vb)))
-    return ml.sym_mul(gf, ml.biv_scale(gf, scale, ml.wedge(gf, va, vb)),
+    return ml.sym_mul(gf, ml.sym_scale(gf, scale, ml.wedge(gf, va, vb)),
                       ml.phi(ml.wedge_covectors(gf, ha, hb)))
 
 
@@ -584,6 +584,16 @@ def test_order2_solution_spaces():
     assert cons.order2_report(field_of_order(8))["passed"]
 
 
+def test_f2_matrix_roundtrip():
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    target = rng.integers(0, 2, size=(6, 9)).astype(np.uint8)
+    # the map on packed ints whose matrix is target
+    built = cons._f2_matrix(lambda x: cons._int(target @ cons._bits(x, 9) % 2), 9, 6)
+    assert built.dtype == np.uint8 and np.array_equal(built, target)
+
+
 def test_order2_rejects_zero():
     with pytest.raises(ValueError):
         cons.order2_solution_space(field_of_order(4), 0)
@@ -809,7 +819,10 @@ def test_load_json_rejects_malformed(tmp_path):
 
 def test_load_edgelist_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    for text in ("v 0 1 2\ne 0\n", "v 0 1\n", "x 1 2\n", "e 0 1\nv 0 1 2\n", "v 0 a 2\n"):
+    for text in ("v 0 1 2\ne 0\n", "v 0 1\n", "x 1 2\n", "e 0 1\nv 0 1 2\n", "v 0 a 2\n",
+                 # vertex indices that are not 0..n-1 in order, an edge to no vertex
+                 "v 5 1 2\nv 9 3 4\ne 0 7\n", "v 9 3 4\nv 5 1 2\ne 0 7\n",
+                 "v 1 3 4\nv 0 1 2\ne 0 1\n", "v 0 1 2\nv 1 3 4\ne 0 7\n"):
         path.write_text("# cover\n" + text)
         with pytest.raises(ValueError):
             cons.load_cover(str(path), "edgelist")
@@ -864,7 +877,7 @@ def test_fiber_coset_report_counts_comparisons(monkeypatch):
     calls = []
 
     def counted(gf, x):
-        calls.append(x)
+        calls.extend(x.tolist())
         return ml.packed_in_w2_plus_u(gf, x)
 
     monkeypatch.setattr(cons, "packed_in_w2_plus_u", counted)
@@ -876,20 +889,20 @@ def test_fiber_coset_report_counts_comparisons(monkeypatch):
 
 
 def test_fiber_coset_report_negative_control(monkeypatch):
-    monkeypatch.setattr(cons, "packed_in_w2_plus_u", lambda gf, x: False)
+    monkeypatch.setattr(cons, "packed_in_w2_plus_u", lambda gf, x: [False] * len(x))
     gf = field_of_order(4)
     rep = cons.fiber_coset_report(gf)
     assert not rep["passed"]
     assert rep["violations"] == rep["samples"] == 100
     # each witness is a 4-cycle (root, m0, target, m) of the graph
     graph = gr.build_projective_graph(gf)
-    table = cons.voltage_table(graph)
     assert len(rep["witnesses"]) == 5
     for w in rep["witnesses"]:
         assert set(w) == {"cycle", "voltage"}
         cyc = w["cycle"]
         assert cyc[0] == graph.index[cons.vertex_v0(gf)]
-        assert w["voltage"] == cons._table_voltage(table, cyc)
+        walk = tuple(graph.vertices[i] for i in cyc)
+        assert w["voltage"] == ml.pack_sym(gf, cons.cycle_voltage(gf, walk))
         assert all(graph.adjacent(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 

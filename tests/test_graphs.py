@@ -343,9 +343,9 @@ def test_diameter_takes_bfs_only_past_distance_two(monkeypatch):
 
 def test_local_graph_gf2():
     g = gr.build_affine_graph(field_of_order(2))
-    sizes = {gr.local_graph(g, i).n for i in range(g.n)}
+    sizes = {gr.subgraph(g, g.neighbors(i).tolist()).n for i in range(g.n)}
     assert sizes == {28}
-    lg = gr.local_graph(g, 0)
+    lg = gr.subgraph(g, g.neighbors(0).tolist())
     # the local graph inherits adjacency from the big graph
     big = {tuple(sorted((g.vertices[int(a)], g.vertices[int(b)])))
            for a in g.neighbors(0) for b in g.neighbors(0)
@@ -358,7 +358,7 @@ def test_local_graph_gf2():
 def test_empty_local_graph_guard():
     gf = field_of_order(2)
     g = gr.Graph(gf, [(E4[0], E4[0])])
-    assert gr.local_graph(g, 0).n == 0
+    assert gr.subgraph(g, g.neighbors(0).tolist()).n == 0
 
 
 def test_local_graph_looks_like_dimension_three_graph():
@@ -370,7 +370,7 @@ def test_local_graph_looks_like_dimension_three_graph():
     small_degrees = {small.degree(i) for i in range(small.n)}
     big = gr.build_affine_graph(gf)
     for v in (0, 17, 119):
-        lg = gr.local_graph(big, v)
+        lg = gr.subgraph(big, big.neighbors(v).tolist())
         assert lg.n == small.n
         assert {lg.degree(i) for i in range(lg.n)} == small_degrees == {6}
         assert lg.edge_count() == small.edge_count()
@@ -386,9 +386,9 @@ def test_samplers_produce_valid_vertices():
         rng = random.Random(q)
         for _ in range(20):
             a = gr.random_affine_vertex(gf, rng)
-            assert gr.is_vertex(gf, a)
+            assert evaluate(gf, a[1], a[0]) != 0
             b = gr.random_neighbor(gf, a, rng)
-            assert gr.is_vertex(gf, b) and gr.adjacent(gf, a, b)
+            assert evaluate(gf, b[1], b[0]) != 0 and gr.adjacent(gf, a, b)
 
 
 def test_sampled_cycles_are_cycles():

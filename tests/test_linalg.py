@@ -50,7 +50,7 @@ def test_rank_nullity_random_triples():
         gf = field_of_order(q)
         for _ in range(25):
             rows = [tuple(rng.randrange(gf.order) for _ in range(4)) for _ in range(3)]
-            r = la.rank(gf, rows)
+            r = len(la.rref(gf, rows, 4)[1])
             assert r + len(la.kernel(gf, rows)) == 4
             for v in la.kernel(gf, rows):
                 for f in rows:
@@ -63,7 +63,7 @@ def test_three_independent_covectors_leave_dimension_one():
     found = 0
     while found < 20:
         rows = [tuple(rng.randrange(8) for _ in range(4)) for _ in range(3)]
-        if la.rank(gf, rows) == 3:
+        if len(la.rref(gf, rows, 4)[1]) == 3:
             found += 1
             assert len(la.kernel(gf, rows)) == 1
 
@@ -206,13 +206,6 @@ def test_solve_affine_f2_certificate_property():
         assert int((cert @ b) % 2) == 1
 
 
-def test_f2_matrix_from_map_roundtrip():
-    rng = np.random.default_rng(5)
-    target = rng.integers(0, 2, size=(6, 9)).astype(np.uint8)
-    built = la.f2_matrix_from_map(lambda v: (target @ v) % 2, 9, 6)
-    assert np.array_equal(built, target)
-
-
 @pytest.mark.parametrize("q", FIELD_ORDERS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -221,11 +214,11 @@ def test_kernel_property(q, data):
     coord = st.integers(0, q - 1)
     rows = data.draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=5))
     basis = la.kernel(gf, rows)
-    assert len(basis) == 4 - la.rank(gf, rows)
+    assert len(basis) == 4 - len(la.rref(gf, rows, 4)[1])
     for v in basis:
         for f in rows:
             assert la.evaluate(gf, f, v) == 0
-    assert la.rank(gf, basis) == len(basis)
+    assert len(la.rref(gf, basis, 4)[1]) == len(basis)
     if q <= 4:  # the whole null space, counted by brute force
         null = sum(all(la.evaluate(gf, f, v) == 0 for f in rows)
                    for v in itertools.product(gf.elements(), repeat=4))

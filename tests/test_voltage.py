@@ -119,7 +119,7 @@ def test_lifted_path_endpoint():
         m = tuple(rng.randrange(2) for _ in range(21))
         tag = ml.n_project(gf, m)
         for a, b in zip(walk, walk[1:]):
-            nxt = ml.n_add(gf, tag, ml.n_project(gf, cons.dart_voltage(gf, a, b)))
+            nxt = ml.n_project(gf, ml.sym_add(tag, cons.dart_voltage(gf, a, b)))
             assert vg.lift_adjacent(gf, ell(gf), a, tag, b, nxt)
             tag = nxt
         total = vg.path_voltage(gf, ell(gf), walk)
@@ -147,8 +147,10 @@ def test_dart_table_rejects_non_adjacent():
     gf = field_of_order(2)
     graph = gr.build_affine_graph(gf)
     table = cons.voltage_table(graph)
-    with pytest.raises(ValueError):
-        table.dart(0, 0)
+    # a loop, and rows past either end of the table
+    for i, j in ((0, 0), (graph.n, 3), (-1, 3)):
+        with pytest.raises(ValueError, match="not adjacent"):
+            table.dart(i, j)
     # every ordered pair: a lookup succeeds exactly on the adjacent ones
     for i in range(graph.n):
         for j in range(graph.n):
