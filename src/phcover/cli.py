@@ -19,9 +19,8 @@ import contextlib
 import json
 import sys
 
-import numpy as np
-
 from . import construction as cons
+from ._lazy import np
 from .field import field_of_order
 from .graphs import build_affine_graph, build_projective_graph, edge_blocks
 from .voltage import CapExceeded
@@ -134,19 +133,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", type=int, choices=(2, 4, 8, 16), default=2)
-    common.add_argument("--mode", choices=("exhaustive", "sample"), default=None)
-    common.add_argument("--samples", type=int, default=10 ** 5)
-    common.add_argument("--seed", type=int, default=12345)
     common.add_argument("--cap", type=int, default=10 ** 7)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "edgelist"), default="json")
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
+    pv.add_argument("--mode", choices=("exhaustive", "sample"), default=None)
+    pv.add_argument("--samples", type=int, default=10 ** 5)
+    pv.add_argument("--seed", type=int, default=12345)
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("export", parents=[common], help="export the base graph or the cover")
     pe.add_argument("what", choices=("base-graph", "cover"))
+    pe.add_argument("--format", choices=("json", "edgelist"), default="json")
     pe.add_argument("--graph", choices=("affine", "projective"), default="projective")
     pe.set_defaults(func=cmd_export)
     return parser
@@ -158,7 +157,7 @@ def main(argv=None) -> int:
         cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if cfg.samples <= 0 or cfg.cap <= 0:
+    if cfg.cap <= 0 or cfg.command == "verify" and cfg.samples <= 0:
         print("error: --samples and --cap must be positive", file=sys.stderr)
         return 2
     try:

@@ -23,9 +23,9 @@ import operator
 import random
 import re
 from functools import lru_cache, partial
+from itertools import chain
 
-import numpy as np
-
+from ._lazy import np
 from .field import GF, field_of_order
 from .graphs import (
     Graph,
@@ -919,6 +919,12 @@ def load_cover(path: str, fmt: str = "json") -> dict:
                     raise TypeError("not a list")
                 for n, (a, b) in enumerate(rows):
                     rows[n] = (a, b)
+            # every entry an int (bools excluded) from 0, and every edge end a vertex
+            for rows, top in ((pairs[0], None), (pairs[1], len(pairs[0]))):
+                values = set(chain.from_iterable(rows))
+                if values and not (set(map(type, chain.from_iterable(rows))) == {int}
+                                   and min(values) >= 0 and (top is None or max(values) < top)):
+                    raise ValueError("entries out of range")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a cover document with vertex and edge pairs") from exc
         return {"vertices": pairs[0], "edges": pairs[1]}

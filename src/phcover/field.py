@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
+from ._lazy import np
 
 # Fixed irreducible polynomials over GF(2), keyed by extension degree.
 _MODULI = {

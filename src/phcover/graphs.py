@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
+from ._lazy import np
 from .field import GF
 from .linalg import evaluate, kernel
 

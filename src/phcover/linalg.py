@@ -13,8 +13,7 @@ Also provides F2 affine system solving with inconsistency certificates
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import np
 from .field import GF
 
 E4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -25,8 +25,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from operator import itemgetter, xor
 
-import numpy as np
-
+from ._lazy import np
 from .field import GF
 from .linalg import E4, det, evaluate, mat_inv, mat_vec, transpose
 

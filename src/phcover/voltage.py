@@ -25,8 +25,7 @@ with a function that builds the witness of a failed one, and
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import np
 from .field import GF
 from .graphs import (
     Graph,

@@ -52,6 +52,11 @@ def test_usage_errors():
     assert run(["verify", "quadrangles", "--field", "8", "--mode", "exhaustive"]) == 2
     assert run(["export", "cover", "--field", "4"]) == 2
     assert run(["export", "report"]) == 2  # reports come from verify all --out
+    assert run(["export", "cover", "--field", "2", "--cap", "0"]) == 2
+    # each subcommand takes only the options it reads
+    assert run(["export", "base-graph", "--field", "2", "--samples", "5",
+                "--mode", "exhaustive", "--seed", "3"]) == 2
+    assert run(["verify", "all", "--field", "2", "--format", "edgelist"]) == 2
 
 
 def test_verification_failure_exits_one(monkeypatch, tmp_path):

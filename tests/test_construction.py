@@ -811,7 +811,12 @@ def test_export_rejects_unknown_format_before_building(monkeypatch, tmp_path):
 def test_load_json_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     for doc in ({}, {"vertices": [[0, 1]]}, {"vertices": [[0, 1]], "edges": [[0]]},
-                {"vertices": [0], "edges": []}, {"vertices": None, "edges": []}, [1, 2]):
+                {"vertices": [0], "edges": []}, {"vertices": None, "edges": []}, [1, 2],
+                # an edge to no vertex, a negative end, a float, a bool
+                {"vertices": [[0, 1]], "edges": [[0, 7]]},
+                {"vertices": [[0, 1], [2, 3]], "edges": [[-1, 0]]},
+                {"vertices": [[0, 1.5]], "edges": []},
+                {"vertices": [[0, 1], [2, 3]], "edges": [[0, True]]}):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="not a cover document"):
             cons.load_cover(str(path), "json")
