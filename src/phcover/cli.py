@@ -22,37 +22,34 @@ import sys
 from . import construction as cons
 from ._lazy import np
 from .field import field_of_order
-from .graphs import build_affine_graph, build_projective_graph, edge_blocks
+from .graphs import build_projective_graph, edge_blocks
 from .voltage import CapExceeded
 
-# each suite's reports from (field, samples, seed, mode), in the order
+# each suite's reports from (field, samples, seed), in the order
 # `verify all` runs the suites
 SUITE_REPORTS = {
-    "reductive": lambda gf, n, seed, mode: [cons.reductivity_report(gf, samples=n, seed=seed)],
-    "triangles": lambda gf, n, seed, mode: [cons.verify_triangles(gf, mode, n, seed)],
-    "quadrangles": lambda gf, n, seed, mode: [cons.verify_quadrangles(gf, mode, n, seed)],
-    "pentagons": lambda gf, n, seed, mode: [cons.verify_pentagons(gf, samples=n, seed=seed)],
-    "cycles": lambda gf, n, seed, mode: [cons.cycle_span_report(gf, seed=seed)] + (
+    "reductive": lambda gf, n, seed: [cons.reductivity_report(gf, samples=n, seed=seed)],
+    "triangles": lambda gf, n, seed: [cons.verify_triangles(gf, samples=n, seed=seed)],
+    "quadrangles": lambda gf, n, seed: [cons.verify_quadrangles(gf, samples=n, seed=seed)],
+    "pentagons": lambda gf, n, seed: [cons.verify_pentagons(gf, samples=n, seed=seed)],
+    "cycles": lambda gf, n, seed: [cons.cycle_span_report(gf, seed=seed)] + (
         [cons.verify_long_cycles(gf, samples=max(1, n // 100), seed=seed)]
         if gf.order <= 4 else []),
-    "equivariance": lambda gf, n, seed, mode: [
+    "equivariance": lambda gf, n, seed: [
         cons.equivariance_report(gf, samples=max(1, n // 10), seed=seed),
         cons.u_invariance_report(gf, seed=seed)],
-    "main-theorem": lambda gf, n, seed, mode: [
+    "main-theorem": lambda gf, n, seed: [
         cons.verify_main_theorem(gf, seed=seed, samples=max(1, n // 10))],
-    "cocycle": lambda gf, n, seed, mode: [cons.dart_lambda_report(gf), cons.cocycle_report(gf)],
-    "nonsplit": lambda gf, n, seed, mode: [cons.nonsplit_check(gf)] + (
+    "cocycle": lambda gf, n, seed: [cons.dart_lambda_report(gf), cons.cocycle_report(gf)],
+    "nonsplit": lambda gf, n, seed: [cons.nonsplit_check(gf)] + (
         [cons.brute_force_splitting_gf4()] if gf.order == 4 else []),
 }
 SUITES = (*SUITE_REPORTS, "all")
 
 
 def _suite_reports(suite: str, gf, cfg) -> list:
-    # the aggregate run downgrades infeasible exhaustive requests to the
-    # per-check default instead of failing halfway through
-    mode = (cfg.mode if suite != "all" or gf.order == 2 else None) or "auto"
     suites = SUITE_REPORTS if suite == "all" else [suite]
-    out = [r for name in suites for r in SUITE_REPORTS[name](gf, cfg.samples, cfg.seed, mode)]
+    out = [r for name in suites for r in SUITE_REPORTS[name](gf, cfg.samples, cfg.seed)]
     if suite == "all":
         out += [cons.phi_table_report(), cons.order2_report(gf)]
         if gf.order <= 4:
@@ -66,8 +63,7 @@ def cmd_verify(cfg) -> int:
     passed = all(r.get("passed", False) for r in reports)
     doc = {
         "suite": cfg.suite,
-        "config": {"field": cfg.field, "mode": cfg.mode, "samples": cfg.samples,
-                   "seed": cfg.seed, "cap": cfg.cap},
+        "config": {"field": cfg.field, "samples": cfg.samples, "seed": cfg.seed},
         "results": reports,
         "passed": passed,
     }
@@ -79,19 +75,20 @@ def cmd_verify(cfg) -> int:
     return 0 if passed else 1
 
 
-def _write_graph(fh, graph, kind: str, fmt: str) -> None:
-    """Write the base graph as an edge list, or as the compact JSON document
-    with sorted keys that json.dumps gives, the edges a block at a time."""
+def _write_graph(fh, graph, fmt: str) -> None:
+    """Write the projective base graph as an edge list, or as the compact
+    JSON document with sorted keys that json.dumps gives, the edges a block
+    at a time."""
     q, n, m = graph.gf.order, graph.n, graph.edge_count()
     edges = (np.stack(ij, axis=1) for ij in edge_blocks(graph))
     if fmt == "edgelist":
-        fh.write(f"# {kind} field={q} vertices={n} edges={m}\n")
+        fh.write(f"# projective field={q} vertices={n} edges={m}\n")
         cons._write_rows(fh, edges, "e %d %d\n")
         return
     fh.write(f'{{"edge_count":{m},"edges":[')
     cons._write_rows(fh, edges, "[%d,%d]", ",")
     # the vertices' (vector, covector) tuples encode as JSON arrays
-    fh.write(f'],"field":{q},"kind":{json.dumps(kind)},"vertex_count":{n},'
+    fh.write(f'],"field":{q},"kind":"projective","vertex_count":{n},'
              f'"vertices":{json.dumps(graph.vertices, separators=(",", ":"))}}}\n')
 
 
@@ -100,19 +97,14 @@ def cmd_export(cfg) -> int:
         if cfg.field != 2:
             print("error: the full cover export is limited to GF(2)", file=sys.stderr)
             return 2
-        cons.export_cover(cfg.out or "cover.json", cfg.format, cap=cfg.cap)
+        cons.export_cover(cfg.out or "cover.json", cfg.format)
         return 0
     if cfg.field > 4:
         print("error: base-graph export is limited to GF(2) and GF(4)", file=sys.stderr)
         return 2
-    if cfg.graph == "affine" and cfg.field > 2:
-        print("error: affine base-graph export is limited to GF(2);"
-              " export the projective graph instead", file=sys.stderr)
-        return 2
-    gf = field_of_order(cfg.field)
-    graph = build_projective_graph(gf) if cfg.graph == "projective" else build_affine_graph(gf)
+    graph = build_projective_graph(field_of_order(cfg.field))
     with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
-        _write_graph(fh, graph, cfg.graph, cfg.format)
+        _write_graph(fh, graph, cfg.format)
     return 0
 
 
@@ -133,12 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", type=int, choices=(2, 4, 8, 16), default=2)
-    common.add_argument("--cap", type=int, default=10 ** 7)
     common.add_argument("--out", default=None)
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
-    pv.add_argument("--mode", choices=("exhaustive", "sample"), default=None)
     pv.add_argument("--samples", type=int, default=10 ** 5)
     pv.add_argument("--seed", type=int, default=12345)
     pv.set_defaults(func=cmd_verify)
@@ -146,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("export", parents=[common], help="export the base graph or the cover")
     pe.add_argument("what", choices=("base-graph", "cover"))
     pe.add_argument("--format", choices=("json", "edgelist"), default="json")
-    pe.add_argument("--graph", choices=("affine", "projective"), default="projective")
     pe.set_defaults(func=cmd_export)
     return parser
 
@@ -157,12 +146,12 @@ def main(argv=None) -> int:
         cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if cfg.cap <= 0 or cfg.command == "verify" and cfg.samples <= 0:
-        print("error: --samples and --cap must be positive", file=sys.stderr)
+    if cfg.command == "verify" and cfg.samples <= 0:
+        print("error: --samples must be positive", file=sys.stderr)
         return 2
     try:
         return cfg.func(cfg)
-    except (ValueError, CapExceeded) as exc:
+    except (ValueError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

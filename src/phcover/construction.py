@@ -66,7 +66,6 @@ from .multilinear import (
     wedge_covectors,
 )
 from .voltage import (
-    CapExceeded,
     DartTable,
     F2Span,
     check_reductive,
@@ -526,8 +525,8 @@ def w2_generator_cycles(gf: GF, lambdas=None):
 
 def w2_span_report(gf: GF) -> dict:
     """Evaluate every generator quadrangle and check the predicted voltages
-    and the F2 span (dimension 6k, equal to the full space of squares); a
-    span that falls short counts as one violation."""
+    and the F2 span (dimension 6k, equal to the full space of squares),
+    which counts as one more checked item."""
     # the 6k basis quadrangles, then the first pattern at every nonzero lam
     items = w2_generator_cycles(gf) + [w2_generator_cycles(gf, lambdas=[lam])[0]
                                        for lam in gf.nonzero()]
@@ -537,13 +536,11 @@ def w2_span_report(gf: GF) -> dict:
         span.add(pack_sym(gf, volt))
     missing = [x for x in _square_basis(gf) if not span.contains(x)]
     spans_match = span.dim == 6 * gf.k and not missing
-    checked, violations, witnesses = tally(
-        None if volt == item["expected"] else dict(item, voltage=volt)
-        for item, volt in zip(items, volts))
-    if not spans_match:
-        # a span short of the squares is one more violation
-        violations += 1
-        witnesses.append({"span_dim": span.dim, "missing_squares": missing})
+    # the generator quadrangles, then the span as one more item
+    checked, violations, witnesses = tally(chain(
+        (None if volt == item["expected"] else dict(item, voltage=volt)
+         for item, volt in zip(items, volts)),
+        [None if spans_match else {"span_dim": span.dim, "missing_squares": missing}]))
     return report("square-generators", gf, "exhaustive", checked, violations, witnesses,
                   span_dim=span.dim, expected_dim=6 * gf.k, spans_squares=spans_match)
 
@@ -813,7 +810,7 @@ def brute_force_splitting_gf4() -> dict:
 # the main covering theorem
 # ----------------------------------------------------------------------
 
-def build_cover(cap: int = 10 ** 7) -> dict:
+def build_cover() -> dict:
     """The lift component over GF(2) through the base vertex (e1, f1) with
     tag 0, and its verification data.  "vertices" holds the sorted (base,
     tag) labels as an (n, 2) array, "edges" the label pairs i < j as an
@@ -822,7 +819,7 @@ def build_cover(cap: int = 10 ** 7) -> dict:
     graph = build_affine_graph(gf)
     table = voltage_table(graph)
     root = graph.index[vertex_v0(gf)]
-    comp = component_of(table, root, cap=cap)
+    comp = component_of(table, root)
     verts = comp["vertices"][np.lexsort(comp["vertices"].T[::-1])]
     base, tag = verts[:, 0], verts[:, 1].astype(np.uint64)
     up = np.uint64(u_packed(gf))
@@ -840,19 +837,10 @@ def build_cover(cap: int = 10 ** 7) -> dict:
             "edges": np.concatenate(edges)}
 
 
-_cover_cache: list = []
-
-
-def cover_data(cap: int = 10 ** 7) -> dict:
-    """The GF(2) cover, built once; raises CapExceeded when it has more than
-    cap vertices, whether it was just built or cached by an earlier call."""
-    if not _cover_cache:
-        _cover_cache.append(build_cover(cap))
-    data = _cover_cache[0]
-    if len(data["vertices"]) > cap:
-        raise CapExceeded(f"the cover has {len(data['vertices'])} vertices,"
-                          f" more than the cap of {cap}")
-    return data
+@lru_cache(maxsize=None)
+def cover_data() -> dict:
+    """The GF(2) cover, built once."""
+    return build_cover()
 
 
 def _write_rows(fh, row_blocks, fmt: str, sep: str = "") -> None:
@@ -870,7 +858,7 @@ def _row_blocks(rows: np.ndarray):
     return (rows[lo:hi] for lo, hi in blocks(len(rows), rows.shape[1]))
 
 
-def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:
+def export_cover(path: str, fmt: str = "json") -> None:
     """Write the GF(2) cover with canonical labels (base index, tag bits).
 
     The JSON document is compact with sorted keys, the bytes that
@@ -879,7 +867,7 @@ def export_cover(path: str, fmt: str = "json", cap: int = 10 ** 7) -> None:
     at a time."""
     if fmt not in ("json", "edgelist"):
         raise ValueError(f"unknown format {fmt!r}")
-    data = cover_data(cap)
+    data = cover_data()
     verts, edges = data["vertices"], data["edges"]
     with open(path, "w") as fh:
         if fmt == "json":

@@ -30,9 +30,9 @@ def test_verify_nonsplit_gf4_certificate(tmp_path):
 
 def test_verify_triangles_exhaustive_gf2(tmp_path):
     out = str(tmp_path / "r.json")
-    assert run(["verify", "triangles", "--field", "2", "--mode", "exhaustive",
-                "--out", out]) == 0
+    assert run(["verify", "triangles", "--field", "2", "--out", out]) == 0
     doc = json.load(open(out))
+    assert doc["results"][0]["mode"] == "exhaustive"
     assert doc["results"][0]["samples"] == 3360
 
 
@@ -57,6 +57,26 @@ def test_usage_errors():
     assert run(["export", "base-graph", "--field", "2", "--samples", "5",
                 "--mode", "exhaustive", "--seed", "3"]) == 2
     assert run(["verify", "all", "--field", "2", "--format", "edgelist"]) == 2
+    # the field decides the mode, nothing is capped but the lift itself,
+    # and over GF(2) the affine graph is the projective one
+    assert run(["verify", "all", "--field", "2", "--mode", "exhaustive"]) == 2
+    assert run(["verify", "main-theorem", "--field", "2", "--cap", "5"]) == 2
+    assert run(["export", "base-graph", "--field", "2", "--graph", "affine"]) == 2
+    assert run(["export", "cover", "--field", "2", "--cap", "100"]) == 2
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    out = str(tmp_path / "missing" / "x.json")
+    for argv in (["verify", "cocycle", "--field", "4"], ["export", "base-graph", "--field", "2"]):
+        assert run(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_is_what_ran(capsys):
+    for argv in (["verify", "triangles", "--field", "2"],
+                 ["verify", "all", "--field", "4", "--samples", "200"]):
+        assert run(argv) == 0
+        assert set(json.loads(capsys.readouterr().out)["config"]) == {"field", "samples", "seed"}
 
 
 def test_verification_failure_exits_one(monkeypatch, tmp_path):
@@ -115,7 +135,7 @@ def test_verify_all_gf2_builds_one_graph_and_one_table(monkeypatch):
 
     # fresh caches, so that the run builds what it needs
     monkeypatch.setattr(gr, "_graph_cache", {})
-    monkeypatch.setattr(cons, "_cover_cache", [])
+    cons.cover_data.cache_clear()
     graphs, tables = [], []
     init, bulk = gr.Graph.__init__, cons.bulk_dart_voltage
 
@@ -163,9 +183,3 @@ def test_verify_all_is_the_suites_in_order(capsys):
     assert [r["check"] for r in combined[len(singles):]] == ["phi-table", "order2-space", "diameter"]
     assert combined[:len(singles)] == singles
 
-
-def test_export_cover_over_the_cap_is_a_usage_error(capsys, tmp_path):
-    assert run(["export", "cover", "--field", "2", "--cap", "100",
-                "--out", str(tmp_path / "cover.json")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "cover.json").exists()

@@ -732,18 +732,6 @@ def test_cover_counts_and_structure():
     assert rep["local_isomorphism"]["passed"]
 
 
-def test_cover_data_cap_applies_to_cached_cover(tmp_path):
-    data = cons.cover_data()
-    assert len(data["vertices"]) == 7680
-    with pytest.raises(vg.CapExceeded):
-        cons.cover_data(5)
-    path = tmp_path / "cover.json"
-    with pytest.raises(vg.CapExceeded):
-        cons.export_cover(str(path), cap=7679)
-    assert not path.exists()
-    assert cons.cover_data(7680) is data
-
-
 def test_cover_fibers_are_m_cosets():
     gf = field_of_order(2)
     data = cons.cover_data()
@@ -799,7 +787,7 @@ def test_export_unknown_format(tmp_path):
 
 
 def test_export_rejects_unknown_format_before_building(monkeypatch, tmp_path):
-    def no_cover(cap=10 ** 7):
+    def no_cover():
         raise AssertionError("cover_data called")
 
     monkeypatch.setattr(cons, "cover_data", no_cover)
@@ -856,7 +844,7 @@ def test_cover_connectivity_reads_the_edge_list(monkeypatch):
     # without the edges at vertex 0 the edge list is disconnected, while
     # the component it came from is unchanged
     data["edges"] = data["edges"][(data["edges"] != 0).all(axis=1)]
-    monkeypatch.setattr(cons, "cover_data", lambda cap=10 ** 7: data)
+    monkeypatch.setattr(cons, "cover_data", lambda: data)
     rep = cons.cover_report()
     assert not rep["connected"] and not rep["passed"]
     assert rep["local_isomorphism"]["passed"]
@@ -952,11 +940,11 @@ def test_cocycle_negative_control(monkeypatch):
 
 def test_square_generators_negative_control(monkeypatch):
     # every generator quadrangle predicts a nonzero square: 6k basis
-    # quadrangles and one per nonzero lam, here 12 + 3
+    # quadrangles and one per nonzero lam, here 12 + 3, and the span
     monkeypatch.setattr(cons, "cycle_voltage", lambda gf, cyc: ml.ZERO21)
     rep = cons.w2_span_report(field_of_order(4))
     # the 15 wrong voltages, and the span short of the squares
-    _assert_failed(rep, 16, 15, {"pattern", "lam", "cycle", "expected", "voltage"})
+    _assert_failed(rep, 16, 16, {"pattern", "lam", "cycle", "expected", "voltage"})
     assert rep["span_dim"] == 0 and not rep["spans_squares"]
 
 
@@ -966,7 +954,7 @@ def test_square_span_negative_control(monkeypatch):
     basis = cons._square_basis(gf)
     monkeypatch.setattr(cons, "_square_basis", lambda gf: basis + [ml.u_packed(gf)])
     rep = cons.w2_span_report(gf)
-    _assert_failed(rep, 1, 15, {"span_dim", "missing_squares"})
+    _assert_failed(rep, 1, 16, {"span_dim", "missing_squares"})
     assert rep["witnesses"] == [{"span_dim": 12, "missing_squares": [ml.u_packed(gf)]}]
     assert rep["span_dim"] == 12 and not rep["spans_squares"]
 
