@@ -6,7 +6,7 @@ Two subcommands:
   report; exit code 0 when every check passes, 1 on a verification
   failure, 2 on usage errors.
 * ``phcover export WHAT``   writes the base graph or the 64-fold GF(2)
-  cover as deterministic JSON or edge-list files.
+  cover as deterministic JSON or an edge list, to ``--out`` or stdout.
 
 All randomness is seeded, so reports and exports are byte-identical
 across runs with the same flags.
@@ -59,15 +59,16 @@ def _suite_reports(suite: str, gf, cfg) -> list:
 
 def cmd_verify(cfg) -> int:
     gf = field_of_order(cfg.field)
-    reports = _suite_reports(cfg.suite, gf, cfg)
-    passed = all(r.get("passed", False) for r in reports)
-    doc = {
-        "suite": cfg.suite,
-        "config": {"field": cfg.field, "samples": cfg.samples, "seed": cfg.seed},
-        "results": reports,
-        "passed": passed,
-    }
-    _emit(doc, cfg.out)
+    with _output(cfg.out) as fh:
+        reports = _suite_reports(cfg.suite, gf, cfg)
+        passed = all(r.get("passed", False) for r in reports)
+        doc = {
+            "suite": cfg.suite,
+            "config": {"field": cfg.field, "samples": cfg.samples, "seed": cfg.seed},
+            "results": reports,
+            "passed": passed,
+        }
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     for r in reports:
         status = "PASS" if r.get("passed") else "FAIL"
         extra = f" [{r['status']}]" if "status" in r else ""
@@ -93,28 +94,24 @@ def _write_graph(fh, graph, fmt: str) -> None:
 
 
 def cmd_export(cfg) -> int:
-    if cfg.what == "cover":
-        if cfg.field != 2:
-            print("error: the full cover export is limited to GF(2)", file=sys.stderr)
-            return 2
-        cons.export_cover(cfg.out or "cover.json", cfg.format)
-        return 0
-    if cfg.field > 4:
+    if cfg.what == "cover" and cfg.field != 2:
+        print("error: the full cover export is limited to GF(2)", file=sys.stderr)
+        return 2
+    if cfg.what == "base-graph" and cfg.field > 4:
         print("error: base-graph export is limited to GF(2) and GF(4)", file=sys.stderr)
         return 2
-    graph = build_projective_graph(field_of_order(cfg.field))
-    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
-        _write_graph(fh, graph, cfg.format)
+    with _output(cfg.out) as fh:
+        if cfg.what == "cover":
+            cons._write_cover(fh, cfg.format)
+        else:
+            _write_graph(fh, build_projective_graph(field_of_order(cfg.field)), cfg.format)
     return 0
 
 
-def _emit(doc, out_path) -> None:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path):
+    """The --out file, opened before any work so that an unwritable path
+    fails first, or stdout."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -348,13 +348,12 @@ def _not_applicable(check, gf, mode):
 
 
 def _resolve_mode(gf: GF, mode: str, what: str) -> str:
-    """Resolve "auto" to exhaustive over GF(2) and to sample above it, and
-    refuse exhaustive enumeration above GF(2)."""
-    if mode == "auto":
-        return "exhaustive" if gf.order == 2 else "sample"
-    if mode == "exhaustive" and gf.order != 2:
-        raise ValueError(f"exhaustive {what} enumeration is only feasible over GF(2)")
-    return mode
+    """The field's own mode, exhaustive over GF(2) and sample above it, for
+    "auto" or that mode itself; any other mode is refused."""
+    own = "exhaustive" if gf.order == 2 else "sample"
+    if mode not in ("auto", own):
+        raise ValueError(f"{what} checks over GF({gf.order}) run in {own} mode, not {mode!r}")
+    return own
 
 
 def _check_cycles(cycles, voltage, member, key):
@@ -859,30 +858,35 @@ def _row_blocks(rows: np.ndarray):
 
 
 def export_cover(path: str, fmt: str = "json") -> None:
-    """Write the GF(2) cover with canonical labels (base index, tag bits).
+    """Write the GF(2) cover with canonical labels (base index, tag bits)
+    to the file at path, in the bytes of :func:`_write_cover`."""
+    if fmt not in ("json", "edgelist"):
+        raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w") as fh:
+        _write_cover(fh, fmt)
 
-    The JSON document is compact with sorted keys, the bytes that
+
+def _write_cover(fh, fmt: str) -> None:
+    """Write the GF(2) cover to an open text file as an edge list, or as
+    the compact JSON document with sorted keys, the bytes that
     json.dumps(doc, sort_keys=True, separators=(",", ":")) gives; the
     label and edge arrays are written straight from the arrays, a block
     at a time."""
-    if fmt not in ("json", "edgelist"):
-        raise ValueError(f"unknown format {fmt!r}")
     data = cover_data()
     verts, edges = data["vertices"], data["edges"]
-    with open(path, "w") as fh:
-        if fmt == "json":
-            # the base vertices' tuples encode as JSON arrays
-            base = json.dumps(data["graph"].vertices, separators=(",", ":"))
-            fh.write(f'{{"base_vertices":{base},"edge_count":{len(edges)},"edges":[')
-            _write_rows(fh, _row_blocks(edges), "[%d,%d]", ",")
-            fh.write(f'],"field":2,"vertex_count":{len(verts)},"vertices":[')
-            _write_rows(fh, _row_blocks(verts), "[%d,%d]", ",")
-            fh.write("]}\n")
-        else:
-            fh.write(f"# cover field=2 vertices={len(verts)} edges={len(edges)}\n")
-            _write_rows(fh, _row_blocks(np.column_stack([np.arange(len(verts)), verts])),
-                        "v %d %d %d\n")
-            _write_rows(fh, _row_blocks(edges), "e %d %d\n")
+    if fmt == "json":
+        # the base vertices' tuples encode as JSON arrays
+        base = json.dumps(data["graph"].vertices, separators=(",", ":"))
+        fh.write(f'{{"base_vertices":{base},"edge_count":{len(edges)},"edges":[')
+        _write_rows(fh, _row_blocks(edges), "[%d,%d]", ",")
+        fh.write(f'],"field":2,"vertex_count":{len(verts)},"vertices":[')
+        _write_rows(fh, _row_blocks(verts), "[%d,%d]", ",")
+        fh.write("]}\n")
+    else:
+        fh.write(f"# cover field=2 vertices={len(verts)} edges={len(edges)}\n")
+        _write_rows(fh, _row_blocks(np.column_stack([np.arange(len(verts)), verts])),
+                    "v %d %d %d\n")
+        _write_rows(fh, _row_blocks(edges), "e %d %d\n")
 
 
 # the first line of a cover edge list, past its comment and blank lines,
@@ -1037,10 +1041,10 @@ def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
 
 def reductivity_report(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
     if gf.order == 2:
-        return check_reductive(gf, lambda a, b: dart_voltage(gf, a, b), "exhaustive")
-    rng = random.Random(seed)
-    return check_reductive(gf, lambda a, b: dart_voltage(gf, a, b), "sample",
-                           samples=samples, rng=rng)
+        return check_reductive(gf, lambda a, b: dart_voltage(gf, a, b),
+                               graph=build_affine_graph(gf))
+    return check_reductive(gf, lambda a, b: dart_voltage(gf, a, b),
+                           samples=samples, rng=random.Random(seed))
 
 
 def equivariance_report(gf: GF, n_matrices: int = 20, samples: int = 10 ** 4,
@@ -1051,12 +1055,9 @@ def equivariance_report(gf: GF, n_matrices: int = 20, samples: int = 10 ** 4,
     rng = random.Random(seed)
     if gf.order == 2:
         actions = [action(gf, random_sl4(gf, rng)) for _ in range(100)]
-        table = voltage_table(build_affine_graph(gf))
-        return check_equivariance(gf, lambda a, b: dart_voltage(gf, a, b),
-                                  actions, "exhaustive", table=table)
+        return check_equivariance(gf, None, actions, table=voltage_table(build_affine_graph(gf)))
     actions = [action(gf, random_sl4(gf, rng)) for _ in range(n_matrices)]
-    return check_equivariance(gf, lambda a, b: dart_voltage(gf, a, b),
-                              actions, "sample",
+    return check_equivariance(gf, lambda a, b: dart_voltage(gf, a, b), actions,
                               samples=samples * n_matrices, rng=rng)
 
 

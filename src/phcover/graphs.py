@@ -518,15 +518,27 @@ def random_neighbor(gf: GF, a, rng):
     return sample_common_neighbor(gf, a, a, rng)
 
 
-def sample_triangle(gf: GF, rng):
+def _closed_walk(gf: GF, length: int, rng, distinct: bool):
+    """The rejection loop of every walk sampler: a random vertex, length - 2
+    random steps and a closing common neighbour of the last and the first
+    vertex, drawn afresh from a new start whenever a step fails, or meets
+    an earlier vertex when distinct is set."""
     while True:
-        a = random_affine_vertex(gf, rng)
-        b = random_neighbor(gf, a, rng)
-        if b is None or b == a:
-            continue
-        c = sample_common_neighbor(gf, a, b, rng)
-        if c is not None and c != a and c != b:
-            return (a, b, c)
+        walk = [random_affine_vertex(gf, rng)]
+        for _ in range(length - 2):
+            nxt = random_neighbor(gf, walk[-1], rng)
+            if nxt is None or (distinct and nxt in walk):
+                break
+            walk.append(nxt)
+        else:
+            last = sample_common_neighbor(gf, walk[-1], walk[0], rng)
+            if last not in (None, *(walk if distinct else (walk[0], walk[-1]))):
+                return (*walk, last)
+
+
+def sample_triangle(gf: GF, rng):
+    """Three distinct vertices forming a triangle."""
+    return _closed_walk(gf, 3, rng, True)
 
 
 def sample_quadrangle(gf: GF, rng):
@@ -547,21 +559,7 @@ def sample_quadrangle(gf: GF, rng):
 
 def sample_pentagon(gf: GF, rng):
     """Five distinct vertices forming a 5-cycle (chords allowed)."""
-    while True:
-        v0 = random_affine_vertex(gf, rng)
-        v1 = random_neighbor(gf, v0, rng)
-        if v1 in (None, v0):
-            continue
-        v2 = random_neighbor(gf, v1, rng)
-        if v2 in (None, v0, v1):
-            continue
-        v3 = random_neighbor(gf, v2, rng)
-        if v3 in (None, v0, v1, v2):
-            continue
-        v4 = sample_common_neighbor(gf, v3, v0, rng)
-        if v4 in (None, v0, v1, v2, v3):
-            continue
-        return (v0, v1, v2, v3, v4)
+    return _closed_walk(gf, 5, rng, True)
 
 
 def sample_closed_walk(gf: GF, length: int, rng):
@@ -569,19 +567,4 @@ def sample_closed_walk(gf: GF, length: int, rng):
     consecutive vertices; repeated non-consecutive vertices are allowed."""
     if length < 3:
         raise ValueError("closed walks need at least 3 edges")
-    while True:
-        walk = [random_affine_vertex(gf, rng)]
-        ok = True
-        for _ in range(length - 2):
-            nxt = random_neighbor(gf, walk[-1], rng)
-            if nxt is None:
-                ok = False
-                break
-            walk.append(nxt)
-        if not ok:
-            continue
-        last = sample_common_neighbor(gf, walk[-1], walk[0], rng)
-        if last is None or last == walk[-1] or last == walk[0]:
-            continue
-        walk.append(last)
-        return tuple(walk)
+    return _closed_walk(gf, length, rng, False)

@@ -31,7 +31,6 @@ from .graphs import (
     Graph,
     adjacent,
     blocks,
-    build_affine_graph,
     csr_bfs,
     distinct,
     frontier_blocks,
@@ -466,17 +465,17 @@ def stabilizer_closure_check(table: DartTable, action_pairs, v_idx: int, member_
 # reductivity and equivariance
 # ----------------------------------------------------------------------
 
-def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None) -> dict:
+def check_reductive(gf: GF, dart_fn, samples: int = 0, rng=None,
+                    graph: Graph | None = None) -> dict:
     """Check that equivalent vertices receive equal voltages from any common
     neighbour: for u ~ v (same normalised class) and w adjacent to v, w is
     adjacent to u and voltage(w, u) == voltage(w, v).
 
-    Exhaustive mode enumerates the affine graph and iterates all such
-    triples (only feasible for small fields); sample mode draws random
-    rescalings of random vertices.
+    Handed the enumerated affine graph, the check is exhaustive over all
+    such triples; otherwise it draws samples random rescalings of random
+    vertices from rng.
     """
-    if mode == "exhaustive":
-        graph = build_affine_graph(gf)
+    if graph is not None:
         vs = graph.vertices
         classes: dict = {}
         for i, vert in enumerate(vs):
@@ -484,10 +483,7 @@ def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None) -> d
         triples = ((vs[ui], vs[vi], vs[wi]) for members in classes.values()
                    for ui in members for vi in members if ui != vi
                    for wi in graph.neighbors(vi).tolist())
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-
+    else:
         def rescalings():
             # draw v, the rescaling factors, then a neighbour w of v
             for _ in range(samples):
@@ -499,28 +495,25 @@ def check_reductive(gf: GF, dart_fn, mode: str, samples: int = 0, rng=None) -> d
                     yield (vec_scale(gf, lam, v0), vec_scale(gf, mu, h0)), (v0, h0), w
 
         triples = rescalings()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return report("reductive", gf, mode, *tally(
+    return report("reductive", gf, "sample" if graph is None else "exhaustive", *tally(
         None if adjacent(gf, w, u) and dart_fn(w, u) == dart_fn(w, v)
         else {"u": u, "v": v, "w": w}
         for u, v, w in triples))
 
 
-def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
-                       rng=None, table: DartTable | None = None) -> dict:
+def check_equivariance(gf: GF, dart_fn, actions, samples: int = 0, rng=None,
+                       table: DartTable | None = None) -> dict:
     """Check voltage equivariance: the voltage of the image dart equals the
     induced action on the voltage of the dart, for every supplied matrix.
 
-    Exhaustive mode runs over all edges u < v of an enumerated graph
-    through its packed table, one matrix at a time and each matrix in
-    blocks of edges: the image vertices come from vertex_images, the image
-    darts from the table, and the images of the voltages from
-    on_sym_packed_array (k <= 3).  Sample mode draws random darts lazily.
+    Handed a dart table, the check is exhaustive over all edges u < v of
+    its graph, one matrix at a time and each matrix in blocks of edges: the
+    image vertices come from vertex_images, the image darts from the table,
+    and the images of the voltages from on_sym_packed_array (k <= 3).
+    Otherwise it draws random darts from rng and evaluates them through
+    dart_fn.
     """
-    if mode == "exhaustive":
-        if table is None:
-            raise ValueError("exhaustive mode needs a dart table")
+    if table is not None:
         src, dst = table.graph.dart_sources(), table.indices
         keep = src < dst
         src, dst, volts = src[keep], dst[keep], table.volts[keep]
@@ -532,24 +525,20 @@ def check_equivariance(gf: GF, dart_fn, actions, mode: str, samples: int = 0,
                                                     perm[dst[lo:hi]].tolist())]
                 passed[n * m + lo:n * m + hi] = \
                     np.array(have, dtype=np.uint64) == act.on_sym_packed_array(volts[lo:hi])
-        return report("equivariance", gf, mode, *tally(passed, lambda i: {
+        return report("equivariance", gf, "exhaustive", *tally(passed, lambda i: {
             "dart": (int(src[i % m]), int(dst[i % m])), "matrix": actions[i // m].m}))
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        per_action = max(1, samples // max(1, len(actions)))
+    per_action = max(1, samples // max(1, len(actions)))
 
-        def results():
-            for act in actions:
-                for _ in range(per_action):
-                    a = random_affine_vertex(gf, rng)
-                    b = random_neighbor(gf, a, rng)
-                    if b is None:
-                        continue
-                    ga = (act.on_vector(a[0]), act.on_covector(a[1]))
-                    gb = (act.on_vector(b[0]), act.on_covector(b[1]))
-                    yield None if dart_fn(ga, gb) == act.on_sym(dart_fn(a, b)) \
-                        else {"dart": (a, b), "matrix": act.m}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return report("equivariance", gf, mode, *tally(results()))
+    def results():
+        for act in actions:
+            for _ in range(per_action):
+                a = random_affine_vertex(gf, rng)
+                b = random_neighbor(gf, a, rng)
+                if b is None:
+                    continue
+                ga = (act.on_vector(a[0]), act.on_covector(a[1]))
+                gb = (act.on_vector(b[0]), act.on_covector(b[1]))
+                yield None if dart_fn(ga, gb) == act.on_sym(dart_fn(a, b)) \
+                    else {"dart": (a, b), "matrix": act.m}
+
+    return report("equivariance", gf, "sample", *tally(results()))

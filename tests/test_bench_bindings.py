@@ -79,3 +79,29 @@ def test_cover_round_trip_expression(tmp_path):
     built, loaded = cons.cover_data(), cons.load_cover(path)
     assert loaded["vertices"] == [tuple(v) for v in built["vertices"]]
     assert loaded["edges"] == [tuple(e) for e in built["edges"]]
+
+
+def test_sampled_checks_trace_one_span_per_drawn_sample(tracing):
+    # the benchmark pins each sampler's calls to the samples requested; a
+    # sampler that reached another through its module binding would add spans
+    gf = field_of_order(4)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        cons.verify_triangles(gf, samples=7, seed=1)
+        cons.verify_pentagons(gf, samples=5, seed=2)
+        cons.verify_long_cycles(gf, lengths=(3, 6), samples=4, seed=3)
+        cons.reductivity_report(gf, samples=6, seed=4)
+        cons.equivariance_report(gf, n_matrices=2, samples=3, seed=5)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    calls = {name: rec["calls"] for name, rec in summary.items()}
+    assert (calls["graphs.sample_triangle"], calls["graphs.sample_pentagon"],
+            calls["graphs.sample_closed_walk"]) == (7, 5, 8)
+    assert calls["voltage.check_reductive"] == calls["voltage.check_equivariance"] == 1
+    assert "graphs.sample_quadrangle" not in calls
+    # every vertex draw is made under the sampler or the check that asked
+    assert set(summary["graphs.random_affine_vertex"]["by_parent"]) == {
+        "graphs.sample_triangle", "graphs.sample_pentagon", "graphs.sample_closed_walk",
+        "voltage.check_reductive", "voltage.check_equivariance"}

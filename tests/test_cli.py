@@ -65,9 +65,19 @@ def test_usage_errors():
     assert run(["export", "cover", "--field", "2", "--cap", "100"]) == 2
 
 
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+def test_unwritable_out_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    # --out is opened before the first check or build, each a stand-in
+    # here that fails the test when it is called
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before --out was opened")
+
+    monkeypatch.setattr(cons, "reductivity_report", must_not_run)
+    monkeypatch.setattr(cons, "dart_lambda_report", must_not_run)
+    monkeypatch.setattr(cons, "cover_data", must_not_run)
+    monkeypatch.setattr(cli, "build_projective_graph", must_not_run)
     out = str(tmp_path / "missing" / "x.json")
-    for argv in (["verify", "cocycle", "--field", "4"], ["export", "base-graph", "--field", "2"]):
+    for argv in (["verify", "all", "--field", "4"], ["verify", "cocycle", "--field", "4"],
+                 ["export", "base-graph", "--field", "2"], ["export", "cover", "--field", "2"]):
         assert run(argv + ["--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -314,6 +314,12 @@ def test_triangles_exhaustive_gf2():
     rep = cons.verify_triangles(field_of_order(2), "exhaustive")
     assert rep["passed"]
     assert rep["samples"] == 3360  # 1680 edges x 6 common neighbours / 3
+    # each field has one mode: exhaustive over GF(2), sampled above it
+    for q, mode in ((2, "sample"), (8, "exhaustive")):
+        with pytest.raises(ValueError, match="mode"):
+            cons.verify_triangles(field_of_order(q), mode)
+        with pytest.raises(ValueError, match="mode"):
+            cons.verify_quadrangles(field_of_order(q), mode)
 
 
 def test_triangles_sampled():
@@ -998,7 +1004,7 @@ def test_exhaustive_gf2_dart_lookup_counts(monkeypatch):
             (lambda: cons.verify_triangles(gf, "exhaustive"), 3360, 3),
             (lambda: cons.verify_quadrangles(gf, "exhaustive"), 138600, 4),
             (lambda: vg.check_equivariance(gf, lambda a, b: cons.dart_voltage(gf, a, b),
-                                           actions, "exhaustive", table=table), 3 * 1680, 1)):
+                                           actions, table=table), 3 * 1680, 1)):
         before = darts()
         rep = run()
         assert rep["passed"] and rep["samples"] == samples

@@ -97,10 +97,14 @@ COVER_GOLDEN = {
 
 
 @pytest.mark.parametrize("fmt", sorted(COVER_GOLDEN))
-def test_cover_export_digests(fmt, tmp_path):
+def test_cover_export_digests(fmt, tmp_path, capsys):
     path = tmp_path / f"cover.{fmt}"
     cons.export_cover(str(path), fmt)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == COVER_GOLDEN[fmt]
+    # without --out the command writes the same bytes to stdout
+    capsys.readouterr()
+    assert cli.main(["export", "cover", "--field", "2", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == COVER_GOLDEN[fmt]
 
 
 def test_cover_component_order_digest():

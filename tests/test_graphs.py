@@ -411,6 +411,10 @@ def test_sampled_cycles_are_cycles():
         assert len(walk) == 6
         for i in range(6):
             assert gr.adjacent(gf, walk[i], walk[(i + 1) % 6])
+    # a shorter walk would be a back-and-forth 2-walk or no walk at all
+    for length in (0, 1, 2):
+        with pytest.raises(ValueError):
+            gr.sample_closed_walk(gf, length, rng)
 
 
 def test_samplers_are_seeded():

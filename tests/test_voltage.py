@@ -656,13 +656,13 @@ def test_stabilizer_cocycle_lands_in_m():
 
 def test_check_reductive_exhaustive_gf2():
     gf = field_of_order(2)
-    rep = vg.check_reductive(gf, ell(gf), "exhaustive")
+    rep = vg.check_reductive(gf, ell(gf), graph=gr.build_affine_graph(gf))
     assert rep["passed"] and rep["violations"] == 0
 
 
 def test_check_reductive_sampled_gf4():
     gf = field_of_order(4)
-    rep = vg.check_reductive(gf, ell(gf), "sample", samples=2000, rng=random.Random(10))
+    rep = vg.check_reductive(gf, ell(gf), samples=2000, rng=random.Random(10))
     assert rep["passed"] and rep["samples"] > 1900
 
 
@@ -676,7 +676,7 @@ def test_check_reductive_negative_control():
             volt = ml.sym_add(volt, perturb)
         return volt
 
-    rep = vg.check_reductive(gf, corrupted, "sample", samples=500, rng=random.Random(11))
+    rep = vg.check_reductive(gf, corrupted, samples=500, rng=random.Random(11))
     assert rep["violations"] > 0 and not rep["passed"]
     assert rep["witnesses"]
 
@@ -686,7 +686,7 @@ def test_check_equivariance_exhaustive_gf2():
     table = cons.voltage_table(gr.build_affine_graph(gf))
     rng = random.Random(12)
     actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(5)]
-    rep = vg.check_equivariance(gf, ell(gf), actions, "exhaustive", table=table)
+    rep = vg.check_equivariance(gf, ell(gf), actions, table=table)
     assert rep["passed"] and rep["samples"] == 5 * 1680
 
 
@@ -741,13 +741,13 @@ def test_check_equivariance_exhaustive_corrupted_table(monkeypatch):
     bad = vg.DartTable(good.graph, good.indptr, good.indices, volts)
     rng = random.Random(22)
     actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(4)]
-    rep = vg.check_equivariance(gf, ell(gf), actions, "exhaustive", table=bad)
+    rep = vg.check_equivariance(gf, ell(gf), actions, table=bad)
     violations, witnesses = _scalar_equivariance(bad, actions)
     assert not rep["passed"] and rep["samples"] == 4 * 1680
     assert (rep["violations"], rep["witnesses"]) == (violations, witnesses)
     assert violations > 5
     monkeypatch.setattr(gr, "BULK_BLOCK", 7)
-    assert vg.check_equivariance(gf, ell(gf), actions, "exhaustive", table=bad) == rep
+    assert vg.check_equivariance(gf, ell(gf), actions, table=bad) == rep
 
 
 def test_vertex_images_match_vertex_image_index():
@@ -787,7 +787,7 @@ def test_check_equivariance_sampled_gf8():
     gf = field_of_order(8)
     rng = random.Random(13)
     actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(3)]
-    rep = vg.check_equivariance(gf, ell(gf), actions, "sample", samples=300, rng=rng)
+    rep = vg.check_equivariance(gf, ell(gf), actions, samples=300, rng=rng)
     assert rep["passed"]
 
 
@@ -795,7 +795,7 @@ def test_check_equivariance_negative_control():
     # a non-unimodular matrix scales U, so the voltage is not equivariant
     gf = field_of_order(4)
     scale = ml.action(gf, ((0b10, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    rep = vg.check_equivariance(gf, ell(gf), [scale], "sample", samples=200,
+    rep = vg.check_equivariance(gf, ell(gf), [scale], samples=200,
                                 rng=random.Random(14))
     assert rep["violations"] > 0
 
@@ -809,10 +809,10 @@ def test_sampled_checks_count_every_disagreement():
         rng = random.Random(q)
         actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(3)]
         for rep, key in (
-                (vg.check_reductive(gf, lambda a, b: next(flip), "sample", samples=40, rng=rng),
+                (vg.check_reductive(gf, lambda a, b: next(flip), samples=40, rng=rng),
                  {"u", "v", "w"}),
-                (vg.check_equivariance(gf, lambda a, b: next(flip), actions, "sample",
-                                       samples=30, rng=rng), {"dart", "matrix"})):
+                (vg.check_equivariance(gf, lambda a, b: next(flip), actions, samples=30,
+                                       rng=rng), {"dart", "matrix"})):
             assert rep["violations"] == rep["samples"] > 0 and not rep["passed"]
             assert len(rep["witnesses"]) == 5
             assert all(set(w) == key for w in rep["witnesses"])
