@@ -33,35 +33,26 @@ SUITE_REPORTS = {
     "quadrangles": lambda gf, n, seed: [cons.verify_quadrangles(gf, samples=n, seed=seed)],
     "pentagons": lambda gf, n, seed: [cons.verify_pentagons(gf, samples=n, seed=seed)],
     "cycles": lambda gf, n, seed: [cons.cycle_span_report(gf, seed=seed)] + (
-        [cons.verify_long_cycles(gf, samples=max(1, n // 100), seed=seed)]
-        if gf.order <= 4 else []),
+        [cons.verify_long_cycles(gf, samples=max(1, n // 100), seed=seed),
+         cons.diameter_report(gf)] if gf.order <= 4 else []),
     "equivariance": lambda gf, n, seed: [
         cons.equivariance_report(gf, samples=max(1, n // 10), seed=seed),
-        cons.u_invariance_report(gf, seed=seed)],
+        cons.u_invariance_report(gf, seed=seed), cons.phi_table_report(gf)],
     "main-theorem": lambda gf, n, seed: [
         cons.verify_main_theorem(gf, seed=seed, samples=max(1, n // 10))],
     "cocycle": lambda gf, n, seed: [cons.dart_lambda_report(gf), cons.cocycle_report(gf)],
-    "nonsplit": lambda gf, n, seed: [cons.nonsplit_check(gf)] + (
+    "nonsplit": lambda gf, n, seed: [cons.nonsplit_check(gf), cons.order2_report(gf)] + (
         [cons.brute_force_splitting_gf4()] if gf.order == 4 else []),
 }
 SUITES = (*SUITE_REPORTS, "all")
 
 
-def _suite_reports(suite: str, gf, cfg) -> list:
-    suites = SUITE_REPORTS if suite == "all" else [suite]
-    out = [r for name in suites for r in SUITE_REPORTS[name](gf, cfg.samples, cfg.seed)]
-    if suite == "all":
-        out += [cons.phi_table_report(), cons.order2_report(gf)]
-        if gf.order <= 4:
-            out.append(cons.diameter_report(gf))
-    return out
-
-
 def cmd_verify(cfg) -> int:
     gf = field_of_order(cfg.field)
     with _output(cfg.out) as fh:
-        reports = _suite_reports(cfg.suite, gf, cfg)
-        passed = all(r.get("passed", False) for r in reports)
+        reports = [r for name in (SUITE_REPORTS if cfg.suite == "all" else [cfg.suite])
+                   for r in SUITE_REPORTS[name](gf, cfg.samples, cfg.seed)]
+        passed = all(r["passed"] for r in reports)
         doc = {
             "suite": cfg.suite,
             "config": {"field": cfg.field, "samples": cfg.samples, "seed": cfg.seed},
@@ -70,9 +61,9 @@ def cmd_verify(cfg) -> int:
         }
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     for r in reports:
-        status = "PASS" if r.get("passed") else "FAIL"
-        extra = f" [{r['status']}]" if "status" in r else ""
-        print(f"{status} {r.get('check', '?')} field={r.get('field')}{extra}", file=sys.stderr)
+        status = "PASS" if r["passed"] else "FAIL"
+        extra = f" [{r['status']}: {r['reason']}]" if "status" in r else ""
+        print(f"{status} {r['check']} field={r['field']}{extra}", file=sys.stderr)
     return 0 if passed else 1
 
 

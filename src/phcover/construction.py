@@ -49,6 +49,8 @@ from .multilinear import (
     DIAG_SLOTS,
     SYM_SLOT,
     ZERO21,
+    _chi_pairing_table,
+    _dual_pairing_table,
     _span_table,
     action,
     big_u,
@@ -343,8 +345,8 @@ def cocycle_f(gf: GF, x: int, y: int):
 
 def _not_applicable(check, gf, mode):
     """The report of a check that needs an element outside GF(2)."""
-    return {"check": check, "field": gf.order, "mode": mode, "status": "not-applicable",
-            "reason": "no element outside the prime field", "violations": 0, "passed": True}
+    return report(check, gf, mode, 0, 0, [], status="not-applicable",
+                  reason="no element outside the prime field")
 
 
 def _resolve_mode(gf: GF, mode: str, what: str) -> str:
@@ -680,18 +682,17 @@ def _f2_matrix(fn, nin: int, nout: int) -> np.ndarray:
 
 def order2_solution_space(gf: GF, x: int) -> dict:
     """Solve m^(A_x) + m = x^2 w5^2 over the span of squares and compare the
-    solution set with w3^2 + S."""
+    solution set with w3^2 + S.  Each of the four conditions (the system is
+    consistent, its solutions are w3^2 + S, w3^2 lies outside S, and S is
+    invariant) is one checked item, and a failed one is named as a
+    witness."""
     if x == 0:
         raise ValueError("x must be nonzero")
     n = 6 * gf.k
     a_mat = _f2_matrix(lambda m: apply_ax(gf, x, m) ^ m, n, n)
     x0, kernel_basis, cert = solve_affine_f2(a_mat, _bits(w5_squared_m(gf, gf.mul(x, x)), n))
-    if cert is not None:
-        return {"check": "order2-space", "field": gf.order, "x": x,
-                "passed": False, "inconsistent": True}
-
     sol_span = F2Span()
-    for v in kernel_basis:
+    for v in kernel_basis or ():
         sol_span.add(_int(v))
     s_span = F2Span()
     for g in s_generators(gf):
@@ -704,16 +705,16 @@ def order2_solution_space(gf: GF, x: int) -> dict:
         sol_span.dim == s_span.dim == 4 * gf.k
         and all(s_span.contains(r) for r in sol_span.pivots.values())
     )
-    shift_in_s = s_span.contains(_int(x0) ^ w3sq)
-    w3_not_in_s = not s_span.contains(w3sq)
-    invariant = all(s_span.contains(apply_ax(gf, y, g))
-                    for y in order4_subgroup(gf) for g in s_generators(gf))
-    passed = kernel_eq_s and shift_in_s and w3_not_in_s and invariant
-    return {"check": "order2-space", "field": gf.order, "x": x,
-            "solution_dim": sol_span.dim, "expected_dim": 4 * gf.k,
-            "matches_w3_plus_s": kernel_eq_s and shift_in_s,
-            "w3_outside_s": w3_not_in_s, "s_invariant": invariant,
-            "violations": 0 if passed else 1, "passed": passed}
+    conditions = {
+        "consistent": cert is None,
+        "matches_w3_plus_s": cert is None and kernel_eq_s and s_span.contains(_int(x0) ^ w3sq),
+        "w3_outside_s": not s_span.contains(w3sq),
+        "s_invariant": all(s_span.contains(apply_ax(gf, y, g))
+                           for y in order4_subgroup(gf) for g in s_generators(gf)),
+    }
+    failed = [name for name, ok in conditions.items() if not ok]
+    return report("order2-space", gf, "exhaustive", len(conditions), len(failed), failed,
+                  x=x, solution_dim=sol_span.dim, expected_dim=4 * gf.k, **conditions)
 
 
 def splitting_system(gf: GF, alpha: int | None = None):
@@ -759,15 +760,18 @@ def nonsplit_check(gf: GF, alpha: int | None = None) -> dict:
         return _not_applicable("nonsplit", gf, "linear")
     a_mat, b = splitting_system(gf, alpha)
     x0, kern, cert = solve_affine_f2(a_mat, b)
+    # one item: the system, whose solution or certificate is checked
     if cert is None:
-        return {"check": "nonsplit", "field": gf.order, "mode": "linear",
-                "status": "split-found", "violations": 1, "passed": False,
-                "witness_solution": [int(v) for v in x0]}
+        return report("nonsplit", gf, "linear", 1, 1, [{"solution": [int(v) for v in x0]}],
+                      status="split-found",
+                      reason="the splitting system has a solution: the family lifts")
+    certificate = [int(i) for i in np.nonzero(cert)[0]]
     cert_ok = (not (cert @ a_mat % 2).any()) and int(cert @ b % 2) == 1
-    return {"check": "nonsplit", "field": gf.order, "mode": "linear",
-            "status": "inconsistent", "violations": 0 if cert_ok else 1,
-            "passed": cert_ok,
-            "certificate": [int(i) for i in np.nonzero(cert)[0]]}
+    return report("nonsplit", gf, "linear", 1, 0 if cert_ok else 1,
+                  [] if cert_ok else [{"certificate": certificate}],
+                  status="inconsistent",
+                  reason="a row combination y with yA = 0 and y.b = 1 rules out every lift",
+                  certificate=certificate)
 
 
 def brute_force_splitting_gf4() -> dict:
@@ -800,9 +804,10 @@ def brute_force_splitting_gf4() -> dict:
     valid &= (ta1[ca] ^ e ^ w52(gf.mul(al, al1))) == c1
     valid &= (ta[e] ^ ca ^ w52(gf.mul(al, al1))) == c1
     lifts = int(valid.sum())
-    return {"check": "nonsplit-bruteforce", "field": 4, "mode": "exhaustive",
-            "samples": n * n, "order2_pairs": order2_pairs,
-            "violations": lifts, "subgroup_lifts": lifts, "passed": lifts == 0}
+    return report("nonsplit-bruteforce", gf, "exhaustive", n * n, lifts,
+                  [{"c1": int(c1[i, 0]), "c_alpha": int(ca[0, j])}
+                   for i, j in np.argwhere(valid)[:5].tolist()],
+                  order2_pairs=order2_pairs, subgroup_lifts=lifts)
 
 
 # ----------------------------------------------------------------------
@@ -958,12 +963,13 @@ def cover_report() -> dict:
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     dist = csr_bfs(indptr, dst[np.argsort(src, kind="stable")], 0)[0]
     connected = bool((dist >= 0).all())
-    passed = (n == 7680 and m == 107520 and fiber_sizes == [64]
-              and liso["passed"] and connected)
-    return {"check": "cover", "field": 2, "mode": "exhaustive",
-            "vertices": n, "edges": m, "fiber_sizes": fiber_sizes,
-            "local_isomorphism": liso, "connected": connected,
-            "violations": 0 if passed else 1, "passed": passed}
+    # five conditions, a failed one named as a witness
+    conditions = {"vertices": n == 7680, "edges": m == 107520, "fiber_sizes": fiber_sizes == [64],
+                  "local_isomorphism": liso["passed"], "connected": connected}
+    failed = [name for name, ok in conditions.items() if not ok]
+    return report("cover", table.gf, "exhaustive", len(conditions), len(failed), failed,
+                  vertices=n, edges=m, fiber_sizes=fiber_sizes, local_isomorphism=liso,
+                  connected=connected)
 
 
 def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
@@ -1002,12 +1008,10 @@ def verify_main_theorem(gf: GF, seed: int = 12345, samples: int = 10 ** 4) -> di
         parts["cover"] = cover_report()
     elif gf.order == 4:
         parts["fibers"] = fiber_coset_report(gf, seed=seed)
-    passed = all(p["passed"] for p in parts.values())
-    return {"check": "main-theorem", "field": gf.order,
-            "mode": "exhaustive" if gf.order == 2 else "sample",
-            "samples": samples, "parts": parts,
-            "violations": sum(p.get("violations", 0) for p in parts.values()),
-            "passed": passed}
+    # samples is the count handed to the parts; a failed part is named
+    return report("main-theorem", gf, "exhaustive" if gf.order == 2 else "sample", samples,
+                  sum(p["violations"] for p in parts.values()),
+                  [name for name, p in parts.items() if not p["passed"]], parts=parts)
 
 
 # ----------------------------------------------------------------------
@@ -1061,27 +1065,26 @@ def equivariance_report(gf: GF, n_matrices: int = 20, samples: int = 10 ** 4,
                               samples=samples * n_matrices, rng=rng)
 
 
-def phi_table_report() -> dict:
-    """The six explicit duality identities plus the pairing consistency of
-    the duality map, over every supported field."""
-    from .field import FIELD_ORDERS
-    from .multilinear import phi_consistency_check
+def phi_table_report(gf: GF) -> dict:
+    """The six explicit duality identities, and the 36 basis pairings
+    B(f_s, w_u) == (phi(f_s) ^ w_u)^chi.  phi reverses the slots and both
+    pairings are bilinear, so agreement on the basis is agreement
+    everywhere."""
+    dual, chi = _dual_pairing_table(gf), _chi_pairing_table(gf)
 
-    violations = 0
-    for q in FIELD_ORDERS:
-        gf = field_of_order(q)
+    def results():
         # (f3^f4, f2^f4, f2^f3, f1^f4, f1^f3, f1^f2) -> (w1, ..., w6)
-        pairs = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
-        for slot, (i, j) in enumerate(pairs):
-            dual = wedge_covectors(gf, E4[i], E4[j])
+        for slot, (i, j) in enumerate(((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))):
+            image = phi(wedge_covectors(gf, E4[i], E4[j]))
             a, b = BIV_PAIRS[slot]
-            if phi(dual) != wedge(gf, E4[a], E4[b]):
-                violations += 1
-        if not phi_consistency_check(gf, random.Random(7), samples=50):
-            violations += 1
-    return {"check": "phi-table", "field": "all", "mode": "exhaustive",
-            "samples": 4 * (36 + 50 + 6), "violations": violations,
-            "witnesses": [], "passed": violations == 0}
+            yield None if image == wedge(gf, E4[a], E4[b]) \
+                else {"identity": slot, "covectors": (i, j), "image": image}
+        for s in range(6):
+            for u in range(6):
+                yield None if dual[s][u] == chi[5 - s][u] \
+                    else {"pair": (s, u), "dual": dual[s][u], "chi": chi[5 - s][u]}
+
+    return report("phi-table", gf, "exhaustive", *tally(results()))
 
 
 def diameter_report(gf: GF) -> dict:
@@ -1138,7 +1141,7 @@ def order2_report(gf: GF) -> dict:
     if gf.order <= 2:
         return _not_applicable("order2-space", gf, "exhaustive")
     parts = [order2_solution_space(gf, x) for x in order4_subgroup(gf)[1:]]
-    # a part passes exactly when it counts no violation; an inconsistent
-    # system carries no count and counts as one
-    return report("order2-space", gf, "exhaustive", len(parts),
-                  sum(p.get("violations", 1) for p in parts), [], parts=parts)
+    # one item per part, a failed part witnessed by its x and failed conditions
+    return report("order2-space", gf, "exhaustive", *tally(
+        None if p["passed"] else {"x": p["x"], "failed": p["witnesses"]} for p in parts),
+        parts=parts)

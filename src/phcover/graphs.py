@@ -385,6 +385,8 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     The neighbour bitsets are computed for every affine vertex, one class at
     a time, from the per-value zero patterns of :func:`_zero_patterns`.
     """
+    from .voltage import report
+
     verts = affine_vertices(gf)
     n = len(verts)
     vmat = np.array([v for v, _ in verts], dtype=np.uint8)
@@ -411,25 +413,17 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
                 if a < b and adjacent(gf, verts[a], verts[b]):
                     coclique_violations += 1
 
-    class_list = sorted(classes)
-    proj = projective_vertices(gf)
-    report = {
-        "check": "reduct-neighborhood-equality",
-        "field": gf.order,
-        "affine_vertices": n,
-        "classes": len(classes),
-        "fiber_sizes": sorted(fiber_sizes),
-        "expected_fiber": (gf.order - 1) ** 2,
-        "violations": mismatched + coclique_violations,
-        "class_set_matches_projective": class_list == proj,
-        "passed": (
-            mismatched == 0
-            and coclique_violations == 0
-            and fiber_sizes == {(gf.order - 1) ** 2}
-            and class_list == proj
-        ),
-    }
-    return report
+    classes_match = sorted(classes) == projective_vertices(gf)
+    # the mismatched neighbour sets and the adjacent pairs inside a class
+    # count one each, a wrong fiber size or class set one more
+    failed = {"neighborhoods": mismatched, "cocliques": coclique_violations,
+              "fiber_sizes": int(fiber_sizes != {(gf.order - 1) ** 2}),
+              "class_set_matches_projective": int(not classes_match)}
+    return report("reduct-neighborhood-equality", gf, "exhaustive", n, sum(failed.values()),
+                  [name for name, count in failed.items() if count],
+                  classes=len(classes), fiber_sizes=sorted(fiber_sizes),
+                  expected_fiber=(gf.order - 1) ** 2,
+                  class_set_matches_projective=classes_match)
 
 
 # ----------------------------------------------------------------------

@@ -95,47 +95,6 @@ def _chi_pairing_table(gf: GF):
     return tuple(tab)
 
 
-def _pairing(gf: GF, tab, x, y) -> int:
-    """The bilinear form with basis values tab[s][t] at coordinates x, y."""
-    acc = 0
-    for s, xs in enumerate(x):
-        if xs:
-            for t, yt in enumerate(y):
-                if yt and tab[s][t]:
-                    acc ^= gf.mul(gf.mul(xs, yt), tab[s][t])
-    return acc
-
-
-def pairing_dual(gf: GF, dual, biv) -> int:
-    """B(f, v) for a dual bivector and a bivector, extended bilinearly from
-    B(f1^f2, v1^v2) = f1(v1) f2(v2) + f1(v2) f2(v1)."""
-    return _pairing(gf, _dual_pairing_table(gf), dual, biv)
-
-
-def pairing_chi(gf: GF, x, y) -> int:
-    """(x ^ y)^chi for two bivectors, extended bilinearly from the 4-wedge."""
-    return _pairing(gf, _chi_pairing_table(gf), x, y)
-
-
-def phi_consistency_check(gf: GF, rng=None, samples: int = 50) -> bool:
-    """Check that the coordinate-permutation phi intertwines the two canonical
-    pairings: B(f, v) == (phi(f) ^ v)^chi on all basis pairs, and on random
-    pairs when an rng is supplied."""
-    for s in range(6):
-        f = tuple(1 if t == s else 0 for t in range(6))
-        for u in range(6):
-            v = tuple(1 if t == u else 0 for t in range(6))
-            if pairing_dual(gf, f, v) != pairing_chi(gf, phi(f), v):
-                return False
-    if rng is not None:
-        for _ in range(samples):
-            f = tuple(rng.randrange(gf.order) for _ in range(6))
-            v = tuple(rng.randrange(gf.order) for _ in range(6))
-            if pairing_dual(gf, f, v) != pairing_chi(gf, phi(f), v):
-                return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # symmetric square
 # ----------------------------------------------------------------------

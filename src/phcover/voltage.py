@@ -103,7 +103,8 @@ def tally(results, witness=None) -> tuple:
 
 def report(check, gf: GF, mode, samples, violations, witnesses, **extra) -> dict:
     """The shape every check report shares, with the first five witnesses
-    and any check-specific fields."""
+    and any check-specific fields; the one place a report is built, so a
+    report passes exactly when it counts no violation."""
     return {"check": check, "field": gf.order, "mode": mode, "samples": samples,
             "violations": violations, "witnesses": witnesses[:5],
             "passed": violations == 0, **extra}
@@ -335,7 +336,9 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     neighbourhood is an adjacency-and-non-adjacency preserving bijection,
     at every lift vertex of the component, in one pass over every (lift
     vertex, base triangle through its base) pair.  Both passes run in
-    blocks of lift vertices."""
+    blocks of lift vertices.  The report's samples are those pairs; its
+    violations also count the lift neighbours missing from the
+    component."""
     g = table.graph
     up = np.uint64(u_packed(table.gf))
     indptr, indices, volts = table.indptr, table.indices, table.volts
@@ -373,8 +376,7 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     for k, pos in frontier_blocks(indptr, vb):
         nt = vt[k] ^ volts[pos]
         violations += int((find(indices[pos], np.minimum(nt, nt ^ up)) < 0).sum())
-    return {"mode": "direct", "checked": checked, "violations": violations,
-            "passed": violations == 0}
+    return report("local-isomorphism", table.gf, "direct", checked, violations, [])
 
 
 # ----------------------------------------------------------------------

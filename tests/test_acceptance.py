@@ -26,8 +26,9 @@ def _criterion(num, name, budget_s, fn):
 
 def test_criterion_01_phi_table():
     def body():
-        rep = cons.phi_table_report()
-        assert rep["passed"] and rep["violations"] == 0
+        for q in FIELD_ORDERS:
+            rep = cons.phi_table_report(field_of_order(q))
+            assert rep["passed"] and (rep["samples"], rep["violations"]) == (42, 0)
 
     _criterion(1, "phi-table all fields", 1.0, body)
 

@@ -664,6 +664,8 @@ def test_nonsplit_not_applicable_gf2():
 
 
 def test_nonsplit_layer_negative_controls(monkeypatch):
+    import numpy as np
+
     # without the w5^2 terms every system is homogeneous, so the zero pair
     # lifts and the order-2 solutions are S itself, not w3^2 + S
     monkeypatch.setattr(cons, "w5_squared_m", lambda gf, coef: 0)
@@ -671,12 +673,26 @@ def test_nonsplit_layer_negative_controls(monkeypatch):
         gf = field_of_order(q)
         rep = cons.nonsplit_check(gf)
         assert rep["status"] == "split-found" and not rep["passed"]
-        parts = cons.order2_report(gf)["parts"]
-        assert len(parts) == 3
-        assert not any(p["matches_w3_plus_s"] or p["passed"] for p in parts)
-    lifts = cons.brute_force_splitting_gf4()["subgroup_lifts"]
-    assert lifts >= 1
+        assert rep["violations"] == 1 and rep["reason"]
+        # the witness is a solution of the system
+        a_mat, b = cons.splitting_system(gf)
+        (witness,) = rep["witnesses"]
+        assert np.array_equal(a_mat @ np.array(witness["solution"]) % 2, b)
+        o2 = cons.order2_report(gf)
+        assert (o2["samples"], o2["violations"], len(o2["parts"])) == (3, 3, 3)
+        assert not any(p["matches_w3_plus_s"] or p["passed"] for p in o2["parts"])
+        assert all(p["witnesses"] == ["matches_w3_plus_s"] for p in o2["parts"])
+    brute = cons.brute_force_splitting_gf4()
+    lifts = brute["subgroup_lifts"]
+    assert lifts >= 1 and brute["violations"] == lifts
     assert lifts == _full_grid_splitting_lifts_gf4()
+    # each witnessed pair is a lift, so both order-2 conditions hold
+    assert 0 < len(brute["witnesses"]) <= 5
+    gf = field_of_order(4)
+    _, one, al, _ = cons.order4_subgroup(gf)
+    for w in brute["witnesses"]:
+        assert cons.apply_ax(gf, one, w["c1"]) ^ w["c1"] == 0
+        assert cons.apply_ax(gf, al, w["c_alpha"]) ^ w["c_alpha"] == 0
 
 
 def _full_grid_splitting_lifts_gf4():
@@ -854,6 +870,7 @@ def test_cover_connectivity_reads_the_edge_list(monkeypatch):
     rep = cons.cover_report()
     assert not rep["connected"] and not rep["passed"]
     assert rep["local_isomorphism"]["passed"]
+    assert (rep["violations"], rep["witnesses"]) == (2, ["edges", "connected"])
 
 
 # ----------------------------------------------------------------------
@@ -1023,8 +1040,27 @@ def test_sampled_gf4_scalar_voltages_per_item(monkeypatch):
         assert len(darts) == 2 * rep["samples"]
 
 
+def test_phi_table_negative_controls(monkeypatch):
+    gf = field_of_order(4)
+    rep = cons.phi_table_report(gf)
+    assert (rep["samples"], rep["violations"], rep["passed"]) == (42, 0, True)
+    # phi with its first two slots swapped breaks the identities of those slots
+    monkeypatch.setattr(cons, "phi", lambda d: (d[4], d[5], d[3], d[2], d[1], d[0]))
+    rep = cons.phi_table_report(gf)
+    assert (rep["samples"], rep["violations"], rep["passed"]) == (42, 2, False)
+    assert [w["identity"] for w in rep["witnesses"]] == [0, 1]
+    monkeypatch.undo()
+    # one corrupted entry of the chi table breaks one basis pairing
+    chi = [list(row) for row in cons._chi_pairing_table(gf)]
+    chi[5][2] ^= 1
+    monkeypatch.setattr(cons, "_chi_pairing_table", lambda gf: chi)
+    rep = cons.phi_table_report(gf)
+    assert (rep["samples"], rep["violations"], rep["passed"]) == (42, 1, False)
+    assert [w["pair"] for w in rep["witnesses"]] == [(0, 2)]
+
+
 def test_invariance_reports():
-    assert cons.phi_table_report()["passed"]
+    assert cons.phi_table_report(field_of_order(2))["passed"]
     for q in (2, 16):
         assert cons.u_invariance_report(field_of_order(q), n_sl=30, n_gl=10)["passed"]
     assert cons.reductivity_report(field_of_order(2))["passed"]

@@ -114,10 +114,10 @@ def test_cover_component_order_digest():
 
 
 VERIFY_ALL_GOLDEN = {
-    2: "9bd764dad6d9debf03fd3a80665144fefb88f35ba39d6457d97291740db748f7",
-    4: "d8fd45f8a4454d97f2214d84afe208b0097d36ac425408e16b14e0fde4835f4c",
-    8: "4e3ae068f960aafc6bc935941a40cdddc72b084525e162af13342017c020e140",
-    16: "86ad8ca2aa5538b586a56af065285e386f3bfda549cb84550959dbb695d30b92",
+    2: "13f55e88690cfd5477e14d02cd8790eab07071fbbada3a01668864fa3ccee0d6",
+    4: "475dbe06055d422f96e88a7b999ba14ab9dfb4b01368ee1918daa23cf1406e0e",
+    8: "5715d53eb328d3ad850dd8c221e9dd105019187c80118d09a7e26fc2f5f5513a",
+    16: "6dcb668f1fc5a25208ca0481640bccc881142080f8ede7cb47fc8b9428ddc3da",
 }
 
 
@@ -182,9 +182,9 @@ def test_splitting_system_digests(q, alpha):
 
 # sha256 of the main-theorem report, and of every dart it evaluated with its voltage
 MAIN_THEOREM_GOLDEN = {
-    8: ("12c6a1c3c205020409803ce6d18d76d66883daa4560d59ead90e4dcf8a75f3fa",
+    8: ("26ef5faada94ea03d988e5bbdb494225736f9c647124077ed72d2ccc157b34b5",
         "676b7d5c327d8f500c4045b544ed9d44fd353ff96068a291cbbce59a8b3d1964"),
-    16: ("48828be2406a8a51b8969173353c07961bd2735292c307559511b14426eec3f4",
+    16: ("1a5be9385f7336db52717d9dc6e1e5f8fe91a688424a32f551eb8943c36be399",
          "8606e0cbfa718a38908a5d495cf6f577438f37403df162149d9402be16eae472"),
 }
 

@@ -406,7 +406,7 @@ def test_local_isomorphism_on_cover():
     assert list(inspect.signature(vg.verify_local_isomorphism).parameters) == ["table", "component"]
     assert not hasattr(vg, "pair_arrays")
     # every lift vertex times the 84 base triangles through its base
-    assert (rep["checked"], rep["violations"]) == (7680 * 84, 0)
+    assert (rep["samples"], rep["violations"]) == (7680 * 84, 0)
 
 
 def _corrupted_gf2_table():
@@ -430,7 +430,7 @@ def test_local_isomorphism_detects_corruption():
     component = cons.cover_data()["component"]
     rep = vg.verify_local_isomorphism(_corrupted_gf2_table(), component)
     assert not rep["passed"] and rep["violations"] > 0
-    assert (rep["checked"], rep["violations"]) == (645120, 1280)
+    assert (rep["samples"], rep["violations"]) == (645120, 1280)
 
 
 def test_local_isomorphism_is_the_same_at_any_block_size(monkeypatch):
@@ -439,7 +439,7 @@ def test_local_isomorphism_is_the_same_at_any_block_size(monkeypatch):
     cases = [(data["table"], data["component"]), (_corrupted_gf2_table(), data["component"]),
              (data["table"], truncated)]
     want = [vg.verify_local_isomorphism(*case) for case in cases]
-    assert [(r["checked"], r["violations"]) for r in want] == [
+    assert [(r["samples"], r["violations"]) for r in want] == [
         (645120, 0), (645120, 1280), (639744, 1766)]
     monkeypatch.setattr(gr, "BULK_BLOCK", 7)
     assert [vg.verify_local_isomorphism(*case) for case in cases] == want
@@ -544,7 +544,7 @@ def test_local_isomorphism_direct_detects_missing_vertices():
     truncated = {"vertices": data["component"]["vertices"][:-64]}
     rep = vg.verify_local_isomorphism(data["table"], truncated)
     assert not rep["passed"] and rep["violations"] > 0
-    assert (rep["checked"], rep["violations"]) == (639744, 1766)
+    assert (rep["samples"], rep["violations"]) == (639744, 1766)
 
 
 # ----------------------------------------------------------------------
