@@ -18,6 +18,7 @@ rather than assumed.
 
 from __future__ import annotations
 
+import gc
 import json
 import operator
 import random
@@ -33,6 +34,7 @@ from .graphs import (
     build_affine_graph,
     build_projective_graph,
     csr_bfs,
+    distinct,
     edge_blocks,
     frontier_blocks,
     nonincident_pairs,
@@ -72,8 +74,9 @@ from .voltage import (
     F2Span,
     check_reductive,
     component_of,
+    find_sorted,
     fundamental_cycle_span,
-    pair_index,
+    lift_keys,
     path_voltage,
     report,
     tally,
@@ -404,11 +407,11 @@ def _check_table_cycles(cycle_blocks, voltages, passes, key):
     """Tally the closed walks of (B, L) blocks of vertex ids by the pass
     mask passes(volts), each witness {key: cycle, "voltage": voltage}.
     voltages(rows) lists the packed voltage of each walk of a block, given
-    the block's rows as lists."""
+    an iterator over the block's rows as tuples."""
     cycles, volts = [], []
     for block in cycle_blocks:
         cycles.append(block.astype(np.int32))
-        volts.append(np.array(voltages(block.tolist()), dtype=np.uint64))
+        volts.append(np.array(voltages(zip(*block.T.tolist())), dtype=np.uint64))
     cycles, volts = np.concatenate(cycles), np.concatenate(volts)
     return tally(passes(volts), lambda t: {key: tuple(cycles[t].tolist()),
                                            "voltage": int(volts[t])})
@@ -824,19 +827,22 @@ def build_cover() -> dict:
     table = voltage_table(graph)
     root = graph.index[vertex_v0(gf)]
     comp = component_of(table, root)
-    verts = comp["vertices"][np.lexsort(comp["vertices"].T[::-1])]
+    keys = lift_keys(gf, comp["vertices"][:, 0], comp["vertices"][:, 1])
+    order = np.argsort(keys)
+    keys, verts = keys[order], comp["vertices"][order]
     base, tag = verts[:, 0], verts[:, 1].astype(np.uint64)
     up = np.uint64(u_packed(gf))
-    find = pair_index(base, tag)
-    # the lift neighbour of each sorted vertex over each base neighbour, in
-    # blocks of vertices; labels sort by base first and each row runs in
-    # base order, so the edges i < j come out in (i, j) order
+    # each edge is looked up once, from its end of lower base, in blocks of
+    # vertices; labels sort by base first, so that end is i of the edge
+    # i < j, and as each row runs in base order the edges come out in
+    # (i, j) order
     edges = []
     for i, pos in frontier_blocks(table.indptr, base):
+        up_base = table.indices[pos] > base[i]
+        i, pos = i[up_base], pos[up_base]
         nt = tag[i] ^ table.volts[pos]
-        j = find(table.indices[pos], np.minimum(nt, nt ^ up))
-        keep = i < j
-        edges.append(np.stack([i[keep], j[keep]], axis=1))
+        j = find_sorted(keys, lift_keys(gf, table.indices[pos], np.minimum(nt, nt ^ up)))
+        edges.append(np.stack([i, j], axis=1))
     return {"graph": graph, "table": table, "component": comp, "vertices": verts,
             "edges": np.concatenate(edges)}
 
@@ -905,9 +911,13 @@ def load_cover(path: str, fmt: str = "json") -> dict:
     """Read an exported cover back as lists of (base, tag) and (i, j)
     tuples."""
     if fmt == "json":
-        with open(path) as fh:
-            doc = json.load(fh)
+        # the parse and the tuples make 10^5 containers that hold no cycle,
+        # and collector passes over them cost as much as the parse
+        collecting = gc.isenabled()
+        gc.disable()
         try:
+            with open(path) as fh:
+                doc = json.load(fh)
             pairs = doc["vertices"], doc["edges"]
             # each parsed pair is replaced by its tuple in place, so the
             # lists and the tuples never coexist
@@ -924,6 +934,9 @@ def load_cover(path: str, fmt: str = "json") -> dict:
                     raise ValueError("entries out of range")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a cover document with vertex and edge pairs") from exc
+        finally:
+            if collecting:
+                gc.enable()
         return {"vertices": pairs[0], "edges": pairs[1]}
     if fmt == "edgelist":
         with open(path) as fh:
@@ -954,7 +967,7 @@ def cover_report() -> dict:
     table = data["table"]
     edges = data["edges"]
     n, m = len(data["vertices"]), len(edges)
-    fiber_sizes = np.unique(np.bincount(data["vertices"][:, 0], minlength=table.graph.n)).tolist()
+    fiber_sizes = distinct(np.bincount(data["vertices"][:, 0], minlength=table.graph.n)).tolist()
     liso = verify_local_isomorphism(table, data["component"])
     # independent connectivity check on the exported edge list
     src = np.concatenate([edges[:, 0], edges[:, 1]])

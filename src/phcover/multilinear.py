@@ -239,7 +239,8 @@ class MatrixAction:
     tensors multiplicatively; N through canonical representatives,
     which requires the matrix to be unimodular so that U is fixed.
     The symmetric-square action XORs precomputed packed images, one table
-    per slot of the input, built on first use.
+    per slot of the input, or for arrays one per byte of the packed input,
+    built on first use.
     """
 
     def __init__(self, gf: GF, m):
@@ -281,18 +282,29 @@ class MatrixAction:
     def on_sym_packed(self, x: int) -> int:
         return self._packed_image(unpack_sym(self.gf, x))
 
+    @cached_property
+    def _byte_tables(self) -> np.ndarray:
+        """Per byte of a packed value, lowest first, the packed image of
+        every value of the byte, XORed together from the images of its
+        bits: a (ceil(21k / 8), 256) uint64 array."""
+        k = self.gf.k
+        # packed bit p is bit p % k of slot 20 - p // k
+        bits = [self._slot_tables[20 - p // k][1 << (p % k)] for p in range(21 * k)]
+        bits += [0] * (-len(bits) % 8)
+        return np.array([_span_table(bits[b:b + 8]) for b in range(0, len(bits), 8)],
+                        dtype=np.uint64)
+
     def on_sym_packed_array(self, xs) -> np.ndarray:
         """on_sym_packed of every entry of an array of packed values, as one
-        uint64 gather per slot; only valid for k <= 3 (21k packed bits must
+        uint64 gather per byte; only valid for k <= 3 (21k packed bits must
         fit into 64)."""
-        k = self.gf.k
-        if k > 3:
+        if self.gf.k > 3:
             raise ValueError("packed bulk images support k <= 3 only")
         xs = np.asarray(xs, dtype=np.uint64)
-        acc = np.zeros(xs.shape, dtype=np.uint64)
-        for t, table in enumerate(self._slot_tables):
-            coord = (xs >> np.uint64(k * (20 - t))) & np.uint64(self.gf.order - 1)
-            acc ^= np.array(table, dtype=np.uint64)[coord]
+        tables = self._byte_tables
+        acc = tables[0][xs & np.uint64(0xFF)]
+        for b in range(1, len(tables)):
+            acc ^= tables[b][(xs >> np.uint64(8 * b)) & np.uint64(0xFF)]
         return acc
 
     def on_n_packed(self, x: int) -> int:

@@ -13,9 +13,10 @@ verification) runs off it.  The spanning tree, the span and the
 local-isomorphism check walk their darts in the frontier blocks of
 :func:`phcover.graphs.frontier_blocks`, so that beside their output they
 hold about ``BULK_BLOCK`` darts at a time.  A lift vertex is a (base
-index, packed tag) row of one ``(n, 2)`` int64 array.  The scalar entry
-points take a plain ``dart_fn(a, b) -> 21-tuple`` instead and work on
-any graph.
+index, packed tag) row of one ``(n, 2)`` int64 array, and the lift is
+searched through the sorted :func:`lift_keys` of its vertices.  The
+scalar entry points take a plain ``dart_fn(a, b) -> 21-tuple`` instead
+and work on any graph.
 
 Every check that tests items one at a time feeds :func:`tally` one
 result per item, ``None`` or a witness, or a pass mask over its items
@@ -28,6 +29,7 @@ from __future__ import annotations
 from ._lazy import np
 from .field import GF
 from .graphs import (
+    ADJ_CAP,
     Graph,
     adjacent,
     blocks,
@@ -272,19 +274,14 @@ def find_sorted(keys: np.ndarray, values) -> np.ndarray:
     return np.where(keys[at] == values, at, -1)
 
 
-def pair_index(keys_b, keys_t):
-    """The lookup of pairs among the keys, sorted by base and then tag: a
-    function taking arrays (b, t) to the position of each pair (b[i], t[i])
-    among the keys, or -1.  Tags (42 bits over GF(4), 63 over GF(8)) are
-    ranked among the key tags, so that base and rank fit one int64 code."""
-    tags = distinct(keys_t)
-    codes = keys_b * tags.size + np.searchsorted(tags, keys_t)
-
-    def find(b, t) -> np.ndarray:
-        rank = find_sorted(tags, t)
-        return np.where(rank < 0, -1, find_sorted(codes, b * tags.size + rank))
-
-    return find
+def lift_keys(gf: GF, b, t) -> np.ndarray:
+    """The lift vertices (b[i], t[i]) packed one per uint64 key, the base
+    above the 21k tag bits, so that keys sort by base and then tag.  Bases
+    are below ADJ_CAP, so the keys fit over GF(2) and GF(4); over larger
+    fields they do not, and a ValueError is raised."""
+    if 21 * gf.k + ADJ_CAP.bit_length() > 64:
+        raise ValueError(f"lift keys over GF({gf.order}) do not fit 64 bits")
+    return np.asarray(b).astype(np.uint64) << np.uint64(21 * gf.k) | np.asarray(t, dtype=np.uint64)
 
 
 def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int = 0):
@@ -304,7 +301,7 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
     up = np.uint64(u_packed(table.gf))
     queue_b = np.array([root], dtype=np.int64)
     queue_t = np.array([min(root_tag, root_tag ^ int(up))], dtype=np.uint64)
-    seen_b, seen_t = queue_b, queue_t  # every key queued, sorted by base and tag
+    seen = lift_keys(table.gf, queue_b, queue_t)  # every key queued, sorted
     head = 0
     while head < queue_b.size:
         slot, pos = frontier_darts(table.indptr, queue_b[head:])
@@ -314,13 +311,13 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
         head = queue_b.size
         # seen keys first, then candidates in scan order; the stable sort
         # puts the earliest entry of each key first
-        b, t = np.concatenate([seen_b, nb]), np.concatenate([seen_t, nt])
-        order = np.lexsort((t, b))
-        b, t = b[order], t[order]
-        first = np.concatenate([[True], (b[1:] != b[:-1]) | (t[1:] != t[:-1])])
-        fresh = order[first] - seen_b.size
+        keys = np.concatenate([seen, lift_keys(table.gf, nb, nt)])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        fresh = order[first] - seen.size
         fresh = np.sort(fresh[fresh >= 0])
-        seen_b, seen_t = b[first], t[first]
+        seen = keys[first]
         if queue_b.size + fresh.size > cap:
             raise CapExceeded(
                 f"lift component exceeded the cap of {cap} vertices;"
@@ -371,11 +368,11 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     # bijectivity: a lift vertex has one lift neighbour over each base
     # neighbour, so the projection is onto the base neighbourhood and
     # one-to-one exactly when every such neighbour is in the component
-    order = np.lexsort((vt, vb))
-    find = pair_index(vb[order], vt[order])
+    keys = np.sort(lift_keys(table.gf, vb, vt))
     for k, pos in frontier_blocks(indptr, vb):
         nt = vt[k] ^ volts[pos]
-        violations += int((find(indices[pos], np.minimum(nt, nt ^ up)) < 0).sum())
+        found = find_sorted(keys, lift_keys(table.gf, indices[pos], np.minimum(nt, nt ^ up)))
+        violations += int((found < 0).sum())
     return report("local-isomorphism", table.gf, "direct", checked, violations, [])
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -830,6 +831,27 @@ def test_load_json_rejects_malformed(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="not a cover document"):
             cons.load_cover(str(path), "json")
+
+
+def test_load_json_restores_the_collector_state(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"vertices": [[0, 1], [2, 3]], "edges": [[0, 1]]}))
+    bad.write_text('{"vertices": [[0, 1]], "edges": [[0, 7]]}')
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"vertices": [[0, 1]')
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert cons.load_cover(str(good), "json") == {"vertices": [(0, 1), (2, 3)],
+                                                          "edges": [(0, 1)]}
+            assert gc.isenabled() is enabled
+            for path in (bad, broken):
+                with pytest.raises(ValueError, match="not a cover document"):
+                    cons.load_cover(str(path), "json")
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_load_edgelist_rejects_malformed(tmp_path):

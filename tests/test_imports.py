@@ -73,3 +73,19 @@ def test_verify_all_loading_numpy_midway_gives_the_same_bytes():
     out = _fresh_python("-m", "phcover.cli", "verify", "all", "--field", "2",
                         "--samples", "1000", "--seed", "12345").stdout
     assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_GOLDEN[2]
+
+
+COVER_RUN = """
+import sys
+from phcover import construction as cons
+
+assert cons.cover_report()["passed"]
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cover_report_leaves_numpy_ma_unloaded():
+    """A 1-D np.unique without index or inverse imports numpy.ma (numpy
+    2.4), about 15 ms and 1 MB; the cover check takes its fibre sizes
+    without it."""
+    assert _fresh_python("-c", COVER_RUN).stdout.split()[-1] == b"False"

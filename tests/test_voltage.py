@@ -382,14 +382,35 @@ def test_component_cap_guard():
         vg.component_of(table, 0, cap=7679)
 
 
-def test_find_pairs_wide_tags():
-    # tags of 63 bits, as over GF(8), with bases sharing tags
-    keys = sorted({(b, t) for b in (0, 3, 9) for t in (5, 2 ** 62 + 1, 2 ** 63 - 1)} - {(3, 5)})
-    kb, kt = np.array([b for b, _ in keys]), np.array([t for _, t in keys], dtype=np.uint64)
-    queries = keys[::-1] + [(3, 5), (0, 6), (9, 2 ** 63 - 2), (10, 5), (0, 2 ** 63)]
-    qb, qt = np.array([b for b, _ in queries]), np.array([t for _, t in queries], dtype=np.uint64)
-    want = [keys.index(q) if q in keys else -1 for q in queries]
-    assert vg.pair_index(kb, kt)(qb, qt).tolist() == want
+@pytest.mark.parametrize("q", [2, 4])
+def test_lift_keys_sort_and_find_pairs(q):
+    gf = field_of_order(q)
+    top = (1 << (21 * gf.k)) - 1  # the widest tag
+    # bases sharing tags, up to the largest base below ADJ_CAP
+    pairs = [(b, t) for b in (0, 3, 9, gr.ADJ_CAP - 1) for t in (5, 1 << (21 * gf.k - 1), top)]
+    pairs.remove((3, 5))
+    rng = np.random.default_rng(q)
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    b = np.array([p[0] for p in pairs])
+    t = np.array([p[1] for p in pairs], dtype=np.uint64)
+    keys = vg.lift_keys(gf, b, t)
+    assert keys.dtype == np.uint64
+    # sorted keys are the lexsort order of (base, tag)
+    assert np.argsort(keys).tolist() == np.lexsort((t, b)).tolist()
+    keys = np.sort(keys)
+    ordered = sorted(pairs)
+    # absent pairs, one a tag shared by other bases, give -1
+    queries = ordered[::-1] + [(3, 5), (0, 6), (9, top - 1), (10, 5), (gr.ADJ_CAP - 1, 0)]
+    qb = np.array([p[0] for p in queries])
+    qt = np.array([p[1] for p in queries], dtype=np.uint64)
+    want = [ordered.index(p) if p in ordered else -1 for p in queries]
+    assert vg.find_sorted(keys, vg.lift_keys(gf, qb, qt)).tolist() == want
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_lift_keys_refuse_wide_tags(q):
+    with pytest.raises(ValueError, match="do not fit"):
+        vg.lift_keys(field_of_order(q), np.array([0]), np.array([1], dtype=np.uint64))
 
 
 def test_component_cap_guard_gf4():
@@ -699,8 +720,9 @@ def test_bulk_images_match_on_sym_packed():
         act = ml.action(gf2, random_sl4(gf2, rng))
         assert act.on_sym_packed_array(volts).tolist() == [act.on_sym_packed(x)
                                                             for x in volts.tolist()]
-    # seeded packed values over GF(4) and GF(8), the top bit of the packing included
-    for q in (4, 8):
+    # seeded packed values over GF(2), GF(4) and GF(8), 0 and the largest
+    # packed value included
+    for q in (2, 4, 8):
         gf = field_of_order(q)
         top = 21 * gf.k
         xs = [rng.getrandbits(top) for _ in range(2000)] + [(1 << top) - 1, 1 << (top - 1), 0]
