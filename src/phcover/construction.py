@@ -22,7 +22,6 @@ import gc
 import json
 import operator
 import random
-import re
 from functools import lru_cache, partial
 from itertools import chain
 
@@ -58,6 +57,7 @@ from .multilinear import (
     big_u,
     in_w2,
     in_w2_plus_u,
+    n_project_packed,
     pack_sym,
     packed_in_w2_plus_u,
     phi,
@@ -831,7 +831,6 @@ def build_cover() -> dict:
     order = np.argsort(keys)
     keys, verts = keys[order], comp["vertices"][order]
     base, tag = verts[:, 0], verts[:, 1].astype(np.uint64)
-    up = np.uint64(u_packed(gf))
     # each edge is looked up once, from its end of lower base, in blocks of
     # vertices; labels sort by base first, so that end is i of the edge
     # i < j, and as each row runs in base order the edges come out in
@@ -840,8 +839,8 @@ def build_cover() -> dict:
     for i, pos in frontier_blocks(table.indptr, base):
         up_base = table.indices[pos] > base[i]
         i, pos = i[up_base], pos[up_base]
-        nt = tag[i] ^ table.volts[pos]
-        j = find_sorted(keys, lift_keys(gf, table.indices[pos], np.minimum(nt, nt ^ up)))
+        nt = n_project_packed(gf, tag[i] ^ table.volts[pos])
+        j = find_sorted(keys, lift_keys(gf, table.indices[pos], nt))
         edges.append(np.stack([i, j], axis=1))
     return {"graph": graph, "table": table, "component": comp, "vertices": verts,
             "edges": np.concatenate(edges)}
@@ -900,63 +899,36 @@ def _write_cover(fh, fmt: str) -> None:
         _write_rows(fh, _row_blocks(edges), "e %d %d\n")
 
 
-# the first line of a cover edge list, past its comment and blank lines,
-# that is not a "v i base tag" record, and the first that is not an
-# "e i j" record; a search keeps no state from one line to the next
-_NOT_V = re.compile(r"(?m)^(?!v(?:[ \t]+[0-9]+){3}[ \t]*\n).")
-_NOT_E = re.compile(r"(?m)^(?!e(?:[ \t]+[0-9]+){2}[ \t]*\n).")
-
-
-def load_cover(path: str, fmt: str = "json") -> dict:
-    """Read an exported cover back as lists of (base, tag) and (i, j)
-    tuples."""
-    if fmt == "json":
-        # the parse and the tuples make 10^5 containers that hold no cycle,
-        # and collector passes over them cost as much as the parse
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            pairs = doc["vertices"], doc["edges"]
-            # each parsed pair is replaced by its tuple in place, so the
-            # lists and the tuples never coexist
-            for rows in pairs:
-                if not isinstance(rows, list):
-                    raise TypeError("not a list")
-                for n, (a, b) in enumerate(rows):
-                    rows[n] = (a, b)
-            # every entry an int (bools excluded) from 0, and every edge end a vertex
-            for rows, top in ((pairs[0], None), (pairs[1], len(pairs[0]))):
-                values = set(chain.from_iterable(rows))
-                if values and not (set(map(type, chain.from_iterable(rows))) == {int}
-                                   and min(values) >= 0 and (top is None or max(values) < top)):
-                    raise ValueError("entries out of range")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: not a cover document with vertex and edge pairs") from exc
-        finally:
-            if collecting:
-                gc.enable()
-        return {"vertices": pairs[0], "edges": pairs[1]}
-    if fmt == "edgelist":
+def load_cover(path: str) -> dict:
+    """Read a cover exported as JSON back as lists of (base, tag) and
+    (i, j) tuples."""
+    # the parse and the tuples make 10^5 containers that hold no cycle,
+    # and collector passes over them cost as much as the parse
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         with open(path) as fh:
-            text = re.sub(r"(?m)^(?:#.*)?\n", "", fh.read() + "\n")
-        # the "v" records, then the "e" records
-        first_e = re.search(r"(?m)^e", text)
-        k = first_e.start() if first_e else len(text)
-        vs, es = text[:k], text[k:]
-        if _NOT_V.search(vs) or _NOT_E.search(es):
-            raise ValueError(f"{path}: not a cover edge list")
-        # the numbers of each part, with its record letter read as a blank
-        v, e = (np.fromstring(part.replace(letter, " "), dtype=np.uint64, sep=" ")
-                for part, letter in ((vs, "v"), (es, "e")))
-        v, e = v.reshape(-1, 3).T, e.reshape(-1, 2).T
-        # the vertex indices run 0..n-1 in order, and every edge end is one
-        if (v[0] != np.arange(v.shape[1], dtype=np.uint64)).any() or (e >= v.shape[1]).any():
-            raise ValueError(f"{path}: not a cover edge list")
-        v, e = v.tolist(), e.tolist()
-        return {"vertices": list(zip(v[1], v[2])), "edges": list(zip(e[0], e[1]))}
-    raise ValueError(f"unknown format {fmt!r}")
+            doc = json.load(fh)
+        pairs = doc["vertices"], doc["edges"]
+        # each parsed pair is replaced by its tuple in place, so the
+        # lists and the tuples never coexist
+        for rows in pairs:
+            if not isinstance(rows, list):
+                raise TypeError("not a list")
+            for n, (a, b) in enumerate(rows):
+                rows[n] = (a, b)
+        # every entry an int (bools excluded) from 0, and every edge end a vertex
+        for rows, top in ((pairs[0], None), (pairs[1], len(pairs[0]))):
+            values = set(chain.from_iterable(rows))
+            if values and not (set(map(type, chain.from_iterable(rows))) == {int}
+                               and min(values) >= 0 and (top is None or max(values) < top)):
+                raise ValueError("entries out of range")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a cover document with vertex and edge pairs") from exc
+    finally:
+        if collecting:
+            gc.enable()
+    return {"vertices": pairs[0], "edges": pairs[1]}
 
 
 def cover_report() -> dict:

@@ -193,9 +193,6 @@ class Graph:
             adj = np.unpackbits(rows[lo:hi], axis=1, count=self.n).view(bool)
             self._indices[indptr[lo]:indptr[hi]] = np.flatnonzero(adj) % self.n
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool((self._rows[i, j >> 3] >> (7 - (j & 7))) & 1)
-
     def neighbors(self, i: int) -> np.ndarray:
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
 

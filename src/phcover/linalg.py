@@ -49,10 +49,6 @@ def mat_vec(gf: GF, v, m):
             a0[r0[3]] ^ a1[r1[3]] ^ a2[r2[3]] ^ a3[r3[3]])
 
 
-def mat_mul(gf: GF, a, b):
-    return tuple(mat_vec(gf, row, b) for row in a)
-
-
 def transpose(m):
     return tuple(zip(*m))
 

@@ -13,7 +13,8 @@ Coordinate conventions, fixed once so that every export is reproducible:
 * N is the quotient of S2(W) by the two-element subgroup {0, U}; an
   element is represented by the lexicographically smaller coordinate
   vector of the two coset members (each coordinate read as its bit
-  value), which is what :func:`n_project` computes.
+  value); :func:`n_project_packed` is the one statement of this rule,
+  on arrays of packed tensors.
 
 In characteristic 2 all wedge/symmetrisation signs vanish, squaring is
 additive (a + b)^2 = a^2 + b^2, and the span of squares W2 consists of
@@ -208,14 +209,11 @@ def packed_in_w2_plus_u(gf: GF, x):
 # the quotient N = S2(W) / {0, U}
 # ----------------------------------------------------------------------
 
-def n_project_packed(gf: GF, x: int) -> int:
-    """Canonical representative of the coset {x, x + U}: the smaller packing."""
-    y = x ^ u_packed(gf)
-    return x if x <= y else y
-
-
-def n_project(gf: GF, s):
-    return unpack_sym(gf, n_project_packed(gf, pack_sym(gf, s)))
+def n_project_packed(gf: GF, x) -> np.ndarray:
+    """Canonical representatives of the cosets {x, x + U} of an array of
+    packed tensors: the smaller packing of each, as uint64 (k <= 3)."""
+    x = np.asarray(x, dtype=np.uint64)
+    return np.minimum(x, x ^ np.uint64(u_packed(gf)))
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +234,10 @@ class MatrixAction:
 
     Vectors act on the right (v -> v*m); covectors by the inverse
     transpose; bivectors functorially through the wedge; symmetric
-    tensors multiplicatively; N through canonical representatives,
-    which requires the matrix to be unimodular so that U is fixed.
-    The symmetric-square action XORs precomputed packed images, one table
-    per slot of the input, or for arrays one per byte of the packed input,
+    tensors multiplicatively.  A unimodular matrix fixes U, so it also
+    acts on N, through n_project_packed of the images.  The
+    symmetric-square action XORs precomputed packed images, one table per
+    slot of the input, or for arrays one per byte of the packed input,
     built on first use.
     """
 
@@ -269,18 +267,11 @@ class MatrixAction:
         return tuple(_span_table([pack_sym(gf, sym_scale(gf, 1 << b, row)) for b in range(gf.k)])
                      for row in self.s2_rows)
 
-    def _packed_image(self, coords) -> int:
-        """The packed image of the symmetric tensor with these coordinates."""
-        acc = 0
-        for table, c in zip(self._slot_tables, coords):
-            acc ^= table[c]
-        return acc
-
     def on_sym(self, s):
-        return unpack_sym(self.gf, self._packed_image(s))
-
-    def on_sym_packed(self, x: int) -> int:
-        return self._packed_image(unpack_sym(self.gf, x))
+        acc = 0
+        for table, c in zip(self._slot_tables, s):
+            acc ^= table[c]
+        return unpack_sym(self.gf, acc)
 
     @cached_property
     def _byte_tables(self) -> np.ndarray:
@@ -295,8 +286,8 @@ class MatrixAction:
                         dtype=np.uint64)
 
     def on_sym_packed_array(self, xs) -> np.ndarray:
-        """on_sym_packed of every entry of an array of packed values, as one
-        uint64 gather per byte; only valid for k <= 3 (21k packed bits must
+        """The packed image of every entry of an array of packed values, as
+        one uint64 gather per byte; only valid for k <= 3 (21k packed bits must
         fit into 64)."""
         if self.gf.k > 3:
             raise ValueError("packed bulk images support k <= 3 only")
@@ -306,11 +297,6 @@ class MatrixAction:
         for b in range(1, len(tables)):
             acc ^= tables[b][(xs >> np.uint64(8 * b)) & np.uint64(0xFF)]
         return acc
-
-    def on_n_packed(self, x: int) -> int:
-        if self.det != 1:
-            raise ValueError("the quotient action needs a unimodular matrix")
-        return n_project_packed(self.gf, self.on_sym_packed(x))
 
 
 @lru_cache(maxsize=2048)

@@ -14,7 +14,11 @@ local-isomorphism check walk their darts in the frontier blocks of
 :func:`phcover.graphs.frontier_blocks`, so that beside their output they
 hold about ``BULK_BLOCK`` darts at a time.  A lift vertex is a (base
 index, packed tag) row of one ``(n, 2)`` int64 array, and the lift is
-searched through the sorted :func:`lift_keys` of its vertices.  The
+searched through the sorted :func:`lift_keys` of its vertices.  A pair
+(g, c) of g in SL4 and c in N maps the lift vertex (b, t) to
+(perm[b], N(g t + c)), with perm from :func:`vertex_images` and g t from
+``MatrixAction.on_sym_packed_array``; the pairs that map a component
+onto itself form the extension of SL4 by the deck group M.  The
 scalar entry points take a plain ``dart_fn(a, b) -> 21-tuple`` instead
 and work on any graph.
 
@@ -37,21 +41,12 @@ from .graphs import (
     distinct,
     frontier_blocks,
     frontier_darts,
-    normalize,
     random_affine_vertex,
     random_neighbor,
     reduct_class,
 )
-from .linalg import mat_mul, vec_scale
-from .multilinear import (
-    MatrixAction,
-    ZERO21,
-    action,
-    n_project_packed,
-    pack_sym,
-    sym_add,
-    u_packed,
-)
+from .linalg import vec_scale
+from .multilinear import ZERO21, n_project_packed, sym_add
 
 
 class F2Span:
@@ -121,34 +116,6 @@ def path_voltage(gf: GF, dart_fn, path):
     for a, b in zip(path[1:], path[2:]):
         acc = sym_add(acc, dart_fn(a, b))
     return acc
-
-
-def lift_adjacent(gf: GF, dart_fn, a, m, b, n) -> bool:
-    """Adjacency in the lift: base adjacency plus voltage equal to the tag sum.
-
-    Tags m, n are canonical representatives in N (21-tuples).
-    """
-    if not adjacent(gf, a, b):
-        return False
-    want = n_project_packed(gf, pack_sym(gf, sym_add(m, n)))
-    have = n_project_packed(gf, pack_sym(gf, dart_fn(a, b)))
-    return want == have
-
-
-def act_lift(gf: GF, act: MatrixAction, vert, tag_packed: int, k_packed: int):
-    """Image of a lift vertex ((v, h), tag) under the extension element (g, k):
-    the base vertex moves through g and the tag through the quotient action
-    followed by translation by k."""
-    v, h = vert
-    image = (act.on_vector(v), act.on_covector(h))
-    return image, n_project_packed(gf, act.on_n_packed(tag_packed) ^ k_packed)
-
-
-def compose_extension(gf: GF, g_act: MatrixAction, k1: int, h_act: MatrixAction, k2: int):
-    """Semidirect product law induced by the action formula:
-    (g, k1)(h, k2) = (gh, k1^h + k2)."""
-    prod = action(gf, mat_mul(gf, g_act.m, h_act.m))
-    return prod, n_project_packed(gf, h_act.on_n_packed(k1) ^ k2)
 
 
 # ----------------------------------------------------------------------
@@ -298,16 +265,14 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
     order of first occurrence, the order a first-in-first-out queue scan
     gives them.
     """
-    up = np.uint64(u_packed(table.gf))
     queue_b = np.array([root], dtype=np.int64)
-    queue_t = np.array([min(root_tag, root_tag ^ int(up))], dtype=np.uint64)
+    queue_t = n_project_packed(table.gf, [root_tag])
     seen = lift_keys(table.gf, queue_b, queue_t)  # every key queued, sorted
     head = 0
     while head < queue_b.size:
         slot, pos = frontier_darts(table.indptr, queue_b[head:])
         nb = table.indices[pos].astype(np.int64)
-        nt = queue_t[head + slot] ^ table.volts[pos]
-        nt = np.minimum(nt, nt ^ up)
+        nt = n_project_packed(table.gf, queue_t[head + slot] ^ table.volts[pos])
         head = queue_b.size
         # seen keys first, then candidates in scan order; the stable sort
         # puts the earliest entry of each key first
@@ -331,13 +296,18 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
 def verify_local_isomorphism(table: DartTable, component) -> dict:
     """Check that projecting each lift vertex's neighbourhood onto the base
     neighbourhood is an adjacency-and-non-adjacency preserving bijection,
-    at every lift vertex of the component, in one pass over every (lift
-    vertex, base triangle through its base) pair.  Both passes run in
-    blocks of lift vertices.  The report's samples are those pairs; its
-    violations also count the lift neighbours missing from the
-    component."""
-    g = table.graph
-    up = np.uint64(u_packed(table.gf))
+    at every lift vertex of the component.  The report's samples are the
+    (lift vertex, base triangle through its base) pairs; its violations
+    also count the lift neighbours missing from the component.
+
+    At the lift vertex (u, t), the lift neighbours over w1 and w2 carry
+    the tags N(t + a) and N(t + c), with a and c the voltages of u-w1 and
+    u-w2, and are adjacent exactly when N of their sum is N(voltage of
+    w1-w2).  As N(x) is x or x + U, N(N(t + a) + N(t + c)) = N(a + c):
+    the tag t cancels, so each (base, triangle) pair is tested once and
+    weighted by the number of lift vertices over its base.  The
+    bijectivity pass runs in blocks of lift vertices."""
+    g, gf = table.graph, table.gf
     indptr, indices, volts = table.indptr, table.indices, table.volts
     vb, vt = component["vertices"][:, 0], component["vertices"][:, 1].astype(np.uint64)
     # the base triangles (u, w1, w2) with w1 < w2 through each base u of the
@@ -351,41 +321,23 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     darts = g.dart_sources().astype(np.int64) * g.n + indices
     q = find_sorted(darts, u * g.n + w2)
     tri = (w2 > w1) & (q >= 0)
-    tri_indptr = np.zeros(bases.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(slot[s2][tri], minlength=bases.size), out=tri_indptr[1:])
-    p, q, e = p[tri], q[tri], e[tri]
-    # every lift vertex with every triangle through its base: the lift
-    # neighbours over w1 and w2 must be adjacent exactly as w1 and w2 are
-    want = np.minimum(volts[e], volts[e] ^ up)
-    vp, vq = volts[p], volts[q]
-    checked = violations = 0
-    for k, ti in frontier_blocks(tri_indptr, base_slot):
-        x = vt[k] ^ vp[ti]
-        y = vt[k] ^ vq[ti]
-        have = np.minimum(x, x ^ up) ^ np.minimum(y, y ^ up)
-        checked += int(k.size)
-        violations += int((np.minimum(have, have ^ up) != want[ti]).sum())
+    weight = np.bincount(base_slot)[slot[s2][tri]]
+    want = n_project_packed(gf, volts[e[tri]])
+    bad = n_project_packed(gf, volts[p[tri]] ^ volts[q[tri]]) != want
+    checked, violations = int(weight.sum()), int(weight[bad].sum())
     # bijectivity: a lift vertex has one lift neighbour over each base
     # neighbour, so the projection is onto the base neighbourhood and
     # one-to-one exactly when every such neighbour is in the component
-    keys = np.sort(lift_keys(table.gf, vb, vt))
+    keys = np.sort(lift_keys(gf, vb, vt))
     for k, pos in frontier_blocks(indptr, vb):
-        nt = vt[k] ^ volts[pos]
-        found = find_sorted(keys, lift_keys(table.gf, indices[pos], np.minimum(nt, nt ^ up)))
-        violations += int((found < 0).sum())
-    return report("local-isomorphism", table.gf, "direct", checked, violations, [])
+        nt = n_project_packed(gf, vt[k] ^ volts[pos])
+        violations += int((find_sorted(keys, lift_keys(gf, indices[pos], nt)) < 0).sum())
+    return report("local-isomorphism", gf, "direct", checked, violations, [])
 
 
 # ----------------------------------------------------------------------
-# the stabilizer of a component and its cocycle
+# vertex images under matrix actions
 # ----------------------------------------------------------------------
-
-def vertex_image_index(table: DartTable, act: MatrixAction, i: int) -> int:
-    """Index of the normalised image of vertex i under the matrix action."""
-    g = table.graph
-    v, h = g.vertices[i]
-    return g.index[(normalize(g.gf, act.on_vector(v)), normalize(g.gf, act.on_covector(h)))]
-
 
 def _row_codes(gf: GF, rows: np.ndarray) -> np.ndarray:
     """The coordinate rows (last axis) read as base-q numbers, first
@@ -405,10 +357,10 @@ def _image_codes(gf: GF, rows: np.ndarray, mats) -> np.ndarray:
 
 
 def vertex_images(table: DartTable, actions) -> np.ndarray:
-    """vertex_image_index of every vertex under each action, as an (A, n)
-    int64 array: the normalised images of the distinct vectors and
-    covectors are coded once per action, and each vertex's image is found
-    by its code among the vertex codes.  Raises KeyError when an image is
+    """The index of the normalised image of every vertex under each
+    action, as an (A, n) int64 array: the normalised images of the
+    distinct vectors and covectors are coded once per action, and each
+    vertex's image is found by its code among the vertex codes.  Raises KeyError when an image is
     not a vertex."""
     g, gf = table.graph, table.gf
     codes, images = 0, 0
@@ -422,42 +374,6 @@ def vertex_images(table: DartTable, actions) -> np.ndarray:
     if (at < 0).any():
         raise KeyError("the image of a vertex is not a vertex of the graph")
     return order[at]
-
-
-def lambda_of(table: DartTable, act: MatrixAction, v_idx: int, via: int | None = None) -> int:
-    """Packed voltage of a chosen path from the image of v back to v.
-
-    With via given, the path runs (v^g, via, v); otherwise it is the BFS
-    shortest path in the spanning tree rooted at v (deterministic
-    tie-break by vertex order).  Different choices shift the value by an
-    element of the cycle-voltage span only.
-    """
-    vg = vertex_image_index(table, act, v_idx)
-    if vg == v_idx:
-        return 0
-    if via is not None:
-        return table.dart(vg, via) ^ table.dart(via, v_idx)
-    parent, pot = spanning_tree_potentials(table, v_idx)
-    return int(pot[vg])
-
-
-def stabilizer_closure_check(table: DartTable, action_pairs, v_idx: int, member_fn) -> dict:
-    """Check the 2-cocycle condition of the component stabilizer on sampled
-    pairs: lambda(gh) + lambda(g)^h + lambda(h) must satisfy member_fn
-    (membership in the cycle-voltage subgroup)."""
-    gf = table.gf
-
-    def results():
-        for g_act, h_act in action_pairs:
-            gh = action(gf, mat_mul(gf, g_act.m, h_act.m))
-            c = lambda_of(table, gh, v_idx) \
-                ^ h_act.on_sym_packed(lambda_of(table, g_act, v_idx)) \
-                ^ lambda_of(table, h_act, v_idx)
-            yield None if member_fn(c) else {"cocycle": c}
-
-    pairs, violations, witnesses = tally(results())
-    return {"pairs": pairs, "violations": violations,
-            "witnesses": witnesses, "passed": violations == 0}
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_export_base_graph_is_the_document_at_any_block_size(monkeypatch, capsys
     # the document json.dumps gives, and its edge list, from the adjacency
     graph = gr.build_projective_graph(field_of_order(2))
     edges = [[i, j] for i in range(graph.n) for j in range(i + 1, graph.n)
-             if graph.adjacent(i, j)]
+             if j in graph.neighbors(i)]
     doc = {"kind": "projective", "field": 2, "vertex_count": graph.n,
            "edge_count": len(edges), "vertices": [[list(v), list(h)] for v, h in graph.vertices],
            "edges": edges}

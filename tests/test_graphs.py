@@ -138,10 +138,10 @@ def test_degree_gf4():
 def test_adjacency_symmetric_irreflexive_gf2():
     g = gr.build_affine_graph(field_of_order(2))
     for i in range(g.n):
-        assert not g.adjacent(i, i)
+        assert i not in g.neighbors(i)
         for j in range(i + 1, g.n):
-            assert g.adjacent(i, j) == g.adjacent(j, i)
-            assert g.adjacent(i, j) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
+            assert (j in g.neighbors(i)) == (i in g.neighbors(j))
+            assert (j in g.neighbors(i)) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
 
 
 def _thirteen_vertex_subgraph():
@@ -164,14 +164,15 @@ def _adjacency_test_graphs():
 def _assert_csr_row(g, i):
     row = g.neighbors(i).tolist()
     assert row == sorted(set(row)) and i not in row
-    assert row == [j for j in range(g.n) if g.adjacent(i, j)]
+    # the packed bit row holds the same neighbours
+    assert row == np.flatnonzero(np.unpackbits(g.packed_rows()[i], count=g.n)).tolist()
 
 
 def test_cached_adjacency_matches_definition_on_every_pair():
     for g in _adjacency_test_graphs():
         for i in range(g.n):
             for j in range(g.n):
-                assert g.adjacent(i, j) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
+                assert (j in g.neighbors(i)) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
             _assert_csr_row(g, i)
         assert int(g._indptr[-1]) == g._indices.size == 2 * g.edge_count()
 
@@ -181,7 +182,7 @@ def test_cached_adjacency_matches_definition_on_seeded_gf4_pairs():
     rng = random.Random(41)
     for _ in range(1000):
         i, j = rng.randrange(g.n), rng.randrange(g.n)
-        assert g.adjacent(i, j) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
+        assert (j in g.neighbors(i)) == gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
         nbrs = g.neighbors(i)
         j = int(nbrs[rng.randrange(nbrs.size)])
         assert gr.adjacent(g.gf, g.vertices[i], g.vertices[j])
@@ -263,7 +264,7 @@ def _induced_path(graph, length):
     while len(path) < length:
         path.append(next(w for w in graph.neighbors(path[-1]).tolist()
                          if w not in path
-                         and not any(graph.adjacent(w, p) for p in path[:-1])))
+                         and not any(p in graph.neighbors(w) for p in path[:-1])))
     return path
 
 
@@ -274,7 +275,7 @@ def _test_graphs():
     sparse = gr.subgraph(gf2, random.Random(4).sample(range(gf2.n), 20))
     star = [0] + gf2.neighbors(0)[:5].tolist()
     lone = next(j for j in range(gf2.n)
-                if j not in star and not any(gf2.adjacent(i, j) for i in star))
+                if j not in star and not any(j in gf2.neighbors(i) for i in star))
     paths = [gr.subgraph(gf2, _induced_path(gf2, k)) for k in (2, 3, 7)]
     return [sparse, gr.subgraph(gf2, star + [lone])] + paths
 
@@ -349,9 +350,9 @@ def test_local_graph_gf2():
     # the local graph inherits adjacency from the big graph
     big = {tuple(sorted((g.vertices[int(a)], g.vertices[int(b)])))
            for a in g.neighbors(0) for b in g.neighbors(0)
-           if int(a) < int(b) and g.adjacent(int(a), int(b))}
+           if int(a) < int(b) and int(b) in g.neighbors(int(a))}
     small = {tuple(sorted((lg.vertices[i], lg.vertices[j])))
-             for i in range(lg.n) for j in range(i + 1, lg.n) if lg.adjacent(i, j)}
+             for i in range(lg.n) for j in range(i + 1, lg.n) if j in lg.neighbors(i)}
     assert big == small
 
 

@@ -18,7 +18,7 @@ from phcover import multilinear as ml
 from phcover import voltage as vg
 
 BUDGET = 16 * 2 ** 20  # bytes; the blocked passes took 19 to 50 MiB before blocking,
-# the base-graph exports 145 and 203 MiB and the edge-list load 19 MiB
+# and the base-graph exports 145 and 203 MiB
 
 
 def _transient_bytes(call) -> int:
@@ -99,12 +99,6 @@ def _base_graph_export(fmt):
     return setup
 
 
-def _load_edgelist(tmp_path):
-    path = str(tmp_path / "cover")
-    cons.export_cover(path, "edgelist")
-    return lambda: cons.load_cover(path, "edgelist")
-
-
 PASSES = {"graph": _graph, "voltage_table": _voltage_table, "spanning_tree": _spanning_tree,
           "cycle_span_report": _cycle_span_report, "local_isomorphism": _local_isomorphism,
           "export_json": _export("json"), "export_edgelist": _export("edgelist"),
@@ -112,8 +106,7 @@ PASSES = {"graph": _graph, "voltage_table": _voltage_table, "spanning_tree": _sp
           "verify_quadrangles": _exhaustive(cons.verify_quadrangles),
           "check_equivariance": _equivariance,
           "base_graph_json": _base_graph_export("json"),
-          "base_graph_edgelist": _base_graph_export("edgelist"),
-          "load_edgelist": _load_edgelist}
+          "base_graph_edgelist": _base_graph_export("edgelist")}
 
 
 @pytest.mark.parametrize("name", PASSES)

@@ -1,10 +1,11 @@
 import random
 from functools import partial, reduce
 
+import numpy as np
 import pytest
 
 from phcover.field import FIELD_ORDERS, field_of_order
-from phcover.linalg import E4, det, random_gl4, random_sl4, vec_add, vec_scale
+from phcover.linalg import E4, det, mat_vec, random_gl4, random_sl4, vec_add, vec_scale
 from phcover import multilinear as ml
 
 
@@ -229,57 +230,59 @@ def test_square_of_basis():
 # the quotient N
 # ----------------------------------------------------------------------
 
+def _packed_draws(gf, rng, count=200):
+    """Seeded packed tensors as a uint64 array, with 0, U and the largest
+    packed value."""
+    top = 21 * gf.k
+    xs = [rng.getrandbits(top) for _ in range(count)] + [0, ml.u_packed(gf), (1 << top) - 1]
+    return np.array(xs, dtype=np.uint64)
+
+
 def test_project_n_identifies_coset():
-    for q in (2, 8):
+    rng = random.Random(8)
+    for q in (2, 4, 8):
         gf = field_of_order(q)
-        rng = random.Random(8)
-        for _ in range(50):
-            s = tuple(rng.randrange(gf.order) for _ in range(21))
-            t = ml.sym_add(s, ml.big_u(gf))
-            assert ml.n_project(gf, s) == ml.n_project(gf, t)
-            assert ml.n_project(gf, ml.n_project(gf, s)) == ml.n_project(gf, s)
-            assert ml.n_project(gf, s) in (s, t)
+        xs = _packed_draws(gf, rng)
+        ys = xs ^ np.uint64(ml.u_packed(gf))
+        n = ml.n_project_packed(gf, xs)
+        assert n.dtype == np.uint64 and n.shape == xs.shape
+        assert (n == ml.n_project_packed(gf, ys)).all()
+        assert (ml.n_project_packed(gf, n) == n).all()
+        assert ((n == xs) | (n == ys)).all()
 
 
 def test_project_n_zero_and_u():
-    gf = field_of_order(4)
-    zero = (0,) * 21
-    assert ml.n_project(gf, zero) == zero
-    assert ml.n_project(gf, ml.big_u(gf)) == zero
+    for q in (2, 4, 8):
+        gf = field_of_order(q)
+        assert ml.n_project_packed(gf, [0, ml.u_packed(gf)]).tolist() == [0, 0]
 
 
 def test_project_n_canonical_is_lexicographic_minimum():
-    gf = field_of_order(4)
     rng = random.Random(9)
-    for _ in range(50):
-        s = tuple(rng.randrange(4) for _ in range(21))
-        t = ml.sym_add(s, ml.big_u(gf))
-        assert ml.n_project(gf, s) == min(s, t)
+    for q in (2, 4, 8):
+        gf = field_of_order(q)
+        tensors = [tuple(rng.randrange(q) for _ in range(21)) for _ in range(50)]
+        got = ml.n_project_packed(gf, [ml.pack_sym(gf, s) for s in tensors]).tolist()
+        assert got == [ml.pack_sym(gf, min(s, ml.sym_add(s, ml.big_u(gf)))) for s in tensors]
 
 
 def test_n_add_homomorphism():
-    gf = field_of_order(2)
     rng = random.Random(10)
-    for _ in range(50):
-        s = tuple(rng.randrange(2) for _ in range(21))
-        t = tuple(rng.randrange(2) for _ in range(21))
-        lhs = ml.n_project(gf, ml.sym_add(ml.n_project(gf, s), ml.n_project(gf, t)))
-        assert lhs == ml.n_project(gf, ml.sym_add(s, t))
+    for q in (2, 4, 8):
+        gf = field_of_order(q)
+        xs, ys = _packed_draws(gf, rng), _packed_draws(gf, rng)
+        lhs = ml.n_project_packed(gf, ml.n_project_packed(gf, xs) ^ ml.n_project_packed(gf, ys))
+        assert (lhs == ml.n_project_packed(gf, xs ^ ys)).all()
 
 
 def test_n_cardinality_spot_check():
     # two tensors project together exactly when they differ by 0 or U,
     # so the canonical map is 2-to-1 on 2^21 inputs over GF(2)
     gf = field_of_order(2)
-    rng = random.Random(11)
-    reps = set()
-    for _ in range(2000):
-        s = tuple(rng.randrange(2) for _ in range(21))
-        reps.add(ml.n_project(gf, s))
-    assert len(reps) > 1900  # collisions beyond the forced 2:1 are very rare
-    for rep in list(reps)[:50]:
-        lifts = (rep, ml.sym_add(rep, ml.big_u(gf)))
-        assert ml.n_project(gf, lifts[0]) == ml.n_project(gf, lifts[1]) == rep
+    reps = np.unique(ml.n_project_packed(gf, _packed_draws(gf, random.Random(11), 2000)))
+    assert reps.size > 1900  # collisions beyond the forced 2:1 are very rare
+    assert (ml.n_project_packed(gf, reps) == reps).all()
+    assert (ml.n_project_packed(gf, reps ^ np.uint64(ml.u_packed(gf))) == reps).all()
 
 
 def test_pack_unpack_roundtrip():
@@ -324,12 +327,10 @@ def test_action_multiplicative_on_sym():
 def test_action_composition_right():
     rng = random.Random(15)
     gf = field_of_order(4)
-    from phcover.linalg import mat_mul
-
     for _ in range(10):
         g = random_gl4(gf, rng)
         h = random_gl4(gf, rng)
-        gh = ml.action(gf, mat_mul(gf, g, h))
+        gh = ml.action(gf, tuple(mat_vec(gf, row, h) for row in g))
         s = tuple(rng.randrange(4) for _ in range(21))
         assert gh.on_sym(s) == ml.action(gf, h).on_sym(ml.action(gf, g).on_sym(s))
 
@@ -361,33 +362,38 @@ def test_u_fixed_by_sl_and_scaled_by_det():
 
 
 def test_quotient_action_needs_unimodular():
+    # a matrix of determinant d takes U to d U, so the images of s and
+    # s + U differ by d U, which is neither 0 nor U when d != 1
     gf = field_of_order(4)
-    scale = ((0b10, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    act = ml.action(gf, scale)
-    with pytest.raises(ValueError):
-        act.on_n_packed(0)
+    act = ml.action(gf, ((0b10, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    xs = _packed_draws(gf, random.Random(17))
+    images = [ml.n_project_packed(gf, act.on_sym_packed_array(x))
+              for x in (xs, xs ^ np.uint64(ml.u_packed(gf)))]
+    assert (images[0] != images[1]).all()
 
 
 def test_quotient_action_well_defined():
+    # SL4 fixes U, so the action is well defined on the cosets
     rng = random.Random(18)
-    gf = field_of_order(2)
-    for _ in range(20):
-        act = ml.action(gf, random_sl4(gf, rng))
-        s = tuple(rng.randrange(2) for _ in range(21))
-        t = ml.sym_add(s, ml.big_u(gf))
-        # SL4 fixes U, so the action is well defined on the cosets
-        images = [ml.n_project(gf, act.on_sym(ml.n_project(gf, x))) for x in (s, t)]
-        assert images[0] == images[1]
+    for q in (2, 4, 8):
+        gf = field_of_order(q)
+        xs = _packed_draws(gf, rng)
+        for _ in range(10):
+            act = ml.action(gf, random_sl4(gf, rng))
+            images = [ml.n_project_packed(gf, act.on_sym_packed_array(x))
+                      for x in (xs, xs ^ np.uint64(ml.u_packed(gf)))]
+            assert (images[0] == images[1]).all()
 
 
 def test_packed_action_agrees_with_tuple_action():
     rng = random.Random(19)
-    for q in (2, 4):
+    for q in (2, 4, 8):
         gf = field_of_order(q)
         for _ in range(10):
             act = ml.action(gf, random_sl4(gf, rng))
-            s = tuple(rng.randrange(gf.order) for _ in range(21))
-            assert act.on_sym_packed(ml.pack_sym(gf, s)) == ml.pack_sym(gf, act.on_sym(s))
+            tensors = [tuple(rng.randrange(q) for _ in range(21)) for _ in range(20)]
+            images = act.on_sym_packed_array([ml.pack_sym(gf, s) for s in tensors])
+            assert images.tolist() == [ml.pack_sym(gf, act.on_sym(s)) for s in tensors]
 
 
 def _on_sym_by_rows(gf, act, s):
@@ -408,10 +414,11 @@ def test_table_actions_match_row_combination(q):
         # and every field element in every single slot
         inputs += [tuple(c if t == slot else 0 for t in range(21))
                    for slot in range(21) for c in range(q)]
-        for s in inputs:
-            want = _on_sym_by_rows(gf, act, s)
-            assert act.on_sym(s) == want
-            assert act.on_sym_packed(ml.pack_sym(gf, s)) == ml.pack_sym(gf, want)
+        wants = [_on_sym_by_rows(gf, act, s) for s in inputs]
+        assert [act.on_sym(s) for s in inputs] == wants
+        if gf.k <= 3:  # 21k packed bits fit a uint64
+            images = act.on_sym_packed_array([ml.pack_sym(gf, s) for s in inputs])
+            assert images.tolist() == [ml.pack_sym(gf, want) for want in wants]
 
 
 def test_singular_matrix_rejected():

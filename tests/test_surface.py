@@ -1,9 +1,11 @@
 """Every function, class and method of the package has a caller, and
 every report has one shape.
 
-A name counts as used when the program (``src/phcover``) or the benchmark
-(``bench/``) refers to it, as a name or an attribute, outside the body
-that defines it.  Helpers that only tests call are deleted, or moved into
+A function or class counts as used when the program (``src/phcover``) or
+the benchmark (``bench/``) refers to it, as a name or an attribute,
+outside the body that defines it; a method counts as used only through
+an attribute read (``.name``), so that a function of the same name does
+not hide it.  Helpers that only tests call are deleted, or moved into
 the tests that need them; the names below are kept on purpose.
 
 Only ``voltage.report`` builds a report, so every report and every report
@@ -23,49 +25,48 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "phcover"
 
 KEPT = {
-    # the lift and extension helpers, which the stabilizer checks of
-    # ROADMAP item 5 are to take over
-    "act_lift", "compose_extension", "lift_adjacent", "stabilizer_closure_check",
     # reports that ROADMAP item 10 wires into `verify all`
     "w2_span_report", "verify_reduct_is_neighborhood_equality",
-    # the tuple forms that test fixtures build their references from
-    "n_project", "subgraph",
+    # the induced subgraph that test fixtures build their references from
+    "subgraph",
 }
 
 
 def _definitions(tree):
-    """(name, first line, last line) of every top-level function and class
-    and of every method, dunder methods aside."""
+    """(name, first line, last line, is a method) of every top-level
+    function and class and of every method, dunder methods aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
+            yield node.name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield item.name, item.lineno, item.end_lineno
+                    yield item.name, item.lineno, item.end_lineno, True
 
 
 def _references(tree):
-    """(name, line) of every name and attribute read in the tree."""
+    """(name, line, is an attribute) of every name and attribute read in
+    the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def test_every_definition_has_a_caller():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    refs = [(name, path, line) for path, tree in trees.items()
-            for name, line in _references(tree)]
+    refs = [(name, path, line, attr) for path, tree in trees.items()
+            for name, line, attr in _references(tree)]
     defined, unused = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in _definitions(trees[path]):
+        for name, first, last, method in _definitions(trees[path]):
             defined.add(name)
             if name not in KEPT and not any(
-                    ref == name and not (where == path and first <= line <= last)
-                    for ref, where, line in refs):
+                    ref == name and (attr or not method)
+                    and not (where == path and first <= line <= last)
+                    for ref, where, line, attr in refs):
                 unused.append(f"{path.name}:{first} {name}")
     assert unused == []
     assert KEPT <= defined  # no stale exception

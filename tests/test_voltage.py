@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import random_gl4, random_sl4
+from phcover.linalg import mat_vec, random_gl4, random_sl4
 from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import multilinear as ml
@@ -15,6 +16,22 @@ from phcover import voltage as vg
 
 def ell(gf):
     return lambda a, b: cons.dart_voltage(gf, a, b)
+
+
+IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def mat_mul(gf, a, b):
+    """The matrix product a b, row by row: v (a b) is v a, then times b."""
+    return tuple(mat_vec(gf, row, b) for row in a)
+
+
+def vertex_image_index(table, act, i):
+    """Reference for vertex_images: the index of the normalised image of
+    vertex i, from the scalar actions."""
+    g = table.graph
+    v, h = g.vertices[i]
+    return g.index[(gr.normalize(g.gf, act.on_vector(v)), gr.normalize(g.gf, act.on_covector(h)))]
 
 
 def test_tally_counts_items_and_keeps_the_first_five_witnesses():
@@ -93,37 +110,61 @@ def test_triangle_voltage_is_u():
             assert vg.path_voltage(gf, ell(gf), tri + (tri[0],)) == ml.big_u(gf)
 
 
+@functools.lru_cache(maxsize=None)
+def _cover_arrays():
+    """The GF(2) cover: its (base, tag) labels, their sorted lift keys, its
+    edges, and the index of v0."""
+    gf = field_of_order(2)
+    data = cons.cover_data()
+    verts = data["vertices"]
+    keys = vg.lift_keys(gf, verts[:, 0], verts[:, 1])
+    return verts, keys, data["edges"], data["graph"].index[cons.vertex_v0(gf)]
+
+
 def test_lift_adjacent_definition():
-    gf = field_of_order(4)
-    rng = random.Random(2)
-    zero = ml.ZERO21
-    for _ in range(20):
-        a = gr.random_affine_vertex(gf, rng)
-        b = gr.random_neighbor(gf, a, rng)
-        tag = ml.n_project(gf, cons.dart_voltage(gf, a, b))
-        assert vg.lift_adjacent(gf, ell(gf), a, zero, b, tag)
-        if tag != zero:
-            assert not vg.lift_adjacent(gf, ell(gf), a, zero, b, zero)
-        # non-adjacent bases never become adjacent in the lift
-        c = gr.random_affine_vertex(gf, rng)
-        if not gr.adjacent(gf, a, c):
-            assert not vg.lift_adjacent(gf, ell(gf), a, zero, c, zero)
+    # (a, m) and (b, n) are adjacent in the lift exactly when a ~ b and
+    # m + n = voltage(a, b) modulo U: over every base edge, every pair of
+    # tags of the two fibres is tested, and the pairs that pass are the
+    # cover's edges, one over each base edge at each lift vertex
+    gf = field_of_order(2)
+    table = cons.cover_data()["table"]
+    verts, _, edges, _ = _cover_arrays()
+    # labels sort by base, 64 to a base
+    assert verts[:, 0].tolist() == np.repeat(np.arange(table.graph.n), 64).tolist()
+    fibre = verts[:, 1].astype(np.uint64).reshape(table.graph.n, 64)
+    want = []
+    src = table.graph.dart_sources()
+    for a, b, volt in zip(src.tolist(), table.indices.tolist(), table.volts.tolist()):
+        if a < b:
+            m, n = fibre[a][:, None], fibre[b][None, :]
+            hit = ml.n_project_packed(gf, m ^ n) == ml.n_project_packed(gf, [volt])
+            assert (hit.sum(axis=0) == 1).all() and (hit.sum(axis=1) == 1).all()
+            r, c = np.nonzero(hit)
+            want.append(np.stack([64 * a + r, 64 * b + c], axis=1))
+    want = np.concatenate(want)
+    assert sorted(map(tuple, want.tolist())) == list(map(tuple, edges.tolist()))
 
 
 def test_lifted_path_endpoint():
-    # walking a lifted path from (v0, m) lands on (vn, voltage + m)
+    # walking a lifted path along the cover's edges from (v0, m) lands on
+    # (vn, voltage + m) modulo U
     gf = field_of_order(2)
+    graph = cons.cover_data()["graph"]
+    verts, _, edges, _ = _cover_arrays()
+    base = verts[:, 0].tolist()
+    step = {}
+    for i, j in edges.tolist():
+        step[i, base[j]], step[j, base[i]] = j, i
     rng = random.Random(3)
     for _ in range(10):
         walk = gr.sample_closed_walk(gf, 5, rng)
-        m = tuple(rng.randrange(2) for _ in range(21))
-        tag = ml.n_project(gf, m)
-        for a, b in zip(walk, walk[1:]):
-            nxt = ml.n_project(gf, ml.sym_add(tag, cons.dart_voltage(gf, a, b)))
-            assert vg.lift_adjacent(gf, ell(gf), a, tag, b, nxt)
-            tag = nxt
-        total = vg.path_voltage(gf, ell(gf), walk)
-        assert tag == ml.n_project(gf, ml.sym_add(total, m))
+        at = 64 * graph.index[walk[0]] + rng.randrange(64)
+        m = int(verts[at, 1])
+        for b in walk[1:]:
+            at = step[at, graph.index[b]]
+        total = ml.pack_sym(gf, vg.path_voltage(gf, ell(gf), walk))
+        assert verts[at].tolist() == [graph.index[walk[-1]],
+                                      int(ml.n_project_packed(gf, total ^ m))]
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +195,7 @@ def test_dart_table_rejects_non_adjacent():
     # every ordered pair: a lookup succeeds exactly on the adjacent ones
     for i in range(graph.n):
         for j in range(graph.n):
-            if graph.adjacent(i, j):
+            if j in graph.neighbors(i):
                 table.dart(i, j)
             else:
                 with pytest.raises(ValueError, match="not adjacent"):
@@ -236,7 +277,7 @@ def test_potentials_follow_tree_edges():
     assert parent[0] == -1
     for v in range(1, table.graph.n):
         p = int(parent[v])
-        assert table.graph.adjacent(p, v)
+        assert v in table.graph.neighbors(p)
         assert int(pot[v]) == int(pot[p]) ^ table.dart(p, v)
 
 
@@ -318,7 +359,7 @@ def test_spanning_tree_refuses_disconnected_graph():
     big = gr.build_affine_graph(gf)
     star = [0] + big.neighbors(0)[:5].tolist()
     lone = next(j for j in range(big.n)
-                if j not in star and not any(big.adjacent(i, j) for i in star))
+                if j not in star and not any(j in big.neighbors(i) for i in star))
     for graph in (pair, gr.subgraph(big, star + [lone])):
         table = cons.voltage_table(graph)
         with pytest.raises(ValueError, match="not connected"):
@@ -569,49 +610,145 @@ def test_local_isomorphism_direct_detects_missing_vertices():
 
 
 # ----------------------------------------------------------------------
-# the extension action
+# the extension action on the GF(2) cover
 # ----------------------------------------------------------------------
+
+def act_lift(gf, act, perm, b, t, c):
+    """The lift of (g, c), g = act with vertex images perm, on the lift
+    vertices (b, t): (perm[b], N(N(g t) + c))."""
+    gt = ml.n_project_packed(gf, act.on_sym_packed_array(t))
+    return perm[b], ml.n_project_packed(gf, gt ^ np.uint64(c))
+
+
+def _lift_positions(act, perm, c):
+    """The position of the image of each cover vertex under the lift of
+    (g, c) among the cover's sorted keys; -1 where the image is not in
+    the component."""
+    gf = field_of_order(2)
+    verts, keys, _, _ = _cover_arrays()
+    b, t = act_lift(gf, act, perm, verts[:, 0], verts[:, 1], c)
+    return vg.find_sorted(keys, vg.lift_keys(gf, b, t))
+
+
+def _maps_cover_onto_itself(pos):
+    """Whether the vertex map pos is a bijection of the cover's vertices
+    that takes its edges onto its edges."""
+    verts, _, edges, _ = _cover_arrays()
+    n = len(verts)
+    if not np.array_equal(np.sort(pos), np.arange(n)):
+        return False
+    moved = np.sort(pos[edges], axis=1)
+    # the edges are sorted, as are their codes i n + j
+    return np.array_equal(np.sort(moved[:, 0] * n + moved[:, 1]), edges[:, 0] * n + edges[:, 1])
+
+
+def _smallest_tag_over(b):
+    """The smallest tag of the cover over the base b: the tag c that the
+    lift of g needs when g takes v0 to b."""
+    verts = _cover_arrays()[0]
+    return int(verts[np.searchsorted(verts[:, 0], b), 1])
+
+
+def _transvections(gf):
+    """The 12 elementary transvections E_ij(1), i != j."""
+    out = []
+    for i, j in itertools.permutations(range(4), 2):
+        m = [list(row) for row in IDENTITY]
+        m[i][j] = 1
+        out.append(tuple(map(tuple, m)))
+    return out
+
+
+def test_act_lift_matches_the_scalar_formula():
+    # (g, c) maps (b, t) to (perm_g[b], N(N(g t) + c)), against the scalar
+    # vertex action and the tuple action on tags
+    gf = field_of_order(2)
+    table = cons.cover_data()["table"]
+    verts = _cover_arrays()[0]
+    rng = random.Random(5)
+    up = ml.u_packed(gf)
+    for _ in range(5):
+        act = ml.action(gf, random_sl4(gf, rng))
+        perm = vg.vertex_images(table, [act])[0]
+        c = rng.getrandbits(21)
+        rows = verts[rng.sample(range(len(verts)), 100)]
+        b, t = act_lift(gf, act, perm, rows[:, 0], rows[:, 1], c)
+        for (bi, ti), bj, tj in zip(rows.tolist(), b.tolist(), t.tolist()):
+            gt = ml.pack_sym(gf, act.on_sym(ml.unpack_sym(gf, ti)))
+            assert bj == vertex_image_index(table, act, bi)
+            assert tj == min(gt ^ c, gt ^ c ^ up)
+
 
 def test_act_lift_identity():
     gf = field_of_order(2)
-    ident = ml.action(gf, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    vert = ((1, 0, 0, 0), (1, 0, 0, 0))
-    assert vg.act_lift(gf, ident, vert, 0, 0) == (vert, 0)
+    ident = ml.action(gf, IDENTITY)
+    perm = vg.vertex_images(cons.cover_data()["table"], [ident])[0]
+    pos = _lift_positions(ident, perm, 0)
+    assert pos.tolist() == list(range(len(pos)))
 
 
 def test_act_lift_preserves_adjacency():
+    # each transvection, with c the smallest tag over the image of v0, maps
+    # the 7680 vertices one-to-one onto the component and the 107,520
+    # edges onto themselves
     gf = field_of_order(2)
-    graph = gr.build_affine_graph(gf)
-    table = cons.voltage_table(graph)
-    comp = cons.cover_data()["component"]
-    rng = random.Random(6)
-    up = ml.u_packed(gf)
-    for _ in range(200):
-        act = ml.action(gf, random_sl4(gf, rng))
-        k = ml.n_project_packed(gf, ml.pack_sym(gf, tuple(rng.randrange(2) for _ in range(21))))
-        bi, ti = comp["vertices"][rng.randrange(len(comp["vertices"]))].tolist()
-        nbrs = graph.neighbors(bi)
-        bj = int(nbrs[rng.randrange(len(nbrs))])
-        tj = ti ^ table.dart(bi, bj)
-        tj = min(tj, tj ^ up)
-        va, ta = vg.act_lift(gf, act, graph.vertices[bi], ti, k)
-        vb, tb = vg.act_lift(gf, act, graph.vertices[bj], tj, k)
-        assert vg.lift_adjacent(gf, ell(gf), va, ml.unpack_sym(gf, ta), vb, ml.unpack_sym(gf, tb))
+    table = cons.cover_data()["table"]
+    v0 = _cover_arrays()[3]
+    actions = [ml.action(gf, m) for m in _transvections(gf)]
+    assert len(actions) == 12
+    for act, perm in zip(actions, vg.vertex_images(table, actions)):
+        assert _maps_cover_onto_itself(_lift_positions(act, perm, _smallest_tag_over(perm[v0])))
+
+
+def test_act_lift_needs_the_right_fibre():
+    # negative control: c moved off the fibre over the image of v0, by
+    # bit 19 (slot w1w2, off the diagonal), takes every vertex out of the
+    # component; bit 0 (slot w6w6) lies in M and moves c within the fibre
+    gf = field_of_order(2)
+    table = cons.cover_data()["table"]
+    v0 = _cover_arrays()[3]
+    act = ml.action(gf, _transvections(gf)[0])
+    perm = vg.vertex_images(table, [act])[0]
+    c = _smallest_tag_over(perm[v0])
+    assert ml.SYM_PAIRS[20 - 19] == (0, 1) and ml.SYM_PAIRS[20 - 0] == (5, 5)
+    assert (_lift_positions(act, perm, c ^ (1 << 19)) < 0).all()
+    assert _maps_cover_onto_itself(_lift_positions(act, perm, c ^ 1))
+
+
+def test_deck_translations_preserve_the_cover():
+    # the identity with c any of the 64 tags over v0 maps the cover onto
+    # itself, and moves every vertex unless c = 0
+    gf = field_of_order(2)
+    verts, _, _, v0 = _cover_arrays()
+    ident = ml.action(gf, IDENTITY)
+    perm = np.arange(len(verts) // 64)
+    deck = verts[verts[:, 0] == v0, 1].tolist()
+    assert len(deck) == 64 and deck[0] == 0
+    for c in deck:
+        pos = _lift_positions(ident, perm, c)
+        assert _maps_cover_onto_itself(pos)
+        fixed = pos == np.arange(len(pos))
+        assert fixed.all() if c == 0 else not fixed.any()
 
 
 def test_extension_composition_law():
+    # the lift of (h, k2) after that of (g, k1) is the lift of
+    # (gh, N(k1^h + k2)), on every GF(4) base vertex with seeded tags
     gf = field_of_order(4)
+    table = cons.voltage_table(gr.build_projective_graph(gf))
     rng = random.Random(7)
-    for _ in range(25):
+    b = np.arange(table.graph.n)
+    t = np.array([rng.getrandbits(42) for _ in b], dtype=np.uint64)
+    for _ in range(5):
         g = ml.action(gf, random_sl4(gf, rng))
         h = ml.action(gf, random_sl4(gf, rng))
-        k1 = ml.n_project_packed(gf, ml.pack_sym(gf, tuple(rng.randrange(4) for _ in range(21))))
-        k2 = ml.n_project_packed(gf, ml.pack_sym(gf, tuple(rng.randrange(4) for _ in range(21))))
-        vert = gr.random_affine_vertex(gf, rng)
-        tag = ml.n_project_packed(gf, ml.pack_sym(gf, tuple(rng.randrange(4) for _ in range(21))))
-        one_then_two = vg.act_lift(gf, h, *vg.act_lift(gf, g, vert, tag, k1), k2)
-        prod, kprod = vg.compose_extension(gf, g, k1, h, k2)
-        assert vg.act_lift(gf, prod, vert, tag, kprod) == one_then_two
+        gh = ml.action(gf, mat_mul(gf, g.m, h.m))
+        k1, k2 = rng.getrandbits(42), rng.getrandbits(42)
+        pg, ph, pgh = vg.vertex_images(table, [g, h, gh])
+        one_then_two = act_lift(gf, h, ph, *act_lift(gf, g, pg, b, t, k1), k2)
+        kprod = int(ml.n_project_packed(gf, h.on_sym_packed_array([k1]) ^ np.uint64(k2))[0])
+        product = act_lift(gf, gh, pgh, b, t, kprod)
+        assert all(np.array_equal(x, y) for x, y in zip(one_then_two, product))
 
 
 # ----------------------------------------------------------------------
@@ -619,56 +756,75 @@ def test_extension_composition_law():
 # ----------------------------------------------------------------------
 
 def test_lambda_identity_is_zero():
+    # lambda(g), the tree-path voltage from v0 to g(v0) modulo U, is a tag
+    # over g(v0), so it can serve as c; for the identity it is 0
     gf = field_of_order(2)
-    table = cons.voltage_table(gr.build_affine_graph(gf))
-    ident = ml.action(gf, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    assert vg.lambda_of(table, ident, 0) == 0
+    table = cons.cover_data()["table"]
+    verts, _, _, v0 = _cover_arrays()
+    _, pot = vg.spanning_tree_potentials(table, v0)
+    actions = [ml.action(gf, m) for m in [IDENTITY] + _transvections(gf)]
+    lams = []
+    for act, perm in zip(actions, vg.vertex_images(table, actions)):
+        lam = int(ml.n_project_packed(gf, [pot[perm[v0]]])[0])
+        assert [perm[v0], lam] in verts.tolist()
+        lams.append(lam)
+    assert lams[0] == 0 == _smallest_tag_over(v0)
 
 
 def test_lambda_choice_shifts_by_cycle_span():
+    # the path voltages from the image of v0 back to v0, through u or
+    # along the BFS tree from v0, differ by an element of W2 + U
     gf = field_of_order(4)
     graph = gr.build_projective_graph(gf)
     table = cons.voltage_table(graph)
     v0 = graph.index[cons.vertex_v0(gf)]
     u = graph.index[cons.vertex_u(gf)]
+    _, pot = vg.spanning_tree_potentials(table, v0)
     for x in cons.order4_subgroup(gf)[1:]:
         act = ml.action(gf, cons.ax_matrix(gf, x))
-        via = vg.lambda_of(table, act, v0, via=u)
-        bfs = vg.lambda_of(table, act, v0)
+        image = int(vg.vertex_images(table, [act])[0, v0])
+        via = table.dart(image, u) ^ table.dart(u, v0)
         assert via == ml.pack_sym(gf, cons.lambda_ax(gf, x))
-        assert ml.packed_in_w2_plus_u(gf, via ^ bfs)
+        assert ml.packed_in_w2_plus_u(gf, via ^ int(pot[image]))
 
 
 def test_stabilizer_maps_root_into_component():
+    # seeded SL4(2) elements g, each with c a seeded tag over g(v0): the
+    # lift takes (v0, 0) into the component, and the component onto itself
     gf = field_of_order(2)
-    data = cons.cover_data()
-    graph, table, comp = data["graph"], data["table"], data["component"]
-    v0 = graph.index[cons.vertex_v0(gf)]
+    table = cons.cover_data()["table"]
+    verts, _, _, v0 = _cover_arrays()
+    root = 64 * v0  # (v0, 0): tag 0 is the smallest over v0
+    assert verts[root].tolist() == [v0, 0]
     rng = random.Random(8)
-    keys = set(map(tuple, comp["vertices"].tolist()))
-    m_elems = [ml.pack_sym(gf, cons.m_to_sym(gf, m)) for m in range(64)]
-    for _ in range(50):
-        act = ml.action(gf, random_sl4(gf, rng))
-        lam = vg.lambda_of(table, act, v0)
-        k = ml.n_project_packed(gf, lam ^ rng.choice(m_elems))
-        vert, tag = vg.act_lift(gf, act, graph.vertices[v0], 0, k)
-        assert (graph.index[vert], tag) in keys
+    actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(20)]
+    for act, perm in zip(actions, vg.vertex_images(table, actions)):
+        c = rng.choice(verts[verts[:, 0] == perm[v0], 1].tolist())
+        pos = _lift_positions(act, perm, c)
+        assert verts[pos[root]].tolist() == [perm[v0], c]
+        assert _maps_cover_onto_itself(pos)
 
 
 def test_stabilizer_cocycle_lands_in_m():
+    # for seeded SL4(2) pairs, the lift of h after that of g is a deck
+    # translation after the lift of gh: the cocycle is a tag over v0
     gf = field_of_order(2)
-    table = cons.voltage_table(gr.build_affine_graph(gf))
+    table = cons.cover_data()["table"]
+    verts, _, _, v0 = _cover_arrays()
+    deck = set(verts[verts[:, 0] == v0, 1].tolist())
     rng = random.Random(9)
-    pairs = [(ml.action(gf, random_sl4(gf, rng)), ml.action(gf, random_sl4(gf, rng)))
-             for _ in range(100)]
-    v0 = table.graph.index[cons.vertex_v0(gf)]
-    rep = vg.stabilizer_closure_check(table, pairs, v0,
-                                      lambda x: ml.packed_in_w2_plus_u(gf, x))
-    assert rep["passed"]
-    ident = ml.action(gf, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    rep = vg.stabilizer_closure_check(table, [(ident, ident)], v0,
-                                      lambda x: x == 0)
-    assert rep["passed"]
+    b, t = verts[:, 0], verts[:, 1]
+    for _ in range(20):
+        g = ml.action(gf, random_sl4(gf, rng))
+        h = ml.action(gf, random_sl4(gf, rng))
+        gh = ml.action(gf, mat_mul(gf, g.m, h.m))
+        pg, ph, pgh = vg.vertex_images(table, [g, h, gh])
+        cg, ch, cgh = (_smallest_tag_over(p[v0]) for p in (pg, ph, pgh))
+        both = act_lift(gf, h, ph, *act_lift(gf, g, pg, b, t, cg), ch)
+        product = act_lift(gf, gh, pgh, b, t, cgh)
+        assert np.array_equal(both[0], product[0])
+        cocycle = set(ml.n_project_packed(gf, both[1] ^ product[1]).tolist())
+        assert len(cocycle) == 1 and cocycle <= deck
 
 
 # ----------------------------------------------------------------------
@@ -711,6 +867,12 @@ def test_check_equivariance_exhaustive_gf2():
     assert rep["passed"] and rep["samples"] == 5 * 1680
 
 
+def on_sym_packed(gf, act, x):
+    """Reference for on_sym_packed_array: the tuple action on one packed
+    value."""
+    return ml.pack_sym(gf, act.on_sym(ml.unpack_sym(gf, x)))
+
+
 def test_bulk_images_match_on_sym_packed():
     # every GF(2) table voltage under 100 seeded SL4 actions
     gf2 = field_of_order(2)
@@ -718,8 +880,8 @@ def test_bulk_images_match_on_sym_packed():
     rng = random.Random(21)
     for _ in range(100):
         act = ml.action(gf2, random_sl4(gf2, rng))
-        assert act.on_sym_packed_array(volts).tolist() == [act.on_sym_packed(x)
-                                                            for x in volts.tolist()]
+        want = {x: on_sym_packed(gf2, act, x) for x in set(volts.tolist())}
+        assert act.on_sym_packed_array(volts).tolist() == [want[x] for x in volts.tolist()]
     # seeded packed values over GF(2), GF(4) and GF(8), 0 and the largest
     # packed value included
     for q in (2, 4, 8):
@@ -730,7 +892,7 @@ def test_bulk_images_match_on_sym_packed():
             act = ml.action(gf, random_sl4(gf, rng))
             images = act.on_sym_packed_array(np.array(xs, dtype=np.uint64))
             assert images.dtype == np.uint64
-            assert images.tolist() == [act.on_sym_packed(x) for x in xs]
+            assert images.tolist() == [on_sym_packed(gf, act, x) for x in xs]
     # 84 bits do not fit a uint64
     gf16 = field_of_order(16)
     with pytest.raises(ValueError, match="k <= 3"):
@@ -738,17 +900,18 @@ def test_bulk_images_match_on_sym_packed():
 
 
 def _scalar_equivariance(table, actions):
-    """Reference exhaustive equivariance: one on_sym_packed per edge and
+    """Reference exhaustive equivariance: one scalar image per edge and
     action, over the CSR rows; returns the violations and the first five
     witnesses."""
     g = table.graph
     violations, witnesses = 0, []
     for act in actions:
-        perm = [vg.vertex_image_index(table, act, i) for i in range(g.n)]
+        perm = [vertex_image_index(table, act, i) for i in range(g.n)]
         for u in range(g.n):
             for pos in range(int(table.indptr[u]), int(table.indptr[u + 1])):
                 v = int(table.indices[pos])
-                if v > u and table.dart(perm[u], perm[v]) != act.on_sym_packed(int(table.volts[pos])):
+                if v > u and table.dart(perm[u], perm[v]) != \
+                        on_sym_packed(g.gf, act, int(table.volts[pos])):
                     violations += 1
                     if len(witnesses) < 5:
                         witnesses.append({"dart": (u, v), "matrix": act.m})
@@ -789,7 +952,7 @@ def test_vertex_images_match_vertex_image_index():
         perms = vg.vertex_images(table, actions)
         assert perms.shape == (count, table.graph.n)
         for act, perm in zip(actions, perms.tolist()):
-            assert perm == [vg.vertex_image_index(table, act, i) for i in range(table.graph.n)]
+            assert perm == [vertex_image_index(table, act, i) for i in range(table.graph.n)]
             assert sorted(perm) == list(range(table.graph.n))
     assert vg.vertex_images(table, []).shape == (0, table.graph.n)
 
@@ -800,7 +963,7 @@ def test_vertex_images_refuse_images_outside_the_graph():
     table = cons.voltage_table(sub)
     act = ml.action(gf, random_sl4(gf, random.Random(8)))
     with pytest.raises(KeyError):
-        [vg.vertex_image_index(table, act, i) for i in range(sub.n)]
+        [vertex_image_index(table, act, i) for i in range(sub.n)]
     with pytest.raises(KeyError):
         vg.vertex_images(table, [act])
 
