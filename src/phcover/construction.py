@@ -35,6 +35,7 @@ from .graphs import (
     csr_bfs,
     distinct,
     edge_blocks,
+    factor_vertices,
     frontier_blocks,
     nonincident_pairs,
     normalize,
@@ -186,8 +187,9 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
     vertex or a dart joins two non-adjacent vertices.
 
     What depends on one endpoint only is computed once per vertex: its
-    point id among the P distinct rows of vmat, its hyperplane id among
-    the H distinct rows of hmat, and h(v)^-1.  Each pair of distinct
+    point id among the P distinct rows of vmat and its hyperplane id among
+    the H distinct rows of hmat (:func:`phcover.graphs.factor_vertices`),
+    and h(v)^-1.  Each pair of distinct
     values is evaluated once, into pair tables: the two chunk codes of
     v1 ^ v2 (P x P), the two chunk codes of phi(h1 ^ h2) (H x H), and
     h(v) (H x P), which also gives the adjacency test.  These take
@@ -205,23 +207,16 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
     k, q = gf.k, gf.order
     c3 = 3 * k
     t = gf.mul_table
-    points, p_id = np.unique(vmat, axis=0, return_inverse=True)
-    planes, h_id = np.unique(hmat, axis=0, return_inverse=True)
-    p_rows, h_rows = points.T, planes.T
-    p_id, h_id = p_id.reshape(-1), h_id.reshape(-1)
+    points, p_id, planes, h_id, pairing = factor_vertices(gf, vmat, hmat)
     n_p, n_h = len(points), len(planes)
-    # pairing[h * P + p] = h(p)
-    pairing = np.zeros((n_h, n_p), dtype=np.uint8)
-    for c in range(4):
-        pairing ^= t[h_rows[c][:, None], p_rows[c][None, :]]
-    pairing = pairing.ravel()
+    pairing = pairing.ravel()  # pairing[h * P + p] = h(p)
     own = pairing[h_id * n_p + p_id]
     if not own.all():
         raise ValueError("inputs are not vertices (functional vanishes on its vector)")
     inv_own = gf.inv_table.astype(np.intp)[own]
-    w_hi, w_lo = _pair_chunk_codes(gf, p_rows, ((0, 1, 2), (3, 4, 5)))
+    w_hi, w_lo = _pair_chunk_codes(gf, points.T, ((0, 1, 2), (3, 4, 5)))
     # phi is slot reversal: the chunks of phi(d) are d6 d5 d4 and d3 d2 d1
-    d_hi, d_lo = _pair_chunk_codes(gf, h_rows, ((5, 4, 3), (2, 1, 0)))
+    d_hi, d_lo = _pair_chunk_codes(gf, planes.T, ((5, 4, 3), (2, 1, 0)))
     # scaled[(c << 3k) | code]: the chunk coded code times c, already
     # shifted into the high half of a chunk-pair index
     codes = np.arange(1 << c3)
@@ -262,7 +257,7 @@ def voltage_table(graph: Graph) -> DartTable:
     if table is None:
         gf = graph.gf
         if gf.k <= 3:
-            table = DartTable(graph, graph._indptr, graph._indices, bulk_dart_voltage(
+            table = DartTable(graph, bulk_dart_voltage(
                 gf, graph.dart_sources(), graph._indices, graph.vmat, graph.hmat))
         else:
             table = DartTable.from_scalar(

@@ -108,10 +108,6 @@ class GF:
             raise ValueError(f"{a} is not an element of {self!r}")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        """Characteristic-2 addition: coefficientwise XOR."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_rows[a][b]
 

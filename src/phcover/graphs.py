@@ -8,6 +8,10 @@ with identical neighbour sets yields exactly the projective graph,
 which :func:`verify_reduct_is_neighborhood_equality` checks computationally
 instead of assuming.
 
+Every array reader of incidence (adjacency, two-step reach, the reduct
+check, bulk dart voltages, vertex images) reads it from
+:func:`factor_vertices`, which pairs distinct vectors and covectors once.
+
 A :class:`Graph` computes its full adjacency when it is made (packed bit
 rows plus CSR neighbour lists) and is refused above ``ADJ_CAP`` vertices;
 the largest the package builds is the GF(4) projective graph.  The only
@@ -29,7 +33,7 @@ import itertools
 
 from ._lazy import np
 from .field import GF
-from .linalg import evaluate, kernel
+from .linalg import evaluate, kernel, pairing
 
 ENUM_CAP = 10 ** 6
 ADJ_CAP = 6100  # vertex cap of Graph, above the 5440 of the GF(4) projective graph
@@ -92,7 +96,8 @@ def proj_points(gf: GF, dim: int = 4):
 def nonincident_pairs(gf: GF, points):
     """The pairs (p, h) of two of the points, the second read as a covector,
     with h(p) != 0, in lexicographic order of the points."""
-    return [(p, h) for p in points for h in points if evaluate(gf, h, p)]
+    ps, hs = np.nonzero(pairing(gf, points, points).T)
+    return [(points[p], points[h]) for p, h in zip(ps.tolist(), hs.tolist())]
 
 
 def affine_vertices(gf: GF):
@@ -126,30 +131,33 @@ def projective_vertices(gf: GF, dim: int = 4):
     return nonincident_pairs(gf, pts)
 
 
-def _zero_pairing(gf: GF, frows: np.ndarray, vrows: np.ndarray) -> np.ndarray:
-    """Boolean matrix of evaluate(f_i, v_j) == 0 for row stacks of coordinates."""
-    t = gf.mul_table
-    acc = t[frows[:, 0][:, None], vrows[:, 0][None, :]].copy()
-    for c in range(1, frows.shape[1]):
-        acc ^= t[frows[:, c][:, None], vrows[:, c][None, :]]
-    return acc == 0
+def row_codes(gf: GF, rows: np.ndarray) -> np.ndarray:
+    """The coordinate rows (last axis) read as base-q numbers, first
+    coordinate first, as int64: the codes sort as the rows do."""
+    return rows.astype(np.int64) @ gf.order ** np.arange(rows.shape[-1] - 1, -1, -1)
 
 
-def _zero_patterns(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
-    """Packed adjacency rows of a vertex stack, factored through its distinct
-    vectors and covectors.
+def factor_vertices(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
+    """A vertex stack factored through its distinct vectors and covectors:
+    (points, p_id, planes, h_id, pairing) with the sorted distinct rows of
+    vmat and hmat, points[p_id] == vmat, planes[h_id] == hmat and the uint8
+    pairing[h, p] = planes[h](points[p]).  Rows are told apart by their
+    codes, as np.unique(axis=0) takes 50 times as long."""
+    factors = []
+    for rows in (np.asarray(vmat, dtype=np.uint8), np.asarray(hmat, dtype=np.uint8)):
+        _, first, ids = np.unique(row_codes(gf, rows), return_index=True, return_inverse=True)
+        factors += [rows[first], ids]
+    points, p_id, planes, h_id = factors
+    return points, p_id, planes, h_id, pairing(gf, planes, points)
 
-    Returns (kills, h_id, killed, v_id): kills[x] has bit j set when the x-th
-    distinct covector vanishes on v_j, killed[y] has bit j set when h_j
-    vanishes on the y-th distinct vector, and by the definition of adjacency
-    the neighbour row of vertex i is kills[h_id[i]] & killed[v_id[i]].  The
-    pairing is evaluated once per distinct value (85 of each over GF(4)),
-    not once per vertex."""
-    hvals, h_id = np.unique(hmat, axis=0, return_inverse=True)
-    vvals, v_id = np.unique(vmat, axis=0, return_inverse=True)
-    kills = np.packbits(_zero_pairing(gf, hvals, vmat), axis=1)
-    killed = np.packbits(_zero_pairing(gf, vvals, hmat), axis=1)
-    return kills, h_id.reshape(-1), killed, v_id.reshape(-1)
+
+def _kill_rows(zero: np.ndarray, p_id: np.ndarray, h_id: np.ndarray):
+    """Packed rows (kills, killed): bit j of kills[h] is set when covector h
+    vanishes on v_j and of killed[p] when h_j vanishes on vector p, so the
+    neighbour row of vertex i is kills[h_id[i]] & killed[p_id[i]].  take,
+    unlike a fancy index on axis 1, keeps the rows C-ordered."""
+    return (np.packbits(zero.take(p_id, axis=1), axis=1),
+            np.packbits(zero.T.take(h_id, axis=1), axis=1))
 
 
 def _refuse_above_adj_cap(n: int) -> None:
@@ -161,12 +169,12 @@ def _refuse_above_adj_cap(n: int) -> None:
 class Graph:
     """A point-hyperplane graph with its adjacency.
 
-    Vertices are (vector, covector) pairs.  The boolean adjacency is
-    computed vectorised from the per-value zero patterns and kept as
-    packed bit rows plus CSR neighbour lists, int64 row pointers and int32
-    neighbours.  The neighbour lists are read off the packed rows a few
-    rows at a time, so no n x n boolean matrix is ever made.  More than
-    ADJ_CAP vertices raise ValueError before any of it is allocated.
+    Vertices are (vector, covector) pairs, factored into points[p_id]
+    and planes[h_id] with zero[h, p] when planes[h] kills points[p].  The
+    adjacency is kept as packed bit rows plus CSR neighbour lists, int64
+    row pointers and int32 neighbours, read off the packed rows a few at a
+    time, so no n x n boolean matrix is made.  More than ADJ_CAP vertices
+    raise ValueError before any of it is allocated.
     """
 
     def __init__(self, gf: GF, vertices):
@@ -178,10 +186,12 @@ class Graph:
         dim = len(self.vertices[0][0]) if self.vertices else 4
         self.vmat = np.array([v for v, _ in self.vertices], dtype=np.uint8).reshape(self.n, dim)
         self.hmat = np.array([h for _, h in self.vertices], dtype=np.uint8).reshape(self.n, dim)
+        self.points, self.p_id, self.planes, self.h_id, values = \
+            factor_vertices(gf, self.vmat, self.hmat)
+        self.zero = values == 0
         # the factored adjacency, kept for two_step_reach
-        self._kills, self._h_id, self._killed, self._v_id = kills, h_id, killed, v_id = \
-            _zero_patterns(self.gf, self.vmat, self.hmat)
-        rows = kills[h_id] & killed[v_id]
+        self._kills, self._killed = _kill_rows(self.zero, self.p_id, self.h_id)
+        rows = self._kills[self.h_id] & self._killed[self.p_id]
         diag = np.arange(self.n)
         # redundant for valid vertices, cheap guard
         rows[diag, diag >> 3] &= ~(np.uint8(0x80) >> (diag & 7).astype(np.uint8))
@@ -328,24 +338,23 @@ def two_step_reach(graph: Graph) -> np.ndarray:
 
     The neighbours w of u are the vertices with h_u(v_w) = 0 and
     h_w(v_u) = 0.  Grouped by the id y of their vector, they give
-    R(u) = OR over {y : h_u kills vector y} of killed[y] & T[y, v_id[u]],
+    R(u) = OR over {y : h_u kills vector y} of killed[y] & T[y, p_id[u]],
     where T[y, x] is the OR of kills[h_id[w]] over the vertices w with
     vector y whose covector kills vector x.  T takes one masked OR per
     distinct covector and one AND with killed for all of it, and the
     vertices sharing a covector are summed together, over the same y's."""
-    kills, h_id, killed, v_id = graph._kills, graph._h_id, graph._killed, graph._v_id
-    # zero[c, y]: covector c kills vector y, read at a vertex carrying y
-    zero = np.unpackbits(kills, axis=1, count=graph.n)[:, np.unique(v_id, return_index=True)[1]]
+    kills, killed, zero = graph._kills, graph._killed, graph.zero
+    h_id, p_id = graph.h_id, graph.p_id
     by_covector = np.split(np.argsort(h_id, kind="stable"),
                            np.cumsum(np.bincount(h_id, minlength=kills.shape[0]))[:-1])
     table = np.zeros((killed.shape[0], killed.shape[0], kills.shape[1]), dtype=np.uint8)
     for c, members in enumerate(by_covector):
-        table[np.ix_(v_id[members], np.flatnonzero(zero[c]))] |= kills[c]
+        table[np.ix_(p_id[members], np.flatnonzero(zero[c]))] |= kills[c]
     table &= killed[:, None, :]
     reach = np.zeros_like(graph.packed_rows())
     for c, members in enumerate(by_covector):
         ys = np.flatnonzero(zero[c])
-        reach[members] = np.bitwise_or.reduce(table[ys[:, None], v_id[members][None, :]], axis=0)
+        reach[members] = np.bitwise_or.reduce(table[ys[:, None], p_id[members][None, :]], axis=0)
     return reach
 
 
@@ -379,16 +388,17 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     sets exactly when their normalised pairs coincide, that the classes are
     cocliques, and that the class graph is the projective graph.
 
-    The neighbour bitsets are computed for every affine vertex, one class at
-    a time, from the per-value zero patterns of :func:`_zero_patterns`.
+    The neighbour bitsets and the adjacent pairs inside a class are read,
+    one class at a time, off the incidence of :func:`factor_vertices`.
     """
     from .voltage import report
 
     verts = affine_vertices(gf)
-    n = len(verts)
     vmat = np.array([v for v, _ in verts], dtype=np.uint8)
     hmat = np.array([h for _, h in verts], dtype=np.uint8)
-    kills, h_id, killed, v_id = _zero_patterns(gf, vmat, hmat)
+    _, p_id, _, h_id, values = factor_vertices(gf, vmat, hmat)
+    zero = values == 0
+    kills, killed = _kill_rows(zero, p_id, h_id)
 
     classes: dict = {}
     for j, (v, h) in enumerate(verts):
@@ -399,16 +409,14 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     mismatched = 0
     coclique_violations = 0
     for rep, members in classes.items():
-        rows = kills[h_id[members]] & killed[v_id[members]]
+        rows = kills[h_id[members]] & killed[p_id[members]]
         mismatched += int((rows[1:] != rows[0]).any(axis=1).sum())
         key = rows[0].tobytes()
         if key in seen_rows:
             mismatched += 1
         seen_rows[key] = rep
-        for a in members:
-            for b in members:
-                if a < b and adjacent(gf, verts[a], verts[b]):
-                    coclique_violations += 1
+        inside = zero[np.ix_(h_id[members], p_id[members])]
+        coclique_violations += int(np.triu(inside & inside.T, 1).sum())
 
     classes_match = sorted(classes) == projective_vertices(gf)
     # the mismatched neighbour sets and the adjacent pairs inside a class
@@ -416,11 +424,10 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     failed = {"neighborhoods": mismatched, "cocliques": coclique_violations,
               "fiber_sizes": int(fiber_sizes != {(gf.order - 1) ** 2}),
               "class_set_matches_projective": int(not classes_match)}
-    return report("reduct-neighborhood-equality", gf, "exhaustive", n, sum(failed.values()),
-                  [name for name, count in failed.items() if count],
+    return report("reduct-neighborhood-equality", gf, "exhaustive", len(verts),
+                  sum(failed.values()), [name for name, count in failed.items() if count],
                   classes=len(classes), fiber_sizes=sorted(fiber_sizes),
-                  expected_fiber=(gf.order - 1) ** 2,
-                  class_set_matches_projective=classes_match)
+                  expected_fiber=(gf.order - 1) ** 2, class_set_matches_projective=classes_match)
 
 
 # ----------------------------------------------------------------------
@@ -495,8 +502,8 @@ def sample_common_neighbor(gf: GF, a, b, rng):
     NEIGHBOR_TRIES draws are all rejected (possible when the kernels pair to
     zero)."""
     mul = gf.mul_rows
-    tbasis = kernel(gf, [a[1], b[1]])
-    gbasis = kernel(gf, [a[0], b[0]])
+    tbasis = kernel(gf, a[1], b[1])
+    gbasis = kernel(gf, a[0], b[0])
     for _ in range(NEIGHBOR_TRIES):
         w = _random_in_span(gf, tbasis, rng)
         g = _random_in_span(gf, gbasis, rng)

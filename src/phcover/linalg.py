@@ -7,6 +7,9 @@ of a row vector v under m is v*m and row a of m is the image of e_a.
 Covectors transform by the inverse transpose, which keeps
 evaluate(f^g, v^g) == evaluate(f, v).
 
+:func:`pairing` is the array form of :func:`evaluate`; :func:`kernel`
+takes the null space of two rows, the only kind the samplers need.
+
 Also provides F2 affine system solving with inconsistency certificates
 (numpy uint8 matrices), used by the order-2 and lifting computations.
 """
@@ -27,6 +30,18 @@ def evaluate(gf: GF, f, v) -> int:
     for fi, vi in zip(f, v):
         acc ^= mul[fi][vi]
     return acc
+
+
+def pairing(gf: GF, fs, vs) -> np.ndarray:
+    """The array form of :func:`evaluate`: the uint8 matrix of f_i(v_j)
+    over the rows f_i of the 2-D stack fs and v_j of vs.  Array code pairs
+    coordinates through the multiplication table only here."""
+    t = gf.mul_table
+    fs, vs = np.asarray(fs, dtype=np.intp), np.asarray(vs, dtype=np.intp)
+    out = np.zeros((len(fs), len(vs)), dtype=np.uint8)
+    for c in range(fs.shape[1]):
+        out ^= t[fs[:, c, None], vs[None, :, c]]
+    return out
 
 
 def vec_add(u, v):
@@ -53,73 +68,20 @@ def transpose(m):
     return tuple(zip(*m))
 
 
-def rref(gf: GF, rows, ncols: int):
-    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
-    mul, inverses = gf.mul_rows, gf.inverses
-    rows = list(rows)  # rows are replaced, never changed in place
-    n = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = r
-        while pr < n and not rows[pr][c]:
-            pr += 1
-        if pr == n:
-            continue
-        prow = rows[pr]
-        rows[pr] = rows[r]
-        if prow[c] != 1:
-            by_inv = mul[inverses[prow[c]]]
-            prow = [by_inv[x] for x in prow]
-        rows[r] = prow
-        for i in range(n):
-            coef = rows[i][c]
-            if coef and i != r:
-                by_coef = mul[coef]
-                rows[i] = [x ^ by_coef[y] for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return [tuple(row) for row in rows[:r]], pivots
-
-
-def kernel(gf: GF, functionals, dim: int = 4):
-    """Basis of the joint null space {v : sum_i f_i v_i = 0 for every f}.
-
-    Works symmetrically for lists of covectors (returning vectors) and
-    lists of vectors (returning covectors).  There is one basis vector per
-    non-pivot column c of the RREF, in increasing c: 1 at c, column c of
-    the RREF at the pivots.
-    """
-    if dim == 4 and len(functionals) == 2:
-        return _kernel_two_rows(gf, *functionals)
-    reduced, pivots = rref(gf, functionals, dim)
-    basis = []
-    for c in range(dim):
-        if c in pivots:
-            continue
-        v = [0] * dim
-        v[c] = 1
-        for row, p in zip(reduced, pivots):
-            v[p] = row[c]  # -row[c], sign-free in characteristic 2
-        basis.append(tuple(v))
-    return basis
-
-
 # the pivot pairs (p0, p1) of a rank-2 RREF, in lexicographic order
 _PIVOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _kernel_two_rows(gf: GF, r0, r1):
-    """:func:`kernel` of two rows of length 4, read off their 2x2 minors
-    m(a, b) = r0[a] r1[b] + r0[b] r1[a] (signs vanish in characteristic 2).
+def kernel(gf: GF, r0, r1):
+    """Basis of the joint null space of two length-4 covectors (or vectors):
+    one basis vector per non-pivot column c of their RREF, in increasing c,
+    1 at c and column c of the RREF at the pivots.
 
-    The RREF of a row space is unique.  At rank 2 its pivots are the first
-    pair (p0, p1) in lexicographic order with m = m(p0, p1) nonzero, and by
-    Cramer's rule its rows are m(c, p1)/m and m(p0, c)/m over the columns c.
-    Below rank 2 it is the first nonzero row scaled to a leading 1, or
-    nothing.
+    The RREF is read off the 2x2 minors m(a, b) = r0[a] r1[b] + r0[b] r1[a]
+    (signs vanish in characteristic 2): at rank 2 its pivots are the first
+    pair (p0, p1) with m = m(p0, p1) nonzero, and by Cramer's rule its rows
+    are m(c, p1)/m and m(p0, c)/m.  Below rank 2 it is the first nonzero
+    row scaled to a leading 1, or nothing.
     """
     mul, inverses = gf.mul_rows, gf.inverses
     if r0 != r1:  # equal rows have rank <= 1: no minors needed

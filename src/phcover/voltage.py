@@ -44,8 +44,9 @@ from .graphs import (
     random_affine_vertex,
     random_neighbor,
     reduct_class,
+    row_codes,
 )
-from .linalg import vec_scale
+from .linalg import pairing, vec_scale
 from .multilinear import ZERO21, n_project_packed, sym_add
 
 
@@ -123,13 +124,13 @@ def path_voltage(gf: GF, dart_fn, path):
 # ----------------------------------------------------------------------
 
 class DartTable:
-    """CSR store of packed dart voltages for an enumerated graph."""
+    """Packed dart voltages of an enumerated graph, one per CSR position."""
 
-    def __init__(self, graph: Graph, indptr, indices, volts):
+    def __init__(self, graph: Graph, volts):
         self.graph = graph
         self.gf = graph.gf
-        self.indptr = indptr
-        self.indices = indices
+        self.indptr = graph._indptr
+        self.indices = graph._indices
         self.volts = volts
         self._rows: dict = {}  # row i -> {neighbour: voltage}, see dart
         self._tree_cache: dict = {}
@@ -139,8 +140,7 @@ class DartTable:
         """Build dart by dart from a scalar packed voltage function.  Values
         are stored as Python ints (object dtype), so any packing width works;
         only sensible for small graphs."""
-        indptr = graph._indptr
-        indices = graph._indices
+        indptr, indices = graph._indptr, graph._indices
         volts = np.empty(indices.size, dtype=object)
         pos = 0
         for u in range(graph.n):
@@ -148,7 +148,7 @@ class DartTable:
             for _ in range(int(indptr[u + 1] - indptr[u])):
                 volts[pos] = packed_dart_fn(a, graph.vertices[int(indices[pos])])
                 pos += 1
-        return cls(graph, indptr, indices, volts)
+        return cls(graph, volts)
 
     def dart(self, i: int, j: int) -> int:
         """Packed voltage of the dart (i, j); raises ValueError on
@@ -296,9 +296,9 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
 def verify_local_isomorphism(table: DartTable, component) -> dict:
     """Check that projecting each lift vertex's neighbourhood onto the base
     neighbourhood is an adjacency-and-non-adjacency preserving bijection,
-    at every lift vertex of the component.  The report's samples are the
-    (lift vertex, base triangle through its base) pairs; its violations
-    also count the lift neighbours missing from the component.
+    at every lift vertex of the component.  The report's samples count the
+    (lift vertex, base triangle) pairs and the (lift vertex, base neighbour)
+    lookups of the bijectivity pass, which finds missing lift neighbours.
 
     At the lift vertex (u, t), the lift neighbours over w1 and w2 carry
     the tags N(t + a) and N(t + c), with a and c the voltages of u-w1 and
@@ -331,6 +331,7 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     keys = np.sort(lift_keys(gf, vb, vt))
     for k, pos in frontier_blocks(indptr, vb):
         nt = n_project_packed(gf, vt[k] ^ volts[pos])
+        checked += pos.size
         violations += int((find_sorted(keys, lift_keys(gf, indices[pos], nt)) < 0).sum())
     return report("local-isomorphism", gf, "direct", checked, violations, [])
 
@@ -339,36 +340,28 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
 # vertex images under matrix actions
 # ----------------------------------------------------------------------
 
-def _row_codes(gf: GF, rows: np.ndarray) -> np.ndarray:
-    """The coordinate rows (last axis) read as base-q numbers, first
-    coordinate first, as int64."""
-    return rows.astype(np.int64) @ gf.order ** np.arange(rows.shape[-1] - 1, -1, -1)
-
-
 def _image_codes(gf: GF, rows: np.ndarray, mats) -> np.ndarray:
     """The code of normalize(x m) for each 4x4 matrix m and each row x of a
-    coordinate stack, as an (A, len(rows)) array."""
-    mul = gf.mul_table
-    at = rows.astype(np.intp)[None, :, :, None] * gf.order
-    x = mul.ravel()[at + np.array(mats, dtype=np.intp).reshape(-1, 1, 4, 4)]
-    out = x[:, :, 0] ^ x[:, :, 1] ^ x[:, :, 2] ^ x[:, :, 3]
+    coordinate stack, as an (A, len(rows)) array; coordinate c of x m is
+    column c of m paired with x."""
+    columns = np.array(mats, dtype=np.uint8).reshape(-1, 4, 4).transpose(0, 2, 1)
+    out = pairing(gf, columns.reshape(-1, 4), rows).reshape(-1, 4, len(rows)).transpose(0, 2, 1)
     lead = np.take_along_axis(out, (out != 0).argmax(axis=2)[..., None], axis=2)
-    return _row_codes(gf, mul[gf.inv_table[lead], out])
+    return row_codes(gf, gf.mul_table[gf.inv_table[lead], out])
 
 
 def vertex_images(table: DartTable, actions) -> np.ndarray:
     """The index of the normalised image of every vertex under each
-    action, as an (A, n) int64 array: the normalised images of the
-    distinct vectors and covectors are coded once per action, and each
-    vertex's image is found by its code among the vertex codes.  Raises KeyError when an image is
-    not a vertex."""
+    action, as an (A, n) int64 array: the normalised images of the graph's
+    distinct points and planes are coded once per action, and each
+    vertex's image is found by its code among the vertex codes.  Raises
+    KeyError when an image is not a vertex."""
     g, gf = table.graph, table.gf
     codes, images = 0, 0
-    for rows, mats in ((g.vmat, [a.m for a in actions]), (g.hmat, [a.minv_t for a in actions])):
-        distinct, first, inverse = np.unique(_row_codes(gf, rows), return_index=True,
-                                             return_inverse=True)
-        codes = codes * gf.order ** 4 + distinct[inverse]
-        images = images * gf.order ** 4 + _image_codes(gf, rows[first], mats)[:, inverse]
+    for rows, ids, mats in ((g.points, g.p_id, [a.m for a in actions]),
+                            (g.planes, g.h_id, [a.minv_t for a in actions])):
+        codes = codes * gf.order ** 4 + row_codes(gf, rows)[ids]
+        images = images * gf.order ** 4 + _image_codes(gf, rows, mats)[:, ids]
     order = np.argsort(codes)
     at = find_sorted(codes[order], images)
     if (at < 0).any():

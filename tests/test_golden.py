@@ -114,7 +114,7 @@ def test_cover_component_order_digest():
 
 
 VERIFY_ALL_GOLDEN = {
-    2: "13f55e88690cfd5477e14d02cd8790eab07071fbbada3a01668864fa3ccee0d6",
+    2: "e81d3828fa8367459c93bd007f06f758ee74e28a771608a5d0afe28e09664eca",
     4: "475dbe06055d422f96e88a7b999ba14ab9dfb4b01368ee1918daa23cf1406e0e",
     8: "5715d53eb328d3ad850dd8c221e9dd105019187c80118d09a7e26fc2f5f5513a",
     16: "6dcb668f1fc5a25208ca0481640bccc881142080f8ede7cb47fc8b9428ddc3da",

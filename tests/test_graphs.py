@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import E4, evaluate, kernel, vec_add, vec_scale
+from phcover.linalg import E4, evaluate, vec_add, vec_scale
 from phcover import graphs as gr
 from phcover import linalg as la
+from test_linalg import _rref_kernel
 
 
 def count_affine_by_brute_force(gf):
@@ -190,6 +191,55 @@ def test_cached_adjacency_matches_definition_on_seeded_gf4_pairs():
         _assert_csr_row(g, i)
 
 
+def _assert_factored(gf, vmat, hmat):
+    """factor_vertices against its definition; returns its result."""
+    factored = points, p_id, planes, h_id, values = gr.factor_vertices(gf, vmat, hmat)
+    assert np.array_equal(points[p_id], vmat) and np.array_equal(planes[h_id], hmat)
+    assert len(np.unique(points, axis=0)) == len(points)
+    assert len(np.unique(planes, axis=0)) == len(planes)
+    assert values.dtype == np.uint8
+    assert values.tolist() == [[evaluate(gf, h, p) for p in points.tolist()]
+                               for h in planes.tolist()]
+    return factored
+
+
+def _assert_c_ordered(graph):
+    for rows in (graph._kills, graph._killed, graph.packed_rows()):
+        assert rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_factor_vertices_of_the_enumerated_graphs(q):
+    graph = gr.build_projective_graph(field_of_order(q))
+    points, p_id, planes, h_id, values = _assert_factored(graph.gf, graph.vmat, graph.hmat)
+    assert len(points) == len(planes) == len(gr.proj_points(graph.gf))
+    assert np.array_equal(graph.points, points) and np.array_equal(graph.p_id, p_id)
+    assert np.array_equal(graph.planes, planes) and np.array_equal(graph.h_id, h_id)
+    assert np.array_equal(graph.zero, values == 0)
+    _assert_c_ordered(graph)
+
+
+def test_factor_vertices_of_a_gf8_stack_with_repeated_rows():
+    from phcover import construction as cons
+
+    gf = field_of_order(8)
+    rng = np.random.default_rng(25)
+    vmat, hmat = (rng.integers(0, 8, size=(12, 4), dtype=np.uint8)[rng.integers(0, 12, size=200)]
+                  for _ in range(2))
+    points, _, planes, _, _ = _assert_factored(gf, vmat, hmat)
+    assert len(points) <= 12 and len(planes) <= 12
+    _assert_c_ordered(cons._rational_subgraph_with_twists(gf))
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_nonincident_pairs_equal_the_scalar_comprehension(q):
+    gf = field_of_order(q)
+    points = gr.proj_points(gf)
+    got = gr.nonincident_pairs(gf, points)
+    assert got == [(p, h) for p in points for h in points if evaluate(gf, h, p)]
+    assert all(type(x) is int for pair in got for half in pair for x in half)
+
+
 def test_normalize_and_reduct_class():
     gf = field_of_order(4)
     v = (0, 0b10, 1, 0)
@@ -217,6 +267,31 @@ def test_reduct_exhaustive_gf4():
     assert rep["classes"] == 5440
     assert rep["fiber_sizes"] == [9]
     assert rep["class_set_matches_projective"]
+
+
+def test_reduct_check_counts_merged_classes_as_the_scalar_reference(monkeypatch):
+    # classes that merge unrelated vertices: the neighbour-set and coclique
+    # counts must equal those of scalar adjacency, one pair at a time
+    gf = field_of_order(2)
+    monkeypatch.setattr(gr, "reduct_class", lambda gf, vert: (sum(vert[0]) + sum(vert[1])) % 5)
+    verts = gr.affine_vertices(gf)
+    classes = {}
+    for j, vert in enumerate(verts):
+        classes.setdefault(gr.reduct_class(gf, vert), []).append(j)
+    nbrs = [frozenset(j for j, w in enumerate(verts) if gr.adjacent(gf, u, w)) for u in verts]
+    mismatched = cocliques = 0
+    seen = set()
+    for members in classes.values():
+        mismatched += sum(nbrs[m] != nbrs[members[0]] for m in members[1:])
+        mismatched += nbrs[members[0]] in seen
+        seen.add(nbrs[members[0]])
+        cocliques += sum(gr.adjacent(gf, verts[a], verts[b])
+                         for a in members for b in members if a < b)
+    assert cocliques > 0
+    rep = gr.verify_reduct_is_neighborhood_equality(gf)
+    assert rep["witnesses"] == ["neighborhoods", "cocliques", "fiber_sizes",
+                                "class_set_matches_projective"]
+    assert rep["violations"] == mismatched + cocliques + 2
 
 
 def test_reduct_preserves_adjacency_sampled():
@@ -469,7 +544,7 @@ def test_draws_match_randrange(q):
         other = gr.random_affine_vertex(gf, fast)
         assert other == _affine_vertex_by_randrange(gf, slow)
         for rows in ([vert[1], vert[1]], [vert[1], other[1]], [vert[1], other[1], E4[0]]):
-            basis = kernel(gf, rows)
+            basis = _rref_kernel(gf, rows)
             assert gr._random_in_span(gf, basis, fast) == _in_span_by_randrange(gf, basis, slow)
         assert fast.getstate() == slow.getstate()
 

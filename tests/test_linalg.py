@@ -14,6 +14,48 @@ def mat_mul(gf, a, b):
     return tuple(la.mat_vec(gf, row, b) for row in a)
 
 
+def rref(gf, rows):
+    """Reduced row echelon form of rows of length 4 by Gauss-Jordan; returns
+    (reduced nonzero rows, pivot columns).  The reference the program's
+    two-row kernel is checked against."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    pivots = []
+    r = 0
+    for c in range(4):
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = gf.inv(rows[r][c])
+        rows[r] = [gf.mul(inv, x) for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                coef = rows[i][c]
+                rows[i] = [x ^ gf.mul(coef, y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def _rref_kernel(gf, rows):
+    """The null-space basis of any number of rows read off rref: one vector
+    per non-pivot column c, 1 at c and column c of the RREF at the pivots."""
+    reduced, pivots = rref(gf, rows)
+    basis = []
+    for c in range(4):
+        if c in pivots:
+            continue
+        v = [0] * 4
+        v[c] = 1
+        for row, p in zip(reduced, pivots):
+            v[p] = row[c]
+        basis.append(tuple(v))
+    return basis
+
+
 def det_by_permutation_sum(gf, m):
     """Permanent-style expansion; in characteristic 2 all signs are +1,
     so this equals the determinant.  Independent of the elimination code."""
@@ -44,9 +86,11 @@ def test_evaluate_bilinear_example():
 
 def test_kernel_examples():
     gf = field_of_order(2)
-    basis = la.kernel(gf, [la.E4[0], la.E4[1], la.E4[2]])
-    assert basis == [la.E4[3]]
-    assert len(la.kernel(gf, [])) == 4
+    assert _rref_kernel(gf, [la.E4[0], la.E4[1], la.E4[2]]) == [la.E4[3]]
+    assert len(_rref_kernel(gf, [])) == 4
+    assert la.kernel(gf, la.E4[0], la.E4[1]) == [la.E4[2], la.E4[3]]
+    assert la.kernel(gf, la.E4[1], la.E4[1]) == [la.E4[0], la.E4[2], la.E4[3]]
+    assert la.kernel(gf, la.ZERO4, la.ZERO4) == list(la.E4)
 
 
 def test_rank_nullity_random_triples():
@@ -55,9 +99,9 @@ def test_rank_nullity_random_triples():
         gf = field_of_order(q)
         for _ in range(25):
             rows = [tuple(rng.randrange(gf.order) for _ in range(4)) for _ in range(3)]
-            r = len(la.rref(gf, rows, 4)[1])
-            assert r + len(la.kernel(gf, rows)) == 4
-            for v in la.kernel(gf, rows):
+            r = len(rref(gf, rows)[1])
+            assert r + len(_rref_kernel(gf, rows)) == 4
+            for v in _rref_kernel(gf, rows):
                 for f in rows:
                     assert la.evaluate(gf, f, v) == 0
 
@@ -68,9 +112,9 @@ def test_three_independent_covectors_leave_dimension_one():
     found = 0
     while found < 20:
         rows = [tuple(rng.randrange(8) for _ in range(4)) for _ in range(3)]
-        if len(la.rref(gf, rows, 4)[1]) == 3:
+        if len(rref(gf, rows)[1]) == 3:
             found += 1
-            assert len(la.kernel(gf, rows)) == 1
+            assert len(_rref_kernel(gf, rows)) == 1
 
 
 def test_det_examples():
@@ -218,32 +262,16 @@ def test_kernel_property(q, data):
     gf = field_of_order(q)
     coord = st.integers(0, q - 1)
     rows = data.draw(st.lists(st.tuples(coord, coord, coord, coord), max_size=5))
-    basis = la.kernel(gf, rows)
-    assert len(basis) == 4 - len(la.rref(gf, rows, 4)[1])
+    basis = _rref_kernel(gf, rows)
+    assert len(basis) == 4 - len(rref(gf, rows)[1])
     for v in basis:
         for f in rows:
             assert la.evaluate(gf, f, v) == 0
-    assert len(la.rref(gf, basis, 4)[1]) == len(basis)
+    assert len(rref(gf, basis)[1]) == len(basis)
     if q <= 4:  # the whole null space, counted by brute force
         null = sum(all(la.evaluate(gf, f, v) == 0 for f in rows)
                    for v in itertools.product(gf.elements(), repeat=4))
         assert null == q ** len(basis)
-
-
-def _rref_kernel(gf, rows):
-    """The null-space basis read off la.rref: one vector per non-pivot column
-    c, 1 at c and column c of the RREF at the pivots."""
-    reduced, pivots = la.rref(gf, rows, 4)
-    basis = []
-    for c in range(4):
-        if c in pivots:
-            continue
-        v = [0] * 4
-        v[c] = 1
-        for row, p in zip(reduced, pivots):
-            v[p] = row[c]
-        basis.append(tuple(v))
-    return basis
 
 
 @pytest.mark.parametrize("q", (2, 4))
@@ -252,15 +280,15 @@ def test_two_row_kernel_equals_rref_kernel_on_every_pair(q):
     rows = list(itertools.product(range(q), repeat=4))
     for r0 in rows:
         for r1 in rows:
-            assert la.kernel(gf, [r0, r1]) == _rref_kernel(gf, [r0, r1])
+            assert la.kernel(gf, r0, r1) == _rref_kernel(gf, [r0, r1])
 
 
 @pytest.mark.parametrize("q", (2, 4, 8))
 def test_equal_row_kernel_equals_rref_kernel_on_every_row(q):
     gf = field_of_order(q)
     for r in itertools.product(range(q), repeat=4):
-        assert la._kernel_two_rows(gf, r, tuple(r)) == _rref_kernel(gf, [r, r])
-    assert la._kernel_two_rows(gf, la.ZERO4, la.ZERO4) == list(la.E4)
+        assert la.kernel(gf, r, tuple(r)) == _rref_kernel(gf, [r, r])
+    assert la.kernel(gf, la.ZERO4, la.ZERO4) == list(la.E4)
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)
@@ -296,4 +324,4 @@ def test_two_row_kernel_equals_rref_kernel(q, data):
         r1 = la.vec_scale(gf, data.draw(coord), r0)
     if data.draw(st.booleans()):
         r0, r1 = r1, r0
-    assert la.kernel(gf, [r0, r1]) == _rref_kernel(gf, [r0, r1])
+    assert la.kernel(gf, r0, r1) == _rref_kernel(gf, [r0, r1])

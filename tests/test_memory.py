@@ -51,7 +51,7 @@ def _voltage_table(tmp_path):
 def _spanning_tree(tmp_path):
     graph = gr.build_projective_graph(field_of_order(4))
     table = cons.voltage_table(graph)
-    fresh = vg.DartTable(graph, table.indptr, table.indices, table.volts)
+    fresh = vg.DartTable(graph, table.volts)
     return lambda: vg.spanning_tree_potentials(fresh, 0)
 
 

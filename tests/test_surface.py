@@ -8,6 +8,12 @@ an attribute read (``.name``), so that a function of the same name does
 not hide it.  Helpers that only tests call are deleted, or moved into
 the tests that need them; the names below are kept on purpose.
 
+The attribute reads are matched by name alone, whatever object they are
+read from, so a method is hidden by any method of the same name on
+another class: ``span.add`` (``F2Span.add``) and ``seen.add`` (a set)
+kept an unused ``GF.add`` counted as used.  Such a name is checked by
+hand.
+
 Only ``voltage.report`` builds a report, so every report and every report
 nested in one carries the same seven keys, and passes exactly when it
 counts no violation.

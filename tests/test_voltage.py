@@ -206,7 +206,7 @@ def test_dart_lookup_first_in_a_row_may_be_non_adjacent():
     gf = field_of_order(2)
     graph = gr.build_affine_graph(gf)
     built = cons.voltage_table(graph)
-    table = vg.DartTable(graph, built.indptr, built.indices, built.volts)
+    table = vg.DartTable(graph, built.volts)
     # the row is kept by the failed lookup, and later lookups read it
     with pytest.raises(ValueError, match="vertices 5 and 5 are not adjacent"):
         table.dart(5, 5)
@@ -220,7 +220,7 @@ def test_dart_lookups_repeat_on_a_kept_row():
     gf = field_of_order(2)
     graph = gr.build_affine_graph(gf)
     built = cons.voltage_table(graph)
-    table = vg.DartTable(graph, built.indptr, built.indices, built.volts)
+    table = vg.DartTable(graph, built.volts)
     for i in (0, 57, graph.n - 1):
         lo, hi = int(table.indptr[i]), int(table.indptr[i + 1])
         nbrs = graph.neighbors(i).tolist()
@@ -336,7 +336,7 @@ def test_tree_and_span_are_the_same_at_any_block_size(q, monkeypatch):
 
     def run(root):
         # a fresh table shares the arrays but not the cached trees
-        fresh = vg.DartTable(graph, table.indptr, table.indices, table.volts)
+        fresh = vg.DartTable(graph, table.volts)
         parent, pot = vg.spanning_tree_potentials(fresh, root)
         # a third of the voltages fail, so the witnesses and their order count
         res = vg.fundamental_cycle_span(fresh, root, member_fn=lambda x: x % 3 != 0)
@@ -374,8 +374,7 @@ def test_component_zero_voltage_is_base():
     gf = field_of_order(2)
     graph = gr.build_affine_graph(gf)
     table = cons.voltage_table(graph)
-    zero_table = vg.DartTable(graph, table.indptr, table.indices,
-                              table.volts * 0)
+    zero_table = vg.DartTable(graph, table.volts * 0)
     verts = vg.component_of(zero_table, 0)["vertices"]
     assert verts.shape == (graph.n, 2)
     assert sorted(verts[:, 0].tolist()) == list(range(graph.n))
@@ -467,8 +466,9 @@ def test_local_isomorphism_on_cover():
     assert rep["passed"] and rep["mode"] == "direct"
     assert list(inspect.signature(vg.verify_local_isomorphism).parameters) == ["table", "component"]
     assert not hasattr(vg, "pair_arrays")
-    # every lift vertex times the 84 base triangles through its base
-    assert (rep["samples"], rep["violations"]) == (7680 * 84, 0)
+    # every lift vertex times the 84 base triangles through its base, and
+    # times its 28 base neighbours in the bijectivity pass
+    assert (rep["samples"], rep["violations"]) == (7680 * 84 + 7680 * 28, 0)
 
 
 def _corrupted_gf2_table():
@@ -485,14 +485,14 @@ def _corrupted_gf2_table():
         lo, hi = table.indptr[a], table.indptr[a + 1]
         pos = lo + int(np.searchsorted(table.indices[lo:hi], b))
         volts[pos] ^= bad
-    return vg.DartTable(graph, table.indptr, table.indices, volts)
+    return vg.DartTable(graph, volts)
 
 
 def test_local_isomorphism_detects_corruption():
     component = cons.cover_data()["component"]
     rep = vg.verify_local_isomorphism(_corrupted_gf2_table(), component)
     assert not rep["passed"] and rep["violations"] > 0
-    assert (rep["samples"], rep["violations"]) == (645120, 1280)
+    assert (rep["samples"], rep["violations"]) == (860160, 1280)
 
 
 def test_local_isomorphism_is_the_same_at_any_block_size(monkeypatch):
@@ -502,7 +502,7 @@ def test_local_isomorphism_is_the_same_at_any_block_size(monkeypatch):
              (data["table"], truncated)]
     want = [vg.verify_local_isomorphism(*case) for case in cases]
     assert [(r["samples"], r["violations"]) for r in want] == [
-        (645120, 0), (645120, 1280), (639744, 1766)]
+        (860160, 0), (860160, 1280), (852992, 1766)]
     monkeypatch.setattr(gr, "BULK_BLOCK", 7)
     assert [vg.verify_local_isomorphism(*case) for case in cases] == want
 
@@ -582,7 +582,7 @@ def test_exhaustive_quadrangles_accept_the_u_coset(monkeypatch):
         lo = good.indptr[a]
         volts[lo + int(np.searchsorted(good.indices[lo:good.indptr[a + 1]], b))] ^= \
             np.uint64(ml.u_packed(gf))
-    shifted = vg.DartTable(good.graph, good.indptr, good.indices, volts)
+    shifted = vg.DartTable(good.graph, volts)
     monkeypatch.setattr(cons, "voltage_table", lambda graph: shifted)
     _, quadrangles = _gf2_cycles(good.graph)
     rep = cons.verify_quadrangles(gf, "exhaustive")
@@ -606,7 +606,7 @@ def test_local_isomorphism_direct_detects_missing_vertices():
     truncated = {"vertices": data["component"]["vertices"][:-64]}
     rep = vg.verify_local_isomorphism(data["table"], truncated)
     assert not rep["passed"] and rep["violations"] > 0
-    assert (rep["samples"], rep["violations"]) == (639744, 1766)
+    assert (rep["samples"], rep["violations"]) == (852992, 1766)
 
 
 # ----------------------------------------------------------------------
@@ -923,7 +923,7 @@ def test_check_equivariance_exhaustive_corrupted_table(monkeypatch):
     good = cons.voltage_table(gr.build_affine_graph(gf))
     volts = good.volts.copy()
     volts[::97] ^= np.uint64(1 << 20)
-    bad = vg.DartTable(good.graph, good.indptr, good.indices, volts)
+    bad = vg.DartTable(good.graph, volts)
     rng = random.Random(22)
     actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(4)]
     rep = vg.check_equivariance(gf, ell(gf), actions, table=bad)
