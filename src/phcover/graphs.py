@@ -18,7 +18,10 @@ the largest the package builds is the GF(4) projective graph.  The only
 affine graph under that cap is the GF(2) one, where normalising changes
 nothing, so :func:`build_affine_graph` returns the projective graph
 object itself.  Larger fields are served by the adjacency oracle
-:func:`adjacent` and by lazy random samplers, never enumerated.
+:func:`adjacent` and by lazy random samplers, never enumerated.  The
+scalar samplers draw one vertex at a time from a ``random.Random``;
+:func:`sample_closed_walks` draws a batch of closed walks as arrays from
+a numpy Generator, every walk one vertex per pass.
 
 Every pass over all the darts of a graph or of a lift, here and in
 :mod:`phcover.voltage` and :mod:`phcover.construction`, runs in blocks
@@ -33,11 +36,13 @@ import itertools
 
 from ._lazy import np
 from .field import GF
-from .linalg import evaluate, kernel, pairing
+from .linalg import dot, evaluate, kernel, pairing
+from .multilinear import BIV_PAIRS, wedges
 
 ENUM_CAP = 10 ** 6
 ADJ_CAP = 6100  # vertex cap of Graph, above the 5440 of the GF(4) projective graph
 NEIGHBOR_TRIES = 64  # rejection budget of sample_common_neighbor
+WALK_DRAWS = 2  # candidates per pending walk and pass of sample_closed_walks
 # darts (or array elements) per block of every bulk pass, which bounds
 # the temporaries of each pass
 BULK_BLOCK = 1 << 16
@@ -566,3 +571,93 @@ def sample_closed_walk(gf: GF, length: int, rng):
     if length < 3:
         raise ValueError("closed walks need at least 3 edges")
     return _closed_walk(gf, length, rng, False)
+
+
+# ----------------------------------------------------------------------
+# batched walks (arrays, numpy Generator)
+# ----------------------------------------------------------------------
+
+def _random_in_kernels(gf: GF, r0: np.ndarray, r1: np.ndarray, rng, draws: int) -> np.ndarray:
+    """draws uniform random elements of the joint kernel of each pair of
+    nonzero rows (r0[i], r1[i]), zero included, as an (N, draws, 4) uint8
+    array.  A uniform vector x moves into the kernel of r0 along e_p, p the
+    first coordinate where r0 is nonzero, and then, where r1 is not a
+    multiple of r0, into the kernel of r1 along u = r0_d e_c + r0_c e_d,
+    which r0 kills: (c, d) is the first slot pair of the wedge r0 ^ r1
+    whose minor r1(u) = r0_c r1_d + r0_d r1_c is nonzero.  Each move is a
+    linear map onto its kernel, so x stays uniform."""
+    t, inv = gf.mul_table, gf.inv_table
+    x = rng.integers(0, gf.order, (len(r0), draws, 4), dtype=np.uint8)
+    n = np.arange(len(r0))
+    p = (r0 != 0).argmax(axis=1)
+    x[n, :, p] ^= t[dot(gf, r0[:, None, :], x), inv[r0[n, p]][:, None]]
+    n = np.flatnonzero((r0 != r1).any(axis=1))
+    minors = wedges(gf, r0[n], r1[n])
+    s = (minors != 0).argmax(axis=1)
+    c, d = np.array(BIV_PAIRS)[s].T
+    # zero where r1 is a multiple of r0: the inverse of 0 reads 0
+    by = t[dot(gf, r1[n, None, :], x[n]), inv[minors[np.arange(n.size), s]][:, None]]
+    x[n, :, c] ^= t[by, r0[n, d][:, None]]
+    x[n, :, d] ^= t[by, r0[n, c][:, None]]
+    return x
+
+
+def _random_affine_vertices(gf: GF, count: int, rng):
+    """count uniform affine vertices as (count, 4) uint8 arrays of vectors
+    and covectors: uniform pairs, each drawn again while it pairs to zero."""
+    v = rng.integers(0, gf.order, (count, 4), dtype=np.uint8)
+    h = rng.integers(0, gf.order, (count, 4), dtype=np.uint8)
+    redo = np.flatnonzero(dot(gf, h, v) == 0)
+    while redo.size:
+        v[redo] = rng.integers(0, gf.order, (redo.size, 4), dtype=np.uint8)
+        h[redo] = rng.integers(0, gf.order, (redo.size, 4), dtype=np.uint8)
+        redo = redo[dot(gf, h[redo], v[redo]) == 0]
+    return v, h
+
+
+def sample_closed_walks(gf: GF, lengths, rng):
+    """The array form of sample_closed_walk: one closed walk per entry of
+    lengths (each at least 3), drawn from the numpy Generator rng.
+
+    Every walk starts at a uniform affine vertex, and all walks advance
+    one vertex per pass.  A step draws WALK_DRAWS candidate pairs of a
+    uniform w in the kernel of the covectors and g in the kernel of the
+    vectors of the previous vertex and, for the last vertex, of the first,
+    and takes the first pair with g(w) != 0 as the vertex (w, g).  A walk
+    whose step spends NEIGHBOR_TRIES candidates, as sample_common_neighbor
+    spends its draws, starts again from a new vertex.
+
+    Returns (vs, hs), (sum(lengths), 4) uint8 arrays of the vectors and
+    covectors of the walks' vertices, walk after walk."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (lengths < 3).any():
+        raise ValueError("closed walks need at least 3 edges")
+    n = lengths.size
+    vs = np.zeros((n, int(lengths.max(initial=3)), 4), dtype=np.uint8)
+    hs = np.zeros_like(vs)
+    vs[:, 0], hs[:, 0] = _random_affine_vertices(gf, n, rng)
+    at = np.ones(n, dtype=np.intp)  # vertices drawn so far
+    tries = np.zeros(n, dtype=np.intp)  # candidates spent on the current step
+    while (step := np.flatnonzero(at < lengths)).size:
+        # a common neighbour of the previous vertex and of itself, or of the
+        # first vertex when it closes the walk
+        prev = at[step] - 1
+        other = np.where(at[step] == lengths[step] - 1, 0, prev)
+        # w in the kernel of the covectors, g in that of the vectors
+        w, g = np.split(_random_in_kernels(
+            gf, np.concatenate([hs[step, prev], vs[step, prev]]),
+            np.concatenate([hs[step, other], vs[step, other]]), rng, WALK_DRAWS), 2)
+        draws = tries[step, None] + np.arange(1, WALK_DRAWS + 1)
+        ok = (dot(gf, g, w) != 0) & (draws <= NEIGHBOR_TRIES)
+        hit, pick = ok.any(axis=1), ok.argmax(axis=1)
+        got = step[hit]
+        vs[got, at[got]], hs[got, at[got]] = w[hit, pick[hit]], g[hit, pick[hit]]
+        at[got] += 1
+        tries[got] = 0
+        missed = step[~hit]
+        tries[missed] += WALK_DRAWS
+        spent = missed[tries[missed] >= NEIGHBOR_TRIES]
+        vs[spent, 0], hs[spent, 0] = _random_affine_vertices(gf, spent.size, rng)
+        at[spent], tries[spent] = 1, 0
+    kept = np.arange(vs.shape[1]) < lengths[:, None]
+    return vs[kept], hs[kept]

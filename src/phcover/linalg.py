@@ -7,8 +7,9 @@ of a row vector v under m is v*m and row a of m is the image of e_a.
 Covectors transform by the inverse transpose, which keeps
 evaluate(f^g, v^g) == evaluate(f, v).
 
-:func:`pairing` is the array form of :func:`evaluate`; :func:`kernel`
-takes the null space of two rows, the only kind the samplers need.
+:func:`dot` is the array form of :func:`evaluate`, row by row, and
+:func:`pairing` the matrix of it over two stacks; :func:`kernel` takes
+the null space of two rows, the only kind the scalar samplers need.
 
 Also provides F2 affine system solving with inconsistency certificates
 (numpy uint8 matrices), used by the order-2 and lifting computations.
@@ -32,16 +33,24 @@ def evaluate(gf: GF, f, v) -> int:
     return acc
 
 
-def pairing(gf: GF, fs, vs) -> np.ndarray:
-    """The array form of :func:`evaluate`: the uint8 matrix of f_i(v_j)
-    over the rows f_i of the 2-D stack fs and v_j of vs.  Array code pairs
-    coordinates through the multiplication table only here."""
-    t = gf.mul_table
-    fs, vs = np.asarray(fs, dtype=np.intp), np.asarray(vs, dtype=np.intp)
-    out = np.zeros((len(fs), len(vs)), dtype=np.uint8)
-    for c in range(fs.shape[1]):
-        out ^= t[fs[:, c, None], vs[None, :, c]]
+def dot(gf: GF, fs, vs) -> np.ndarray:
+    """The array form of :func:`evaluate`, row by row: f(v) as uint8 for
+    the rows (last axis) of fs and vs, the stacks broadcast against each
+    other.  Array code pairs coordinates through the multiplication table
+    only here."""
+    t, k = gf.mul_table, gf.k
+    fs, vs = np.asarray(fs), np.asarray(vs)
+    # the product a * b is entry (a << k) | b of the flattened table
+    out = np.take(t, (fs[..., 0] << k) | vs[..., 0])
+    for c in range(1, fs.shape[-1]):
+        out ^= np.take(t, (fs[..., c] << k) | vs[..., c])
     return out
+
+
+def pairing(gf: GF, fs, vs) -> np.ndarray:
+    """The uint8 matrix of f_i(v_j) over the rows f_i of the 2-D stack fs
+    and v_j of vs."""
+    return dot(gf, np.asarray(fs)[:, None, :], np.asarray(vs)[None, :, :])
 
 
 def vec_add(u, v):

@@ -51,6 +51,15 @@ def wedge(gf: GF, u, v):
             u1[v2] ^ u2[v1], u1[v3] ^ u3[v1], u2[v3] ^ u3[v2])
 
 
+def wedges(gf: GF, us, vs) -> np.ndarray:
+    """The array form of wedge: the (..., 6) uint8 slots of u ^ v for the
+    rows (last axis) of the coordinate stacks us and vs."""
+    t, k = gf.mul_table, gf.k
+    us, vs = np.asarray(us), np.asarray(vs)
+    a, b = np.array(BIV_PAIRS).T
+    return np.take(t, (us[..., a] << k) | vs[..., b]) ^ np.take(t, (us[..., b] << k) | vs[..., a])
+
+
 def wedge_covectors(gf: GF, f, g):
     """Exterior product of two covectors, coordinates over fi^fj (a dual
     bivector); the slot formula is the one of :func:`wedge`."""
@@ -155,11 +164,15 @@ def in_w2(gf: GF, s) -> bool:
     return all(s[t] == 0 for t in _OFFDIAG_SLOTS)
 
 
-def in_w2_plus_u(gf: GF, s) -> bool:
+def in_w2_plus_u(gf: GF, s):
     """Membership in the F2-space spanned by the squares and U: the
-    off-diagonal part of s is zero or that of U."""
-    off = _offdiag(s)
-    return off == _ZERO_OFFDIAG or off == _offdiag(big_u(gf))
+    off-diagonal part of s is zero or that of U.  Given an (N, 21) array
+    instead of a tuple, the membership mask of its rows."""
+    if isinstance(s, tuple):
+        off = _offdiag(s)
+        return off == _ZERO_OFFDIAG or off == _offdiag(big_u(gf))
+    off = np.asarray(s)[:, _OFFDIAG_SLOTS]
+    return ~off.any(axis=1) | (off == _offdiag(big_u(gf))).all(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +242,11 @@ def _span_table(images):
     return table
 
 
+# the slot table of MatrixAction before it is built: its entry 0 is the
+# image of a zero coordinate
+_UNBUILT = (0,)
+
+
 class MatrixAction:
     """All induced actions of one 4x4 matrix, computed once and cached.
 
@@ -238,7 +256,8 @@ class MatrixAction:
     acts on N, through n_project_packed of the images.  The
     symmetric-square action XORs precomputed packed images, one table per
     slot of the input, or for arrays one per byte of the packed input,
-    built on first use.
+    each built on first use: an action that only ever meets U builds the
+    tables of its three nonzero slots.
     """
 
     def __init__(self, gf: GF, m):
@@ -252,6 +271,8 @@ class MatrixAction:
         # the wedge of rows a and b.
         self.w_rows = tuple(wedge(gf, self.m[a], self.m[b]) for a, b in BIV_PAIRS)
         self.s2_rows = tuple(sym_mul(gf, self.w_rows[i], self.w_rows[j]) for i, j in SYM_PAIRS)
+        self._slot_tables = [_UNBUILT] * 21
+        self._unbuilt = 21  # slots whose table is not built yet
 
     def on_vector(self, v):
         return mat_vec(self.gf, v, self.m)
@@ -259,15 +280,26 @@ class MatrixAction:
     def on_covector(self, f):
         return mat_vec(self.gf, f, self.minv_t)
 
-    @cached_property
-    def _slot_tables(self):
-        """Per slot t, the packed image of c * s2_rows[t] for every field
-        element c, XORed together from the images of the bits of c."""
-        gf = self.gf
-        return tuple(_span_table([pack_sym(gf, sym_scale(gf, 1 << b, row)) for b in range(gf.k)])
-                     for row in self.s2_rows)
+    def _slot_table(self, t: int) -> list:
+        """The packed image of c * s2_rows[t] for every field element c,
+        XORed together from the images of the bits of c; built on first
+        use."""
+        table = self._slot_tables[t]
+        if table is _UNBUILT:
+            gf = self.gf
+            table = self._slot_tables[t] = _span_table(
+                [pack_sym(gf, sym_scale(gf, 1 << b, self.s2_rows[t])) for b in range(gf.k)])
+            self._unbuilt -= 1
+        return table
 
     def on_sym(self, s):
+        """The image of a symmetric tensor, one table read per slot.  The
+        tables of its nonzero slots are built first; a zero slot reads 0
+        from any table, built or not."""
+        if self._unbuilt:
+            for t, c in enumerate(s):
+                if c:
+                    self._slot_table(t)
         acc = 0
         for table, c in zip(self._slot_tables, s):
             acc ^= table[c]
@@ -280,7 +312,7 @@ class MatrixAction:
         bits: a (ceil(21k / 8), 256) uint64 array."""
         k = self.gf.k
         # packed bit p is bit p % k of slot 20 - p // k
-        bits = [self._slot_tables[20 - p // k][1 << (p % k)] for p in range(21 * k)]
+        bits = [self._slot_table(20 - p // k)[1 << (p % k)] for p in range(21 * k)]
         bits += [0] * (-len(bits) % 8)
         return np.array([_span_table(bits[b:b + 8]) for b in range(0, len(bits), 8)],
                         dtype=np.uint64)

@@ -105,3 +105,30 @@ def test_sampled_checks_trace_one_span_per_drawn_sample(tracing):
     assert set(summary["graphs.random_affine_vertex"]["by_parent"]) == {
         "graphs.sample_triangle", "graphs.sample_pentagon", "graphs.sample_closed_walk",
         "voltage.check_reductive", "voltage.check_equivariance"}
+
+
+def test_verify_all_gf16_meets_the_benchmark_pins(tracing, capsys):
+    # the counts bench/worker.py pins for `verify all --samples 1000` over
+    # GF(16), and no scalar walk or dart voltage under the cycle-span walks
+    from phcover import cli
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["verify", "all", "--field", "16", "--samples", "1000"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = {name: rec["calls"] for name, rec in tracer.summary().items()}
+    assert (calls["voltage.DartTable.from_scalar"], calls["graphs.sample_triangle"],
+            calls["graphs.sample_pentagon"]) == (2, 1100, 1000)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cons.cycle_span_report(field_of_order(8), walk_samples=50)["passed"]
+    finally:
+        tracer.uninstall()
+    calls = {name: rec["calls"] for name, rec in tracer.summary().items()}
+    assert calls["construction.cycle_span_report"] == 1
+    assert calls.get("graphs.sample_closed_walk", 0) == 0
+    assert calls.get("construction.dart_voltage", 0) == 0

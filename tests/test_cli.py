@@ -47,6 +47,10 @@ def test_verify_sampled_small(tmp_path):
     assert doc["passed"]
 
 
+def test_verify_cycles_takes_a_negative_seed():
+    assert run(["verify", "cycles", "--field", "8", "--seed", "-5"]) == 0
+
+
 def test_usage_errors():
     assert run(["verify", "triangles", "--field", "5"]) == 2
     assert run(["verify", "bogus-suite", "--field", "2"]) == 2

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 
+import numpy as np
 import pytest
 
 from phcover.field import field_of_order
@@ -11,6 +12,7 @@ from phcover import graphs as gr
 from phcover import linalg as la
 from phcover import multilinear as ml
 from phcover import voltage as vg
+from test_graphs import _walk_tuples
 from test_linalg import _rref_kernel
 
 
@@ -134,6 +136,54 @@ def test_dart_voltage_matches_spec_on_seeded_darts(q):
         darts += 1
         if darts % 20 == 0:
             _assert_dart_voltage_refuses(gf, a, gr.random_affine_vertex(gf, rng))
+
+
+def _bench_oracle(monkeypatch):
+    """bench/oracle.py, loaded from its file without writing bytecode."""
+    import importlib.util
+    import pathlib
+    import sys
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("phcover_bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dart_rows(darts):
+    """The (N, 4) uint8 stacks v1, h1, v2, h2 of a list of darts (a, b)."""
+    return [np.array([dart[end][side] for dart in darts], dtype=np.uint8).reshape(-1, 4)
+            for end in (0, 1) for side in (0, 1)]
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_dart_voltages_match_the_scalar_on_seeded_darts(q, monkeypatch):
+    gf = field_of_order(q)
+    darts = _random_darts(gf, 2000, 300 + q)
+    rows = _dart_rows(darts)
+    got = cons.dart_voltages(gf, *rows)
+    assert got.shape == (2000, 21) and got.dtype == np.uint8
+    got = [tuple(v) for v in got.tolist()]
+    assert got == [cons.dart_voltage(gf, a, b) for a, b in darts]
+    oracle = _bench_oracle(monkeypatch)
+    f = oracle.Field(q)
+    assert got[:200] == [oracle.voltage(f, a, b) for a, b in darts[:200]]
+    # a row whose functional vanishes on its vector, and a non-adjacent pair
+    v1, h1, v2, h2 = rows
+    bad = h1.copy()
+    bad[7] = _rref_kernel(gf, [darts[7][0][0]])[0]
+    with pytest.raises(ValueError, match="not vertices"):
+        cons.dart_voltages(gf, v1, bad, v2, h2)
+    with pytest.raises(ValueError, match="not vertices"):
+        cons.dart_voltages(gf, v2, h2, v1, bad)
+    far = next(b for b in (gr.random_affine_vertex(gf, random.Random(s)) for s in range(100))
+               if not gr.adjacent(gf, darts[7][0], b))
+    v2, h2 = v2.copy(), h2.copy()
+    v2[7], h2[7] = far
+    with pytest.raises(ValueError, match="not adjacent"):
+        cons.dart_voltages(gf, v1, h1, v2, h2)
 
 
 def reference_dart_voltage(gf, a, b):
@@ -389,35 +439,34 @@ SAMPLED_CHECKS = {
     "long-cycles": (lambda: cons.verify_long_cycles(field_of_order(4), lengths=(6, 7),
                                                     samples=8, seed=3),
                     16, {6, 7}, True, "walk"),
-    "cycle-span": (lambda: cons.cycle_span_report(field_of_order(8), seed=3, walk_samples=20),
-                   20, {4, 5, 6, 7, 8}, True, "walk"),
 }
 
 
-def _counted(monkeypatch, name):
+def _recorded(monkeypatch, name):
+    """Patch cons.name to record (args, result) of each call."""
     calls = []
     real = getattr(cons, name)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(cons, name, counted)
+    monkeypatch.setattr(cons, name, recorded)
     return calls
 
 
 @pytest.mark.parametrize("check", sorted(SAMPLED_CHECKS))
 def test_sampled_cycles_work_counts(check, monkeypatch):
     run, cycles, lengths, membership, _ = SAMPLED_CHECKS[check]
-    paths = _counted(monkeypatch, "path_voltage")
-    darts = _counted(monkeypatch, "dart_voltage")
-    members = _counted(monkeypatch, "in_w2_plus_u")
+    paths = _recorded(monkeypatch, "path_voltage")
+    darts = _recorded(monkeypatch, "dart_voltage")
+    members = _recorded(monkeypatch, "in_w2_plus_u")
     rep = run()
     assert rep["passed"]
     # one closed path per cycle, one dart voltage per edge of it
     assert len(paths) == cycles
-    assert all(path[0] == path[-1] and len(path) - 1 in lengths for _, _, path in paths)
-    assert len(darts) == sum(len(path) - 1 for _, _, path in paths)
+    assert all(path[0] == path[-1] and len(path) - 1 in lengths for (_, _, path), _ in paths)
+    assert len(darts) == sum(len(path) - 1 for (_, _, path), _ in paths)
     assert len(members) == (cycles if membership else 0)
 
 
@@ -428,9 +477,72 @@ def test_sampled_cycles_negative_control(check, monkeypatch):
     monkeypatch.setattr(cons, "dart_voltage", lambda gf, a, b: ml.ZERO21)
     rep = run()
     assert not rep["passed"]
-    assert rep["violations"] == rep.get("sampled_walks", rep["samples"]) == cycles
+    assert rep["violations"] == rep["samples"] == cycles
     assert len(rep["witnesses"]) == 5
     assert all(set(w) == {key, "voltage"} for w in rep["witnesses"])
+
+
+def _cycle_span_walks(seed=3, walk_samples=20):
+    """The GF(8) cycle-span report with walk_samples walks."""
+    return cons.cycle_span_report(field_of_order(8), seed=seed, walk_samples=walk_samples)
+
+
+def test_cycle_span_walk_work_counts(monkeypatch):
+    # the walks' darts go through dart_voltages once, and their voltages
+    # through one membership mask
+    walks = _recorded(monkeypatch, "sample_closed_walks")
+    darts = _recorded(monkeypatch, "dart_voltages")
+    masks = _recorded(monkeypatch, "in_w2_plus_u")
+    rep = _cycle_span_walks()
+    assert rep["passed"] and rep["sampled_walks"] == 20
+    [((_, lengths, _), _)] = walks
+    assert len(lengths) == 20 and set(lengths.tolist()) <= {4, 5, 6, 7, 8}
+    assert [len(args[1]) for args, _ in darts] == [int(lengths.sum())]
+    assert len(masks) == 1 and masks[0][1].shape == (20,) and masks[0][1].all()
+
+
+def test_cycle_span_walk_negative_control(monkeypatch):
+    gf = field_of_order(8)
+    monkeypatch.setattr(cons, "in_w2_plus_u", lambda gf, volts: np.zeros(len(volts), dtype=bool))
+    rep = _cycle_span_walks()
+    assert not rep["passed"]
+    assert rep["violations"] == rep["sampled_walks"] == 20
+    assert len(rep["witnesses"]) == 5
+    for witness in rep["witnesses"]:
+        assert set(witness) == {"walk", "voltage"}
+        assert witness["voltage"] == cons.cycle_voltage(gf, witness["walk"])
+
+
+@pytest.mark.parametrize("q", (8, 16))
+def test_cycle_span_walk_voltages_equal_the_scalar_cycle_voltages(q, monkeypatch):
+    gf = field_of_order(q)
+    walks = _recorded(monkeypatch, "sample_closed_walks")
+    masks = _recorded(monkeypatch, "in_w2_plus_u")
+    assert cons.cycle_span_report(gf, seed=q, walk_samples=300)["passed"]
+    [((_, lengths, _), (vs, hs))], [((_, volts), _)] = walks, masks
+    assert [tuple(v) for v in volts.tolist()] == \
+        [cons.cycle_voltage(gf, walk) for walk in _walk_tuples(lengths, vs, hs)]
+
+
+def test_cycle_span_walks_are_closed_walks_of_length_4_to_8(monkeypatch):
+    gf = field_of_order(8)
+    walks = _recorded(monkeypatch, "sample_closed_walks")
+    first = _cycle_span_walks(seed=7, walk_samples=200)
+    assert _cycle_span_walks(seed=7, walk_samples=200) == first
+    [((_, lengths, _), (vs, hs)), ((_, again, _), (vs2, hs2))] = walks
+    assert set(lengths.tolist()) == {4, 5, 6, 7, 8}
+    assert (lengths == again).all() and (vs == vs2).all() and (hs == hs2).all()
+    for walk in _walk_tuples(lengths, vs, hs):
+        assert all(gr.adjacent(gf, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+
+
+def test_cycle_span_walks_fold_every_seed_onto_its_own_stream(monkeypatch):
+    # numpy's Generator refuses negative seeds; the report maps the
+    # integers one to one onto the naturals
+    walks = _recorded(monkeypatch, "sample_closed_walks")
+    for seed in range(-4, 4):
+        assert _cycle_span_walks(seed=seed, walk_samples=100)["passed"]
+    assert len({tuple(args[1].tolist()) for args, _ in walks}) == 8
 
 
 # ----------------------------------------------------------------------
@@ -488,6 +600,25 @@ def test_cycle_span_gf2_gf4_exhaustive():
         assert rep["dim_mod_u"] == rep["expected_dim"] == 6 * field_of_order(q).k
         assert rep["contains_u"] and rep["squares_contained"] and rep["fundamental_in_w2u"]
         assert rep["passed"]
+
+
+def _filtered_subgraph_vertices(gf):
+    """The vertices of the canonical subgraph built as it was before it
+    took its 0/1 points from GF(2): the projective points of the field
+    filtered to 0/1 coordinates, then the twisted generator vertices."""
+    verts = gr.nonincident_pairs(gf, [p for p in gr.proj_points(gf) if all(c <= 1 for c in p)])
+    for item in cons.w2_generator_cycles(gf, [1 << bit for bit in range(1, gf.k)]):
+        v3, h = item["cycle"][3]
+        vert = (gr.normalize(gf, v3), h)
+        if vert not in verts:
+            verts.append(vert)
+    return verts
+
+
+@pytest.mark.parametrize("q", (4, 8, 16))
+def test_subgraph_vertices_equal_the_filtered_construction(q):
+    gf = field_of_order(q)
+    assert cons._rational_subgraph_with_twists(gf).vertices == _filtered_subgraph_vertices(gf)
 
 
 def test_cycle_span_gf8_subgraph():
@@ -1024,7 +1155,7 @@ def test_exhaustive_gf2_dart_lookup_counts(monkeypatch):
 def test_sampled_gf4_scalar_voltages_per_item(monkeypatch):
     # sampled reductivity and equivariance evaluate two darts per checked item
     gf = field_of_order(4)
-    darts = _counted(monkeypatch, "dart_voltage")
+    darts = _recorded(monkeypatch, "dart_voltage")
     for run in (lambda: cons.reductivity_report(gf, samples=200, seed=3),
                 lambda: cons.equivariance_report(gf, n_matrices=3, samples=40, seed=3)):
         del darts[:]

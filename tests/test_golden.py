@@ -183,9 +183,9 @@ def test_splitting_system_digests(q, alpha):
 # sha256 of the main-theorem report, and of every dart it evaluated with its voltage
 MAIN_THEOREM_GOLDEN = {
     8: ("26ef5faada94ea03d988e5bbdb494225736f9c647124077ed72d2ccc157b34b5",
-        "676b7d5c327d8f500c4045b544ed9d44fd353ff96068a291cbbce59a8b3d1964"),
+        "1868e96fdea5f01d836d9562ee27734c243ebed95dc927551054072ce93f378b"),
     16: ("1a5be9385f7336db52717d9dc6e1e5f8fe91a688424a32f551eb8943c36be399",
-         "8606e0cbfa718a38908a5d495cf6f577438f37403df162149d9402be16eae472"),
+         "2370501354498748be6a1d1ddbb134e14ce1ea8041410dda2eabc48e48f86993"),
 }
 
 
@@ -194,16 +194,25 @@ def test_main_theorem_digests(q, monkeypatch):
     """The seeded parts of verify_main_theorem: sampled reductivity and
     triangles, and the subgraph span with its sampled walks.  A passed
     report carries only counts, so the recorded darts are what pin the
-    RNG stream of every part."""
+    RNG stream of every part: each dart through dart_voltage, and each
+    row of the walks' one dart_voltages stack, in the same form."""
     darts = hashlib.sha256()
-    dart_voltage = cons.dart_voltage
+    dart_voltage, dart_voltages = cons.dart_voltage, cons.dart_voltages
 
     def recorded(gf, a, b):
         volt = dart_voltage(gf, a, b)
         darts.update(repr((a, b, volt)).encode())
         return volt
 
+    def recorded_rows(gf, *rows):
+        volts = dart_voltages(gf, *rows)
+        for v1, h1, v2, h2, volt in zip(*(x.tolist() for x in (*rows, volts))):
+            darts.update(repr(((tuple(v1), tuple(h1)), (tuple(v2), tuple(h2)),
+                               tuple(volt))).encode())
+        return volts
+
     monkeypatch.setattr(cons, "dart_voltage", recorded)
+    monkeypatch.setattr(cons, "dart_voltages", recorded_rows)
     rep = cons.verify_main_theorem(field_of_order(q), seed=q + 7, samples=100)
     assert rep["passed"]
     text = json.dumps(rep, sort_keys=True, default=repr)

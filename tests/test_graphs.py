@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -496,6 +498,75 @@ def test_sampled_cycles_are_cycles():
 def test_samplers_are_seeded():
     gf = field_of_order(16)
     assert gr.sample_triangle(gf, random.Random(5)) == gr.sample_triangle(gf, random.Random(5))
+
+
+def _walk_tuples(lengths, vs, hs):
+    """The walks of sample_closed_walks, each a tuple of (vector, covector)
+    tuples."""
+    ends = np.cumsum(lengths).tolist()
+    return [tuple(zip(map(tuple, vs[lo:hi].tolist()), map(tuple, hs[lo:hi].tolist())))
+            for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def _assert_closed_walks(gf, lengths, vs, hs):
+    assert vs.shape == hs.shape == (sum(lengths), 4) and vs.dtype == hs.dtype == np.uint8
+    walks = _walk_tuples(lengths, vs, hs)
+    assert [len(walk) for walk in walks] == list(lengths)
+    for walk in walks:
+        assert all(evaluate(gf, h, v) != 0 for v, h in walk)
+        assert all(gr.adjacent(gf, a, b) for a, b in zip(walk, walk[1:] + walk[:1]))
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_sample_closed_walks_are_seeded_closed_walks(q):
+    gf = field_of_order(q)
+    lengths = [3, 4, 8, 5, 3, 11] * 20
+    vs, hs = gr.sample_closed_walks(gf, lengths, np.random.default_rng(q))
+    _assert_closed_walks(gf, lengths, vs, hs)
+    again = gr.sample_closed_walks(gf, lengths, np.random.default_rng(q))
+    assert (again[0] == vs).all() and (again[1] == hs).all()
+
+
+def test_sample_closed_walks_restart_the_walks_that_spend_their_budget(monkeypatch):
+    # over GF(2) a candidate is rejected about three times in five, so a
+    # budget of one pass of candidates is often spent
+    gf = field_of_order(2)
+    starts = []
+    draw = gr._random_affine_vertices
+    monkeypatch.setattr(gr, "_random_affine_vertices",
+                        lambda gf, count, rng: starts.append(count) or draw(gf, count, rng))
+    monkeypatch.setattr(gr, "NEIGHBOR_TRIES", gr.WALK_DRAWS)
+    lengths = [4, 5] * 25
+    vs, hs = gr.sample_closed_walks(gf, lengths, np.random.default_rng(1))
+    _assert_closed_walks(gf, lengths, vs, hs)
+    assert starts[0] == 50 and sum(starts[1:]) > 0
+
+
+@pytest.mark.parametrize("q", (2, 4))
+def test_random_in_kernels_draws_every_kernel_element_evenly(q):
+    # two independent rows, equal rows, and (over GF(4)) a row and twice it
+    gf = field_of_order(q)
+    r0 = np.array([(1, 1, 0, 1)] * 3, dtype=np.uint8)
+    r1 = np.array([(0, 1, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0)], dtype=np.uint8)
+    r1[2] = [gf.mul(q - 1, c) for c in r0[2]]
+    draws = 1000 * q ** 3
+    got = gr._random_in_kernels(gf, r0, r1, np.random.default_rng(q), draws)
+    for row in range(3):
+        kernel = [x for x in itertools.product(range(q), repeat=4)
+                  if evaluate(gf, tuple(r0[row]), x) == evaluate(gf, tuple(r1[row]), x) == 0]
+        counts = Counter(map(tuple, got[row].tolist()))
+        assert set(counts) == set(kernel)
+        mean = draws / len(kernel)
+        assert max(abs(n - mean) for n in counts.values()) < 5 * mean ** 0.5
+
+
+def test_sample_closed_walks_refuse_walks_under_three_edges():
+    gf = field_of_order(8)
+    for lengths in ([2], [5, 1], [0]):
+        with pytest.raises(ValueError):
+            gr.sample_closed_walks(gf, lengths, np.random.default_rng(1))
+    vs, hs = gr.sample_closed_walks(gf, [], np.random.default_rng(1))
+    assert vs.shape == hs.shape == (0, 4)
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,12 @@ def _cycle_span_report(tmp_path):
     return lambda: cons.cycle_span_report(gf)
 
 
+def _cycle_span_report_gf16(tmp_path):
+    # the subgraph, its scalar-built table and the 2000 array walks
+    gf = field_of_order(16)
+    return lambda: cons.cycle_span_report(gf)
+
+
 def _local_isomorphism(tmp_path):
     data = cons.cover_data()
     return lambda: vg.verify_local_isomorphism(data["table"], data["component"])
@@ -100,7 +106,9 @@ def _base_graph_export(fmt):
 
 
 PASSES = {"graph": _graph, "voltage_table": _voltage_table, "spanning_tree": _spanning_tree,
-          "cycle_span_report": _cycle_span_report, "local_isomorphism": _local_isomorphism,
+          "cycle_span_report": _cycle_span_report,
+          "cycle_span_report_gf16": _cycle_span_report_gf16,
+          "local_isomorphism": _local_isomorphism,
           "export_json": _export("json"), "export_edgelist": _export("edgelist"),
           "verify_triangles": _exhaustive(cons.verify_triangles),
           "verify_quadrangles": _exhaustive(cons.verify_quadrangles),

@@ -409,16 +409,28 @@ def test_table_actions_match_row_combination(q):
     gf = field_of_order(q)
     rng = random.Random(20 + q)
     for _ in range(8):
-        act = ml.action(gf, random_gl4(gf, rng))
-        inputs = [tuple(rng.randrange(q) for _ in range(21)) for _ in range(30)]
-        # and every field element in every single slot
+        # a fresh action, so that each slot table is built for the first
+        # input that needs it: U, then each single slot, then dense inputs
+        act = ml.MatrixAction(gf, random_gl4(gf, rng))
+        inputs = [ml.big_u(gf)]
         inputs += [tuple(c if t == slot else 0 for t in range(21))
                    for slot in range(21) for c in range(q)]
+        inputs += [tuple(rng.randrange(q) for _ in range(21)) for _ in range(30)]
         wants = [_on_sym_by_rows(gf, act, s) for s in inputs]
         assert [act.on_sym(s) for s in inputs] == wants
         if gf.k <= 3:  # 21k packed bits fit a uint64
             images = act.on_sym_packed_array([ml.pack_sym(gf, s) for s in inputs])
             assert images.tolist() == [ml.pack_sym(gf, want) for want in wants]
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_an_action_that_meets_only_u_builds_three_slot_tables(q):
+    gf = field_of_order(q)
+    act = ml.MatrixAction(gf, random_sl4(gf, random.Random(q)))
+    assert act.on_sym(ml.big_u(gf)) == ml.big_u(gf)
+    built = [t for t, table in enumerate(act._slot_tables) if table is not ml._UNBUILT]
+    # U = w1 w6 + w2 w5 + w3 w4
+    assert built == [ml.SYM_SLOT[pair] for pair in ((0, 5), (1, 4), (2, 3))] == [5, 9, 12]
 
 
 def test_singular_matrix_rejected():
