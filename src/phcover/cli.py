@@ -72,7 +72,7 @@ def _write_graph(fh, graph, fmt: str) -> None:
     JSON document with sorted keys that json.dumps gives, the edges a block
     at a time."""
     q, n, m = graph.gf.order, graph.n, graph.edge_count()
-    edges = (np.stack(ij, axis=1) for ij in edge_blocks(graph))
+    edges = (np.stack([i, j], axis=1) for i, j, _ in edge_blocks(graph))
     if fmt == "edgelist":
         fh.write(f"# projective field={q} vertices={n} edges={m}\n")
         cons._write_rows(fh, edges, "e %d %d\n")

@@ -38,19 +38,23 @@ from .graphs import (
     blocks,
     build_affine_graph,
     build_projective_graph,
+    common_neighbor_blocks,
     csr_bfs,
     distinct,
-    edge_blocks,
     factor_vertices,
+    find_sorted,
     frontier_blocks,
     nonincident_pairs,
-    normalize,
+    normalized,
     proj_points,
+    quadrangle_blocks,
     sample_closed_walk,
     sample_closed_walks,
     sample_pentagon,
     sample_quadrangle,
     sample_triangle,
+    triangle_blocks,
+    vertex_keys,
 )
 from .linalg import E4, dot, solve_affine_f2, vec_add
 from .multilinear import (
@@ -84,7 +88,6 @@ from .voltage import (
     F2Span,
     check_reductive,
     component_of,
-    find_sorted,
     fundamental_cycle_span,
     lift_keys,
     path_voltage,
@@ -201,22 +204,13 @@ def _chunk_product_tables(gf: GF) -> tuple:
 
 
 def _pair_chunk_codes(gf: GF, rows, chunks) -> list:
-    """Chunk codes of the wedges of all pairs of distinct rows.
-
-    rows are the coordinate columns of n distinct rows.  For each
-    chunk, a tuple of three wedge slots, the result is the flat n x n
-    uint16 table whose entry i * n + j codes those slots of row_i ^ row_j,
-    first slot highest, at k bits each."""
-    t = gf.mul_table
-    out = []
-    for chunk in chunks:
-        code = np.zeros((len(rows[0]),) * 2, dtype=np.uint16)
-        for s in chunk:
-            x, y = BIV_PAIRS[s]
-            code <<= gf.k
-            code |= t[rows[x][:, None], rows[y][None, :]] ^ t[rows[y][:, None], rows[x][None, :]]
-        out.append(code.ravel())
-    return out
+    """Chunk codes of the wedges of all pairs of n distinct rows: for each
+    chunk, a tuple of three wedge slots, the flat n x n uint16 table whose
+    entry i * n + j codes those slots of rows[i] ^ rows[j], first slot
+    highest, at k bits each."""
+    w = wedges(gf, rows[:, None], rows[None, :]).astype(np.uint16)
+    return [((w[..., a] << 2 * gf.k) | (w[..., b] << gf.k) | w[..., c]).ravel()
+            for a, b, c in chunks]
 
 
 def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
@@ -261,9 +255,9 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
     if not own.all():
         raise ValueError("inputs are not vertices (functional vanishes on its vector)")
     inv_own = gf.inv_table.astype(np.intp)[own]
-    w_hi, w_lo = _pair_chunk_codes(gf, points.T, ((0, 1, 2), (3, 4, 5)))
+    w_hi, w_lo = _pair_chunk_codes(gf, points, ((0, 1, 2), (3, 4, 5)))
     # phi is slot reversal: the chunks of phi(d) are d6 d5 d4 and d3 d2 d1
-    d_hi, d_lo = _pair_chunk_codes(gf, planes.T, ((5, 4, 3), (2, 1, 0)))
+    d_hi, d_lo = _pair_chunk_codes(gf, planes, ((5, 4, 3), (2, 1, 0)))
     # scaled[(c << 3k) | code]: the chunk coded code times c, already
     # shifted into the high half of a chunk-pair index
     codes = np.arange(1 << c3)
@@ -411,40 +405,6 @@ def _check_cycles(cycles, voltage, member, key):
                  for cyc in cycles for volt in (voltage(cyc),))
 
 
-def _common_neighbor_blocks(graph: Graph, i: np.ndarray, j: np.ndarray):
-    """The common neighbours of each pair (i[t], j[t]) from the packed rows,
-    in blocks of pairs: (t, w) arrays sorted by pair and then neighbour,
-    t indexing the whole pair arrays."""
-    rows = graph.packed_rows()
-    for lo, hi in blocks(i.size, graph.n):
-        both = np.unpackbits(rows[i[lo:hi]] & rows[j[lo:hi]], axis=1, count=graph.n)
-        t, w = np.nonzero(both)
-        yield t + lo, w
-
-
-def _triangle_blocks(graph: Graph):
-    """Every triangle (i, j, w) with i < j < w, once, in lexicographic
-    order, as (B, 3) blocks: the edges i < j in order, each with its common
-    neighbours w > j."""
-    for i, j in edge_blocks(graph):
-        for t, w in _common_neighbor_blocks(graph, i, j):
-            up = w > j[t]
-            yield np.stack([i[t[up]], j[t[up]], w[up]], axis=1)
-
-
-def _quadrangle_blocks(graph: Graph):
-    """Every 4-cycle (i, a, j, b) with i < j and a < b, once, in
-    lexicographic order of (i, j, a, b), as (B, 4) blocks: the pairs i < j
-    in order, each with the pairs a < b of its common neighbours."""
-    i, j = np.triu_indices(graph.n, 1)
-    for t, w in _common_neighbor_blocks(graph, i, j):
-        # each common neighbour pairs with those after it in its pair's row
-        after = np.searchsorted(t, t, side="right") - np.arange(t.size) - 1
-        a = np.repeat(np.arange(t.size), after)
-        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(after) - after, after)
-        yield np.stack([i[t[a]], w[a], j[t[a]], w[b]], axis=1)
-
-
 def _check_table_cycles(cycle_blocks, voltages, passes, key):
     """Tally the closed walks of (B, L) blocks of vertex ids by the pass
     mask passes(volts), each witness {key: cycle, "voltage": voltage}.
@@ -479,7 +439,7 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
         graph = build_affine_graph(gf)
         dart, u = voltage_table(graph).dart, np.uint64(u_packed(gf))
         return report("triangles", gf, mode, *_check_table_cycles(
-            _triangle_blocks(graph),
+            triangle_blocks(graph),
             lambda rows: [dart(i, j) ^ dart(j, w) ^ dart(w, i) for i, j, w in rows],
             lambda volts: volts == u, "triangle"))
     rng = random.Random(seed)
@@ -495,7 +455,7 @@ def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
         return report("quadrangles", gf, mode, *_check_table_quadrangles(
-            gf, voltage_table(graph), _quadrangle_blocks(graph)))
+            gf, voltage_table(graph), quadrangle_blocks(graph)))
     rng = random.Random(seed)
     return report("quadrangles", gf, mode, *_check_cycles(
         (sample_quadrangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
@@ -600,18 +560,15 @@ def _rational_subgraph_with_twists(gf: GF) -> Graph:
     with 0/1 coordinates plus, for every square pattern, the extra vertex of
     each twisted generator quadrangle.  Used where the full graph has too
     many edges to enumerate."""
-    # the points with 0/1 coordinates are the points over GF(2), in the
-    # same lexicographic order
-    verts = nonincident_pairs(gf, proj_points(field_of_order(2)))
-    seen = set(verts)
-    # the fourth vertex of each generator quadrangle with lam outside GF(2)
-    for item in w2_generator_cycles(gf, [1 << bit for bit in range(1, gf.k)]):
-        v3, h = item["cycle"][3]
-        vert = (normalize(gf, v3), h)
-        if vert not in seen:
-            seen.add(vert)
-            verts.append(vert)
-    return Graph(gf, verts)
+    # the points over GF(2) are those with 0/1 coordinates, in the same
+    # order; then the fourth vertex of each generator quadrangle with lam
+    # outside GF(2); each vertex is kept where it first occurs
+    verts = nonincident_pairs(gf, proj_points(field_of_order(2))) + [
+        item["cycle"][3] for item in w2_generator_cycles(gf, [1 << b for b in range(1, gf.k)])]
+    vmat, hmat = (np.array(side, dtype=np.uint8) for side in zip(*verts))
+    first = np.sort(np.unique(vertex_keys(gf, vmat, hmat), return_index=True)[1])
+    return Graph(gf, list(zip(map(tuple, normalized(gf, vmat[first]).tolist()),
+                              map(tuple, normalized(gf, hmat[first]).tolist()))))
 
 
 def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> dict:
@@ -1028,7 +985,7 @@ def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
     for _ in range(n_vertices):
         target = rng.randrange(graph.n)
         # the graph has no loops, so no mid is the root or the target
-        mids = next(_common_neighbor_blocks(graph, np.array([root]), np.array([target])))[1]
+        mids = next(common_neighbor_blocks(graph, np.array([root]), np.array([target])))[1]
         if not mids.size:
             continue
         m0 = mids[rng.randrange(len(mids))]

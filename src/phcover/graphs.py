@@ -10,10 +10,11 @@ instead of assuming.
 
 Every array reader of incidence (adjacency, two-step reach, the reduct
 check, bulk dart voltages, vertex images) reads it from
-:func:`factor_vertices`, which pairs distinct vectors and covectors once.
+:func:`factor_vertices`, which pairs distinct vectors and covectors once,
+and every reader of vertex identity from :func:`vertex_keys`.
 
-A :class:`Graph` computes its full adjacency when it is made (packed bit
-rows plus CSR neighbour lists) and is refused above ``ADJ_CAP`` vertices;
+A :class:`Graph` keeps the factored incidence, which :meth:`Graph.rows`
+reads, and CSR neighbour lists, and is refused above ``ADJ_CAP`` vertices;
 the largest the package builds is the GF(4) projective graph.  The only
 affine graph under that cap is the GF(2) one, where normalising changes
 nothing, so :func:`build_affine_graph` returns the projective graph
@@ -55,47 +56,15 @@ def blocks(size: int, per_item: int = 1):
     return ((lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
-def normalize(gf: GF, coords):
-    """Scale so the first nonzero coordinate becomes 1."""
-    for c in coords:
-        if c:
-            if c == 1:
-                return tuple(coords)
-            inv = gf.inv(c)
-            return tuple(gf.mul(inv, x) for x in coords)
-    raise ValueError("cannot normalise the zero tuple")
-
-
 def adjacent(gf: GF, a, b) -> bool:
     """Mutual incidence: each hyperplane contains the other point."""
     return evaluate(gf, a[1], b[0]) == 0 and evaluate(gf, b[1], a[0]) == 0
 
 
-def reduct_class(gf: GF, vert):
-    """Canonical representative of the neighbourhood-equality class of an
-    affine vertex: normalise the vector and the covector independently."""
-    v, h = vert
-    return (normalize(gf, v), normalize(gf, h))
-
-
-def _nonzero_tuples(gf: GF, dim: int = 4):
-    for t in itertools.product(gf.elements(), repeat=dim):
-        if any(t):
-            yield t
-
-
-def _normalized_tuples(gf: GF, dim: int = 4):
-    for t in _nonzero_tuples(gf, dim):
-        for c in t:
-            if c:
-                if c == 1:
-                    yield t
-                break
-
-
 def proj_points(gf: GF, dim: int = 4):
     """All normalised nonzero coordinate tuples, in lexicographic order."""
-    return list(_normalized_tuples(gf, dim))
+    rows = np.array(list(itertools.product(gf.elements(), repeat=dim))[1:], dtype=np.uint8)
+    return list(map(tuple, rows[(normalized(gf, rows) == rows).all(axis=1)].tolist()))
 
 
 def nonincident_pairs(gf: GF, points):
@@ -114,7 +83,7 @@ def affine_vertices(gf: GF):
             f"affine vertex set of size {total} exceeds the enumeration cap {ENUM_CAP};"
             " use the lazy samplers"
         )
-    return nonincident_pairs(gf, list(_nonzero_tuples(gf)))
+    return nonincident_pairs(gf, list(itertools.product(gf.elements(), repeat=4))[1:])
 
 
 def count_projective_vertices(gf: GF, dim: int = 4) -> int:
@@ -127,19 +96,53 @@ def count_projective_vertices(gf: GF, dim: int = 4) -> int:
 def projective_vertices(gf: GF, dim: int = 4):
     """All projective vertices in lexicographic order; refuses above
     ENUM_CAP."""
-    pts = proj_points(gf, dim)
     total = count_projective_vertices(gf, dim)
     if total > ENUM_CAP:
         raise ValueError(
             f"projective vertex set of size {total} exceeds the enumeration cap {ENUM_CAP}"
         )
-    return nonincident_pairs(gf, pts)
+    return nonincident_pairs(gf, proj_points(gf, dim))
 
 
 def row_codes(gf: GF, rows: np.ndarray) -> np.ndarray:
     """The coordinate rows (last axis) read as base-q numbers, first
     coordinate first, as int64: the codes sort as the rows do."""
     return rows.astype(np.int64) @ gf.order ** np.arange(rows.shape[-1] - 1, -1, -1)
+
+
+def normalized(gf: GF, rows) -> np.ndarray:
+    """The coordinate rows (last axis) scaled so that their first nonzero
+    coordinate is 1, as uint8; raises ValueError on a zero row."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=-1)[..., None], axis=-1)
+    if not lead.all():
+        raise ValueError("cannot normalise a zero row")
+    return gf.mul_table[gf.inv_table[lead], rows]
+
+
+def vertex_keys(gf: GF, vmat, hmat) -> np.ndarray:
+    """One int64 key per row pair (vmat[i], hmat[i]), the codes of its
+    normalised vector and covector: equal keys are one reduct class, and
+    the keys of projective vertices sort as the vertices do."""
+    vmat = np.asarray(vmat)
+    return (row_codes(gf, normalized(gf, vmat)) * gf.order ** vmat.shape[-1]
+            + row_codes(gf, normalized(gf, hmat)))
+
+
+def find_sorted(keys: np.ndarray, values) -> np.ndarray:
+    """The position of each of the values among the sorted keys, or -1
+    where a value is not a key."""
+    at = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    return np.where(keys[at] == values, at, -1)
+
+
+def vertex_ids(graph: "Graph", vmat, hmat) -> np.ndarray:
+    """The index in graph of the projective vertex of each row pair
+    (vmat[i], hmat[i]), or -1 where that vertex is not in the graph."""
+    keys = vertex_keys(graph.gf, graph.vmat, graph.hmat)
+    order = np.argsort(keys)
+    at = find_sorted(keys[order], vertex_keys(graph.gf, vmat, hmat))
+    return np.where(at < 0, -1, order[at])
 
 
 def factor_vertices(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
@@ -176,10 +179,10 @@ class Graph:
 
     Vertices are (vector, covector) pairs, factored into points[p_id]
     and planes[h_id] with zero[h, p] when planes[h] kills points[p].  The
-    adjacency is kept as packed bit rows plus CSR neighbour lists, int64
-    row pointers and int32 neighbours, read off the packed rows a few at a
-    time, so no n x n boolean matrix is made.  More than ADJ_CAP vertices
-    raise ValueError before any of it is allocated.
+    adjacency is kept as the packed rows of _kill_rows plus CSR neighbour
+    lists, int64 row pointers and int32 neighbours, read off rows() a few
+    at a time.  A pair with h(v) = 0 and more than ADJ_CAP vertices raise
+    ValueError.
     """
 
     def __init__(self, gf: GF, vertices):
@@ -193,20 +196,22 @@ class Graph:
         self.hmat = np.array([h for _, h in self.vertices], dtype=np.uint8).reshape(self.n, dim)
         self.points, self.p_id, self.planes, self.h_id, values = \
             factor_vertices(gf, self.vmat, self.hmat)
+        if not values[self.h_id, self.p_id].all():
+            raise ValueError("a row pair with h(v) = 0 is not a vertex")
         self.zero = values == 0
-        # the factored adjacency, kept for two_step_reach
         self._kills, self._killed = _kill_rows(self.zero, self.p_id, self.h_id)
-        rows = self._kills[self.h_id] & self._killed[self.p_id]
-        diag = np.arange(self.n)
-        # redundant for valid vertices, cheap guard
-        rows[diag, diag >> 3] &= ~(np.uint8(0x80) >> (diag & 7).astype(np.uint8))
-        self._rows = rows
+        rows = self.rows(slice(None))  # dropped once the CSR lists are read off
         self._indptr = indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bitwise_count(rows).sum(axis=1, dtype=np.int64), out=indptr[1:])
         self._indices = np.empty(int(indptr[-1]), dtype=np.int32)
         for lo, hi in blocks(self.n, self.n):
             adj = np.unpackbits(rows[lo:hi], axis=1, count=self.n).view(bool)
             self._indices[indptr[lo]:indptr[hi]] = np.flatnonzero(adj) % self.n
+
+    def rows(self, i) -> np.ndarray:
+        """The packed adjacency rows of the vertices i (an index, an index
+        array or a slice), bit j set for each neighbour j."""
+        return self._kills[self.h_id[i]] & self._killed[self.p_id[i]]
 
     def neighbors(self, i: int) -> np.ndarray:
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
@@ -220,9 +225,6 @@ class Graph:
     def dart_sources(self) -> np.ndarray:
         """The source vertex of every dart, in CSR order, as int32."""
         return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._indptr))
-
-    def packed_rows(self) -> np.ndarray:
-        return self._rows
 
 
 _graph_cache: dict = {}
@@ -278,11 +280,10 @@ def frontier_blocks(indptr: np.ndarray, frontier: np.ndarray):
 
 def edge_blocks(graph: Graph):
     """The edges i < j of a graph in row-major order, a block of CSR rows at
-    a time: arrays (i, j) per block."""
+    a time: arrays (i, j, pos) per block, pos the CSR position of i-j."""
     for src, pos in frontier_blocks(graph._indptr, np.arange(graph.n)):
-        dst = graph._indices[pos]
-        keep = src < dst
-        yield src[keep], dst[keep]
+        keep = src < graph._indices[pos]
+        yield src[keep], graph._indices[pos[keep]], pos[keep]
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -356,7 +357,7 @@ def two_step_reach(graph: Graph) -> np.ndarray:
     for c, members in enumerate(by_covector):
         table[np.ix_(p_id[members], np.flatnonzero(zero[c]))] |= kills[c]
     table &= killed[:, None, :]
-    reach = np.zeros_like(graph.packed_rows())
+    reach = np.zeros((graph.n, kills.shape[1]), dtype=np.uint8)
     for c, members in enumerate(by_covector):
         ys = np.flatnonzero(zero[c])
         reach[members] = np.bitwise_or.reduce(table[ys[:, None], p_id[members][None, :]], axis=0)
@@ -373,15 +374,47 @@ def diameter(graph: Graph) -> int:
     n = graph.n
     if n <= 1:
         return 0
-    reach = two_step_reach(graph) | graph.packed_rows()
-    diag = np.arange(n)
-    reach[diag, diag >> 3] |= np.uint8(0x80) >> (diag & 7).astype(np.uint8)
+    # no own bit is set: a vertex with a neighbour reaches itself in two steps
+    reach = two_step_reach(graph) | graph.rows(slice(None))
     # the packed all-ones row; the padding bits of every row are zero
     if (reach == np.packbits(np.ones(n, dtype=bool))).all():
         return 1 if graph.edge_count() == n * (n - 1) // 2 else 2
     if not is_connected(graph):
         return -1
     return max(int(bfs(graph, u).max()) for u in range(n))
+
+
+def common_neighbor_blocks(graph: Graph, i: np.ndarray, j: np.ndarray):
+    """The common neighbours of each pair (i[t], j[t]), in blocks of pairs:
+    (t, w) arrays sorted by pair and then neighbour, t indexing the whole
+    pair arrays."""
+    for lo, hi in blocks(i.size, graph.n):
+        both = np.unpackbits(graph.rows(i[lo:hi]) & graph.rows(j[lo:hi]), axis=1, count=graph.n)
+        t, w = np.nonzero(both)
+        yield t + lo, w
+
+
+def triangle_blocks(graph: Graph):
+    """Every triangle (i, j, w) with i < j < w, once, in lexicographic
+    order, as (B, 3) blocks: the edges i < j in order, each with its common
+    neighbours w > j."""
+    for i, j, _ in edge_blocks(graph):
+        for t, w in common_neighbor_blocks(graph, i, j):
+            up = w > j[t]
+            yield np.stack([i[t[up]], j[t[up]], w[up]], axis=1)
+
+
+def quadrangle_blocks(graph: Graph):
+    """Every 4-cycle (i, a, j, b) with i < j and a < b, once, in
+    lexicographic order of (i, j, a, b), as (B, 4) blocks: the pairs i < j
+    in order, each with the pairs a < b of its common neighbours."""
+    i, j = np.triu_indices(graph.n, 1)
+    for t, w in common_neighbor_blocks(graph, i, j):
+        # each common neighbour pairs with those after it in its pair's row
+        after = np.searchsorted(t, t, side="right") - np.arange(t.size) - 1
+        a = np.repeat(np.arange(t.size), after)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(after) - after, after)
+        yield np.stack([i[t[a]], w[a], j[t[a]], w[b]], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -393,37 +426,35 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     sets exactly when their normalised pairs coincide, that the classes are
     cocliques, and that the class graph is the projective graph.
 
-    The neighbour bitsets and the adjacent pairs inside a class are read,
-    one class at a time, off the incidence of :func:`factor_vertices`.
+    A class is the affine vertices of one vertex_ids in the projective
+    graph; its neighbour bitsets and adjacent pairs are read off the
+    incidence of :func:`factor_vertices`.
     """
     from .voltage import report
 
     verts = affine_vertices(gf)
-    vmat = np.array([v for v, _ in verts], dtype=np.uint8)
-    hmat = np.array([h for _, h in verts], dtype=np.uint8)
+    vmat, hmat = (np.array(side, dtype=np.uint8) for side in zip(*verts))
     _, p_id, _, h_id, values = factor_vertices(gf, vmat, hmat)
     zero = values == 0
     kills, killed = _kill_rows(zero, p_id, h_id)
+    ids = vertex_ids(build_projective_graph(gf), vmat, hmat)
+    order = np.argsort(ids, kind="stable")
+    classes = np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
 
-    classes: dict = {}
-    for j, (v, h) in enumerate(verts):
-        classes.setdefault(reduct_class(gf, (v, h)), []).append(j)
-
-    fiber_sizes = {len(members) for members in classes.values()}
-    seen_rows: dict = {}
-    mismatched = 0
-    coclique_violations = 0
-    for rep, members in classes.items():
+    fiber_sizes = {len(members) for members in classes}
+    seen_rows = set()
+    mismatched = coclique_violations = 0
+    for members in classes:
         rows = kills[h_id[members]] & killed[p_id[members]]
         mismatched += int((rows[1:] != rows[0]).any(axis=1).sum())
         key = rows[0].tobytes()
-        if key in seen_rows:
-            mismatched += 1
-        seen_rows[key] = rep
+        mismatched += key in seen_rows
+        seen_rows.add(key)
         inside = zero[np.ix_(h_id[members], p_id[members])]
         coclique_violations += int(np.triu(inside & inside.T, 1).sum())
 
-    classes_match = sorted(classes) == projective_vertices(gf)
+    # every id a vertex, and every projective vertex hit
+    classes_match = bool((ids >= 0).all()) and len(classes) == count_projective_vertices(gf)
     # the mismatched neighbour sets and the adjacent pairs inside a class
     # count one each, a wrong fiber size or class set one more
     failed = {"neighborhoods": mismatched, "cocliques": coclique_violations,

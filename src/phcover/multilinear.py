@@ -254,10 +254,10 @@ class MatrixAction:
     transpose; bivectors functorially through the wedge; symmetric
     tensors multiplicatively.  A unimodular matrix fixes U, so it also
     acts on N, through n_project_packed of the images.  The
-    symmetric-square action XORs precomputed packed images, one table per
-    slot of the input, or for arrays one per byte of the packed input,
-    each built on first use: an action that only ever meets U builds the
-    tables of its three nonzero slots.
+    symmetric-square action XORs packed images from one table per slot of
+    the input, or for arrays one per byte.  The tables and the inverse
+    transpose are made on first use: an action that only ever meets U makes
+    the sym_mul rows of its three nonzero slots and no inverse.
     """
 
     def __init__(self, gf: GF, m):
@@ -266,13 +266,15 @@ class MatrixAction:
         self.det = det(gf, m)
         if self.det == 0:
             raise ValueError("matrix is singular")
-        self.minv_t = transpose(mat_inv(gf, m))
         # Row a of m is the image of e_a, so the image of w_(a,b) is
         # the wedge of rows a and b.
         self.w_rows = tuple(wedge(gf, self.m[a], self.m[b]) for a, b in BIV_PAIRS)
-        self.s2_rows = tuple(sym_mul(gf, self.w_rows[i], self.w_rows[j]) for i, j in SYM_PAIRS)
         self._slot_tables = [_UNBUILT] * 21
         self._unbuilt = 21  # slots whose table is not built yet
+
+    @cached_property
+    def minv_t(self):
+        return transpose(mat_inv(self.gf, self.m))
 
     def on_vector(self, v):
         return mat_vec(self.gf, v, self.m)
@@ -281,14 +283,15 @@ class MatrixAction:
         return mat_vec(self.gf, f, self.minv_t)
 
     def _slot_table(self, t: int) -> list:
-        """The packed image of c * s2_rows[t] for every field element c,
-        XORed together from the images of the bits of c; built on first
-        use."""
+        """The packed image of c * w_i w_j for every field element c, with
+        (i, j) the monomial of slot t, XORed together from the images of the
+        bits of c; built on first use."""
         table = self._slot_tables[t]
         if table is _UNBUILT:
-            gf = self.gf
+            gf, (i, j) = self.gf, SYM_PAIRS[t]
+            row = sym_mul(gf, self.w_rows[i], self.w_rows[j])
             table = self._slot_tables[t] = _span_table(
-                [pack_sym(gf, sym_scale(gf, 1 << b, self.s2_rows[t])) for b in range(gf.k)])
+                [pack_sym(gf, sym_scale(gf, 1 << b, row)) for b in range(gf.k)])
             self._unbuilt -= 1
         return table
 

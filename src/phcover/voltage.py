@@ -39,14 +39,17 @@ from .graphs import (
     blocks,
     csr_bfs,
     distinct,
+    edge_blocks,
+    find_sorted,
     frontier_blocks,
     frontier_darts,
     random_affine_vertex,
     random_neighbor,
-    reduct_class,
-    row_codes,
+    triangle_blocks,
+    vertex_ids,
+    vertex_keys,
 )
-from .linalg import pairing, vec_scale
+from .linalg import dot, vec_scale
 from .multilinear import ZERO21, n_project_packed, sym_add
 
 
@@ -203,12 +206,10 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
     parent, pot = spanning_tree_potentials(table, root)
     g = table.graph
     edges, parts = 0, []
-    for src, pos in frontier_blocks(table.indptr, np.arange(g.n)):
-        dst = table.indices[pos]
-        keep = src < dst
-        fc = pot[src[keep]] ^ pot[dst[keep]] ^ table.volts[pos[keep]]
+    for src, dst, pos in edge_blocks(g):
+        fc = pot[src] ^ pot[dst] ^ table.volts[pos]
         parts.append(distinct(fc[fc != 0]))
-        edges += int(keep.sum())
+        edges += src.size
     uniq = distinct(np.concatenate(parts))
     span = F2Span()
     for x in uniq.tolist():
@@ -232,13 +233,6 @@ def fundamental_cycle_span(table: DartTable, root: int = 0, member_fn=None):
 
 class CapExceeded(RuntimeError):
     pass
-
-
-def find_sorted(keys: np.ndarray, values) -> np.ndarray:
-    """The position of each of the values among the sorted keys, or -1
-    where a value is not a key."""
-    at = np.minimum(np.searchsorted(keys, values), keys.size - 1)
-    return np.where(keys[at] == values, at, -1)
 
 
 def lift_keys(gf: GF, b, t) -> np.ndarray:
@@ -310,21 +304,18 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     g, gf = table.graph, table.gf
     indptr, indices, volts = table.indptr, table.indices, table.volts
     vb, vt = component["vertices"][:, 0], component["vertices"][:, 1].astype(np.uint64)
-    # the base triangles (u, w1, w2) with w1 < w2 through each base u of the
-    # component, as CSR positions of the darts u-w1 (p), u-w2 (q), w1-w2 (e)
-    bases, base_slot = np.unique(vb, return_inverse=True)
-    slot, p = frontier_darts(indptr, bases)
-    w1 = indices[p]
-    s2, e = frontier_darts(indptr, w1)
-    u, p, w1, w2 = bases[slot[s2]], p[s2], w1[s2], indices[e]
+    weight = np.bincount(vb, minlength=g.n)
     # int64 keys: an int32 source times n could overflow
     darts = g.dart_sources().astype(np.int64) * g.n + indices
-    q = find_sorted(darts, u * g.n + w2)
-    tri = (w2 > w1) & (q >= 0)
-    weight = np.bincount(base_slot)[slot[s2][tri]]
-    want = n_project_packed(gf, volts[e[tri]])
-    bad = n_project_packed(gf, volts[p[tri]] ^ volts[q[tri]]) != want
-    checked, violations = int(weight.sum()), int(weight[bad].sum())
+    checked = violations = 0
+    for tri in triangle_blocks(g):
+        # each triangle from each corner u, as (u, w1, w2) with w1 < w2,
+        # and the CSR positions of its darts u-w1, u-w2 and w1-w2
+        u, w1, w2 = np.concatenate([tri, tri[:, [1, 0, 2]], tri[:, [2, 0, 1]]]).T.astype(np.int64)
+        p, q, e = find_sorted(darts, np.stack([u * g.n + w1, u * g.n + w2, w1 * g.n + w2]))
+        bad = n_project_packed(gf, volts[p] ^ volts[q]) != n_project_packed(gf, volts[e])
+        checked += int(weight[u].sum())
+        violations += int(weight[u[bad]].sum())
     # bijectivity: a lift vertex has one lift neighbour over each base
     # neighbour, so the projection is onto the base neighbourhood and
     # one-to-one exactly when every such neighbour is in the component
@@ -340,33 +331,22 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
 # vertex images under matrix actions
 # ----------------------------------------------------------------------
 
-def _image_codes(gf: GF, rows: np.ndarray, mats) -> np.ndarray:
-    """The code of normalize(x m) for each 4x4 matrix m and each row x of a
-    coordinate stack, as an (A, len(rows)) array; coordinate c of x m is
-    column c of m paired with x."""
-    columns = np.array(mats, dtype=np.uint8).reshape(-1, 4, 4).transpose(0, 2, 1)
-    out = pairing(gf, columns.reshape(-1, 4), rows).reshape(-1, 4, len(rows)).transpose(0, 2, 1)
-    lead = np.take_along_axis(out, (out != 0).argmax(axis=2)[..., None], axis=2)
-    return row_codes(gf, gf.mul_table[gf.inv_table[lead], out])
-
-
 def vertex_images(table: DartTable, actions) -> np.ndarray:
     """The index of the normalised image of every vertex under each
-    action, as an (A, n) int64 array: the normalised images of the graph's
-    distinct points and planes are coded once per action, and each
-    vertex's image is found by its code among the vertex codes.  Raises
-    KeyError when an image is not a vertex."""
-    g, gf = table.graph, table.gf
-    codes, images = 0, 0
+    action, as an (A, n) int64 array: the images of the graph's distinct
+    points and planes are taken once per action, and vertex_ids finds the
+    image of each vertex.  Raises KeyError when an image is not a vertex."""
+    g = table.graph
+    images = []
     for rows, ids, mats in ((g.points, g.p_id, [a.m for a in actions]),
                             (g.planes, g.h_id, [a.minv_t for a in actions])):
-        codes = codes * gf.order ** 4 + row_codes(gf, rows)[ids]
-        images = images * gf.order ** 4 + _image_codes(gf, rows, mats)[:, ids]
-    order = np.argsort(codes)
-    at = find_sorted(codes[order], images)
-    if (at < 0).any():
+        # coordinate c of x m is x paired with column c of m
+        columns = np.array(mats, dtype=np.uint8).reshape(-1, 4, 4).transpose(0, 2, 1)
+        images.append(dot(table.gf, rows[None, :, None], columns[:, None])[:, ids].reshape(-1, 4))
+    perm = vertex_ids(g, *images).reshape(len(actions), g.n)
+    if (perm < 0).any():
         raise KeyError("the image of a vertex is not a vertex of the graph")
-    return order[at]
+    return perm
 
 
 # ----------------------------------------------------------------------
@@ -384,13 +364,10 @@ def check_reductive(gf: GF, dart_fn, samples: int = 0, rng=None,
     vertices from rng.
     """
     if graph is not None:
-        vs = graph.vertices
-        classes: dict = {}
-        for i, vert in enumerate(vs):
-            classes.setdefault(reduct_class(gf, vert), []).append(i)
-        triples = ((vs[ui], vs[vi], vs[wi]) for members in classes.values()
-                   for ui in members for vi in members if ui != vi
-                   for wi in graph.neighbors(vi).tolist())
+        vs, keys = graph.vertices, vertex_keys(gf, graph.vmat, graph.hmat)
+        triples = ((vs[u], vs[v], vs[w]) for v in range(graph.n)
+                   for u in np.flatnonzero(keys == keys[v]).tolist() if u != v
+                   for w in graph.neighbors(v).tolist())
     else:
         def rescalings():
             # draw v, the rescaling factors, then a neighbour w of v

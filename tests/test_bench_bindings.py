@@ -132,3 +132,23 @@ def test_verify_all_gf16_meets_the_benchmark_pins(tracing, capsys):
     assert calls["construction.cycle_span_report"] == 1
     assert calls.get("graphs.sample_closed_walk", 0) == 0
     assert calls.get("construction.dart_voltage", 0) == 0
+
+
+def test_exhaustive_gf2_checks_meet_the_dart_lookup_pins(tracing):
+    # the DartTable.dart counts by caller that the enumerated-tables
+    # workload pins: 3 per triangle, 4 per 4-cycle, one per edge and matrix
+    gf = field_of_order(2)
+    cons.voltage_table(gr.build_affine_graph(gf))  # built here, not under a check
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        reports = [cons.verify_triangles(gf, "exhaustive"), cons.verify_quadrangles(gf, "exhaustive"),
+                   cons.equivariance_report(gf)]
+    finally:
+        tracer.uninstall()
+    assert [r["samples"] for r in reports] == [3360, 138600, 100 * 1680]
+    assert all(r["passed"] for r in reports)
+    assert tracer.summary()["voltage.DartTable.dart"]["by_parent"] == {
+        "construction.verify_triangles": 3 * 3360,
+        "construction.verify_quadrangles": 4 * 138600,
+        "voltage.check_equivariance": 100 * 1680}

@@ -12,7 +12,7 @@ from phcover import graphs as gr
 from phcover import linalg as la
 from phcover import multilinear as ml
 from phcover import voltage as vg
-from test_graphs import _walk_tuples
+from test_graphs import _walk_tuples, normalize
 from test_linalg import _rref_kernel
 
 
@@ -609,7 +609,7 @@ def _filtered_subgraph_vertices(gf):
     verts = gr.nonincident_pairs(gf, [p for p in gr.proj_points(gf) if all(c <= 1 for c in p)])
     for item in cons.w2_generator_cycles(gf, [1 << bit for bit in range(1, gf.k)]):
         v3, h = item["cycle"][3]
-        vert = (gr.normalize(gf, v3), h)
+        vert = (normalize(gf, v3), h)
         if vert not in verts:
             verts.append(vert)
     return verts

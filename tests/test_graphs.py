@@ -13,6 +13,25 @@ from phcover import linalg as la
 from test_linalg import _rref_kernel
 
 
+def normalize(gf, coords):
+    """Reference normaliser: scale so the first nonzero coordinate becomes
+    1, one scalar product at a time."""
+    for c in coords:
+        if c:
+            inv = gf.inv(c)
+            return tuple(gf.mul(inv, x) for x in coords)
+    raise ValueError("cannot normalise the zero tuple")
+
+
+def scalar_key(gf, vert):
+    """Reference vertex key: the normalised vector and covector read as
+    base-q numbers, first coordinate first, the vector's above."""
+    code = 0
+    for x in normalize(gf, vert[0]) + normalize(gf, vert[1]):
+        code = code * gf.order + x
+    return code
+
+
 def count_affine_by_brute_force(gf):
     """Independent counting oracle: iterate every (v, h) pair directly."""
     import itertools
@@ -168,7 +187,7 @@ def _assert_csr_row(g, i):
     row = g.neighbors(i).tolist()
     assert row == sorted(set(row)) and i not in row
     # the packed bit row holds the same neighbours
-    assert row == np.flatnonzero(np.unpackbits(g.packed_rows()[i], count=g.n)).tolist()
+    assert row == np.flatnonzero(np.unpackbits(g.rows(i), count=g.n)).tolist()
 
 
 def test_cached_adjacency_matches_definition_on_every_pair():
@@ -206,7 +225,7 @@ def _assert_factored(gf, vmat, hmat):
 
 
 def _assert_c_ordered(graph):
-    for rows in (graph._kills, graph._killed, graph.packed_rows()):
+    for rows in (graph._kills, graph._killed, graph.rows(np.arange(graph.n))):
         assert rows.flags.c_contiguous
 
 
@@ -242,18 +261,61 @@ def test_nonincident_pairs_equal_the_scalar_comprehension(q):
     assert all(type(x) is int for pair in got for half in pair for x in half)
 
 
-def test_normalize_and_reduct_class():
+def test_normalized_and_vertex_keys():
     gf = field_of_order(4)
-    v = (0, 0b10, 1, 0)
-    n = gr.normalize(gf, v)
-    assert n[1] == 1
-    for lam in gf.nonzero():
-        for mu in gf.nonzero():
-            vert = (tuple(gf.mul(lam, c) for c in (1, 2, 3, 0)),
-                    tuple(gf.mul(mu, c) for c in (1, 0, 0, 2)))
-            assert gr.reduct_class(gf, vert) == gr.reduct_class(gf, ((1, 2, 3, 0), (1, 0, 0, 2)))
+    assert gr.normalized(gf, [(0, 0b10, 1, 0)]).tolist() == [list(normalize(gf, (0, 0b10, 1, 0)))]
+    assert normalize(gf, (0, 0b10, 1, 0))[1] == 1
+    rescaled = [(tuple(gf.mul(lam, c) for c in (1, 2, 3, 0)),
+                 tuple(gf.mul(mu, c) for c in (1, 0, 0, 2)))
+                for lam in gf.nonzero() for mu in gf.nonzero()]
+    vmat, hmat = (np.array(side) for side in zip(*rescaled))
+    keys = gr.vertex_keys(gf, vmat, hmat)
+    assert keys.dtype == np.int64 and set(keys.tolist()) == {scalar_key(gf, rescaled[0])}
+    for rows in ([(0, 0, 0, 0)], [(1, 2, 0, 0), (0, 0, 0, 0)]):
+        with pytest.raises(ValueError):
+            gr.normalized(gf, rows)
     with pytest.raises(ValueError):
-        gr.normalize(gf, (0, 0, 0, 0))
+        gr.vertex_keys(gf, [(1, 0, 0, 0)], [(0, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_vertex_keys_equal_the_scalar_reference(q):
+    # every affine vertex of GF(2) and GF(4), 2000 seeded ones above
+    gf = field_of_order(q)
+    if q <= 4:
+        verts = gr.affine_vertices(gf)
+    else:
+        rng = random.Random(q)
+        verts = [gr.random_affine_vertex(gf, rng) for _ in range(2000)]
+    vmat, hmat = (np.array(side, dtype=np.uint8) for side in zip(*verts))
+    assert gr.vertex_keys(gf, vmat, hmat).tolist() == [scalar_key(gf, vert) for vert in verts]
+    if q <= 4:
+        # projective keys sort as the vertices do
+        proj = gr.projective_vertices(gf)
+        keys = gr.vertex_keys(gf, *(np.array(side) for side in zip(*proj)))
+        assert (np.diff(keys) > 0).all()
+
+
+def test_vertex_ids_find_projective_vertices_or_give_minus_one():
+    gf = field_of_order(4)
+    graph = gr.build_projective_graph(gf)
+    rng = random.Random(27)
+    verts = [gr.random_affine_vertex(gf, rng) for _ in range(300)]
+    vmat, hmat = (np.array(side) for side in zip(*verts))
+    want = [graph.index[(normalize(gf, v), normalize(gf, h))] for v, h in verts]
+    assert gr.vertex_ids(graph, vmat, hmat).tolist() == want
+    # a subgraph without the vertex of the first draw
+    ids = [i for i in range(0, graph.n, 7) if i not in want[:2]] + [want[1]]
+    sub = gr.subgraph(graph, ids)
+    got = gr.vertex_ids(sub, vmat[:2], hmat[:2]).tolist()
+    assert got == [-1, len(ids) - 1]
+
+
+def test_graph_refuses_a_pair_that_is_not_a_vertex():
+    gf = field_of_order(2)
+    good = gr.projective_vertices(gf)[:5]
+    with pytest.raises(ValueError, match="not a vertex"):
+        gr.Graph(gf, good + [((1, 0, 0, 0), (0, 1, 0, 0))])
 
 
 def test_reduct_classes_singletons_over_gf2():
@@ -275,11 +337,12 @@ def test_reduct_check_counts_merged_classes_as_the_scalar_reference(monkeypatch)
     # classes that merge unrelated vertices: the neighbour-set and coclique
     # counts must equal those of scalar adjacency, one pair at a time
     gf = field_of_order(2)
-    monkeypatch.setattr(gr, "reduct_class", lambda gf, vert: (sum(vert[0]) + sum(vert[1])) % 5)
+    monkeypatch.setattr(gr, "vertex_keys", lambda gf, vmat, hmat:
+                        (np.asarray(vmat).sum(axis=1) + np.asarray(hmat).sum(axis=1)) % 5)
     verts = gr.affine_vertices(gf)
     classes = {}
     for j, vert in enumerate(verts):
-        classes.setdefault(gr.reduct_class(gf, vert), []).append(j)
+        classes.setdefault((sum(vert[0]) + sum(vert[1])) % 5, []).append(j)
     nbrs = [frozenset(j for j, w in enumerate(verts) if gr.adjacent(gf, u, w)) for u in verts]
     mismatched = cocliques = 0
     seen = set()
@@ -302,7 +365,7 @@ def test_reduct_preserves_adjacency_sampled():
     for _ in range(100):
         a = gr.random_affine_vertex(gf, rng)
         b = gr.random_neighbor(gf, a, rng)
-        assert gr.adjacent(gf, gr.reduct_class(gf, a), gr.reduct_class(gf, b))
+        assert gr.adjacent(gf, *((normalize(gf, v), normalize(gf, h)) for v, h in (a, b)))
 
 
 def test_bfs_and_diameter_gf2():
@@ -383,7 +446,7 @@ def test_diameter_matches_queue_bfs():
 def _neighbour_row_reach(graph):
     """Reference two-step reach: the OR of the packed rows of the
     neighbours of each vertex, one vertex at a time."""
-    rows = graph.packed_rows()
+    rows = graph.rows(slice(None))
     reach = np.zeros_like(rows)
     for u in range(graph.n):
         nbrs = graph.neighbors(u)
@@ -632,7 +695,7 @@ def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):
         assert np.array_equal(got._indptr, indptr) and np.array_equal(got._indices, indices)
         # each row against its own unpacked packed row
         for i in range(0, g.n, max(1, g.n // 97)):
-            row = np.unpackbits(got.packed_rows()[i], count=g.n)
+            row = np.unpackbits(got.rows(i), count=g.n)
             assert got.neighbors(i).tolist() == np.flatnonzero(row).tolist()
         src = got.dart_sources()
         assert src.dtype == np.int32

@@ -397,10 +397,11 @@ def test_packed_action_agrees_with_tuple_action():
 
 
 def _on_sym_by_rows(gf, act, s):
-    """sum_t s_t * s2_rows[t], the image of s under the induced action."""
+    """sum_t s_t * w_i w_j, (i, j) the monomial of slot t, the image of s
+    under the induced action."""
     out = ml.ZERO21
-    for c, row in zip(s, act.s2_rows):
-        out = ml.sym_add(out, ml.sym_scale(gf, c, row))
+    for c, (i, j) in zip(s, ml.SYM_PAIRS):
+        out = ml.sym_add(out, ml.sym_scale(gf, c, ml.sym_mul(gf, act.w_rows[i], act.w_rows[j])))
     return out
 
 
@@ -431,6 +432,23 @@ def test_an_action_that_meets_only_u_builds_three_slot_tables(q):
     built = [t for t, table in enumerate(act._slot_tables) if table is not ml._UNBUILT]
     # U = w1 w6 + w2 w5 + w3 w4
     assert built == [ml.SYM_SLOT[pair] for pair in ((0, 5), (1, 4), (2, 3))] == [5, 9, 12]
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_an_action_that_meets_only_u_makes_three_rows_and_no_inverse(q, monkeypatch):
+    gf = field_of_order(q)
+    u = ml.big_u(gf)
+    calls = []
+    for name in ("sym_mul", "mat_inv"):
+        real = getattr(ml, name)
+        monkeypatch.setattr(ml, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    act = ml.MatrixAction(gf, random_sl4(gf, random.Random(q)))
+    assert act.on_sym(u) == u
+    assert calls == ["sym_mul"] * 3
+    # the inverse transpose is made once, on the first covector
+    assert act.on_covector((1, 0, 0, 0)) == act.minv_t[0]
+    assert calls == ["sym_mul"] * 3 + ["mat_inv"]
 
 
 def test_singular_matrix_rejected():

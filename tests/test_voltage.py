@@ -12,6 +12,7 @@ from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import multilinear as ml
 from phcover import voltage as vg
+from test_graphs import normalize
 
 
 def ell(gf):
@@ -31,7 +32,7 @@ def vertex_image_index(table, act, i):
     vertex i, from the scalar actions."""
     g = table.graph
     v, h = g.vertices[i]
-    return g.index[(gr.normalize(g.gf, act.on_vector(v)), gr.normalize(g.gf, act.on_covector(h)))]
+    return g.index[(normalize(g.gf, act.on_vector(v)), normalize(g.gf, act.on_covector(h)))]
 
 
 def test_tally_counts_items_and_keeps_the_first_five_witnesses():
@@ -444,7 +445,7 @@ def test_lift_keys_sort_and_find_pairs(q):
     qb = np.array([p[0] for p in queries])
     qt = np.array([p[1] for p in queries], dtype=np.uint64)
     want = [ordered.index(p) if p in ordered else -1 for p in queries]
-    assert vg.find_sorted(keys, vg.lift_keys(gf, qb, qt)).tolist() == want
+    assert gr.find_sorted(keys, vg.lift_keys(gf, qb, qt)).tolist() == want
 
 
 @pytest.mark.parametrize("q", [8, 16])
@@ -627,7 +628,7 @@ def _lift_positions(act, perm, c):
     gf = field_of_order(2)
     verts, keys, _, _ = _cover_arrays()
     b, t = act_lift(gf, act, perm, verts[:, 0], verts[:, 1], c)
-    return vg.find_sorted(keys, vg.lift_keys(gf, b, t))
+    return gr.find_sorted(keys, vg.lift_keys(gf, b, t))
 
 
 def _maps_cover_onto_itself(pos):
@@ -837,6 +838,21 @@ def test_check_reductive_exhaustive_gf2():
     assert rep["passed"] and rep["violations"] == 0
 
 
+def test_check_reductive_exhaustive_on_rescaled_gf4_vertices():
+    # every rescaling of 20 projective GF(4) vertices: classes of 9, so the
+    # exhaustive mode has pairs to compare, unlike over GF(2)
+    gf = field_of_order(4)
+    picked = random.Random(29).sample(gr.projective_vertices(gf), 20)
+    verts = [(tuple(gf.mul(lam, c) for c in v), tuple(gf.mul(mu, c) for c in h))
+             for v, h in picked for lam in gf.nonzero() for mu in gf.nonzero()]
+    graph = gr.Graph(gf, verts)
+    rep = vg.check_reductive(gf, ell(gf), graph=graph)
+    assert rep["passed"] and rep["samples"] == 8 * graph.edge_count() * 2 > 0
+    bad = vg.check_reductive(gf, lambda a, b: ml.big_u(gf) if b[0] == picked[0][0]
+                             else cons.dart_voltage(gf, a, b), graph=graph)
+    assert not bad["passed"] and bad["violations"] > 0
+
+
 def test_check_reductive_sampled_gf4():
     gf = field_of_order(4)
     rep = vg.check_reductive(gf, ell(gf), samples=2000, rng=random.Random(10))
@@ -849,7 +865,7 @@ def test_check_reductive_negative_control():
 
     def corrupted(a, b):
         volt = cons.dart_voltage(gf, a, b)
-        if gr.normalize(gf, a[0]) != a[0] or gr.normalize(gf, b[0]) != b[0]:
+        if normalize(gf, a[0]) != a[0] or normalize(gf, b[0]) != b[0]:
             volt = ml.sym_add(volt, perturb)
         return volt
 
