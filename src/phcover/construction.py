@@ -219,7 +219,8 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
 
     Only valid for k <= 3 (21k packed bits must fit into 64).  Raises
     ValueError, as dart_voltage does, when a row of (vmat, hmat) is not a
-    vertex or a dart joins two non-adjacent vertices.
+    vertex or a dart joins two non-adjacent vertices, and IndexError when
+    a dart end is not a row.
 
     What depends on one endpoint only is computed once per vertex: its
     point id among the P distinct rows of vmat and its hyperplane id among
@@ -231,8 +232,8 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
     4(P^2 + H^2) + PH bytes, so a caller with many distinct values passes
     few vertices at a time; the GF(4) projective graph has P = H = 85.
     One q x 2^(3k) table holds every chunk code times every scalar.  The
-    darts then run in blocks of graphs.BULK_BLOCK as gathers from these tables:
-    the scale h1(v1)^-1 h2(v2)^-1 is folded into the chunks of v1 ^ v2,
+    darts then run in blocks of graphs.BULK_BLOCK as gathers from these
+    tables into buffers that every block reuses: the scale h1(v1)^-1 h2(v2)^-1 is folded into the chunks of v1 ^ v2,
     and the 21 slots of the symmetric product come from the four
     chunk-pair tables.  Nothing here assumes the symmetry or the
     rescaling invariance of the formula: every table entry is a function
@@ -254,6 +255,9 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
     own = pairing[h_id * n_p + p_id]
     if not own.all():
         raise ValueError("inputs are not vertices (functional vanishes on its vector)")
+    src, dst = np.asarray(src), np.asarray(dst)
+    if src.size and not (0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < own.size):
+        raise IndexError("a dart end is not a row of the vertex stack")
     inv_own = gf.inv_table.astype(np.intp)[own]
     w_hi, w_lo = _pair_chunk_codes(gf, points, ((0, 1, 2), (3, 4, 5)))
     # phi is slot reversal: the chunks of phi(d) are d6 d5 d4 and d3 d2 d1
@@ -266,25 +270,49 @@ def bulk_dart_voltage(gf: GF, src, dst, vmat, hmat) -> np.ndarray:
         shift = k * (2 - s)
         scaled |= t[:, (codes >> shift) & (q - 1)].astype(np.intp) << shift
     scaled = (scaled << c3).ravel()
-    t_flat = t.ravel().astype(np.intp)
+    # the products a * b at (a << k) | b, shifted as scaled is
+    t_c3 = t.ravel().astype(np.intp) << c3
+    # per vertex: h(v)^-1 shifted for t_c3, and the offsets of its row in
+    # the pairing and in the point and covector pair tables
+    inv_k, h_pairing, p_row, h_row = inv_own << k, h_id * n_p, p_id * n_p, h_id * n_h
     t00, t01, t10, t11 = _chunk_product_tables(gf)
     out = np.empty(len(src), dtype=np.uint64)
+    # Every block gathers into the same buffers, which take fills in
+    # "clip" mode, without a copy; every index is in range, as the dart
+    # ends were checked above.  Arrays made afresh per block would, under
+    # malloc's default thresholds, be unmapped and faulted in again block
+    # after block.
+    size = next(blocks(len(src)), (0, 0))[1]  # the first block is the longest
+    ints = np.empty((5, size), dtype=np.intp)
+    chunk = np.empty(size, dtype=np.uint16)
+    word = np.empty(size, dtype=np.uint64)
+
+    def take(table, at, into):
+        return np.take(table, at, out=into, mode="clip")
+
     for lo, hi in blocks(len(src)):
-        a = np.asarray(src[lo:hi], dtype=np.intp)
-        b = np.asarray(dst[lo:hi], dtype=np.intp)
-        scale = t_flat[(inv_own[a] << k) | inv_own[b]] << c3
-        pa, ha, pb, hb = p_id[a], h_id[a], p_id[b], h_id[b]
-        if (pairing[ha * n_p + pb] | pairing[hb * n_p + pa]).any():
-            raise ValueError("vertices are not adjacent")
-        pp = pa * n_p + pb
-        hh = ha * n_h + hb
-        # drop what the rest of the block does not read, to lower its peak
-        del a, b, pa, ha, pb, hb
-        w1 = scaled[scale | w_hi[pp]]
-        w2 = scaled[scale | w_lo[pp]]
-        p1, p2 = d_hi[hh], d_lo[hh]
-        del pp, hh, scale
-        out[lo:hi] = t00[w1 | p1] ^ t01[w1 | p2] ^ t10[w2 | p1] ^ t11[w2 | p2]
+        a, b, x, y, z = ints[:, :hi - lo]
+        c, u, o = chunk[:hi - lo], word[:hi - lo], out[lo:hi]
+        a[:], b[:] = src[lo:hi], dst[lo:hi]
+        # each end's covector kills the other end's vector
+        for e, f in ((a, b), (b, a)):
+            np.add(take(h_pairing, e, x), take(p_id, f, y), out=x)
+            if pairing.take(x).any():
+                raise ValueError("vertices are not adjacent")
+        # z: the scale h_a(v_a)^-1 h_b(v_b)^-1, shifted
+        np.bitwise_or(take(inv_k, a, x), take(inv_own, b, y), out=x)
+        take(t_c3, x, z)
+        # x and y: the pair ids of the two points and of the two covectors
+        np.add(take(p_row, a, x), take(p_id, b, y), out=x)
+        np.add(take(h_row, a, y), take(h_id, b, a), out=y)
+        # a and b: the two chunks of v_a ^ v_b, scaled
+        take(scaled, np.bitwise_or(z, take(w_hi, x, c), out=b), a)
+        take(scaled, np.bitwise_or(z, take(w_lo, x, c), out=x), b)
+        # the XOR of their products with the two chunks of phi(h_a ^ h_b)
+        take(t00, np.bitwise_or(a, take(d_hi, y, c), out=z), o)
+        o ^= take(t10, np.bitwise_or(b, c, out=z), u)
+        o ^= take(t01, np.bitwise_or(a, take(d_lo, y, c), out=z), u)
+        o ^= take(t11, np.bitwise_or(b, c, out=z), u)
     return out
 
 

@@ -14,8 +14,10 @@ check, bulk dart voltages, vertex images) reads it from
 and every reader of vertex identity from :func:`vertex_keys`.
 
 A :class:`Graph` keeps the factored incidence, which :meth:`Graph.rows`
-reads, and CSR neighbour lists, and is refused above ``ADJ_CAP`` vertices;
-the largest the package builds is the GF(4) projective graph.  The only
+reads, and CSR neighbour lists of int16 vertex ids, and is refused above
+``ADJ_CAP`` vertices, which keeps every id below 2^15; the largest graph
+the package builds is the GF(4) projective graph.  A product of vertex
+ids, such as a dart key i * n + j, is taken in int64.  The only
 affine graph under that cap is the GF(2) one, where normalising changes
 nothing, so :func:`build_affine_graph` returns the projective graph
 object itself.  Larger fields are served by the adjacency oracle
@@ -28,7 +30,8 @@ Every pass over all the darts of a graph or of a lift, here and in
 :mod:`phcover.voltage` and :mod:`phcover.construction`, runs in blocks
 of about ``BULK_BLOCK`` darts (:func:`blocks`, :func:`frontier_blocks`),
 so that its temporaries do not grow with the dart count; only its output
-does.
+does.  The CSR build and :func:`diameter` likewise read the adjacency
+rows a block, or a covector class, at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from .multilinear import BIV_PAIRS, wedges
 
 ENUM_CAP = 10 ** 6
 ADJ_CAP = 6100  # vertex cap of Graph, above the 5440 of the GF(4) projective graph
+# Graph stores its vertex ids as int16, so no id may reach 2^15
+if ADJ_CAP >= 2 ** 15:
+    raise ValueError(f"ADJ_CAP = {ADJ_CAP} does not fit the int16 vertex ids of Graph")
 NEIGHBOR_TRIES = 64  # rejection budget of sample_common_neighbor
 WALK_DRAWS = 2  # candidates per pending walk and pass of sample_closed_walks
 # darts (or array elements) per block of every bulk pass, which bounds
@@ -132,6 +138,8 @@ def vertex_keys(gf: GF, vmat, hmat) -> np.ndarray:
 def find_sorted(keys: np.ndarray, values) -> np.ndarray:
     """The position of each of the values among the sorted keys, or -1
     where a value is not a key."""
+    if not keys.size:
+        return np.full(np.shape(values), -1, dtype=np.intp)
     at = np.minimum(np.searchsorted(keys, values), keys.size - 1)
     return np.where(keys[at] == values, at, -1)
 
@@ -142,7 +150,8 @@ def vertex_ids(graph: "Graph", vmat, hmat) -> np.ndarray:
     keys = vertex_keys(graph.gf, graph.vmat, graph.hmat)
     order = np.argsort(keys)
     at = find_sorted(keys[order], vertex_keys(graph.gf, vmat, hmat))
-    return np.where(at < 0, -1, order[at])
+    # at = -1 reads the appended -1, also when the graph has no vertex
+    return np.append(order, -1)[at]
 
 
 def factor_vertices(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
@@ -180,9 +189,9 @@ class Graph:
     Vertices are (vector, covector) pairs, factored into points[p_id]
     and planes[h_id] with zero[h, p] when planes[h] kills points[p].  The
     adjacency is kept as the packed rows of _kill_rows plus CSR neighbour
-    lists, int64 row pointers and int32 neighbours, read off rows() a few
-    at a time.  A pair with h(v) = 0 and more than ADJ_CAP vertices raise
-    ValueError.
+    lists, int64 row pointers and int16 neighbours, counted and then read
+    off rows() a block of rows at a time.  A pair with h(v) = 0 and more
+    than ADJ_CAP vertices raise ValueError.
     """
 
     def __init__(self, gf: GF, vertices):
@@ -200,12 +209,13 @@ class Graph:
             raise ValueError("a row pair with h(v) = 0 is not a vertex")
         self.zero = values == 0
         self._kills, self._killed = _kill_rows(self.zero, self.p_id, self.h_id)
-        rows = self.rows(slice(None))  # dropped once the CSR lists are read off
         self._indptr = indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(rows).sum(axis=1, dtype=np.int64), out=indptr[1:])
-        self._indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        for lo, hi in blocks(self.n, self._kills.shape[1]):
+            indptr[lo + 1:hi + 1] = np.bitwise_count(self.rows(slice(lo, hi))).sum(axis=1)
+        np.cumsum(indptr, out=indptr)
+        self._indices = np.empty(int(indptr[-1]), dtype=np.int16)
         for lo, hi in blocks(self.n, self.n):
-            adj = np.unpackbits(rows[lo:hi], axis=1, count=self.n).view(bool)
+            adj = np.unpackbits(self.rows(slice(lo, hi)), axis=1, count=self.n).view(bool)
             self._indices[indptr[lo]:indptr[hi]] = np.flatnonzero(adj) % self.n
 
     def rows(self, i) -> np.ndarray:
@@ -223,8 +233,8 @@ class Graph:
         return int(self._indptr[-1]) // 2
 
     def dart_sources(self) -> np.ndarray:
-        """The source vertex of every dart, in CSR order, as int32."""
-        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._indptr))
+        """The source vertex of every dart, in CSR order, as int16."""
+        return np.repeat(np.arange(self.n, dtype=np.int16), np.diff(self._indptr))
 
 
 _graph_cache: dict = {}
@@ -338,9 +348,11 @@ def is_connected(graph: Graph) -> bool:
     return graph.n == 0 or int((bfs(graph, 0) >= 0).sum()) == graph.n
 
 
-def two_step_reach(graph: Graph) -> np.ndarray:
-    """Packed rows R(u): the OR of the adjacency rows of the neighbours of u,
-    the vertices joined to u by a walk of two edges.
+def two_step_reach(graph: Graph):
+    """The packed rows R(u), the OR of the adjacency rows of the neighbours
+    of u, that is the vertices joined to u by a walk of two edges: one pair
+    (members, reach) per distinct covector, with the vertices of that
+    covector and their rows R.
 
     The neighbours w of u are the vertices with h_u(v_w) = 0 and
     h_w(v_u) = 0.  Grouped by the id y of their vector, they give
@@ -357,27 +369,27 @@ def two_step_reach(graph: Graph) -> np.ndarray:
     for c, members in enumerate(by_covector):
         table[np.ix_(p_id[members], np.flatnonzero(zero[c]))] |= kills[c]
     table &= killed[:, None, :]
-    reach = np.zeros((graph.n, kills.shape[1]), dtype=np.uint8)
     for c, members in enumerate(by_covector):
         ys = np.flatnonzero(zero[c])
-        reach[members] = np.bitwise_or.reduce(table[ys[:, None], p_id[members][None, :]], axis=0)
-    return reach
+        yield members, np.bitwise_or.reduce(table[ys[:, None], p_id[members][None, :]], axis=0)
 
 
 def diameter(graph: Graph) -> int:
     """Exact diameter, exhaustive over all sources; -1 when the graph is
     disconnected.
 
-    Tests the distance <= 2 property in bulk on the two-step reach of every
-    vertex; falls back to per-source BFS only when that test fails.
+    Tests the distance <= 2 property on the two-step reach, one covector
+    class of vertices at a time; falls back to per-source BFS only when
+    that test fails.
     """
     n = graph.n
     if n <= 1:
         return 0
-    # no own bit is set: a vertex with a neighbour reaches itself in two steps
-    reach = two_step_reach(graph) | graph.rows(slice(None))
-    # the packed all-ones row; the padding bits of every row are zero
-    if (reach == np.packbits(np.ones(n, dtype=bool))).all():
+    # the packed all-ones row; the padding bits of every row are zero.  No
+    # own bit is set: a vertex with a neighbour reaches itself in two steps
+    full = np.packbits(np.ones(n, dtype=bool))
+    if all(((reach | graph.rows(members)) == full).all()
+           for members, reach in two_step_reach(graph)):
         return 1 if graph.edge_count() == n * (n - 1) // 2 else 2
     if not is_connected(graph):
         return -1

@@ -305,7 +305,7 @@ def verify_local_isomorphism(table: DartTable, component) -> dict:
     indptr, indices, volts = table.indptr, table.indices, table.volts
     vb, vt = component["vertices"][:, 0], component["vertices"][:, 1].astype(np.uint64)
     weight = np.bincount(vb, minlength=g.n)
-    # int64 keys: an int32 source times n could overflow
+    # int64 keys: an int16 source times n overflows
     darts = g.dart_sources().astype(np.int64) * g.n + indices
     checked = violations = 0
     for tri in triangle_blocks(g):

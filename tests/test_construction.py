@@ -325,6 +325,16 @@ def test_bulk_voltages_across_blocks():
                          graph._indices[pos])
 
 
+def test_bulk_voltages_refuse_dart_ends_outside_the_stack():
+    import numpy as np
+
+    gf = field_of_order(2)
+    graph = gr.build_projective_graph(gf)
+    for src, dst in (([0], [graph.n]), ([-1], [0]), ([0, graph.n + 5], [1, 2])):
+        with pytest.raises(IndexError, match="not a row"):
+            cons.bulk_dart_voltage(gf, np.array(src), np.array(dst), graph.vmat, graph.hmat)
+
+
 def test_bulk_voltages_refuse_k4():
     import numpy as np
 
@@ -351,6 +361,13 @@ def test_bulk_voltages_refuse_what_the_scalar_refuses():
     one = np.array([v0[0]], dtype=np.uint8)
     with pytest.raises(ValueError, match="not adjacent"):
         cons.bulk_dart_voltage(gf, [0], [0], one, one)
+    # (e1, f1) and (e2, f1 + f2): f1 kills e2, but f1 + f2 does not kill e1,
+    # so the pair fails the adjacency test in one direction only
+    vmat = np.array([(1, 0, 0, 0), (0, 1, 0, 0)], dtype=np.uint8)
+    hmat = np.array([(1, 0, 0, 0), (1, 1, 0, 0)], dtype=np.uint8)
+    for a, b in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="not adjacent"):
+            cons.bulk_dart_voltage(gf, [a], [b], vmat, hmat)
     graph = gr.build_projective_graph(gf)
     src = graph.dart_sources()[:gr.BULK_BLOCK + 9].copy()
     dst = graph._indices[:src.size].copy()

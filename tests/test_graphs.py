@@ -309,6 +309,17 @@ def test_vertex_ids_find_projective_vertices_or_give_minus_one():
     sub = gr.subgraph(graph, ids)
     got = gr.vertex_ids(sub, vmat[:2], hmat[:2]).tolist()
     assert got == [-1, len(ids) - 1]
+    # a graph of no vertices holds none of them
+    assert gr.vertex_ids(gr.Graph(gf, []), vmat[:2], hmat[:2]).tolist() == [-1, -1]
+
+
+def test_find_sorted_gives_minus_one_off_the_keys():
+    keys = np.array([2, 5, 9])
+    assert gr.find_sorted(keys, np.array([9, 1, 5, 10, 2, 6])).tolist() == [2, -1, 1, -1, 0, -1]
+    # no keys: every value is off them, in the shape of the values
+    none = np.array([], dtype=np.int64)
+    assert gr.find_sorted(none, np.array([[0, 3], [4, -1]])).tolist() == [[-1, -1], [-1, -1]]
+    assert gr.find_sorted(none, np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_graph_refuses_a_pair_that_is_not_a_vertex():
@@ -460,7 +471,16 @@ def test_two_step_reach_matches_neighbour_rows():
     rng = random.Random(17)
     induced = [gr.subgraph(g4, rng.sample(range(g4.n), 300)) for _ in range(3)]
     for graph in _test_graphs() + [gr.build_affine_graph(field_of_order(2)), g4] + induced:
-        assert np.array_equal(gr.two_step_reach(graph), _neighbour_row_reach(graph))
+        want = _neighbour_row_reach(graph)
+        reach = np.zeros_like(want)
+        seen = np.zeros(graph.n, dtype=np.int64)
+        for members, rows in gr.two_step_reach(graph):
+            # one class per covector, each vertex in the class of its own
+            assert (graph.h_id[members] == graph.h_id[members[0]]).all()
+            reach[members] = rows
+            seen[members] += 1
+        assert (seen == 1).all()
+        assert np.array_equal(reach, want)
 
 
 def test_diameter_takes_bfs_only_past_distance_two(monkeypatch):
@@ -691,13 +711,13 @@ def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):
     monkeypatch.setattr(gr, "BULK_BLOCK", 7)
     for g, (indptr, indices, dists) in zip(graphs, want):
         got = gr.Graph(g.gf, g.vertices)
-        assert got._indptr.dtype == np.int64 and got._indices.dtype == np.int32
+        assert got._indptr.dtype == np.int64 and got._indices.dtype == np.int16
         assert np.array_equal(got._indptr, indptr) and np.array_equal(got._indices, indices)
         # each row against its own unpacked packed row
         for i in range(0, g.n, max(1, g.n // 97)):
             row = np.unpackbits(got.rows(i), count=g.n)
             assert got.neighbors(i).tolist() == np.flatnonzero(row).tolist()
         src = got.dart_sources()
-        assert src.dtype == np.int32
+        assert src.dtype == np.int16
         assert src.tolist() == [i for i in range(g.n) for _ in range(got.degree(i))]
         assert all(np.array_equal(gr.bfs(got, s), d) for s, d in zip((0, g.n - 1), dists))

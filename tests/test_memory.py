@@ -48,6 +48,11 @@ def _voltage_table(tmp_path):
     return lambda: cons.voltage_table(graph)
 
 
+def _diameter(tmp_path):
+    graph = gr.build_projective_graph(field_of_order(4))
+    return lambda: gr.diameter(graph)
+
+
 def _spanning_tree(tmp_path):
     graph = gr.build_projective_graph(field_of_order(4))
     table = cons.voltage_table(graph)
@@ -105,7 +110,8 @@ def _base_graph_export(fmt):
     return setup
 
 
-PASSES = {"graph": _graph, "voltage_table": _voltage_table, "spanning_tree": _spanning_tree,
+PASSES = {"graph": _graph, "voltage_table": _voltage_table, "diameter": _diameter,
+          "spanning_tree": _spanning_tree,
           "cycle_span_report": _cycle_span_report,
           "cycle_span_report_gf16": _cycle_span_report_gf16,
           "local_isomorphism": _local_isomorphism,

@@ -1,3 +1,4 @@
+import copy
 import functools
 import inspect
 import itertools
@@ -982,6 +983,41 @@ def test_vertex_images_refuse_images_outside_the_graph():
         [vertex_image_index(table, act, i) for i in range(sub.n)]
     with pytest.raises(KeyError):
         vg.vertex_images(table, [act])
+    # a graph of no vertices has no image to miss: the empty permutation
+    empty = vg.DartTable(gr.Graph(gf, []), np.empty(0, dtype=np.uint64))
+    assert vg.vertex_images(empty, [act, act]).shape == (2, 0)
+
+
+def test_int16_vertex_ids_give_what_int64_ids_give_on_the_gf4_graph():
+    # a product of GF(2) ids stays below 2^15 (119 * 120), so only the
+    # GF(4) graph can show a product taken in int16
+    assert gr.ADJ_CAP < 2 ** 15
+    gf = field_of_order(4)
+    graph = gr.build_projective_graph(gf)
+    wide = copy.copy(graph)
+    wide._indices = graph._indices.astype(np.int64)
+    assert graph._indices.dtype == np.int16
+    last = graph.n - 1
+    for got, want in zip(gr.csr_bfs(graph._indptr, graph._indices, last),
+                         gr.csr_bfs(wide._indptr, wide._indices, last)):
+        assert np.array_equal(got, want)
+    # (i, j, pos) of every edge, and (t, w) of the last 200 edges' common
+    # neighbours, each concatenated over its blocks
+    edges = [[np.concatenate(part) for part in zip(*gr.edge_blocks(g))] for g in (graph, wide)]
+    near = [[np.concatenate(part)
+             for part in zip(*gr.common_neighbor_blocks(g, i[-200:], j[-200:]))]
+            for g, (i, j, _) in zip((graph, wide), edges)]
+    for got, want in zip(edges[0] + near[0], edges[1] + near[1]):
+        assert np.array_equal(got, want)
+    volts = cons.voltage_table(graph).volts
+    tables = [vg.DartTable(g, volts) for g in (graph, wide)]
+    rng = random.Random(28)
+    actions = [ml.action(gf, random_sl4(gf, rng)) for _ in range(3)]
+    assert np.array_equal(*(vg.vertex_images(t, actions) for t in tables))
+    got, want = (vg.fundamental_cycle_span(t) for t in tables)
+    assert got["span"].pivots == want["span"].pivots
+    assert {k: v for k, v in got.items() if k != "span"} == \
+        {k: v for k, v in want.items() if k != "span"}
 
 
 def test_check_equivariance_sampled_gf8():
