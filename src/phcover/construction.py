@@ -979,9 +979,12 @@ def cover_report() -> dict:
     n, m = len(data["vertices"]), len(edges)
     fiber_sizes = distinct(np.bincount(data["vertices"][:, 0], minlength=table.graph.n)).tolist()
     liso = verify_local_isomorphism(table, data["component"])
-    # independent connectivity check on the exported edge list
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    # independent connectivity check on the exported edge list, on int16
+    # ids where they fit, so that the stable sorts here and in csr_bfs are
+    # radix sorts
+    ends = edges.astype(np.int16 if n <= 2 ** 15 else np.int64)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     dist = csr_bfs(indptr, dst[np.argsort(src, kind="stable")], 0)[0]
@@ -1044,9 +1047,11 @@ def verify_main_theorem(gf: GF, seed: int = 12345, samples: int = 10 ** 4) -> di
 def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
                         seed: int = 12345) -> dict:
     """U is fixed by unimodular matrices and scaled by the determinant in
-    general."""
+    general.  Raises ValueError on a negative count or on none at all."""
     from .linalg import random_gl4, random_sl4
 
+    if min(n_sl, n_gl) < 0 or n_sl + n_gl == 0:
+        raise ValueError("u-invariance needs at least one matrix")
     rng = random.Random(seed)
     u = big_u(gf)
 

@@ -137,11 +137,19 @@ def vertex_keys(gf: GF, vmat, hmat) -> np.ndarray:
 
 def find_sorted(keys: np.ndarray, values) -> np.ndarray:
     """The position of each of the values among the sorted keys, or -1
-    where a value is not a key."""
+    where a value is not a key.  The values are searched in sorted order,
+    which keeps each search near the last, and the positions scattered
+    back to the order given."""
+    values = np.asarray(values)
     if not keys.size:
-        return np.full(np.shape(values), -1, dtype=np.intp)
-    at = np.minimum(np.searchsorted(keys, values), keys.size - 1)
-    return np.where(keys[at] == values, at, -1)
+        return np.full(values.shape, -1, dtype=np.intp)
+    flat = values.ravel()
+    order = np.argsort(flat)
+    needles = flat[order]
+    at = np.minimum(np.searchsorted(keys, needles), keys.size - 1)
+    found = np.empty(flat.size, dtype=np.intp)
+    found[order] = np.where(keys[at] == needles, at, -1)
+    return found.reshape(values.shape)
 
 
 def vertex_ids(graph: "Graph", vmat, hmat) -> np.ndarray:
@@ -314,15 +322,18 @@ def csr_bfs(indptr: np.ndarray, indices: np.ndarray, start: int):
     search runs one level at a time, and each level in frontier blocks, in
     frontier order: a vertex not seen before takes its parent from its
     first occurrence in the gathered rows, and it is marked seen before the
-    next block.  That is the tree a first-in-first-out queue scan builds."""
+    next block.  That is the tree a first-in-first-out queue scan builds.
+    The search stops after the level that reaches the last vertex, as the
+    next level could find none."""
     n = indptr.size - 1
     dist = np.full(n, -1, dtype=np.int32)
     parent = np.full(n, -1, dtype=np.int64)
     dart = np.full(n, -1, dtype=np.int64)
     dist[start] = 0
     frontier = np.array([start])
+    unreached = n - 1
     d = 0
-    while frontier.size:
+    while frontier.size and unreached:
         d += 1
         found = []
         for slot, pos in frontier_blocks(indptr, frontier):
@@ -336,6 +347,7 @@ def csr_bfs(indptr: np.ndarray, indices: np.ndarray, start: int):
             dart[new] = pos[first]
             found.append(new)
         frontier = np.concatenate(found)
+        unreached -= frontier.size
     return dist, parent, dart
 
 

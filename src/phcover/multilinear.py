@@ -255,9 +255,11 @@ class MatrixAction:
     tensors multiplicatively.  A unimodular matrix fixes U, so it also
     acts on N, through n_project_packed of the images.  The
     symmetric-square action XORs packed images from one table per slot of
-    the input, or for arrays one per byte.  The tables and the inverse
-    transpose are made on first use: an action that only ever meets U makes
-    the sym_mul rows of its three nonzero slots and no inverse.
+    the input; arrays of packed values take one table per byte instead,
+    which byte_tables builds for a batch of actions.  The slot tables and
+    the inverse transpose are made on first use: an action that only ever
+    meets U makes the sym_mul rows of its three nonzero slots and no
+    inverse.
     """
 
     def __init__(self, gf: GF, m):
@@ -308,30 +310,50 @@ class MatrixAction:
             acc ^= table[c]
         return unpack_sym(self.gf, acc)
 
-    @cached_property
-    def _byte_tables(self) -> np.ndarray:
-        """Per byte of a packed value, lowest first, the packed image of
-        every value of the byte, XORed together from the images of its
-        bits: a (ceil(21k / 8), 256) uint64 array."""
-        k = self.gf.k
-        # packed bit p is bit p % k of slot 20 - p // k
-        bits = [self._slot_table(20 - p // k)[1 << (p % k)] for p in range(21 * k)]
-        bits += [0] * (-len(bits) % 8)
-        return np.array([_span_table(bits[b:b + 8]) for b in range(0, len(bits), 8)],
-                        dtype=np.uint64)
 
-    def on_sym_packed_array(self, xs) -> np.ndarray:
-        """The packed image of every entry of an array of packed values, as
-        one uint64 gather per byte; only valid for k <= 3 (21k packed bits must
-        fit into 64)."""
-        if self.gf.k > 3:
-            raise ValueError("packed bulk images support k <= 3 only")
-        xs = np.asarray(xs, dtype=np.uint64)
-        tables = self._byte_tables
-        acc = tables[0][xs & np.uint64(0xFF)]
-        for b in range(1, len(tables)):
-            acc ^= tables[b][(xs >> np.uint64(8 * b)) & np.uint64(0xFF)]
-        return acc
+def byte_tables(gf: GF, actions) -> np.ndarray:
+    """Per action and per byte of a packed value, lowest first, the packed
+    image of every value of the byte, XORed together from the images of its
+    bits: an (A, ceil(21k / 8), 256) uint64 array for A actions, built as
+    arrays for all of them at once.  Packed bit p is bit e = p % k of slot
+    20 - p // k, with monomial w_i w_j, and its image is the product of 2^e
+    times the image of w_i with the image of w_j.  Only valid for k <= 3
+    (21k packed bits must fit into 64)."""
+    if gf.k > 3:
+        raise ValueError("packed bulk images support k <= 3 only")
+    k, t = gf.k, gf.mul_table
+    m = np.array([act.m for act in actions], dtype=np.uint8).reshape(-1, 4, 4)
+    # row s of w is the image of w_s, the wedge of the rows (a, b) of m
+    a, b = np.array(BIV_PAIRS).T
+    w = wedges(gf, m[:, a], m[:, b])
+    # the packed bits in order, as (A, 21, k, 6) rows: slot 20 - p // k,
+    # with x 2^e times the image of w_i and y the image of w_j
+    i, j = np.array(SYM_PAIRS)[::-1].T
+    x = t[1 << np.arange(k)[:, None], w[:, i, None, :]]
+    y = w[:, j, None, :]
+    # coordinate (s, u) of x y is x_s y_u + x_u y_s off the diagonal and
+    # x_s y_s on it, and lands at bit k (20 - its slot) of the packing
+    s, u = np.array(SYM_PAIRS).T
+    prod = t[x[..., s], y[..., u]] ^ np.where(s == u, 0, t[x[..., u], y[..., s]])
+    shifts = (k * (20 - np.arange(21))).astype(np.uint64)
+    bits = np.bitwise_or.reduce(prod.astype(np.uint64) << shifts, axis=-1).reshape(len(m), 21 * k)
+    bits = np.pad(bits, ((0, 0), (0, -21 * k % 8))).reshape(len(m), -(-21 * k // 8), 8)
+    # the tables of the first e bits of each byte, doubled by bit e:
+    # entry v + 2^e is entry v XOR the image of bit e
+    tables = np.zeros(bits.shape[:2] + (1,), dtype=np.uint64)
+    for e in range(8):
+        tables = np.concatenate([tables, tables ^ bits[..., e:e + 1]], axis=-1)
+    return tables
+
+
+def packed_images(tables: np.ndarray, xs) -> np.ndarray:
+    """The packed image of every entry of an array of packed values under
+    the byte tables of one action, one uint64 gather per byte."""
+    xs = np.asarray(xs, dtype=np.uint64)
+    acc = tables[0][xs & np.uint64(0xFF)]
+    for b in range(1, len(tables)):
+        acc ^= tables[b][(xs >> np.uint64(8 * b)) & np.uint64(0xFF)]
+    return acc
 
 
 @lru_cache(maxsize=2048)

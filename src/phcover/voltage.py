@@ -17,8 +17,8 @@ index, packed tag) row of one ``(n, 2)`` int64 array, and the lift is
 searched through the sorted :func:`lift_keys` of its vertices.  A pair
 (g, c) of g in SL4 and c in N maps the lift vertex (b, t) to
 (perm[b], N(g t + c)), with perm from :func:`vertex_images` and g t from
-``MatrixAction.on_sym_packed_array``; the pairs that map a component
-onto itself form the extension of SL4 by the deck group M.  The
+the tables of :func:`phcover.multilinear.byte_tables`; the pairs that map
+a component onto itself form the extension of SL4 by the deck group M.  The
 scalar entry points take a plain ``dart_fn(a, b) -> 21-tuple`` instead
 and work on any graph.
 
@@ -50,7 +50,7 @@ from .graphs import (
     vertex_keys,
 )
 from .linalg import dot, vec_scale
-from .multilinear import ZERO21, n_project_packed, sym_add
+from .multilinear import ZERO21, byte_tables, n_project_packed, packed_images, sym_add
 
 
 class F2Span:
@@ -268,15 +268,15 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
         nb = table.indices[pos].astype(np.int64)
         nt = n_project_packed(table.gf, queue_t[head + slot] ^ table.volts[pos])
         head = queue_b.size
-        # seen keys first, then candidates in scan order; the stable sort
-        # puts the earliest entry of each key first
+        # seen keys first, then candidates in scan order; the least entry
+        # index in each run of equal sorted keys is the key's earliest
         keys = np.concatenate([seen, lift_keys(table.gf, nb, nt)])
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys = keys[order]
-        first = np.concatenate([[True], keys[1:] != keys[:-1]])
-        fresh = order[first] - seen.size
+        runs = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        fresh = np.minimum.reduceat(order, runs) - seen.size
         fresh = np.sort(fresh[fresh >= 0])
-        seen = keys[first]
+        seen = keys[runs]
         if queue_b.size + fresh.size > cap:
             raise CapExceeded(
                 f"lift component exceeded the cap of {cap} vertices;"
@@ -394,25 +394,30 @@ def check_equivariance(gf: GF, dart_fn, actions, samples: int = 0, rng=None,
     Handed a dart table, the check is exhaustive over all edges u < v of
     its graph, one matrix at a time and each matrix in blocks of edges: the
     image vertices come from vertex_images, the image darts from the table,
-    and the images of the voltages from on_sym_packed_array (k <= 3).
-    Otherwise it draws random darts from rng and evaluates them through
-    dart_fn.
+    and the images of the voltages from the byte tables of all the
+    matrices, built in one call of byte_tables (k <= 3).  Otherwise it
+    draws random darts from rng and evaluates them through dart_fn.  Raises
+    ValueError when no matrix is supplied, as there would be nothing to
+    check.
     """
+    if not len(actions):
+        raise ValueError("equivariance needs at least one matrix")
     if table is not None:
         src, dst = table.graph.dart_sources(), table.indices
         keep = src < dst
         src, dst, volts = src[keep], dst[keep], table.volts[keep]
         dart, m = table.dart, src.size
         passed = np.empty(len(actions) * m, dtype=bool)
-        for n, (act, perm) in enumerate(zip(actions, vertex_images(table, actions))):
+        images = zip(byte_tables(gf, actions), vertex_images(table, actions))
+        for n, (tables, perm) in enumerate(images):
             for lo, hi in blocks(m):
                 have = [dart(a, b) for a, b in zip(perm[src[lo:hi]].tolist(),
                                                     perm[dst[lo:hi]].tolist())]
                 passed[n * m + lo:n * m + hi] = \
-                    np.array(have, dtype=np.uint64) == act.on_sym_packed_array(volts[lo:hi])
+                    np.array(have, dtype=np.uint64) == packed_images(tables, volts[lo:hi])
         return report("equivariance", gf, "exhaustive", *tally(passed, lambda i: {
             "dart": (int(src[i % m]), int(dst[i % m])), "matrix": actions[i // m].m}))
-    per_action = max(1, samples // max(1, len(actions)))
+    per_action = max(1, samples // len(actions))
 
     def results():
         for act in actions:

@@ -152,3 +152,25 @@ def test_exhaustive_gf2_checks_meet_the_dart_lookup_pins(tracing):
         "construction.verify_triangles": 3 * 3360,
         "construction.verify_quadrangles": 4 * 138600,
         "voltage.check_equivariance": 100 * 1680}
+
+
+def test_cover_and_cycle_span_meet_the_lift_and_tree_pins(tracing):
+    # as in a fresh enumerated-tables process: cover_report builds the GF(2)
+    # cover, one lift of 7680 vertices, and the GF(4) cycle span builds
+    # its tree once
+    gf4 = field_of_order(4)
+    cons.voltage_table(gr.build_affine_graph(field_of_order(2)))
+    cons.voltage_table(gr.build_projective_graph(gf4))._tree_cache.clear()
+    cons.cover_data.cache_clear()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        reports = [cons.cover_report(), cons.cycle_span_report(gf4)]
+    finally:
+        tracer.uninstall()
+    assert all(r["passed"] for r in reports)
+    summary = tracer.summary()
+    assert summary["voltage.component_of"]["by_parent"] == {"construction.build_cover": 1}
+    assert summary["voltage.component_of"]["lift_vertices"] == 7680
+    assert summary["construction.build_cover"]["by_parent"] == {"construction.cover_report": 1}
+    assert summary["voltage.spanning_tree_potentials"]["calls"] == 1

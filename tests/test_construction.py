@@ -14,6 +14,7 @@ from phcover import multilinear as ml
 from phcover import voltage as vg
 from test_graphs import _walk_tuples, normalize
 from test_linalg import _rref_kernel
+from test_multilinear import on_sym_packed_array
 
 
 def mat_mul(gf, a, b):
@@ -721,9 +722,9 @@ def test_multiplication_rule_matches_extension_composition():
         assert mat_mul(gf, cons.ax_matrix(gf, x), cons.ax_matrix(gf, y)) == \
             cons.ax_matrix(gf, x ^ y)
         k1, k2 = ml.n_project_packed(gf, [lam[x] ^ m, lam[y] ^ n])
-        kprod = ml.n_project_packed(gf, gy.on_sym_packed_array(k1) ^ k2)
+        kprod = ml.n_project_packed(gf, on_sym_packed_array(gy, k1) ^ k2)
         rule = lam[x ^ y] ^ ml.pack_sym(gf, cons.w5_squared(gf, gf.mul(x, y))) ^ n
-        assert kprod == ml.n_project_packed(gf, gy.on_sym_packed_array(m) ^ rule)
+        assert kprod == ml.n_project_packed(gf, on_sym_packed_array(gy, m) ^ rule)
 
 
 # ----------------------------------------------------------------------
@@ -1068,6 +1069,16 @@ def _assert_failed(rep, violations, samples, keys):
     assert (rep["violations"], rep["samples"]) == (violations, samples)
     assert 1 <= len(rep["witnesses"]) == min(5, violations)
     assert all(set(w) == keys for w in rep["witnesses"])
+
+
+def test_u_invariance_refuses_no_matrices():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        cons.u_invariance_report(field_of_order(4), n_sl=0, n_gl=0)
+
+
+def test_equivariance_report_refuses_no_matrices():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        cons.equivariance_report(field_of_order(4), n_matrices=0)
 
 
 def test_u_invariance_negative_control(monkeypatch):

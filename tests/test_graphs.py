@@ -322,6 +322,33 @@ def test_find_sorted_gives_minus_one_off_the_keys():
     assert gr.find_sorted(none, np.array([], dtype=np.int64)).shape == (0,)
 
 
+def _searchsorted_find(keys, values):
+    """Reference find_sorted: one search per value, in the order given."""
+    if not keys.size:
+        return np.full(np.shape(values), -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    return np.where(keys[at] == values, at, -1)
+
+
+def test_find_sorted_matches_the_searchsorted_form():
+    rng = np.random.default_rng(29)
+    keys = np.unique(rng.integers(0, 10 ** 6, 7680)).astype(np.uint64)
+    hits = rng.choice(keys, 500)
+    cases = [np.concatenate([hits, rng.integers(0, 10 ** 6, 500).astype(np.uint64)]),
+             # 2-d, with every value repeated
+             np.repeat(hits, 3).reshape(-1, 6),
+             # below the first key and above the last
+             np.array([0, keys[0] - 1, keys[-1] + 1, 2 ** 63], dtype=np.uint64),
+             np.array([], dtype=np.uint64).reshape(0, 3)]
+    for values in cases:
+        got = gr.find_sorted(keys, values)
+        assert got.shape == values.shape and got.dtype == np.intp
+        assert np.array_equal(got, _searchsorted_find(keys, values))
+    none = np.array([], dtype=np.uint64)
+    for values in cases:
+        assert np.array_equal(gr.find_sorted(none, values), _searchsorted_find(none, values))
+
+
 def test_graph_refuses_a_pair_that_is_not_a_vertex():
     gf = field_of_order(2)
     good = gr.projective_vertices(gf)[:5]
@@ -721,3 +748,94 @@ def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):
         assert src.dtype == np.int16
         assert src.tolist() == [i for i in range(g.n) for _ in range(got.degree(i))]
         assert all(np.array_equal(gr.bfs(got, s), d) for s, d in zip((0, g.n - 1), dists))
+
+
+def _full_scan_bfs(indptr, indices, start):
+    """Reference csr_bfs: the same level scan, run on until a level finds
+    no vertex."""
+    n = indptr.size - 1
+    dist = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.int64)
+    dart = np.full(n, -1, dtype=np.int64)
+    dist[start] = 0
+    frontier = np.array([start])
+    d = 0
+    while frontier.size:
+        d += 1
+        found = []
+        for slot, pos in gr.frontier_blocks(indptr, frontier):
+            dst = indices[pos]
+            fresh = dist[dst] < 0
+            slot, pos, dst = slot[fresh], pos[fresh], dst[fresh]
+            first = np.sort(np.unique(dst, return_index=True)[1])
+            new = dst[first]
+            dist[new] = d
+            parent[new] = frontier[slot[first]]
+            dart[new] = pos[first]
+            found.append(new)
+        frontier = np.concatenate(found)
+    return dist, parent, dart
+
+
+def _bfs_cases():
+    """(indptr, indices, starts) of the GF(2) and GF(4) graphs from their
+    first, a middle and their last vertex, of the GF(2) cover's CSR as
+    cover_report builds it, of a graph of two components and of a graph of
+    one vertex."""
+    from phcover import construction as cons
+
+    cases = []
+    for q in (2, 4):
+        g = gr.build_projective_graph(field_of_order(q))
+        cases.append((g._indptr, g._indices, (0, g.n // 2, g.n - 1)))
+    edges = cons.cover_data()["edges"].astype(np.int16)
+    n = len(cons.cover_data()["vertices"])
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    cases.append((indptr, dst[np.argsort(src, kind="stable")], (0, n - 1)))
+    # a star around vertex 0 and one vertex adjacent to none of it
+    gf2 = gr.build_affine_graph(field_of_order(2))
+    star = [0] + gf2.neighbors(0)[:5].tolist()
+    lone = next(j for j in range(gf2.n)
+                if j not in star and not any(j in gf2.neighbors(i) for i in star))
+    two = gr.subgraph(gf2, star + [lone])
+    cases.append((two._indptr, two._indices, (0, 3, two.n - 1)))
+    one = gr.subgraph(gf2, [7])
+    cases.append((one._indptr, one._indices, (0,)))
+    return cases
+
+
+def test_bfs_stopping_at_the_last_vertex_builds_the_full_scan_tree(monkeypatch):
+    cases = _bfs_cases()
+    for block in (gr.BULK_BLOCK, 7):
+        monkeypatch.setattr(gr, "BULK_BLOCK", block)
+        for indptr, indices, starts in cases:
+            for start in starts:
+                got = gr.csr_bfs(indptr, indices, start)
+                want = _full_scan_bfs(indptr, indices, start)
+                assert [x.dtype for x in got] == [np.int32, np.int64, np.int64]
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the second component stays unreached
+    indptr, indices, _ = cases[3]
+    assert (gr.csr_bfs(indptr, indices, 0)[0] < 0).sum() == 1
+
+
+def test_bfs_of_the_gf4_graph_gathers_two_levels_of_darts(monkeypatch):
+    # the graph has diameter 2: the root's 336 darts and their ends' 336^2
+    # darts reach every vertex, and the third level is never gathered
+    g = gr.build_projective_graph(field_of_order(4))
+    gathered = []
+    real = gr.frontier_darts
+
+    def counted(indptr, frontier):
+        slot, pos = real(indptr, frontier)
+        gathered.append(pos.size)
+        return slot, pos
+
+    monkeypatch.setattr(gr, "frontier_darts", counted)
+    dist = gr.csr_bfs(g._indptr, g._indices, 0)[0]
+    assert (dist >= 0).all() and dist.max() == 2
+    assert g.degree(0) == 336
+    assert sum(gathered) == 336 + 336 ** 2 == 113232

@@ -78,6 +78,18 @@ def _local_isomorphism(tmp_path):
     return lambda: vg.verify_local_isomorphism(data["table"], data["component"])
 
 
+def _build_cover(tmp_path):
+    # the lift BFS, its key sorts and the edge lookups
+    cons.voltage_table(gr.build_affine_graph(field_of_order(2)))
+    return cons.build_cover
+
+
+def _cover_report(tmp_path):
+    # the local isomorphism and the connectivity CSR and BFS
+    cons.cover_data()
+    return cons.cover_report
+
+
 def _export(fmt):
     def setup(tmp_path):
         cons.cover_data()
@@ -115,6 +127,7 @@ PASSES = {"graph": _graph, "voltage_table": _voltage_table, "diameter": _diamete
           "cycle_span_report": _cycle_span_report,
           "cycle_span_report_gf16": _cycle_span_report_gf16,
           "local_isomorphism": _local_isomorphism,
+          "build_cover": _build_cover, "cover_report": _cover_report,
           "export_json": _export("json"), "export_edgelist": _export("edgelist"),
           "verify_triangles": _exhaustive(cons.verify_triangles),
           "verify_quadrangles": _exhaustive(cons.verify_quadrangles),

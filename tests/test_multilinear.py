@@ -9,6 +9,12 @@ from phcover.linalg import E4, det, mat_vec, random_gl4, random_sl4, vec_add, ve
 from phcover import multilinear as ml
 
 
+def on_sym_packed_array(act, xs):
+    """The packed images of an array of packed values under one action,
+    through its byte tables (k <= 3)."""
+    return ml.packed_images(ml.byte_tables(act.gf, [act])[0], xs)
+
+
 def wedge_by_expansion(gf, u, v):
     """Independent oracle: expand u ^ v over basis decomposables, collecting
     the coefficient of e_a ^ e_b (a < b) as u_a v_b - u_b v_a (signs vanish)."""
@@ -367,7 +373,7 @@ def test_quotient_action_needs_unimodular():
     gf = field_of_order(4)
     act = ml.action(gf, ((0b10, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     xs = _packed_draws(gf, random.Random(17))
-    images = [ml.n_project_packed(gf, act.on_sym_packed_array(x))
+    images = [ml.n_project_packed(gf, on_sym_packed_array(act, x))
               for x in (xs, xs ^ np.uint64(ml.u_packed(gf)))]
     assert (images[0] != images[1]).all()
 
@@ -380,7 +386,7 @@ def test_quotient_action_well_defined():
         xs = _packed_draws(gf, rng)
         for _ in range(10):
             act = ml.action(gf, random_sl4(gf, rng))
-            images = [ml.n_project_packed(gf, act.on_sym_packed_array(x))
+            images = [ml.n_project_packed(gf, on_sym_packed_array(act, x))
                       for x in (xs, xs ^ np.uint64(ml.u_packed(gf)))]
             assert (images[0] == images[1]).all()
 
@@ -392,7 +398,7 @@ def test_packed_action_agrees_with_tuple_action():
         for _ in range(10):
             act = ml.action(gf, random_sl4(gf, rng))
             tensors = [tuple(rng.randrange(q) for _ in range(21)) for _ in range(20)]
-            images = act.on_sym_packed_array([ml.pack_sym(gf, s) for s in tensors])
+            images = on_sym_packed_array(act, [ml.pack_sym(gf, s) for s in tensors])
             assert images.tolist() == [ml.pack_sym(gf, act.on_sym(s)) for s in tensors]
 
 
@@ -420,7 +426,7 @@ def test_table_actions_match_row_combination(q):
         wants = [_on_sym_by_rows(gf, act, s) for s in inputs]
         assert [act.on_sym(s) for s in inputs] == wants
         if gf.k <= 3:  # 21k packed bits fit a uint64
-            images = act.on_sym_packed_array([ml.pack_sym(gf, s) for s in inputs])
+            images = on_sym_packed_array(act, [ml.pack_sym(gf, s) for s in inputs])
             assert images.tolist() == [ml.pack_sym(gf, want) for want in wants]
 
 
@@ -449,6 +455,40 @@ def test_an_action_that_meets_only_u_makes_three_rows_and_no_inverse(q, monkeypa
     # the inverse transpose is made once, on the first covector
     assert act.on_covector((1, 0, 0, 0)) == act.minv_t[0]
     assert calls == ["sym_mul"] * 3 + ["mat_inv"]
+
+
+def _scalar_byte_tables(act):
+    """Reference byte tables of one action: the span tables of the packed
+    images of its 21k bits, read off the scalar slot tables; bit p is bit
+    p % k of slot 20 - p // k."""
+    k = act.gf.k
+    bits = [act._slot_table(20 - p // k)[1 << (p % k)] for p in range(21 * k)]
+    bits += [0] * (-len(bits) % 8)
+    return [ml._span_table(bits[b:b + 8]) for b in range(0, len(bits), 8)]
+
+
+@pytest.mark.parametrize("q", (2, 4, 8))
+def test_batched_byte_tables_match_the_scalar_slot_tables(q):
+    gf = field_of_order(q)
+    rng = random.Random(40 + q)
+    mats = [E4] + [random_sl4(gf, rng) for _ in range(60)] + [random_gl4(gf, rng) for _ in range(39)]
+    acts = [ml.MatrixAction(gf, m) for m in mats]
+    assert len(acts) == 100
+    want = [_scalar_byte_tables(act) for act in acts]
+    for batch in (acts[:1], acts[1:2], acts[-1:], acts):
+        got = ml.byte_tables(gf, batch)
+        assert got.shape == (len(batch), -(-21 * gf.k // 8), 256) and got.dtype == np.uint64
+        assert got.tolist() == [want[acts.index(act)] for act in batch]
+    # the identity maps every byte value to itself in place
+    assert got[0].tolist() == [[v << (8 * b) & ((1 << 21 * gf.k) - 1) for v in range(256)]
+                               for b in range(got.shape[1])]
+    assert ml.byte_tables(gf, []).shape == (0, got.shape[1], 256)
+
+
+def test_byte_tables_refuse_k4():
+    gf = field_of_order(16)
+    with pytest.raises(ValueError, match="k <= 3"):
+        ml.byte_tables(gf, [ml.MatrixAction(gf, E4)])
 
 
 def test_singular_matrix_rejected():

@@ -14,6 +14,7 @@ from phcover import graphs as gr
 from phcover import multilinear as ml
 from phcover import voltage as vg
 from test_graphs import normalize
+from test_multilinear import on_sym_packed_array
 
 
 def ell(gf):
@@ -413,6 +414,47 @@ def test_component_matches_queue_bfs():
     assert set(np.bincount(verts[:, 0]).tolist()) == {64} and verts[:, 0].max() == 119
 
 
+def _stable_sort_component(table, root, root_tag):
+    """Reference component_of: each level's keys after the seen ones, the
+    first entry of each key found by a stable argsort."""
+    gf = table.gf
+    queue_b = np.array([root], dtype=np.int64)
+    queue_t = ml.n_project_packed(gf, [root_tag])
+    seen = vg.lift_keys(gf, queue_b, queue_t)
+    head = 0
+    while head < queue_b.size:
+        slot, pos = gr.frontier_darts(table.indptr, queue_b[head:])
+        nb = table.indices[pos].astype(np.int64)
+        nt = ml.n_project_packed(gf, queue_t[head + slot] ^ table.volts[pos])
+        head = queue_b.size
+        keys = np.concatenate([seen, vg.lift_keys(gf, nb, nt)])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        fresh = order[first] - seen.size
+        fresh = np.sort(fresh[fresh >= 0])
+        seen = keys[first]
+        queue_b = np.concatenate([queue_b, nb[fresh]])
+        queue_t = np.concatenate([queue_t, nt[fresh]])
+    return np.stack([queue_b, queue_t.astype(np.int64)], axis=1)
+
+
+def test_component_matches_the_stable_sort_reference():
+    gf = field_of_order(2)
+    table = cons.voltage_table(gr.build_affine_graph(gf))
+    top = (1 << 21) - 1
+    # a zero table: the lift is the base graph, one tag throughout
+    zero = vg.DartTable(table.graph, table.volts * 0)
+    cases = [(table, 0, 0), (table, 5, 3), (table, 119, top), (table, 60, ml.u_packed(gf)),
+             (table, 33, 0x15A5A5), (zero, 7, 9)]
+    for tab, root, root_tag in cases:
+        want = _stable_sort_component(tab, root, root_tag)
+        # capped at the reference's size, so that a lift that queues a key
+        # twice fails at once
+        got = vg.component_of(tab, root, cap=len(want), root_tag=root_tag)["vertices"]
+        assert np.array_equal(got, want)
+
+
 def test_component_cap_guard():
     gf = field_of_order(2)
     table = cons.voltage_table(gr.build_affine_graph(gf))
@@ -618,7 +660,7 @@ def test_local_isomorphism_direct_detects_missing_vertices():
 def act_lift(gf, act, perm, b, t, c):
     """The lift of (g, c), g = act with vertex images perm, on the lift
     vertices (b, t): (perm[b], N(N(g t) + c))."""
-    gt = ml.n_project_packed(gf, act.on_sym_packed_array(t))
+    gt = ml.n_project_packed(gf, on_sym_packed_array(act, t))
     return perm[b], ml.n_project_packed(gf, gt ^ np.uint64(c))
 
 
@@ -748,7 +790,7 @@ def test_extension_composition_law():
         k1, k2 = rng.getrandbits(42), rng.getrandbits(42)
         pg, ph, pgh = vg.vertex_images(table, [g, h, gh])
         one_then_two = act_lift(gf, h, ph, *act_lift(gf, g, pg, b, t, k1), k2)
-        kprod = int(ml.n_project_packed(gf, h.on_sym_packed_array([k1]) ^ np.uint64(k2))[0])
+        kprod = int(ml.n_project_packed(gf, on_sym_packed_array(h, [k1]) ^ np.uint64(k2))[0])
         product = act_lift(gf, gh, pgh, b, t, kprod)
         assert all(np.array_equal(x, y) for x, y in zip(one_then_two, product))
 
@@ -885,7 +927,7 @@ def test_check_equivariance_exhaustive_gf2():
 
 
 def on_sym_packed(gf, act, x):
-    """Reference for on_sym_packed_array: the tuple action on one packed
+    """Reference for the packed images of an action: the tuple action on one packed
     value."""
     return ml.pack_sym(gf, act.on_sym(ml.unpack_sym(gf, x)))
 
@@ -898,7 +940,7 @@ def test_bulk_images_match_on_sym_packed():
     for _ in range(100):
         act = ml.action(gf2, random_sl4(gf2, rng))
         want = {x: on_sym_packed(gf2, act, x) for x in set(volts.tolist())}
-        assert act.on_sym_packed_array(volts).tolist() == [want[x] for x in volts.tolist()]
+        assert on_sym_packed_array(act, volts).tolist() == [want[x] for x in volts.tolist()]
     # seeded packed values over GF(2), GF(4) and GF(8), 0 and the largest
     # packed value included
     for q in (2, 4, 8):
@@ -907,13 +949,13 @@ def test_bulk_images_match_on_sym_packed():
         xs = [rng.getrandbits(top) for _ in range(2000)] + [(1 << top) - 1, 1 << (top - 1), 0]
         for _ in range(5):
             act = ml.action(gf, random_sl4(gf, rng))
-            images = act.on_sym_packed_array(np.array(xs, dtype=np.uint64))
+            images = on_sym_packed_array(act, np.array(xs, dtype=np.uint64))
             assert images.dtype == np.uint64
             assert images.tolist() == [on_sym_packed(gf, act, x) for x in xs]
     # 84 bits do not fit a uint64
     gf16 = field_of_order(16)
     with pytest.raises(ValueError, match="k <= 3"):
-        ml.action(gf16, random_sl4(gf16, rng)).on_sym_packed_array(np.zeros(3, dtype=np.uint64))
+        on_sym_packed_array(ml.action(gf16, random_sl4(gf16, rng)), np.zeros(3, dtype=np.uint64))
 
 
 def _scalar_equivariance(table, actions):
@@ -1018,6 +1060,21 @@ def test_int16_vertex_ids_give_what_int64_ids_give_on_the_gf4_graph():
     assert got["span"].pivots == want["span"].pivots
     assert {k: v for k, v in got.items() if k != "span"} == \
         {k: v for k, v in want.items() if k != "span"}
+
+
+def test_check_equivariance_refuses_no_matrices(monkeypatch):
+    # no matrix is no work, which must not pass; the check refuses before
+    # it builds any byte table
+    def no_tables(gf, actions):
+        raise AssertionError("byte_tables called")
+
+    monkeypatch.setattr(vg, "byte_tables", no_tables)
+    gf2, gf8 = field_of_order(2), field_of_order(8)
+    table = cons.voltage_table(gr.build_affine_graph(gf2))
+    with pytest.raises(ValueError, match="at least one matrix"):
+        vg.check_equivariance(gf2, ell(gf2), [], table=table)
+    with pytest.raises(ValueError, match="at least one matrix"):
+        vg.check_equivariance(gf8, ell(gf8), [], samples=300, rng=random.Random(1))
 
 
 def test_check_equivariance_sampled_gf8():
