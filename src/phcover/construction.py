@@ -54,6 +54,7 @@ from .graphs import (
     sample_quadrangle,
     sample_triangle,
     triangle_blocks,
+    vertex_ids,
     vertex_keys,
 )
 from .linalg import E4, dot, solve_affine_f2, vec_add
@@ -343,6 +344,12 @@ def vertex_v0(gf: GF):
     return ((1, 0, 0, 0), (1, 0, 0, 0))
 
 
+def _vertex_v0_id(graph: Graph) -> int:
+    """The id of vertex_v0 in the graph."""
+    v, h = vertex_v0(graph.gf)
+    return int(vertex_ids(graph, [v], [h])[0])
+
+
 def vertex_u(gf: GF):
     return ((0, 0, 1, 0), (0, 0, 1, 0))
 
@@ -458,10 +465,17 @@ def _check_table_quadrangles(gf: GF, table: DartTable, cycle_blocks):
         partial(packed_in_w2_plus_u, gf), "cycle")
 
 
+def _refuse_no_samples(samples: int, what: str) -> None:
+    """A sampled check asked for no sample would pass on no work."""
+    if samples < 1:
+        raise ValueError(f"{what} needs at least one sample")
+
+
 def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                      seed: int = 12345) -> dict:
     """Every triangle voltage equals U, exhaustively on the enumerated affine
-    graph for GF(2) and on sampled triangles for larger fields."""
+    graph for GF(2) and on sampled triangles for larger fields.  Raises
+    ValueError when sample mode is asked for no sample."""
     mode = _resolve_mode(gf, mode, "triangle")
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
@@ -470,6 +484,7 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
             triangle_blocks(graph),
             lambda rows: [dart(i, j) ^ dart(j, w) ^ dart(w, i) for i, j, w in rows],
             lambda volts: volts == u, "triangle"))
+    _refuse_no_samples(samples, "a sampled triangle check")
     rng = random.Random(seed)
     return report("triangles", gf, mode, *_check_cycles(
         (sample_triangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
@@ -478,12 +493,14 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
 
 def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                        seed: int = 12345) -> dict:
-    """Every 4-cycle voltage lies in the span of the squares plus U."""
+    """Every 4-cycle voltage lies in the span of the squares plus U.  Raises
+    ValueError when sample mode is asked for no sample."""
     mode = _resolve_mode(gf, mode, "4-cycle")
     if mode == "exhaustive":
         graph = build_affine_graph(gf)
         return report("quadrangles", gf, mode, *_check_table_quadrangles(
             gf, voltage_table(graph), quadrangle_blocks(graph)))
+    _refuse_no_samples(samples, "a sampled 4-cycle check")
     rng = random.Random(seed)
     return report("quadrangles", gf, mode, *_check_cycles(
         (sample_quadrangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
@@ -491,7 +508,9 @@ def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
 
 
 def verify_pentagons(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
-    """Every sampled 5-cycle voltage lies in the span of the squares plus U."""
+    """Every sampled 5-cycle voltage lies in the span of the squares plus U.
+    Raises ValueError when asked for no sample."""
+    _refuse_no_samples(samples, "the 5-cycle check")
     rng = random.Random(seed)
     return report("pentagons", gf, "sample", *_check_cycles(
         (sample_pentagon(gf, rng) for _ in range(samples)),
@@ -500,7 +519,9 @@ def verify_pentagons(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
 
 def verify_long_cycles(gf: GF, lengths=(6, 7, 8), samples: int = 2000,
                        seed: int = 12345) -> dict:
-    """Sampled closed walks of the given lengths stay in the same span."""
+    """Sampled closed walks of the given lengths stay in the same span.
+    Raises ValueError when asked for no sample or no length."""
+    _refuse_no_samples(min(samples, len(lengths)), "the long-cycle check")
     rng = random.Random(seed)
     walks = (sample_closed_walk(gf, length, rng) for length in lengths for _ in range(samples))
     return report("long-cycles", gf, "sample", *_check_cycles(
@@ -591,12 +612,13 @@ def _rational_subgraph_with_twists(gf: GF) -> Graph:
     # the points over GF(2) are those with 0/1 coordinates, in the same
     # order; then the fourth vertex of each generator quadrangle with lam
     # outside GF(2); each vertex is kept where it first occurs
-    verts = nonincident_pairs(gf, proj_points(field_of_order(2))) + [
-        item["cycle"][3] for item in w2_generator_cycles(gf, [1 << b for b in range(1, gf.k)])]
-    vmat, hmat = (np.array(side, dtype=np.uint8) for side in zip(*verts))
+    twists = [item["cycle"][3]
+              for item in w2_generator_cycles(gf, [1 << b for b in range(1, gf.k)])]
+    vmat, hmat = nonincident_pairs(gf, proj_points(field_of_order(2)))
+    vmat = np.concatenate([vmat, np.array([v for v, _ in twists], dtype=np.uint8)])
+    hmat = np.concatenate([hmat, np.array([h for _, h in twists], dtype=np.uint8)])
     first = np.sort(np.unique(vertex_keys(gf, vmat, hmat), return_index=True)[1])
-    return Graph(gf, list(zip(map(tuple, normalized(gf, vmat[first]).tolist()),
-                              map(tuple, normalized(gf, hmat[first]).tolist()))))
+    return Graph(gf, normalized(gf, vmat[first]), normalized(gf, hmat[first]))
 
 
 def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> dict:
@@ -863,8 +885,7 @@ def build_cover() -> dict:
     gf = field_of_order(2)
     graph = build_affine_graph(gf)
     table = voltage_table(graph)
-    root = graph.index[vertex_v0(gf)]
-    comp = component_of(table, root)
+    comp = component_of(table, _vertex_v0_id(graph))
     keys = lift_keys(gf, comp["vertices"][:, 0], comp["vertices"][:, 1])
     order = np.argsort(keys)
     keys, verts = keys[order], comp["vertices"][order]
@@ -1006,11 +1027,13 @@ def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
 
     Each vertex draws one reference path root-m0-target and n_paths paths
     root-m-target compared with it, as the 4-cycle (root, m0, target, m);
-    the report counts the comparisons actually made."""
+    the report counts the comparisons actually made.  Raises ValueError
+    when asked for no vertex or no path."""
+    _refuse_no_samples(min(n_vertices, n_paths), "the fiber-coset check")
     graph = build_projective_graph(gf)
     table = voltage_table(graph)
     rng = random.Random(seed)
-    root = graph.index[vertex_v0(gf)]
+    root = _vertex_v0_id(graph)
 
     cycles = []
     for _ in range(n_vertices):
@@ -1081,9 +1104,15 @@ def reductivity_report(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dic
 
 def equivariance_report(gf: GF, n_matrices: int = 20, samples: int = 10 ** 4,
                         seed: int = 12345) -> dict:
+    """SL4-equivariance of the voltages: over GF(2) exhaustive on the dart
+    table for 100 matrices, above it on samples darts per matrix for
+    n_matrices matrices.  Raises ValueError when n_matrices < 1 in every
+    field, as there would be no matrix to check."""
     from .linalg import random_sl4
     from .voltage import check_equivariance
 
+    if n_matrices < 1:
+        raise ValueError("equivariance needs at least one matrix")
     rng = random.Random(seed)
     if gf.order == 2:
         actions = [action(gf, random_sl4(gf, rng)) for _ in range(100)]

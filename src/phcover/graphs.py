@@ -13,10 +13,12 @@ check, bulk dart voltages, vertex images) reads it from
 :func:`factor_vertices`, which pairs distinct vectors and covectors once,
 and every reader of vertex identity from :func:`vertex_keys`.
 
-A :class:`Graph` keeps the factored incidence, which :meth:`Graph.rows`
-reads, and CSR neighbour lists of int16 vertex ids, and is refused above
-``ADJ_CAP`` vertices, which keeps every id below 2^15; the largest graph
-the package builds is the GF(4) projective graph.  A product of vertex
+The enumerators return a vertex stack as two uint8 arrays (vmat, hmat),
+and a :class:`Graph` keeps them, builds its tuples only when they are
+read, and reads its CSR neighbour lists of int16 vertex ids off the
+point-plane table of vertex ids (:func:`_incidence_csr`).  It is refused
+above ``ADJ_CAP`` vertices, which keeps every id below 2^15; the largest
+graph the package builds is the GF(4) projective graph.  A product of vertex
 ids, such as a dart key i * n + j, is taken in int64.  The only
 affine graph under that cap is the GF(2) one, where normalising changes
 nothing, so :func:`build_affine_graph` returns the projective graph
@@ -30,13 +32,15 @@ Every pass over all the darts of a graph or of a lift, here and in
 :mod:`phcover.voltage` and :mod:`phcover.construction`, runs in blocks
 of about ``BULK_BLOCK`` darts (:func:`blocks`, :func:`frontier_blocks`),
 so that its temporaries do not grow with the dart count; only its output
-does.  The CSR build and :func:`diameter` likewise read the adjacency
-rows a block, or a covector class, at a time.
+does.  The CSR build gathers a block of rows at a time, and
+:func:`diameter` reads the packed adjacency rows one covector class at a
+time.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from ._lazy import np
 from .field import GF
@@ -67,29 +71,38 @@ def adjacent(gf: GF, a, b) -> bool:
     return evaluate(gf, a[1], b[0]) == 0 and evaluate(gf, b[1], a[0]) == 0
 
 
-def proj_points(gf: GF, dim: int = 4):
-    """All normalised nonzero coordinate tuples, in lexicographic order."""
-    rows = np.array(list(itertools.product(gf.elements(), repeat=dim))[1:], dtype=np.uint8)
-    return list(map(tuple, rows[(normalized(gf, rows) == rows).all(axis=1)].tolist()))
+def _nonzero_rows(gf: GF, dim: int) -> np.ndarray:
+    """All nonzero coordinate rows of length dim, in lexicographic order,
+    as a uint8 array."""
+    return np.array(list(itertools.product(gf.elements(), repeat=dim))[1:], dtype=np.uint8)
+
+
+def proj_points(gf: GF, dim: int = 4) -> np.ndarray:
+    """All normalised nonzero coordinate rows, in lexicographic order, as
+    a uint8 array."""
+    rows = _nonzero_rows(gf, dim)
+    return rows[(normalized(gf, rows) == rows).all(axis=1)]
 
 
 def nonincident_pairs(gf: GF, points):
-    """The pairs (p, h) of two of the points, the second read as a covector,
-    with h(p) != 0, in lexicographic order of the points."""
+    """The pairs (p, h) of two of the point rows, the second read as a
+    covector, with h(p) != 0, in lexicographic order of the points, as
+    the uint8 arrays (vmat, hmat)."""
+    points = np.asarray(points, dtype=np.uint8)
     ps, hs = np.nonzero(pairing(gf, points, points).T)
-    return [(points[p], points[h]) for p, h in zip(ps.tolist(), hs.tolist())]
+    return points[ps], points[hs]
 
 
 def affine_vertices(gf: GF):
-    """All affine vertices in lexicographic (v, h) order; refuses above
-    ENUM_CAP."""
+    """All affine vertices in lexicographic (v, h) order, as (vmat, hmat);
+    refuses above ENUM_CAP."""
     total = count_projective_vertices(gf) * (gf.order - 1) ** 2
     if total > ENUM_CAP:
         raise ValueError(
             f"affine vertex set of size {total} exceeds the enumeration cap {ENUM_CAP};"
             " use the lazy samplers"
         )
-    return nonincident_pairs(gf, list(itertools.product(gf.elements(), repeat=4))[1:])
+    return nonincident_pairs(gf, _nonzero_rows(gf, 4))
 
 
 def count_projective_vertices(gf: GF, dim: int = 4) -> int:
@@ -100,8 +113,8 @@ def count_projective_vertices(gf: GF, dim: int = 4) -> int:
 
 
 def projective_vertices(gf: GF, dim: int = 4):
-    """All projective vertices in lexicographic order; refuses above
-    ENUM_CAP."""
+    """All projective vertices in lexicographic order, as (vmat, hmat);
+    refuses above ENUM_CAP."""
     total = count_projective_vertices(gf, dim)
     if total > ENUM_CAP:
         raise ValueError(
@@ -185,6 +198,59 @@ def _kill_rows(zero: np.ndarray, p_id: np.ndarray, h_id: np.ndarray):
             np.packbits(zero.T.take(h_id, axis=1), axis=1))
 
 
+def _incident(zero: np.ndarray) -> np.ndarray:
+    """The column ids of the True entries of each row of a boolean matrix,
+    ascending, as one intp row per row, padded with the column count."""
+    order = np.argsort(~zero, axis=1, kind="stable")[:, :zero.sum(axis=1).max(initial=0)]
+    return np.where(np.take_along_axis(zero, order, axis=1), order, zero.shape[1])
+
+
+def _vertex_table(p_id: np.ndarray, h_id: np.ndarray, n_points: int, n_planes: int):
+    """The int16 table at[p, h] of the id of the vertex with point p and
+    plane h, -1 where that pair is no vertex, with one more row and column
+    of -1.  A repeated pair, which the table cannot hold, raises
+    ValueError."""
+    at = np.full((n_points + 1, n_planes + 1), -1, dtype=np.int16)
+    ids = np.arange(p_id.size, dtype=np.int16)
+    at[p_id, h_id] = ids
+    if not np.array_equal(at[p_id, h_id], ids):
+        raise ValueError("a repeated (vector, covector) pair is not a vertex of a graph")
+    return at
+
+
+def _incidence_csr(zero: np.ndarray, p_id: np.ndarray, h_id: np.ndarray):
+    """The CSR neighbour lists (int64 indptr, int16 indices) of the vertices
+    (points[p_id[i]], planes[h_id[i]]), zero[h, p] when planes[h] kills
+    points[p].
+
+    The neighbours of vertex i are the vertices (p, h) with p on plane
+    h_id[i] and h through point p_id[i], read off the table at of
+    _vertex_table: row i is the block of at on the rows of the points on
+    h_id[i] and the columns of the planes through p_id[i], with the -1
+    entries dropped, gathered a block of rows at a time.  In a stack sorted
+    by (p_id, h_id), as every projective graph is, the ids come out
+    ascending; other stacks sort each row."""
+    n_planes, n_points = zero.shape
+    at = _vertex_table(p_id, h_id, n_points, n_planes)
+    # degrees from the 0/1 product zero @ (at >= 0) @ zero, exact in float32
+    # at these sizes
+    z = zero.astype(np.float32)
+    degrees = (z @ (at[:-1, :-1] >= 0) @ z)[h_id, p_id].astype(np.int64)
+    indptr = np.zeros(p_id.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int16)
+    # the padding of on and through reads the -1 row and column of at
+    on, through = _incident(zero), _incident(zero.T)
+    codes = p_id.astype(np.int64) * n_planes + h_id
+    ascending = bool((codes[1:] > codes[:-1]).all())
+    for lo, hi in blocks(p_id.size, on.shape[1] * through.shape[1]):
+        rows = at[on[h_id[lo:hi], :, None], through[p_id[lo:hi], None, :]].reshape(hi - lo, -1)
+        if not ascending:
+            rows.sort(axis=1)
+        indices[indptr[lo]:indptr[hi]] = rows[rows >= 0]
+    return indptr, indices
+
+
 def _refuse_above_adj_cap(n: int) -> None:
     if n > ADJ_CAP:
         raise ValueError(f"a graph of {n} vertices exceeds the adjacency cap"
@@ -194,37 +260,34 @@ def _refuse_above_adj_cap(n: int) -> None:
 class Graph:
     """A point-hyperplane graph with its adjacency.
 
-    Vertices are (vector, covector) pairs, factored into points[p_id]
-    and planes[h_id] with zero[h, p] when planes[h] kills points[p].  The
-    adjacency is kept as the packed rows of _kill_rows plus CSR neighbour
-    lists, int64 row pointers and int16 neighbours, counted and then read
-    off rows() a block of rows at a time.  A pair with h(v) = 0 and more
-    than ADJ_CAP vertices raise ValueError.
+    Vertices are the row pairs (vmat[i], hmat[i]) of two uint8 arrays,
+    factored into points[p_id] and planes[h_id] with zero[h, p] when
+    planes[h] kills points[p].  The adjacency is kept as CSR neighbour
+    lists, int64 row pointers and int16 neighbours read off the point-plane
+    table of _incidence_csr, and as the packed rows of _kill_rows, which
+    rows() ANDs for the common neighbours and the two-step reach.  A pair
+    with h(v) = 0, a repeated pair and more than ADJ_CAP vertices raise
+    ValueError.  The vertices as tuples are built on first read.
     """
 
-    def __init__(self, gf: GF, vertices):
-        self.vertices = list(vertices)
-        self.n = len(self.vertices)
-        _refuse_above_adj_cap(self.n)
+    def __init__(self, gf: GF, vmat, hmat):
         self.gf = gf
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        dim = len(self.vertices[0][0]) if self.vertices else 4
-        self.vmat = np.array([v for v, _ in self.vertices], dtype=np.uint8).reshape(self.n, dim)
-        self.hmat = np.array([h for _, h in self.vertices], dtype=np.uint8).reshape(self.n, dim)
+        self.vmat = np.asarray(vmat, dtype=np.uint8)
+        self.hmat = np.asarray(hmat, dtype=np.uint8)
+        self.n = len(self.vmat)
+        _refuse_above_adj_cap(self.n)
         self.points, self.p_id, self.planes, self.h_id, values = \
             factor_vertices(gf, self.vmat, self.hmat)
         if not values[self.h_id, self.p_id].all():
             raise ValueError("a row pair with h(v) = 0 is not a vertex")
         self.zero = values == 0
         self._kills, self._killed = _kill_rows(self.zero, self.p_id, self.h_id)
-        self._indptr = indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for lo, hi in blocks(self.n, self._kills.shape[1]):
-            indptr[lo + 1:hi + 1] = np.bitwise_count(self.rows(slice(lo, hi))).sum(axis=1)
-        np.cumsum(indptr, out=indptr)
-        self._indices = np.empty(int(indptr[-1]), dtype=np.int16)
-        for lo, hi in blocks(self.n, self.n):
-            adj = np.unpackbits(self.rows(slice(lo, hi)), axis=1, count=self.n).view(bool)
-            self._indices[indptr[lo]:indptr[hi]] = np.flatnonzero(adj) % self.n
+        self._indptr, self._indices = _incidence_csr(self.zero, self.p_id, self.h_id)
+
+    @cached_property
+    def vertices(self) -> list:
+        """The vertices as (vector, covector) tuples of ints."""
+        return list(zip(map(tuple, self.vmat.tolist()), map(tuple, self.hmat.tolist())))
 
     def rows(self, i) -> np.ndarray:
         """The packed adjacency rows of the vertices i (an index, an index
@@ -262,13 +325,14 @@ def build_projective_graph(gf: GF, dim: int = 4) -> Graph:
     key = (gf.order, dim)
     if key not in _graph_cache:
         _refuse_above_adj_cap(count_projective_vertices(gf, dim))
-        _graph_cache[key] = Graph(gf, projective_vertices(gf, dim=dim))
+        _graph_cache[key] = Graph(gf, *projective_vertices(gf, dim=dim))
     return _graph_cache[key]
 
 
 def subgraph(graph: Graph, vertex_ids) -> Graph:
     """Induced subgraph on the given vertex indices (kept in the given order)."""
-    return Graph(graph.gf, [graph.vertices[i] for i in vertex_ids])
+    ids = np.asarray(vertex_ids, dtype=np.intp)
+    return Graph(graph.gf, graph.vmat[ids], graph.hmat[ids])
 
 
 def frontier_darts(indptr: np.ndarray, frontier: np.ndarray):
@@ -456,8 +520,7 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     """
     from .voltage import report
 
-    verts = affine_vertices(gf)
-    vmat, hmat = (np.array(side, dtype=np.uint8) for side in zip(*verts))
+    vmat, hmat = affine_vertices(gf)
     _, p_id, _, h_id, values = factor_vertices(gf, vmat, hmat)
     zero = values == 0
     kills, killed = _kill_rows(zero, p_id, h_id)
@@ -484,7 +547,7 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     failed = {"neighborhoods": mismatched, "cocliques": coclique_violations,
               "fiber_sizes": int(fiber_sizes != {(gf.order - 1) ** 2}),
               "class_set_matches_projective": int(not classes_match)}
-    return report("reduct-neighborhood-equality", gf, "exhaustive", len(verts),
+    return report("reduct-neighborhood-equality", gf, "exhaustive", len(vmat),
                   sum(failed.values()), [name for name, count in failed.items() if count],
                   classes=len(classes), fiber_sizes=sorted(fiber_sizes),
                   expected_fiber=(gf.order - 1) ** 2, class_set_matches_projective=classes_match)

@@ -361,8 +361,11 @@ def check_reductive(gf: GF, dart_fn, samples: int = 0, rng=None,
 
     Handed the enumerated affine graph, the check is exhaustive over all
     such triples; otherwise it draws samples random rescalings of random
-    vertices from rng.
+    vertices from rng, and raises ValueError when samples < 1, as it would
+    pass on no work.
     """
+    if graph is None and samples < 1:
+        raise ValueError("a sampled reductivity check needs at least one sample")
     if graph is not None:
         vs, keys = graph.vertices, vertex_keys(gf, graph.vmat, graph.hmat)
         triples = ((vs[u], vs[v], vs[w]) for v in range(graph.n)

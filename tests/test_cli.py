@@ -155,8 +155,8 @@ def test_verify_all_gf2_builds_one_graph_and_one_table(monkeypatch):
     graphs, tables = [], []
     init, bulk = gr.Graph.__init__, cons.bulk_dart_voltage
 
-    def counted_init(self, gf, vertices):
-        init(self, gf, vertices)
+    def counted_init(self, gf, vmat, hmat):
+        init(self, gf, vmat, hmat)
         graphs.append(gf.order)
 
     def counted_bulk(gf, *args):

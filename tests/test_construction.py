@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import E4, evaluate, mat_vec, vec_add, vec_scale
+from phcover.linalg import E4, evaluate, vec_add, vec_scale
 from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import linalg as la
 from phcover import multilinear as ml
 from phcover import voltage as vg
+from helpers import mat_mul, pairs, vertex_index
 from test_graphs import _walk_tuples, normalize
 from test_linalg import _rref_kernel
 from test_multilinear import on_sym_packed_array
-
-
-def mat_mul(gf, a, b):
-    """The matrix product a b, row by row."""
-    return tuple(mat_vec(gf, row, b) for row in a)
 
 
 def sym_unit(i, j, coef=1):
@@ -624,7 +620,8 @@ def _filtered_subgraph_vertices(gf):
     """The vertices of the canonical subgraph built as it was before it
     took its 0/1 points from GF(2): the projective points of the field
     filtered to 0/1 coordinates, then the twisted generator vertices."""
-    verts = gr.nonincident_pairs(gf, [p for p in gr.proj_points(gf) if all(c <= 1 for c in p)])
+    points = gr.proj_points(gf)
+    verts = pairs(*gr.nonincident_pairs(gf, points[(points <= 1).all(axis=1)]))
     for item in cons.w2_generator_cycles(gf, [1 << bit for bit in range(1, gf.k)]):
         v3, h = item["cycle"][3]
         vert = (normalize(gf, v3), h)
@@ -1058,7 +1055,7 @@ def test_fiber_coset_report_negative_control(monkeypatch):
     for w in rep["witnesses"]:
         assert set(w) == {"cycle", "voltage"}
         cyc = w["cycle"]
-        assert cyc[0] == graph.index[cons.vertex_v0(gf)]
+        assert cyc[0] == vertex_index(graph)[cons.vertex_v0(gf)]
         walk = tuple(graph.vertices[i] for i in cyc)
         assert w["voltage"] == ml.pack_sym(gf, cons.cycle_voltage(gf, walk))
         assert all(b in graph.neighbors(a) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
@@ -1077,8 +1074,38 @@ def test_u_invariance_refuses_no_matrices():
 
 
 def test_equivariance_report_refuses_no_matrices():
-    with pytest.raises(ValueError, match="at least one matrix"):
-        cons.equivariance_report(field_of_order(4), n_matrices=0)
+    # over GF(2) too, where the exhaustive check takes its own 100 matrices
+    for q in (2, 4):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least one matrix"):
+                cons.equivariance_report(field_of_order(q), n_matrices=n)
+
+
+@pytest.mark.parametrize("check, kwargs", [
+    ("verify_triangles", {"samples": 0}),
+    ("verify_quadrangles", {"samples": 0}),
+    ("verify_pentagons", {"samples": 0}),
+    ("verify_long_cycles", {"samples": 0}),
+    ("verify_long_cycles", {"lengths": ()}),
+    ("reductivity_report", {"samples": 0}),
+    ("fiber_coset_report", {"n_vertices": 0}),
+    ("fiber_coset_report", {"n_paths": 0}),
+], ids=lambda x: x if isinstance(x, str) else ",".join(x))
+def test_sampled_checks_refuse_no_work(check, kwargs):
+    # each would report a pass on no item
+    for q in (4, 8):
+        with pytest.raises(ValueError, match="at least one"):
+            getattr(cons, check)(field_of_order(q), **kwargs)
+    # a negative count is no work either
+    if "samples" in kwargs:
+        with pytest.raises(ValueError, match="at least one"):
+            getattr(cons, check)(field_of_order(4), samples=-1)
+
+
+def test_exhaustive_gf2_checks_ignore_the_sample_count():
+    gf = field_of_order(2)
+    for check in (cons.verify_triangles, cons.verify_quadrangles, cons.reductivity_report):
+        assert check(gf, samples=0)["passed"]
 
 
 def test_u_invariance_negative_control(monkeypatch):

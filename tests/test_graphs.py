@@ -10,6 +10,7 @@ from phcover.field import field_of_order
 from phcover.linalg import E4, evaluate, vec_add, vec_scale
 from phcover import graphs as gr
 from phcover import linalg as la
+from helpers import pairs, stack, vertex_index
 from test_linalg import _rref_kernel
 
 
@@ -48,7 +49,7 @@ def count_affine_by_brute_force(gf):
 
 def test_affine_counts():
     gf2 = field_of_order(2)
-    verts = gr.affine_vertices(gf2)
+    verts = pairs(*gr.affine_vertices(gf2))
     assert len(verts) == 120 == count_affine_by_brute_force(gf2)
     # 15 points x 8 non-incident hyperplanes
     assert len(verts) == 15 * 8
@@ -56,7 +57,7 @@ def test_affine_counts():
 
 def test_affine_count_gf4():
     gf4 = field_of_order(4)
-    assert len(gr.affine_vertices(gf4)) == 48960 == 5440 * 9
+    assert len(gr.affine_vertices(gf4)[0]) == 48960 == 5440 * 9
 
 
 def test_projective_counts():
@@ -70,11 +71,11 @@ def test_projective_counts():
 def test_projective_count_formula_matches_enumeration():
     for q in (2, 4, 8):
         gf = field_of_order(q)
-        assert gr.count_projective_vertices(gf) == len(gr.projective_vertices(gf))
-        assert gr.count_projective_vertices(gf, dim=3) == len(gr.projective_vertices(gf, dim=3))
+        assert gr.count_projective_vertices(gf) == len(gr.projective_vertices(gf)[0])
+        assert gr.count_projective_vertices(gf, dim=3) == len(gr.projective_vertices(gf, dim=3)[0])
     for q in (2, 4):
         gf = field_of_order(q)
-        assert gr.count_projective_vertices(gf) == len(gr.affine_vertices(gf)) // (q - 1) ** 2
+        assert gr.count_projective_vertices(gf) == len(gr.affine_vertices(gf)[0]) // (q - 1) ** 2
 
 
 def test_enumeration_caps():
@@ -93,10 +94,10 @@ def test_enumeration_caps():
 
 def test_graph_refuses_more_vertices_than_adj_cap():
     gf = field_of_order(4)
-    verts = gr.affine_vertices(gf)[:gr.ADJ_CAP + 1]
+    vmat, hmat = (side[:gr.ADJ_CAP + 1] for side in gr.affine_vertices(gf))
     with pytest.raises(ValueError, match="adjacency cap"):
-        gr.Graph(gf, verts)
-    g = gr.Graph(gf, verts[:gr.ADJ_CAP])
+        gr.Graph(gf, vmat, hmat)
+    g = gr.Graph(gf, vmat[:gr.ADJ_CAP], hmat[:gr.ADJ_CAP])
     assert g.n == gr.ADJ_CAP and g.edge_count() > 0
 
 
@@ -122,7 +123,7 @@ def test_one_gf2_graph():
     g = gr.build_affine_graph(gf)
     assert g is gr.build_projective_graph(gf)
     # normalising changes nothing over GF(2)
-    assert g.vertices == gr.affine_vertices(gf)
+    assert g.vertices == pairs(*gr.affine_vertices(gf))
     assert not hasattr(g, "kind")
     for fn in (gr.Graph, gr.subgraph, gr.build_affine_graph, gr.build_projective_graph):
         assert not {"kind", "cap"} & set(inspect.signature(fn).parameters)
@@ -130,9 +131,9 @@ def test_one_gf2_graph():
 
 def test_vertex_ordering_deterministic():
     gf = field_of_order(2)
-    verts = gr.affine_vertices(gf)
+    verts = pairs(*gr.affine_vertices(gf))
     assert verts == sorted(verts)
-    assert gr.projective_vertices(gf) == verts  # GF(2): identical sets and order
+    assert pairs(*gr.projective_vertices(gf)) == verts  # GF(2): identical sets and order
 
 
 def test_adjacency_examples():
@@ -199,6 +200,77 @@ def test_cached_adjacency_matches_definition_on_every_pair():
         assert int(g._indptr[-1]) == g._indices.size == 2 * g.edge_count()
 
 
+def _brute_force_csr(g):
+    """The CSR arrays of a graph from the adjacency definition, row by row:
+    the scalar adjacent on every pair of a small graph, its array form (the
+    row's covector on every vector, every covector on the row's vector) on
+    the GF(4) graph."""
+    rows = []
+    for i in range(g.n):
+        if g.n <= 200:
+            rows.append([j for j in range(g.n) if gr.adjacent(g.gf, g.vertices[i], g.vertices[j])])
+        else:
+            rows.append(np.flatnonzero((la.dot(g.gf, g.hmat[i], g.vmat) == 0)
+                                       & (la.dot(g.gf, g.hmat, g.vmat[i]) == 0)))
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    return indptr, np.concatenate(rows).astype(np.int16)
+
+
+def _lexicographic(g):
+    codes = g.p_id * len(g.planes) + g.h_id
+    return bool((np.diff(codes) > 0).all())
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf4", "gf8-subgraph", "gf16-subgraph"])
+def test_csr_is_the_brute_force_adjacency(name):
+    from phcover import construction as cons
+
+    q = int(name.split("-")[0][2:])
+    if name.endswith("subgraph"):
+        # a stack out of order: every row is sorted after its gather
+        g = cons._rational_subgraph_with_twists(field_of_order(q))
+        assert not _lexicographic(g)
+    else:
+        g = gr.build_projective_graph(field_of_order(q))
+        assert _lexicographic(g)
+    indptr, indices = _brute_force_csr(g)
+    assert g._indptr.tobytes() == indptr.tobytes() and g._indices.tobytes() == indices.tobytes()
+    assert (g._indptr.dtype, g._indices.dtype) == (np.int64, np.int16)
+
+
+def test_graph_refuses_a_repeated_pair():
+    gf = field_of_order(2)
+    verts = pairs(*gr.projective_vertices(gf))[:5]
+    with pytest.raises(ValueError, match="repeated"):
+        gr.Graph(gf, *stack(verts + verts[2:3]))
+
+
+def test_a_dropped_table_entry_changes_the_gf2_graph(monkeypatch):
+    # negative control: vertex 7 missing from the point-plane table leaves
+    # the rows of its neighbours, so the edge count moves off 1680 and the
+    # brute-force comparison sees it
+    good = gr.build_projective_graph(field_of_order(2))
+    table = gr._vertex_table
+
+    def dropped(*args):
+        at = table(*args)
+        at[at == 7] = -1
+        return at
+
+    monkeypatch.setattr(gr, "_vertex_table", dropped)
+    bad = gr.Graph(good.gf, good.vmat, good.hmat)
+    assert good.edge_count() == 1680 and bad.edge_count() != 1680
+    indptr, indices = _brute_force_csr(bad)
+    assert not (np.array_equal(bad._indptr, indptr) and np.array_equal(bad._indices, indices))
+
+
+def test_graph_builds_its_vertex_tuples_on_first_read():
+    good = gr.build_projective_graph(field_of_order(2))
+    g = gr.Graph(good.gf, good.vmat, good.hmat)
+    assert "vertices" not in vars(g)
+    assert g.vertices == pairs(g.vmat, g.hmat) and "vertices" in vars(g)
+
+
 def test_cached_adjacency_matches_definition_on_seeded_gf4_pairs():
     g = gr.build_projective_graph(field_of_order(4))
     rng = random.Random(41)
@@ -255,10 +327,10 @@ def test_factor_vertices_of_a_gf8_stack_with_repeated_rows():
 @pytest.mark.parametrize("q", (2, 4, 8))
 def test_nonincident_pairs_equal_the_scalar_comprehension(q):
     gf = field_of_order(q)
-    points = gr.proj_points(gf)
-    got = gr.nonincident_pairs(gf, points)
-    assert got == [(p, h) for p in points for h in points if evaluate(gf, h, p)]
-    assert all(type(x) is int for pair in got for half in pair for x in half)
+    vmat, hmat = gr.nonincident_pairs(gf, gr.proj_points(gf))
+    assert vmat.dtype == hmat.dtype == np.uint8
+    points = [tuple(p) for p in gr.proj_points(gf).tolist()]
+    assert pairs(vmat, hmat) == [(p, h) for p in points for h in points if evaluate(gf, h, p)]
 
 
 def test_normalized_and_vertex_keys():
@@ -283,7 +355,7 @@ def test_vertex_keys_equal_the_scalar_reference(q):
     # every affine vertex of GF(2) and GF(4), 2000 seeded ones above
     gf = field_of_order(q)
     if q <= 4:
-        verts = gr.affine_vertices(gf)
+        verts = pairs(*gr.affine_vertices(gf))
     else:
         rng = random.Random(q)
         verts = [gr.random_affine_vertex(gf, rng) for _ in range(2000)]
@@ -291,8 +363,7 @@ def test_vertex_keys_equal_the_scalar_reference(q):
     assert gr.vertex_keys(gf, vmat, hmat).tolist() == [scalar_key(gf, vert) for vert in verts]
     if q <= 4:
         # projective keys sort as the vertices do
-        proj = gr.projective_vertices(gf)
-        keys = gr.vertex_keys(gf, *(np.array(side) for side in zip(*proj)))
+        keys = gr.vertex_keys(gf, *gr.projective_vertices(gf))
         assert (np.diff(keys) > 0).all()
 
 
@@ -302,7 +373,7 @@ def test_vertex_ids_find_projective_vertices_or_give_minus_one():
     rng = random.Random(27)
     verts = [gr.random_affine_vertex(gf, rng) for _ in range(300)]
     vmat, hmat = (np.array(side) for side in zip(*verts))
-    want = [graph.index[(normalize(gf, v), normalize(gf, h))] for v, h in verts]
+    want = [vertex_index(graph)[(normalize(gf, v), normalize(gf, h))] for v, h in verts]
     assert gr.vertex_ids(graph, vmat, hmat).tolist() == want
     # a subgraph without the vertex of the first draw
     ids = [i for i in range(0, graph.n, 7) if i not in want[:2]] + [want[1]]
@@ -310,7 +381,7 @@ def test_vertex_ids_find_projective_vertices_or_give_minus_one():
     got = gr.vertex_ids(sub, vmat[:2], hmat[:2]).tolist()
     assert got == [-1, len(ids) - 1]
     # a graph of no vertices holds none of them
-    assert gr.vertex_ids(gr.Graph(gf, []), vmat[:2], hmat[:2]).tolist() == [-1, -1]
+    assert gr.vertex_ids(gr.Graph(gf, *stack([])), vmat[:2], hmat[:2]).tolist() == [-1, -1]
 
 
 def test_find_sorted_gives_minus_one_off_the_keys():
@@ -351,9 +422,9 @@ def test_find_sorted_matches_the_searchsorted_form():
 
 def test_graph_refuses_a_pair_that_is_not_a_vertex():
     gf = field_of_order(2)
-    good = gr.projective_vertices(gf)[:5]
+    good = pairs(*gr.projective_vertices(gf))[:5]
     with pytest.raises(ValueError, match="not a vertex"):
-        gr.Graph(gf, good + [((1, 0, 0, 0), (0, 1, 0, 0))])
+        gr.Graph(gf, *stack(good + [((1, 0, 0, 0), (0, 1, 0, 0))]))
 
 
 def test_reduct_classes_singletons_over_gf2():
@@ -377,7 +448,7 @@ def test_reduct_check_counts_merged_classes_as_the_scalar_reference(monkeypatch)
     gf = field_of_order(2)
     monkeypatch.setattr(gr, "vertex_keys", lambda gf, vmat, hmat:
                         (np.asarray(vmat).sum(axis=1) + np.asarray(hmat).sum(axis=1)) % 5)
-    verts = gr.affine_vertices(gf)
+    verts = pairs(*gr.affine_vertices(gf))
     classes = {}
     for j, vert in enumerate(verts):
         classes.setdefault((sum(vert[0]) + sum(vert[1])) % 5, []).append(j)
@@ -545,7 +616,7 @@ def test_local_graph_gf2():
 
 def test_empty_local_graph_guard():
     gf = field_of_order(2)
-    g = gr.Graph(gf, [(E4[0], E4[0])])
+    g = gr.Graph(gf, *stack([(E4[0], E4[0])]))
     assert gr.subgraph(g, g.neighbors(0).tolist()).n == 0
 
 
@@ -737,7 +808,7 @@ def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):
     want = [(g._indptr, g._indices, [gr.bfs(g, s) for s in (0, g.n - 1)]) for g in graphs]
     monkeypatch.setattr(gr, "BULK_BLOCK", 7)
     for g, (indptr, indices, dists) in zip(graphs, want):
-        got = gr.Graph(g.gf, g.vertices)
+        got = gr.Graph(g.gf, g.vmat, g.hmat)
         assert got._indptr.dtype == np.int64 and got._indices.dtype == np.int16
         assert np.array_equal(got._indptr, indptr) and np.array_equal(got._indices, indices)
         # each row against its own unpacked packed row

@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from phcover.field import FIELD_ORDERS, field_of_order
 from phcover import linalg as la
-
-
-def mat_mul(gf, a, b):
-    """The matrix product a b, row by row."""
-    return tuple(la.mat_vec(gf, row, b) for row in a)
+from helpers import mat_mul
 
 
 def rref(gf, rows):

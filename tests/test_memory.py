@@ -39,12 +39,13 @@ def _transient_bytes(call) -> int:
 def _graph(tmp_path):
     gf = field_of_order(4)
     verts = gr.projective_vertices(gf)
-    return lambda: gr.Graph(gf, verts)
+    return lambda: gr.Graph(gf, *verts)
 
 
 def _voltage_table(tmp_path):
     gf = field_of_order(4)
-    graph = gr.Graph(gf, gr.build_projective_graph(gf).vertices)
+    built = gr.build_projective_graph(gf)
+    graph = gr.Graph(gf, built.vmat, built.hmat)
     return lambda: cons.voltage_table(graph)
 
 

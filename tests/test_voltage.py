@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from phcover.field import field_of_order
-from phcover.linalg import mat_vec, random_gl4, random_sl4
+from phcover.linalg import random_gl4, random_sl4
 from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import multilinear as ml
 from phcover import voltage as vg
+from helpers import mat_mul, pairs, stack, vertex_index
 from test_graphs import normalize
 from test_multilinear import on_sym_packed_array
 
@@ -24,17 +25,12 @@ def ell(gf):
 IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def mat_mul(gf, a, b):
-    """The matrix product a b, row by row: v (a b) is v a, then times b."""
-    return tuple(mat_vec(gf, row, b) for row in a)
-
-
 def vertex_image_index(table, act, i):
     """Reference for vertex_images: the index of the normalised image of
     vertex i, from the scalar actions."""
     g = table.graph
     v, h = g.vertices[i]
-    return g.index[(normalize(g.gf, act.on_vector(v)), normalize(g.gf, act.on_covector(h)))]
+    return vertex_index(g)[(normalize(g.gf, act.on_vector(v)), normalize(g.gf, act.on_covector(h)))]
 
 
 def test_tally_counts_items_and_keeps_the_first_five_witnesses():
@@ -121,7 +117,7 @@ def _cover_arrays():
     data = cons.cover_data()
     verts = data["vertices"]
     keys = vg.lift_keys(gf, verts[:, 0], verts[:, 1])
-    return verts, keys, data["edges"], data["graph"].index[cons.vertex_v0(gf)]
+    return verts, keys, data["edges"], vertex_index(data["graph"])[cons.vertex_v0(gf)]
 
 
 def test_lift_adjacent_definition():
@@ -161,12 +157,12 @@ def test_lifted_path_endpoint():
     rng = random.Random(3)
     for _ in range(10):
         walk = gr.sample_closed_walk(gf, 5, rng)
-        at = 64 * graph.index[walk[0]] + rng.randrange(64)
+        at = 64 * vertex_index(graph)[walk[0]] + rng.randrange(64)
         m = int(verts[at, 1])
         for b in walk[1:]:
-            at = step[at, graph.index[b]]
+            at = step[at, vertex_index(graph)[b]]
         total = ml.pack_sym(gf, vg.path_voltage(gf, ell(gf), walk))
-        assert verts[at].tolist() == [graph.index[walk[-1]],
+        assert verts[at].tolist() == [vertex_index(graph)[walk[-1]],
                                       int(ml.n_project_packed(gf, total ^ m))]
 
 
@@ -241,7 +237,7 @@ def test_dart_lookups_repeat_on_a_kept_row():
 def test_fundamental_cycles_of_single_edge_graph():
     gf = field_of_order(2)
     verts = [((1, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, 1, 0), (0, 0, 1, 0))]
-    g = gr.Graph(gf, verts)
+    g = gr.Graph(gf, *stack(verts))
     table = cons.voltage_table(g)
     res = vg.fundamental_cycle_span(table, 0)
     assert res["span"].dim == 0
@@ -357,7 +353,7 @@ def test_tree_and_span_are_the_same_at_any_block_size(q, monkeypatch):
 def test_spanning_tree_refuses_disconnected_graph():
     gf = field_of_order(2)
     # f1(e1) = 1: neither vertex's covector kills the other's vector
-    pair = gr.Graph(gf, [((1, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 1, 0, 0))])
+    pair = gr.Graph(gf, *stack([((1, 0, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 1, 0, 0))]))
     # a star around vertex 0 and one vertex adjacent to none of it
     big = gr.build_affine_graph(gf)
     star = [0] + big.neighbors(0)[:5].tolist()
@@ -821,8 +817,8 @@ def test_lambda_choice_shifts_by_cycle_span():
     gf = field_of_order(4)
     graph = gr.build_projective_graph(gf)
     table = cons.voltage_table(graph)
-    v0 = graph.index[cons.vertex_v0(gf)]
-    u = graph.index[cons.vertex_u(gf)]
+    v0 = vertex_index(graph)[cons.vertex_v0(gf)]
+    u = vertex_index(graph)[cons.vertex_u(gf)]
     _, pot = vg.spanning_tree_potentials(table, v0)
     for x in cons.order4_subgroup(gf)[1:]:
         act = ml.action(gf, cons.ax_matrix(gf, x))
@@ -885,10 +881,10 @@ def test_check_reductive_exhaustive_on_rescaled_gf4_vertices():
     # every rescaling of 20 projective GF(4) vertices: classes of 9, so the
     # exhaustive mode has pairs to compare, unlike over GF(2)
     gf = field_of_order(4)
-    picked = random.Random(29).sample(gr.projective_vertices(gf), 20)
+    picked = random.Random(29).sample(pairs(*gr.projective_vertices(gf)), 20)
     verts = [(tuple(gf.mul(lam, c) for c in v), tuple(gf.mul(mu, c) for c in h))
              for v, h in picked for lam in gf.nonzero() for mu in gf.nonzero()]
-    graph = gr.Graph(gf, verts)
+    graph = gr.Graph(gf, *stack(verts))
     rep = vg.check_reductive(gf, ell(gf), graph=graph)
     assert rep["passed"] and rep["samples"] == 8 * graph.edge_count() * 2 > 0
     bad = vg.check_reductive(gf, lambda a, b: ml.big_u(gf) if b[0] == picked[0][0]
@@ -1026,7 +1022,7 @@ def test_vertex_images_refuse_images_outside_the_graph():
     with pytest.raises(KeyError):
         vg.vertex_images(table, [act])
     # a graph of no vertices has no image to miss: the empty permutation
-    empty = vg.DartTable(gr.Graph(gf, []), np.empty(0, dtype=np.uint64))
+    empty = vg.DartTable(gr.Graph(gf, *stack([])), np.empty(0, dtype=np.uint64))
     assert vg.vertex_images(empty, [act, act]).shape == (2, 0)
 
 
