@@ -172,7 +172,7 @@ def dart_voltages(gf: GF, v1, h1, v2, h2) -> np.ndarray:
 
 def cycle_voltage(gf: GF, cyc):
     """Voltage in S2(W) of the closed walk through the vertices of cyc."""
-    return path_voltage(gf, lambda a, b: dart_voltage(gf, a, b), cyc + (cyc[0],))
+    return path_voltage(gf, partial(dart_voltage, gf), cyc + (cyc[0],))
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +400,7 @@ def lambda_ax(gf: GF, x: int):
     if x == 0:
         return ZERO21
     vx, u, v0 = vertex_vx(gf, x), vertex_u(gf), vertex_v0(gf)
-    return path_voltage(gf, lambda a, b: dart_voltage(gf, a, b), (vx, u, v0))
+    return path_voltage(gf, partial(dart_voltage, gf), (vx, u, v0))
 
 
 def cocycle_f(gf: GF, x: int, y: int):
@@ -1096,9 +1096,9 @@ def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
 
 def reductivity_report(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
     if gf.order == 2:
-        return check_reductive(gf, lambda a, b: dart_voltage(gf, a, b),
+        return check_reductive(gf, partial(dart_voltage, gf),
                                graph=build_affine_graph(gf))
-    return check_reductive(gf, lambda a, b: dart_voltage(gf, a, b),
+    return check_reductive(gf, partial(dart_voltage, gf),
                            samples=samples, rng=random.Random(seed))
 
 
@@ -1118,7 +1118,7 @@ def equivariance_report(gf: GF, n_matrices: int = 20, samples: int = 10 ** 4,
         actions = [action(gf, random_sl4(gf, rng)) for _ in range(100)]
         return check_equivariance(gf, None, actions, table=voltage_table(build_affine_graph(gf)))
     actions = [action(gf, random_sl4(gf, rng)) for _ in range(n_matrices)]
-    return check_equivariance(gf, lambda a, b: dart_voltage(gf, a, b), actions,
+    return check_equivariance(gf, partial(dart_voltage, gf), actions,
                               samples=samples * n_matrices, rng=rng)
 
 

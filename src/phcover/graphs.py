@@ -600,9 +600,39 @@ def random_affine_vertex(gf: GF, rng):
 def _random_in_span(gf: GF, basis, rng):
     """A random nonzero combination of the basis: the coefficients are drawn
     left to right as rng.randrange(q) draws them, and all of them again when
-    every one is zero."""
+    every one is zero.  The 2- and 3-vector bases that kernel returns for
+    nonzero rows are unrolled; the loop serves any other basis."""
     q, draw, mul = gf.order, rng.getrandbits, gf.mul_rows
     bits = q.bit_length()
+    if len(basis) == 2:
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = basis
+        while True:
+            c = draw(bits)
+            while c >= q:
+                c = draw(bits)
+            d = draw(bits)
+            while d >= q:
+                d = draw(bits)
+            if c or d:
+                by_c, by_d = mul[c], mul[d]
+                return (by_c[x0] ^ by_d[y0], by_c[x1] ^ by_d[y1],
+                        by_c[x2] ^ by_d[y2], by_c[x3] ^ by_d[y3])
+    if len(basis) == 3:
+        (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = basis
+        while True:
+            c = draw(bits)
+            while c >= q:
+                c = draw(bits)
+            d = draw(bits)
+            while d >= q:
+                d = draw(bits)
+            e = draw(bits)
+            while e >= q:
+                e = draw(bits)
+            if c or d or e:
+                by_c, by_d, by_e = mul[c], mul[d], mul[e]
+                return (by_c[x0] ^ by_d[y0] ^ by_e[z0], by_c[x1] ^ by_d[y1] ^ by_e[z1],
+                        by_c[x2] ^ by_d[y2] ^ by_e[z2], by_c[x3] ^ by_d[y3] ^ by_e[z3])
     while True:
         o0 = o1 = o2 = o3 = nonzero = 0
         for x0, x1, x2, x3 in basis:

@@ -77,20 +77,28 @@ def transpose(m):
     return tuple(zip(*m))
 
 
-# the pivot pairs (p0, p1) of a rank-2 RREF, in lexicographic order
-_PIVOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def kernel(gf: GF, r0, r1):
     """Basis of the joint null space of two length-4 covectors (or vectors):
     one basis vector per non-pivot column c of their RREF, in increasing c,
     1 at c and column c of the RREF at the pivots.
 
     The RREF is read off the 2x2 minors m(a, b) = r0[a] r1[b] + r0[b] r1[a]
-    (signs vanish in characteristic 2): at rank 2 its pivots are the first
-    pair (p0, p1) with m = m(p0, p1) nonzero, and by Cramer's rule its rows
-    are m(c, p1)/m and m(p0, c)/m.  Below rank 2 it is the first nonzero
-    row scaled to a leading 1, or nothing.
+    (signs vanish in characteristic 2).  At rank 2 its pivots are the first
+    pair (p0, p1) in the order (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+    (2, 3) with m = m(p0, p1) nonzero, and by Cramer's rule the basis vector
+    of column c has m(c, p1)/m at p0 and m(p0, c)/m at p1.  Written i for
+    division by m, the bases are, by pivot pair:
+
+    * (0, 1): (i m12, i m02, 1, 0), (i m13, i m03, 0, 1)
+    * (0, 2): (i m12, 1, i m01, 0), (i m23, 0, i m03, 1)
+    * (0, 3): (i m13, 1, 0, i m01), (i m23, 0, 1, i m02)
+    * (1, 2): (1, i m02, i m01, 0), (0, i m23, i m13, 1)
+    * (1, 3): (1, i m03, 0, i m01), (0, i m23, 1, i m12)
+    * (2, 3): (1, 0, i m03, i m02), (0, 1, i m13, i m12)
+
+    Below rank 2 the RREF is the first nonzero row x scaled to a leading 1
+    at its pivot p: the basis is e_c for c < p, then e_c + (x_c / x_p) e_p
+    for c > p.  Two zero rows give the standard basis.
     """
     mul, inverses = gf.mul_rows, gf.inverses
     if r0 != r1:  # equal rows have rank <= 1: no minors needed
@@ -98,29 +106,35 @@ def kernel(gf: GF, r0, r1):
         b0, b1, b2, b3 = r1
         m01, m02, m03 = a0[b1] ^ a1[b0], a0[b2] ^ a2[b0], a0[b3] ^ a3[b0]
         m12, m13, m23 = a1[b2] ^ a2[b1], a1[b3] ^ a3[b1], a2[b3] ^ a3[b2]
-        minors = ((0, m01, m02, m03), (m01, 0, m12, m13),
-                  (m02, m12, 0, m23), (m03, m13, m23, 0))
-        for p0, p1 in _PIVOT_PAIRS:
-            m = minors[p0][p1]
-            if m:
-                by_inv = mul[inverses[m]]
-                basis = []
-                for c in range(4):
-                    if c != p0 and c != p1:
-                        v = [0, 0, 0, 0]
-                        v[c], v[p0], v[p1] = 1, by_inv[minors[c][p1]], by_inv[minors[p0][c]]
-                        basis.append(tuple(v))
-                return basis
-    row = r0 if any(r0) else r1
-    for p, x in enumerate(row):
-        if x:
-            by_inv = mul[inverses[x]]
-            basis = list(E4[:p])  # the row is zero before its pivot
-            for c in range(p + 1, 4):
-                v = list(E4[c])
-                v[p] = by_inv[row[c]]
-                basis.append(tuple(v))
-            return basis
+        if m01:
+            i = mul[inverses[m01]]
+            return [(i[m12], i[m02], 1, 0), (i[m13], i[m03], 0, 1)]
+        if m02:
+            i = mul[inverses[m02]]
+            return [(i[m12], 1, i[m01], 0), (i[m23], 0, i[m03], 1)]
+        if m03:
+            i = mul[inverses[m03]]
+            return [(i[m13], 1, 0, i[m01]), (i[m23], 0, 1, i[m02])]
+        if m12:
+            i = mul[inverses[m12]]
+            return [(1, i[m02], i[m01], 0), (0, i[m23], i[m13], 1)]
+        if m13:
+            i = mul[inverses[m13]]
+            return [(1, i[m03], 0, i[m01]), (0, i[m23], 1, i[m12])]
+        if m23:
+            i = mul[inverses[m23]]
+            return [(1, 0, i[m03], i[m02]), (0, 1, i[m13], i[m12])]
+    x0, x1, x2, x3 = r0 if any(r0) else r1
+    if x0:
+        i = mul[inverses[x0]]
+        return [(i[x1], 1, 0, 0), (i[x2], 0, 1, 0), (i[x3], 0, 0, 1)]
+    if x1:
+        i = mul[inverses[x1]]
+        return [E4[0], (0, i[x2], 1, 0), (0, i[x3], 0, 1)]
+    if x2:
+        return [E4[0], E4[1], (0, 0, mul[inverses[x2]][x3], 1)]
+    if x3:
+        return [E4[0], E4[1], E4[2]]
     return list(E4)
 
 

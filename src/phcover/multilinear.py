@@ -24,10 +24,11 @@ exactly the symmetric tensors with diagonal support.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import itemgetter, xor
+from itertools import repeat
+from operator import and_, itemgetter, lshift, rshift, xor
 
 from ._lazy import np
-from .field import GF
+from .field import GF, field_of_order
 from .linalg import E4, det, evaluate, mat_inv, mat_vec, transpose
 
 # Index pairs (a, b), a < b, of the bivector basis slots w1..w6.
@@ -157,6 +158,9 @@ def u_from_basis(gf: GF, w, x, y, z):
 _OFFDIAG_SLOTS = tuple(t for t in range(21) if t not in DIAG_SLOTS)
 _offdiag = itemgetter(*_OFFDIAG_SLOTS)
 _ZERO_OFFDIAG = (0,) * len(_OFFDIAG_SLOTS)
+# U's alternating sum has coefficients 0 and 1 in every field, so its
+# off-diagonal part is the same tuple for each; it is taken over GF(2)
+_U_OFFDIAG = _offdiag(big_u(field_of_order(2)))
 
 
 def in_w2(gf: GF, s) -> bool:
@@ -170,29 +174,29 @@ def in_w2_plus_u(gf: GF, s):
     instead of a tuple, the membership mask of its rows."""
     if isinstance(s, tuple):
         off = _offdiag(s)
-        return off == _ZERO_OFFDIAG or off == _offdiag(big_u(gf))
+        return off == _ZERO_OFFDIAG or off == _U_OFFDIAG
     off = np.asarray(s)[:, _OFFDIAG_SLOTS]
-    return ~off.any(axis=1) | (off == _offdiag(big_u(gf))).all(axis=1)
+    return ~off.any(axis=1) | (off == _U_OFFDIAG).all(axis=1)
 
 
 # ----------------------------------------------------------------------
 # packed representation (one int per symmetric tensor)
 # ----------------------------------------------------------------------
 
+# the bit offset of each of the 21 slots in the packing over GF(2^k), by k:
+# slot t sits k * (20 - t) bits up
+_SHIFTS = {k: tuple(k * (20 - t) for t in range(21)) for k in range(1, 5)}
+
+
 def pack_sym(gf: GF, s) -> int:
     """Pack 21 coordinates, earliest slot in the highest bits, so that integer
     comparison is lexicographic comparison of coordinate vectors."""
-    k = gf.k
-    acc = 0
-    for t, c in enumerate(s):
-        acc |= c << (k * (20 - t))
-    return acc
+    return sum(map(lshift, s, _SHIFTS[gf.k]))
 
 
 def unpack_sym(gf: GF, x: int):
-    k = gf.k
-    mask = gf.order - 1
-    return tuple((x >> (k * (20 - t))) & mask for t in range(21))
+    return tuple(map(and_, map(rshift, repeat(x, 21), _SHIFTS[gf.k]),
+                     repeat(gf.order - 1, 21)))
 
 
 @lru_cache(maxsize=None)
@@ -203,12 +207,7 @@ def u_packed(gf: GF) -> int:
 @lru_cache(maxsize=None)
 def offdiag_mask(gf: GF) -> int:
     """Packed mask of all off-diagonal coordinate bits."""
-    k = gf.k
-    acc = 0
-    for t in range(21):
-        if t not in DIAG_SLOTS:
-            acc |= (gf.order - 1) << (k * (20 - t))
-    return acc
+    return pack_sym(gf, [0 if t in DIAG_SLOTS else gf.order - 1 for t in range(21)])
 
 
 def packed_in_w2_plus_u(gf: GF, x):
@@ -335,7 +334,7 @@ def byte_tables(gf: GF, actions) -> np.ndarray:
     # x_s y_s on it, and lands at bit k (20 - its slot) of the packing
     s, u = np.array(SYM_PAIRS).T
     prod = t[x[..., s], y[..., u]] ^ np.where(s == u, 0, t[x[..., u], y[..., s]])
-    shifts = (k * (20 - np.arange(21))).astype(np.uint64)
+    shifts = np.array(_SHIFTS[k], dtype=np.uint64)
     bits = np.bitwise_or.reduce(prod.astype(np.uint64) << shifts, axis=-1).reshape(len(m), 21 * k)
     bits = np.pad(bits, ((0, 0), (0, -21 * k % 8))).reshape(len(m), -(-21 * k // 8), 8)
     # the tables of the first e bits of each byte, doubled by bit e:

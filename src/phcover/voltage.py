@@ -30,6 +30,8 @@ with a function that builds the witness of a failed one, and
 
 from __future__ import annotations
 
+from operator import xor
+
 from ._lazy import np
 from .field import GF
 from .graphs import (
@@ -50,7 +52,7 @@ from .graphs import (
     vertex_keys,
 )
 from .linalg import dot, vec_scale
-from .multilinear import ZERO21, byte_tables, n_project_packed, packed_images, sym_add
+from .multilinear import ZERO21, byte_tables, n_project_packed, packed_images
 
 
 class F2Span:
@@ -117,9 +119,11 @@ def path_voltage(gf: GF, dart_fn, path):
     if len(path) < 2:
         return ZERO21
     acc = dart_fn(path[0], path[1])
-    for a, b in zip(path[1:], path[2:]):
-        acc = sym_add(acc, dart_fn(a, b))
-    return acc
+    for n, (a, b) in enumerate(zip(path[1:], path[2:]), 1):
+        acc = map(xor, acc, dart_fn(a, b))
+        if n % 1024 == 0:  # a chain of lazy maps unwinds recursively in C
+            acc = tuple(acc)
+    return tuple(acc)
 
 
 # ----------------------------------------------------------------------

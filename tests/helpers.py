@@ -28,3 +28,26 @@ def vertex_index(graph):
     """The id of each vertex of a graph, from its tuples; one dict per
     graph."""
     return {v: i for i, v in enumerate(graph.vertices)}
+
+
+def random_in_span_loop(gf, basis, rng):
+    """The reference for graphs._random_in_span, one loop over any basis: a
+    random nonzero combination, its coefficients drawn left to right as
+    rng.randrange(q) draws them, all of them again when every one is zero."""
+    q, draw, mul = gf.order, rng.getrandbits, gf.mul_rows
+    bits = q.bit_length()
+    while True:
+        o0 = o1 = o2 = o3 = nonzero = 0
+        for x0, x1, x2, x3 in basis:
+            c = draw(bits)
+            while c >= q:
+                c = draw(bits)
+            if c:
+                by_c = mul[c]
+                o0 ^= by_c[x0]
+                o1 ^= by_c[x1]
+                o2 ^= by_c[x2]
+                o3 ^= by_c[x3]
+                nonzero = 1
+        if nonzero:
+            return (o0, o1, o2, o3)

@@ -107,6 +107,44 @@ def test_sampled_checks_trace_one_span_per_drawn_sample(tracing):
         "voltage.check_reductive", "voltage.check_equivariance"}
 
 
+def test_sampled_checks_meet_the_benchmark_call_pins(tracing):
+    # the closed forms bench/worker.py's sampled_trace_counts pins for the
+    # sampled-cycles workload, restated: two kernels per common neighbour,
+    # one scalar dart voltage per cycle dart and two per reductivity and
+    # equivariance item, one path voltage per cycle, one membership test
+    # per cycle that is not a triangle, one action per matrix
+    lengths, matrices = (6, 7, 8), 3
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        reports = []
+        for q in (4, 8):
+            gf = field_of_order(q)
+            reports += [cons.verify_triangles(gf, samples=5, seed=q),
+                        cons.verify_quadrangles(gf, samples=4, seed=q),
+                        cons.verify_pentagons(gf, samples=3, seed=q),
+                        cons.verify_long_cycles(gf, lengths=lengths, samples=2, seed=q),
+                        cons.reductivity_report(gf, samples=6, seed=q),
+                        cons.equivariance_report(gf, n_matrices=matrices, samples=2, seed=q)]
+    finally:
+        tracer.uninstall()
+    assert all(r["passed"] for r in reports)
+    calls = {name: rec["calls"] for name, rec in tracer.summary().items()}
+    tri, quad, pent, walks = (calls[f"graphs.sample_{kind}"] for kind in
+                              ("triangle", "quadrangle", "pentagon", "closed_walk"))
+    assert (tri, quad, pent, walks) == (10, 8, 6, 2 * 2 * len(lengths))
+    red = sum(r["samples"] for r in reports if r["check"] == "reductive")
+    equiv = sum(r["samples"] for r in reports if r["check"] == "equivariance")
+    assert (red, equiv) == (2 * 6, 2 * matrices * 2)
+    walk_darts = 2 * 2 * sum(lengths)
+    assert calls["linalg.kernel"] == 2 * calls["graphs.sample_common_neighbor"] > 0
+    assert calls["construction.dart_voltage"] == \
+        3 * tri + 4 * quad + 5 * pent + walk_darts + 2 * red + 2 * equiv
+    assert calls["voltage.path_voltage"] == tri + quad + pent + walks
+    assert calls["multilinear.in_w2_plus_u"] == quad + pent + walks
+    assert calls["multilinear.action"] == 2 * matrices
+
+
 def test_verify_all_gf16_meets_the_benchmark_pins(tracing, capsys):
     # the counts bench/worker.py pins for `verify all --samples 1000` over
     # GF(16), and no scalar walk or dart voltage under the cycle-span walks

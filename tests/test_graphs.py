@@ -10,7 +10,7 @@ from phcover.field import field_of_order
 from phcover.linalg import E4, evaluate, vec_add, vec_scale
 from phcover import graphs as gr
 from phcover import linalg as la
-from helpers import pairs, stack, vertex_index
+from helpers import pairs, random_in_span_loop, stack, vertex_index
 from test_linalg import _rref_kernel
 
 
@@ -799,6 +799,24 @@ def test_draws_match_randrange(q):
             basis = _rref_kernel(gf, rows)
             assert gr._random_in_span(gf, basis, fast) == _in_span_by_randrange(gf, basis, slow)
         assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_unrolled_span_draws_equal_the_loop(q):
+    # the unrolled 2- and 3-vector bases draw what the one loop draws, all
+    # zero coefficients redrawn, and leave the generator in the same state
+    gf = field_of_order(q)
+    for seed in range(10):
+        rows = random.Random(seed)
+        bases = [list(E4)]
+        for _ in range(40):
+            r0, r1 = (tuple(rows.randrange(q) for _ in range(4)) for _ in range(2))
+            bases += [la.kernel(gf, r0, r1), la.kernel(gf, r0, r0)]
+        assert {len(basis) for basis in bases} == {2, 3, 4}
+        fast, slow = random.Random(seed + 100), random.Random(seed + 100)
+        for basis in bases:
+            assert gr._random_in_span(gf, basis, fast) == random_in_span_loop(gf, basis, slow)
+            assert fast.getstate() == slow.getstate()
 
 
 def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):

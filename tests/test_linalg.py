@@ -272,11 +272,20 @@ def test_kernel_property(q, data):
 
 @pytest.mark.parametrize("q", (2, 4))
 def test_two_row_kernel_equals_rref_kernel_on_every_pair(q):
+    # every branch of kernel's closed forms, each named by whether the rows
+    # are equal and by the pivots of their RREF: the six rank-2 pivot pairs,
+    # the four rank-1 pivot positions of distinct and of equal rows, and
+    # two zero rows
     gf = field_of_order(q)
     rows = list(itertools.product(range(q), repeat=4))
+    branches = set()
     for r0 in rows:
         for r1 in rows:
             assert la.kernel(gf, r0, r1) == _rref_kernel(gf, [r0, r1])
+            branches.add((r0 == r1, tuple(rref(gf, [r0, r1])[1])))
+    assert branches == ({(False, pair) for pair in itertools.combinations(range(4), 2)}
+                        | {(equal, (p,)) for equal in (False, True) for p in range(4)}
+                        | {(True, ())})
 
 
 @pytest.mark.parametrize("q", (2, 4, 8))

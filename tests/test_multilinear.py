@@ -3,6 +3,7 @@ from functools import partial, reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phcover.field import FIELD_ORDERS, field_of_order
 from phcover.linalg import E4, det, mat_vec, random_gl4, random_sl4, vec_add, vec_scale
@@ -196,6 +197,14 @@ def test_in_w2_diagonal():
         assert ml.in_w2(gf, s)
 
 
+def test_u_has_one_off_diagonal_part_in_every_field():
+    # in_w2_plus_u reads U's off-diagonal part from one constant
+    for q in FIELD_ORDERS:
+        gf = field_of_order(q)
+        assert set(ml.big_u(gf)) == {0, 1}
+        assert ml._offdiag(ml.big_u(gf)) == ml._U_OFFDIAG
+
+
 @pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_in_w2_plus_u_matches_its_definition(q):
     gf = field_of_order(q)
@@ -303,6 +312,55 @@ def test_pack_unpack_roundtrip():
         s = tuple(rng.randrange(4) for _ in range(21))
         t = tuple(rng.randrange(4) for _ in range(21))
         assert (ml.pack_sym(gf, s) < ml.pack_sym(gf, t)) == (s < t)
+
+
+def _sym_tensor(q):
+    """Symmetric tensors over GF(q): 21 coordinates in range(q)."""
+    return st.tuples(*[st.integers(0, q - 1)] * 21)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_unpack_inverts_pack(q, data):
+    gf = field_of_order(q)
+    s = data.draw(_sym_tensor(q))
+    x = ml.pack_sym(gf, s)
+    assert 0 <= x < 1 << (21 * gf.k)
+    assert ml.unpack_sym(gf, x) == s
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_order_is_lexicographic_order(q, data):
+    gf = field_of_order(q)
+    s = data.draw(_sym_tensor(q))
+    # t shares a drawn prefix with s, so that late slots decide too
+    cut = data.draw(st.integers(0, 21))
+    t = s[:cut] + data.draw(_sym_tensor(q))[cut:]
+    x, y = ml.pack_sym(gf, s), ml.pack_sym(gf, t)
+    assert (x < y, x == y) == (s < t, s == t)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packing_is_additive(q, data):
+    gf = field_of_order(q)
+    s, t = data.draw(_sym_tensor(q)), data.draw(_sym_tensor(q))
+    assert ml.pack_sym(gf, ml.sym_add(s, t)) == ml.pack_sym(gf, s) ^ ml.pack_sym(gf, t)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_on_sym_is_additive(q, data):
+    gf = field_of_order(q)
+    act = ml.MatrixAction(gf, random_gl4(gf, random.Random(data.draw(st.integers(0, 2 ** 32)))))
+    s, t = data.draw(_sym_tensor(q)), data.draw(_sym_tensor(q))
+    assert act.on_sym(ml.sym_add(s, t)) == ml.sym_add(act.on_sym(s), act.on_sym(t))
+    assert act.on_sym(ml.ZERO21) == ml.ZERO21
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,19 @@ def test_path_voltage_empty_and_two_cycle():
     assert vg.path_voltage(gf, ell(gf), (a, b, a)) == ml.ZERO21
 
 
+def test_path_voltage_of_a_long_path():
+    # the fold keeps a bounded chain of lazy sums: a path of 10^5 darts
+    # and more adds up without unwinding one C frame per dart
+    gf = field_of_order(4)
+    rng = random.Random(2)
+    a = gr.random_affine_vertex(gf, rng)
+    b = gr.random_neighbor(gf, a, rng)
+    volt = ell(gf)(a, b)
+    path = (a, b) * 100_000
+    assert vg.path_voltage(gf, lambda x, y: volt, path) == volt
+    assert vg.path_voltage(gf, lambda x, y: volt, path + (a,)) == ml.ZERO21
+
+
 def test_path_voltage_concatenation():
     gf = field_of_order(4)
     rng = random.Random(1)
