@@ -40,6 +40,7 @@ from .graphs import (
     build_projective_graph,
     common_neighbor_blocks,
     csr_bfs,
+    diameter,
     distinct,
     factor_vertices,
     find_sorted,
@@ -57,7 +58,7 @@ from .graphs import (
     vertex_ids,
     vertex_keys,
 )
-from .linalg import E4, dot, solve_affine_f2, vec_add
+from .linalg import E4, dot, random_gl4, random_sl4, solve_affine_f2, vec_add
 from .multilinear import (
     BIV_PAIRS,
     DIAG_SLOTS,
@@ -87,6 +88,7 @@ from .multilinear import (
 from .voltage import (
     DartTable,
     F2Span,
+    check_equivariance,
     check_reductive,
     component_of,
     fundamental_cycle_span,
@@ -432,12 +434,23 @@ def _resolve_mode(gf: GF, mode: str, what: str) -> str:
     return own
 
 
-def _check_cycles(cycles, voltage, member, key):
-    """Tally the cycles whose voltage(cycle) fails member, each witness
-    {key: cycle, "voltage": voltage}.  Given a generator, each cycle is
-    drawn just before it is evaluated."""
-    return tally(None if member(volt) else {key: cyc, "voltage": volt}
-                 for cyc in cycles for volt in (voltage(cyc),))
+def _seeded(count: int, seed: int, what: str) -> random.Random:
+    """The generator of a sampled check asked for count items; fewer than
+    one is refused, as the check would pass on no work."""
+    if count < 1:
+        raise ValueError(f"{what} needs at least one sample")
+    return random.Random(seed)
+
+
+def _sampled_cycles(check, gf: GF, cycles, member, key, **extra) -> dict:
+    """The report of a sampled check of closed walks: a walk fails when
+    member rejects its voltage, with witness {key: walk, "voltage":
+    voltage}.  Given a generator, each walk is drawn just before it is
+    evaluated."""
+    voltage = partial(cycle_voltage, gf)
+    return report(check, gf, "sample", *tally(
+        None if member(volt) else {key: cyc, "voltage": volt}
+        for cyc in cycles for volt in (voltage(cyc),)), **extra)
 
 
 def _check_table_cycles(cycle_blocks, voltages, passes, key):
@@ -465,12 +478,6 @@ def _check_table_quadrangles(gf: GF, table: DartTable, cycle_blocks):
         partial(packed_in_w2_plus_u, gf), "cycle")
 
 
-def _refuse_no_samples(samples: int, what: str) -> None:
-    """A sampled check asked for no sample would pass on no work."""
-    if samples < 1:
-        raise ValueError(f"{what} needs at least one sample")
-
-
 def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
                      seed: int = 12345) -> dict:
     """Every triangle voltage equals U, exhaustively on the enumerated affine
@@ -484,11 +491,9 @@ def verify_triangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
             triangle_blocks(graph),
             lambda rows: [dart(i, j) ^ dart(j, w) ^ dart(w, i) for i, j, w in rows],
             lambda volts: volts == u, "triangle"))
-    _refuse_no_samples(samples, "a sampled triangle check")
-    rng = random.Random(seed)
-    return report("triangles", gf, mode, *_check_cycles(
-        (sample_triangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
-        partial(operator.eq, big_u(gf)), "triangle"))
+    rng = _seeded(samples, seed, "a sampled triangle check")
+    return _sampled_cycles("triangles", gf, (sample_triangle(gf, rng) for _ in range(samples)),
+                           partial(operator.eq, big_u(gf)), "triangle")
 
 
 def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
@@ -500,33 +505,27 @@ def verify_quadrangles(gf: GF, mode: str = "auto", samples: int = 10 ** 5,
         graph = build_affine_graph(gf)
         return report("quadrangles", gf, mode, *_check_table_quadrangles(
             gf, voltage_table(graph), quadrangle_blocks(graph)))
-    _refuse_no_samples(samples, "a sampled 4-cycle check")
-    rng = random.Random(seed)
-    return report("quadrangles", gf, mode, *_check_cycles(
-        (sample_quadrangle(gf, rng) for _ in range(samples)), partial(cycle_voltage, gf),
-        partial(in_w2_plus_u, gf), "cycle"))
+    rng = _seeded(samples, seed, "a sampled 4-cycle check")
+    return _sampled_cycles("quadrangles", gf, (sample_quadrangle(gf, rng) for _ in range(samples)),
+                           partial(in_w2_plus_u, gf), "cycle")
 
 
 def verify_pentagons(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
     """Every sampled 5-cycle voltage lies in the span of the squares plus U.
     Raises ValueError when asked for no sample."""
-    _refuse_no_samples(samples, "the 5-cycle check")
-    rng = random.Random(seed)
-    return report("pentagons", gf, "sample", *_check_cycles(
-        (sample_pentagon(gf, rng) for _ in range(samples)),
-        partial(cycle_voltage, gf), partial(in_w2_plus_u, gf), "cycle"))
+    rng = _seeded(samples, seed, "the 5-cycle check")
+    return _sampled_cycles("pentagons", gf, (sample_pentagon(gf, rng) for _ in range(samples)),
+                           partial(in_w2_plus_u, gf), "cycle")
 
 
 def verify_long_cycles(gf: GF, lengths=(6, 7, 8), samples: int = 2000,
                        seed: int = 12345) -> dict:
     """Sampled closed walks of the given lengths stay in the same span.
     Raises ValueError when asked for no sample or no length."""
-    _refuse_no_samples(min(samples, len(lengths)), "the long-cycle check")
-    rng = random.Random(seed)
+    rng = _seeded(min(samples, len(lengths)), seed, "the long-cycle check")
     walks = (sample_closed_walk(gf, length, rng) for length in lengths for _ in range(samples))
-    return report("long-cycles", gf, "sample", *_check_cycles(
-        walks, partial(cycle_voltage, gf), partial(in_w2_plus_u, gf), "walk"),
-        lengths=list(lengths))
+    return _sampled_cycles("long-cycles", gf, walks, partial(in_w2_plus_u, gf), "walk",
+                           lengths=list(lengths))
 
 
 # ----------------------------------------------------------------------
@@ -628,12 +627,15 @@ def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> di
     projective graph.  For GF(8) the full graph has ~7e8 edges, so the span
     is computed on the canonical connected subgraph carrying the generator
     quadrangles, and the containment of general cycle voltages is sampled
-    on random closed walks of the full graph instead.
+    on walk_samples random closed walks of the full graph instead, and
+    fewer than one walk raises ValueError.
     """
     if gf.k <= 2:
         graph = build_projective_graph(gf)
         mode = "exhaustive"
     else:
+        if walk_samples < 1:
+            raise ValueError("the cycle-span walk check needs at least one walk")
         graph = _rational_subgraph_with_twists(gf)
         mode = "subgraph+sampled"
     table = voltage_table(graph)
@@ -1029,10 +1031,9 @@ def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
     root-m-target compared with it, as the 4-cycle (root, m0, target, m);
     the report counts the comparisons actually made.  Raises ValueError
     when asked for no vertex or no path."""
-    _refuse_no_samples(min(n_vertices, n_paths), "the fiber-coset check")
+    rng = _seeded(min(n_vertices, n_paths), seed, "the fiber-coset check")
     graph = build_projective_graph(gf)
     table = voltage_table(graph)
-    rng = random.Random(seed)
     root = _vertex_v0_id(graph)
 
     cycles = []
@@ -1071,8 +1072,6 @@ def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
                         seed: int = 12345) -> dict:
     """U is fixed by unimodular matrices and scaled by the determinant in
     general.  Raises ValueError on a negative count or on none at all."""
-    from .linalg import random_gl4, random_sl4
-
     if min(n_sl, n_gl) < 0 or n_sl + n_gl == 0:
         raise ValueError("u-invariance needs at least one matrix")
     rng = random.Random(seed)
@@ -1108,9 +1107,6 @@ def equivariance_report(gf: GF, n_matrices: int = 20, samples: int = 10 ** 4,
     table for 100 matrices, above it on samples darts per matrix for
     n_matrices matrices.  Raises ValueError when n_matrices < 1 in every
     field, as there would be no matrix to check."""
-    from .linalg import random_sl4
-    from .voltage import check_equivariance
-
     if n_matrices < 1:
         raise ValueError("equivariance needs at least one matrix")
     rng = random.Random(seed)
@@ -1145,8 +1141,6 @@ def phi_table_report(gf: GF) -> dict:
 
 
 def diameter_report(gf: GF) -> dict:
-    from .graphs import diameter
-
     graph = build_projective_graph(gf)
     d = diameter(graph)
     return report("diameter", gf, "exhaustive", graph.n, 0 if d == 2 else 1, [], diameter=d)

@@ -21,7 +21,7 @@ multiplication.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._lazy import np
 
@@ -138,21 +138,13 @@ class GF:
     # ------------------------------------------------------------------
     # numpy lookup tables for vectorised code paths
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def mul_table(self) -> np.ndarray:
-        t = getattr(self, "_mul_np", None)
-        if t is None:
-            t = np.array(self.mul_rows, dtype=np.uint8)
-            self._mul_np = t
-        return t
+        return np.array(self.mul_rows, dtype=np.uint8)
 
-    @property
+    @cached_property
     def inv_table(self) -> np.ndarray:
-        t = getattr(self, "_inv_np", None)
-        if t is None:
-            t = np.array(self.inverses, dtype=np.uint8)
-            self._inv_np = t
-        return t
+        return np.array(self.inverses, dtype=np.uint8)
 
     def __repr__(self) -> str:
         return f"GF({self.order})"

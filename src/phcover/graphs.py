@@ -329,12 +329,6 @@ def build_projective_graph(gf: GF, dim: int = 4) -> Graph:
     return _graph_cache[key]
 
 
-def subgraph(graph: Graph, vertex_ids) -> Graph:
-    """Induced subgraph on the given vertex indices (kept in the given order)."""
-    ids = np.asarray(vertex_ids, dtype=np.intp)
-    return Graph(graph.gf, graph.vmat[ids], graph.hmat[ids])
-
-
 def frontier_darts(indptr: np.ndarray, frontier: np.ndarray):
     """The darts leaving a frontier of CSR rows, row after row in frontier
     order: pairs (slot, pos) where frontier[slot] is the row and pos the
@@ -600,8 +594,9 @@ def random_affine_vertex(gf: GF, rng):
 def _random_in_span(gf: GF, basis, rng):
     """A random nonzero combination of the basis: the coefficients are drawn
     left to right as rng.randrange(q) draws them, and all of them again when
-    every one is zero.  The 2- and 3-vector bases that kernel returns for
-    nonzero rows are unrolled; the loop serves any other basis."""
+    every one is zero.  The basis is one that kernel returns for two nonzero
+    rows, of 2 vectors at rank 2 and 3 at rank 1; any other raises
+    ValueError."""
     q, draw, mul = gf.order, rng.getrandbits, gf.mul_rows
     bits = q.bit_length()
     if len(basis) == 2:
@@ -617,37 +612,21 @@ def _random_in_span(gf: GF, basis, rng):
                 by_c, by_d = mul[c], mul[d]
                 return (by_c[x0] ^ by_d[y0], by_c[x1] ^ by_d[y1],
                         by_c[x2] ^ by_d[y2], by_c[x3] ^ by_d[y3])
-    if len(basis) == 3:
-        (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = basis
-        while True:
-            c = draw(bits)
-            while c >= q:
-                c = draw(bits)
-            d = draw(bits)
-            while d >= q:
-                d = draw(bits)
-            e = draw(bits)
-            while e >= q:
-                e = draw(bits)
-            if c or d or e:
-                by_c, by_d, by_e = mul[c], mul[d], mul[e]
-                return (by_c[x0] ^ by_d[y0] ^ by_e[z0], by_c[x1] ^ by_d[y1] ^ by_e[z1],
-                        by_c[x2] ^ by_d[y2] ^ by_e[z2], by_c[x3] ^ by_d[y3] ^ by_e[z3])
+    (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = basis
     while True:
-        o0 = o1 = o2 = o3 = nonzero = 0
-        for x0, x1, x2, x3 in basis:
+        c = draw(bits)
+        while c >= q:
             c = draw(bits)
-            while c >= q:
-                c = draw(bits)
-            if c:
-                by_c = mul[c]
-                o0 ^= by_c[x0]
-                o1 ^= by_c[x1]
-                o2 ^= by_c[x2]
-                o3 ^= by_c[x3]
-                nonzero = 1
-        if nonzero:
-            return (o0, o1, o2, o3)
+        d = draw(bits)
+        while d >= q:
+            d = draw(bits)
+        e = draw(bits)
+        while e >= q:
+            e = draw(bits)
+        if c or d or e:
+            by_c, by_d, by_e = mul[c], mul[d], mul[e]
+            return (by_c[x0] ^ by_d[y0] ^ by_e[z0], by_c[x1] ^ by_d[y1] ^ by_e[z1],
+                    by_c[x2] ^ by_d[y2] ^ by_e[z2], by_c[x3] ^ by_d[y3] ^ by_e[z3])
 
 
 def sample_common_neighbor(gf: GF, a, b, rng):

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 
+from phcover.graphs import Graph
 from phcover.linalg import mat_vec
 
 
@@ -21,6 +22,12 @@ def stack(verts):
 def pairs(vmat, hmat):
     """The (vector, covector) tuples of the row pairs of two arrays."""
     return list(zip(map(tuple, np.asarray(vmat).tolist()), map(tuple, np.asarray(hmat).tolist())))
+
+
+def subgraph(graph, vertex_ids):
+    """Induced subgraph on the given vertex indices (kept in the given order)."""
+    ids = np.asarray(vertex_ids, dtype=np.intp)
+    return Graph(graph.gf, graph.vmat[ids], graph.hmat[ids])
 
 
 @functools.lru_cache(maxsize=None)

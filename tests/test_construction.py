@@ -12,7 +12,7 @@ from phcover import graphs as gr
 from phcover import linalg as la
 from phcover import multilinear as ml
 from phcover import voltage as vg
-from helpers import mat_mul, pairs, vertex_index
+from helpers import mat_mul, pairs, subgraph, vertex_index
 from test_graphs import _walk_tuples, normalize
 from test_linalg import _rref_kernel
 from test_multilinear import on_sym_packed_array
@@ -536,6 +536,14 @@ def test_cycle_span_walk_voltages_equal_the_scalar_cycle_voltages(q, monkeypatch
     [((_, lengths, _), (vs, hs))], [((_, volts), _)] = walks, masks
     assert [tuple(v) for v in volts.tolist()] == \
         [cons.cycle_voltage(gf, walk) for walk in _walk_tuples(lengths, vs, hs)]
+
+
+@pytest.mark.parametrize("q", (8, 16))
+def test_cycle_span_walk_check_refuses_no_walks(q):
+    # no walk would report a pass, and a negative count failed inside numpy
+    for walk_samples in (0, -1):
+        with pytest.raises(ValueError, match="at least one"):
+            cons.cycle_span_report(field_of_order(q), walk_samples=walk_samples)
 
 
 def test_cycle_span_walks_are_closed_walks_of_length_4_to_8(monkeypatch):
@@ -1169,7 +1177,7 @@ def test_diameter_negative_control(monkeypatch):
     lone = next(j for j in range(g2.n)
                 if j not in star and not any(j in g2.neighbors(i) for i in star))
     monkeypatch.setattr(cons, "build_projective_graph",
-                        lambda gf: gr.subgraph(g2, star + [lone]))
+                        lambda gf: subgraph(g2, star + [lone]))
     rep = cons.diameter_report(field_of_order(2))
     assert rep["diameter"] == -1
     assert not rep["passed"] and rep["violations"] == 1

@@ -310,6 +310,22 @@ def test_mat_vec_equals_generic_sum(q):
         assert la.mat_vec(gf, v, m) == tuple(want)
 
 
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_of_two_nonzero_rows_has_two_or_three_vectors(q, data):
+    # the only bases graphs._random_in_span unrolls: the rows of two
+    # vertices are nonzero, so their kernel has 2 vectors when they are
+    # independent and 3 when one is a multiple of the other
+    gf = field_of_order(q)
+    coord = st.integers(0, q - 1)
+    row = st.tuples(coord, coord, coord, coord).filter(any)
+    r0 = data.draw(row)
+    r1 = data.draw(st.one_of(row, st.integers(1, q - 1).map(lambda c: la.vec_scale(gf, c, r0))))
+    independent = len(rref(gf, [r0, r1])[1]) == 2
+    assert len(la.kernel(gf, r0, r1)) == (2 if independent else 3)
+
+
 @pytest.mark.parametrize("q", (8, 16))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())

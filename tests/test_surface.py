@@ -33,8 +33,6 @@ PACKAGE = ROOT / "src" / "phcover"
 KEPT = {
     # reports that ROADMAP item 10 wires into `verify all`
     "w2_span_report", "verify_reduct_is_neighborhood_equality",
-    # the induced subgraph that test fixtures build their references from
-    "subgraph",
 }
 
 

@@ -13,7 +13,7 @@ from phcover import construction as cons
 from phcover import graphs as gr
 from phcover import multilinear as ml
 from phcover import voltage as vg
-from helpers import mat_mul, pairs, stack, vertex_index
+from helpers import mat_mul, pairs, stack, subgraph, vertex_index
 from test_graphs import normalize
 from test_multilinear import on_sym_packed_array
 
@@ -321,10 +321,10 @@ def test_spanning_tree_matches_queue_bfs():
     random.Random(13).shuffle(star)
     # a sparse induced subgraph four levels deep from vertex 0: past the
     # second level, the order of a frontier decides the parents
-    sparse = gr.subgraph(gf2, random.Random(4).sample(range(gf2.n), 20))
+    sparse = subgraph(gf2, random.Random(4).sample(range(gf2.n), 20))
     assert gr.bfs(sparse, 0).max() >= 3
     cases = [(gf2, (0, 77)),
-             (gr.subgraph(gf2, star), (0, 12)),
+             (subgraph(gf2, star), (0, 12)),
              (sparse, (0, 19)),
              (cons._rational_subgraph_with_twists(field_of_order(8)), (0, 50)),
              (cons._rational_subgraph_with_twists(field_of_order(16)), (0, 50)),
@@ -372,7 +372,7 @@ def test_spanning_tree_refuses_disconnected_graph():
     star = [0] + big.neighbors(0)[:5].tolist()
     lone = next(j for j in range(big.n)
                 if j not in star and not any(j in big.neighbors(i) for i in star))
-    for graph in (pair, gr.subgraph(big, star + [lone])):
+    for graph in (pair, subgraph(big, star + [lone])):
         table = cons.voltage_table(graph)
         with pytest.raises(ValueError, match="not connected"):
             vg.spanning_tree_potentials(table, 0)
@@ -1010,7 +1010,7 @@ def test_vertex_images_match_vertex_image_index():
     graph2 = gr.build_projective_graph(gf2)
     # the same vertices in reverse order, so that vertex ids and codes
     # sort differently
-    reverse = gr.subgraph(graph2, range(graph2.n - 1, -1, -1))
+    reverse = subgraph(graph2, range(graph2.n - 1, -1, -1))
     for graph, count, draw in ((graph2, 20, random_sl4), (reverse, 5, random_sl4),
                                (gr.build_projective_graph(field_of_order(4)), 3, random_gl4)):
         gf, q = graph.gf, graph.gf.order
@@ -1027,7 +1027,7 @@ def test_vertex_images_match_vertex_image_index():
 
 def test_vertex_images_refuse_images_outside_the_graph():
     gf = field_of_order(2)
-    sub = gr.subgraph(gr.build_affine_graph(gf), range(60))
+    sub = subgraph(gr.build_affine_graph(gf), range(60))
     table = cons.voltage_table(sub)
     act = ml.action(gf, random_sl4(gf, random.Random(8)))
     with pytest.raises(KeyError):
