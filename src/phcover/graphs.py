@@ -8,18 +8,21 @@ with identical neighbour sets yields exactly the projective graph,
 which :func:`verify_reduct_is_neighborhood_equality` checks computationally
 instead of assuming.
 
-Every array reader of incidence (adjacency, two-step reach, the reduct
-check, bulk dart voltages, vertex images) reads it from
-:func:`factor_vertices`, which pairs distinct vectors and covectors once,
-and every reader of vertex identity from :func:`vertex_keys`.
+Every array reader of incidence (adjacency, common neighbours, the
+distance-two test, the reduct check, bulk dart voltages, vertex images)
+reads it from :func:`factor_vertices`, which pairs distinct vectors and
+covectors once, and every reader of vertex identity from
+:func:`vertex_keys`.
 
 The enumerators return a vertex stack as two uint8 arrays (vmat, hmat),
 and a :class:`Graph` keeps them, builds its tuples only when they are
-read, and reads its CSR neighbour lists of int16 vertex ids off the
-point-plane table of vertex ids (:func:`_incidence_csr`).  It is refused
-above ``ADJ_CAP`` vertices, which keeps every id below 2^15; the largest
-graph the package builds is the GF(4) projective graph.  A product of vertex
-ids, such as a dart key i * n + j, is taken in int64.  The only
+read, and keeps the point-plane table of vertex ids, from which it
+gathers its CSR neighbour lists of int16 vertex ids
+(:func:`_incidence_csr`) and the common neighbours of vertex pairs
+(:func:`common_neighbor_blocks`).  It is refused above ``ADJ_CAP``
+vertices, which keeps every id below 2^15; the largest graph the package
+builds is the GF(4) projective graph.  A product of vertex ids, such as
+a dart key i * n + j, is taken in int64.  The only
 affine graph under that cap is the GF(2) one, where normalising changes
 nothing, so :func:`build_affine_graph` returns the projective graph
 object itself.  Larger fields are served by the adjacency oracle
@@ -32,9 +35,9 @@ Every pass over all the darts of a graph or of a lift, here and in
 :mod:`phcover.voltage` and :mod:`phcover.construction`, runs in blocks
 of about ``BULK_BLOCK`` darts (:func:`blocks`, :func:`frontier_blocks`),
 so that its temporaries do not grow with the dart count; only its output
-does.  The CSR build gathers a block of rows at a time, and
-:func:`diameter` reads the packed adjacency rows one covector class at a
-time.
+does.  The CSR build and the common neighbours gather a block of rows
+at a time, and :func:`diameter` tests distance two on classes of plane
+sets, not on vertex rows.
 """
 
 from __future__ import annotations
@@ -189,15 +192,6 @@ def factor_vertices(gf: GF, vmat: np.ndarray, hmat: np.ndarray):
     return points, p_id, planes, h_id, pairing(gf, planes, points)
 
 
-def _kill_rows(zero: np.ndarray, p_id: np.ndarray, h_id: np.ndarray):
-    """Packed rows (kills, killed): bit j of kills[h] is set when covector h
-    vanishes on v_j and of killed[p] when h_j vanishes on vector p, so the
-    neighbour row of vertex i is kills[h_id[i]] & killed[p_id[i]].  take,
-    unlike a fancy index on axis 1, keeps the rows C-ordered."""
-    return (np.packbits(zero.take(p_id, axis=1), axis=1),
-            np.packbits(zero.T.take(h_id, axis=1), axis=1))
-
-
 def _incident(zero: np.ndarray) -> np.ndarray:
     """The column ids of the True entries of each row of a boolean matrix,
     ascending, as one intp row per row, padded with the column count."""
@@ -218,35 +212,34 @@ def _vertex_table(p_id: np.ndarray, h_id: np.ndarray, n_points: int, n_planes: i
     return at
 
 
-def _incidence_csr(zero: np.ndarray, p_id: np.ndarray, h_id: np.ndarray):
-    """The CSR neighbour lists (int64 indptr, int16 indices) of the vertices
-    (points[p_id[i]], planes[h_id[i]]), zero[h, p] when planes[h] kills
-    points[p].
+def _table_rows(at: np.ndarray, points: np.ndarray, planes: np.ndarray, ascending: bool):
+    """The entries of the table at on each row of point ids times the same
+    row of plane ids, row-major, one row per row pair, read by one take on
+    the flat table; each row is sorted unless ascending is set."""
+    rows = at.ravel().take(points[:, :, None] * at.shape[1] + planes[:, None, :])
+    rows = rows.reshape(len(points), -1)
+    if not ascending:
+        rows.sort(axis=1)
+    return rows
+
+
+def _incidence_csr(graph: "Graph"):
+    """The CSR neighbour lists (int64 indptr, int16 indices) of a graph.
 
     The neighbours of vertex i are the vertices (p, h) with p on plane
-    h_id[i] and h through point p_id[i], read off the table at of
-    _vertex_table: row i is the block of at on the rows of the points on
-    h_id[i] and the columns of the planes through p_id[i], with the -1
-    entries dropped, gathered a block of rows at a time.  In a stack sorted
-    by (p_id, h_id), as every projective graph is, the ids come out
-    ascending; other stacks sort each row."""
-    n_planes, n_points = zero.shape
-    at = _vertex_table(p_id, h_id, n_points, n_planes)
+    h_id[i] and h through point p_id[i]: row i is the block of the vertex
+    table on the points on h_id[i] and the planes through p_id[i], with the
+    -1 entries dropped, gathered a block of rows at a time."""
+    at, p_id, h_id = graph.at, graph.p_id, graph.h_id
     # degrees from the 0/1 product zero @ (at >= 0) @ zero, exact in float32
     # at these sizes
-    z = zero.astype(np.float32)
+    z = graph.zero.astype(np.float32)
     degrees = (z @ (at[:-1, :-1] >= 0) @ z)[h_id, p_id].astype(np.int64)
     indptr = np.zeros(p_id.size + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     indices = np.empty(int(indptr[-1]), dtype=np.int16)
-    # the padding of on and through reads the -1 row and column of at
-    on, through = _incident(zero), _incident(zero.T)
-    codes = p_id.astype(np.int64) * n_planes + h_id
-    ascending = bool((codes[1:] > codes[:-1]).all())
-    for lo, hi in blocks(p_id.size, on.shape[1] * through.shape[1]):
-        rows = at[on[h_id[lo:hi], :, None], through[p_id[lo:hi], None, :]].reshape(hi - lo, -1)
-        if not ascending:
-            rows.sort(axis=1)
+    for lo, hi in blocks(p_id.size, graph.on.shape[1] * graph.through.shape[1]):
+        rows = _table_rows(at, graph.on[h_id[lo:hi]], graph.through[p_id[lo:hi]], graph.ascending)
         indices[indptr[lo]:indptr[hi]] = rows[rows >= 0]
     return indptr, indices
 
@@ -262,11 +255,15 @@ class Graph:
 
     Vertices are the row pairs (vmat[i], hmat[i]) of two uint8 arrays,
     factored into points[p_id] and planes[h_id] with zero[h, p] when
-    planes[h] kills points[p].  The adjacency is kept as CSR neighbour
-    lists, int64 row pointers and int16 neighbours read off the point-plane
-    table of _incidence_csr, and as the packed rows of _kill_rows, which
-    rows() ANDs for the common neighbours and the two-step reach.  A pair
-    with h(v) = 0, a repeated pair and more than ADJ_CAP vertices raise
+    planes[h] kills points[p].  The graph keeps its point-plane vertex
+    table, the int16 at[p, h] of _vertex_table with its -1 padding row and
+    column, and the padded lists on (the points on each plane) and through
+    (the planes through each point) of _incident, whose padding reads that
+    row and column.  ascending is set when the stack is in (p_id, h_id)
+    order, as every projective graph is; rows gathered from the table then
+    come out sorted.  The adjacency is kept as CSR neighbour lists, int64
+    row pointers and int16 neighbours gathered from the table.  A pair with
+    h(v) = 0, a repeated pair and more than ADJ_CAP vertices raise
     ValueError.  The vertices as tuples are built on first read.
     """
 
@@ -281,18 +278,16 @@ class Graph:
         if not values[self.h_id, self.p_id].all():
             raise ValueError("a row pair with h(v) = 0 is not a vertex")
         self.zero = values == 0
-        self._kills, self._killed = _kill_rows(self.zero, self.p_id, self.h_id)
-        self._indptr, self._indices = _incidence_csr(self.zero, self.p_id, self.h_id)
+        self.at = _vertex_table(self.p_id, self.h_id, len(self.points), len(self.planes))
+        self.on, self.through = _incident(self.zero), _incident(self.zero.T)
+        codes = self.p_id.astype(np.int64) * len(self.planes) + self.h_id
+        self.ascending = bool((codes[1:] > codes[:-1]).all())
+        self._indptr, self._indices = _incidence_csr(self)
 
     @cached_property
     def vertices(self) -> list:
         """The vertices as (vector, covector) tuples of ints."""
         return list(zip(map(tuple, self.vmat.tolist()), map(tuple, self.hmat.tolist())))
-
-    def rows(self, i) -> np.ndarray:
-        """The packed adjacency rows of the vertices i (an index, an index
-        array or a slice), bit j set for each neighbour j."""
-        return self._kills[self.h_id[i]] & self._killed[self.p_id[i]]
 
     def neighbors(self, i: int) -> np.ndarray:
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
@@ -355,11 +350,19 @@ def frontier_blocks(indptr: np.ndarray, frontier: np.ndarray):
 
 
 def edge_blocks(graph: Graph):
-    """The edges i < j of a graph in row-major order, a block of CSR rows at
-    a time: arrays (i, j, pos) per block, pos the CSR position of i-j."""
-    for src, pos in frontier_blocks(graph._indptr, np.arange(graph.n)):
-        keep = src < graph._indices[pos]
-        yield src[keep], graph._indices[pos[keep]], pos[keep]
+    """The edges i < j of a graph in row-major order, a block of whole CSR
+    rows at a time, as frontier_blocks would cut them: arrays (i, j, pos)
+    per block, pos the CSR position of i-j.  A block of rows is one
+    contiguous range of darts, so its sources are a repeat of its rows."""
+    indptr, indices = graph._indptr, graph._indices
+    lo = 0
+    while lo < graph.n:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + BULK_BLOCK, side="right")) - 1)
+        src = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+        dst = indices[indptr[lo]:indptr[hi]]
+        keep = src < dst
+        yield src[keep], dst[keep], np.arange(indptr[lo], indptr[hi])[keep]
+        lo = hi
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -418,48 +421,95 @@ def is_connected(graph: Graph) -> bool:
     return graph.n == 0 or int((bfs(graph, 0) >= 0).sum()) == graph.n
 
 
-def two_step_reach(graph: Graph):
-    """The packed rows R(u), the OR of the adjacency rows of the neighbours
-    of u, that is the vertices joined to u by a walk of two edges: one pair
-    (members, reach) per distinct covector, with the vertices of that
-    covector and their rows R.
+def _bit_rows(bits: np.ndarray) -> np.ndarray:
+    """The rows (last axis) of a boolean array packed into uint64 words."""
+    packed = np.packbits(bits, axis=-1)
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view(np.uint64)
 
-    The neighbours w of u are the vertices with h_u(v_w) = 0 and
-    h_w(v_u) = 0.  Grouped by the id y of their vector, they give
-    R(u) = OR over {y : h_u kills vector y} of killed[y] & T[y, p_id[u]],
-    where T[y, x] is the OR of kills[h_id[w]] over the vertices w with
-    vector y whose covector kills vector x.  T takes one masked OR per
-    distinct covector and one AND with killed for all of it, and the
-    vertices sharing a covector are summed together, over the same y's."""
-    kills, killed, zero = graph._kills, graph._killed, graph.zero
-    h_id, p_id = graph.h_id, graph.p_id
-    by_covector = np.split(np.argsort(h_id, kind="stable"),
-                           np.cumsum(np.bincount(h_id, minlength=kills.shape[0]))[:-1])
-    table = np.zeros((killed.shape[0], killed.shape[0], kills.shape[1]), dtype=np.uint8)
-    for c, members in enumerate(by_covector):
-        table[np.ix_(p_id[members], np.flatnonzero(zero[c]))] |= kills[c]
-    table &= killed[:, None, :]
-    for c, members in enumerate(by_covector):
-        ys = np.flatnonzero(zero[c])
-        yield members, np.bitwise_or.reduce(table[ys[:, None], p_id[members][None, :]], axis=0)
+
+def _meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each packed row of a shares a bit with each of b, one word
+    at a time."""
+    return np.logical_or.reduce([np.bitwise_and.outer(a[:, k], b[:, k]) != 0
+                                 for k in range(a.shape[1])])
+
+
+def _classes(rows: np.ndarray):
+    """The distinct rows of a 2-D array and the class of each row."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], cls
+
+
+def _plane_set_classes(graph: Graph):
+    """The plane sets that decide common neighbours, grouped into classes
+    of equal rows: (r_rows, r_class, k_rows, k_class).  R(h, h') is the set
+    of planes k of the vertices (x, k) whose point x lies on both h and h',
+    and K(p, p') the set of planes through both p and p'; r_rows and k_rows
+    hold the distinct sets as rows of plane bits packed in uint64 words,
+    and r_class[h, h'] and k_class[p, p'] index them (442 classes each
+    over GF(4))."""
+    zero, on = graph.zero, graph.on
+    n_planes, n_points = zero.shape
+    # the R rows, a block of planes h at a time, from the points on h; the
+    # padding of on reads a zero row of both factors
+    on_plane = np.pad(zero, ((0, 0), (0, 1))).T.astype(np.float32)
+    vertex = (graph.at[:, :-1] >= 0).astype(np.float32)
+    meets = np.concatenate([
+        _bit_rows(np.matmul(on_plane[on[lo:hi]].transpose(0, 2, 1), vertex[on[lo:hi]]) > 0)
+        for lo, hi in blocks(n_planes, n_planes * n_planes)])
+    through = _bit_rows(zero.T)
+    joins = through[:, None, :] & through[None, :, :]
+    r_rows, r_class = _classes(meets.reshape(n_planes * n_planes, -1))
+    k_rows, k_class = _classes(joins.reshape(n_points * n_points, -1))
+    return r_rows, r_class.reshape(n_planes, n_planes), k_rows, k_class.reshape(n_points, n_points)
+
+
+def _within_two(graph: Graph) -> bool:
+    """Whether every two vertices of a graph are adjacent or have a common
+    neighbour.
+
+    Vertices u = (p, h) and w = (p', h') have a common neighbour exactly
+    when R(h, h') and K(p, p') of _plane_set_classes meet.  One product of
+    bit rows marks the class pairs whose sets do not meet, and a second,
+    with the K classes of the pairs of each point p, the (R class, p) that
+    leave some point p' without a common neighbour; a vertex u = (p, h) is
+    marked when some plane h' gives such an R class.  Only the marked
+    vertices are expanded, and each pair found must be a non-vertex, u
+    itself, or adjacent to u.  Over the full GF(2) and GF(4) graphs no
+    vertex is marked."""
+    zero, at, h_id, p_id = graph.zero, graph.at, graph.h_id, graph.p_id
+    n_planes, n_points = zero.shape
+    r_rows, r_class, k_rows, k_class = _plane_set_classes(graph)
+    far = ~_meet(r_rows, k_rows)
+    classes_of = np.zeros((n_points, len(k_rows)), dtype=bool)
+    classes_of[np.arange(n_points)[:, None], k_class] = True
+    # lonely[c, p]: some p' leaves R class c and the K class of (p, p') apart
+    lonely = _meet(_bit_rows(far), _bit_rows(classes_of))
+    marked = np.flatnonzero(lonely.take(r_class, axis=0).any(axis=1)[h_id, p_id])
+    for lo, hi in blocks(marked.size, n_planes * n_points):
+        u = marked[lo:hi]
+        t, plane, pt = np.nonzero(far[r_class[h_id[u]][:, :, None], k_class[p_id[u]][:, None, :]])
+        v, w = u[t], at[pt, plane]
+        if not ((w < 0) | (w == v) | (zero[h_id[v], pt] & zero[plane, p_id[v]])).all():
+            return False
+    return True
 
 
 def diameter(graph: Graph) -> int:
     """Exact diameter, exhaustive over all sources; -1 when the graph is
     disconnected.
 
-    Tests the distance <= 2 property on the two-step reach, one covector
-    class of vertices at a time; falls back to per-source BFS only when
-    that test fails.
+    Tests the distance <= 2 property on the point-plane table
+    (_within_two); falls back to per-source BFS only when that test
+    fails.
     """
     n = graph.n
     if n <= 1:
         return 0
-    # the packed all-ones row; the padding bits of every row are zero.  No
-    # own bit is set: a vertex with a neighbour reaches itself in two steps
-    full = np.packbits(np.ones(n, dtype=bool))
-    if all(((reach | graph.rows(members)) == full).all()
-           for members, reach in two_step_reach(graph)):
+    if _within_two(graph):
         return 1 if graph.edge_count() == n * (n - 1) // 2 else 2
     if not is_connected(graph):
         return -1
@@ -469,11 +519,26 @@ def diameter(graph: Graph) -> int:
 def common_neighbor_blocks(graph: Graph, i: np.ndarray, j: np.ndarray):
     """The common neighbours of each pair (i[t], j[t]), in blocks of pairs:
     (t, w) arrays sorted by pair and then neighbour, t indexing the whole
-    pair arrays."""
-    for lo, hi in blocks(i.size, graph.n):
-        both = np.unpackbits(graph.rows(i[lo:hi]) & graph.rows(j[lo:hi]), axis=1, count=graph.n)
-        t, w = np.nonzero(both)
-        yield t + lo, w
+    pair arrays.
+
+    The common neighbours of (p, h) and (p', h') are the vertices (x, k)
+    with x on h and h' and k through p and p': the vertex table gathered
+    on the points on h that lie on h' times the planes through p that pass
+    through p', the others replaced by the padding."""
+    h_id, p_id = graph.h_id, graph.p_id
+    n_planes, n_points = graph.zero.shape
+    # the padding row and column meet nothing
+    zero = np.pad(graph.zero, ((0, 1), (0, 1)))
+    # at most as many pairs per block as when each pair read an n-bit row,
+    # which sets the size of the triangle and 4-cycle blocks built on them
+    for lo, hi in blocks(i.size, max(graph.n, graph.on.shape[1] * graph.through.shape[1])):
+        a, b = i[lo:hi], j[lo:hi]
+        points, planes = graph.on[h_id[a]], graph.through[p_id[a]]
+        points = np.where(zero[h_id[b, None], points], points, n_points)
+        planes = np.where(zero[planes, p_id[b, None]], planes, n_planes)
+        rows = _table_rows(graph.at, points, planes, graph.ascending)
+        t, c = np.nonzero(rows >= 0)
+        yield t + lo, rows[t, c].astype(np.intp)
 
 
 def triangle_blocks(graph: Graph):
@@ -502,6 +567,15 @@ def quadrangle_blocks(graph: Graph):
 # ----------------------------------------------------------------------
 # reduct verification
 # ----------------------------------------------------------------------
+
+def _kill_rows(zero: np.ndarray, p_id: np.ndarray, h_id: np.ndarray):
+    """Packed rows (kills, killed): bit j of kills[h] is set when covector h
+    vanishes on v_j and of killed[p] when h_j vanishes on vector p, so the
+    neighbour row of vertex i is kills[h_id[i]] & killed[p_id[i]].  take,
+    unlike a fancy index on axis 1, keeps the rows C-ordered."""
+    return (np.packbits(zero.take(p_id, axis=1), axis=1),
+            np.packbits(zero.T.take(h_id, axis=1), axis=1))
+
 
 def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     """Exhaustively check that two affine vertices have identical neighbour

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import itertools
 import random
@@ -184,11 +185,19 @@ def _adjacency_test_graphs():
             cons._rational_subgraph_with_twists(field_of_order(16))]
 
 
+def _adjacent_row(g, i):
+    """The neighbours of vertex i by the array form of the adjacency
+    definition: the row's covector on every vector, every covector on the
+    row's vector."""
+    return np.flatnonzero((la.dot(g.gf, g.hmat[i], g.vmat) == 0)
+                          & (la.dot(g.gf, g.hmat, g.vmat[i]) == 0))
+
+
 def _assert_csr_row(g, i):
     row = g.neighbors(i).tolist()
     assert row == sorted(set(row)) and i not in row
-    # the packed bit row holds the same neighbours
-    assert row == np.flatnonzero(np.unpackbits(g.rows(i), count=g.n)).tolist()
+    # the array form of the definition gives the same neighbours
+    assert row == _adjacent_row(g, i).tolist()
 
 
 def test_cached_adjacency_matches_definition_on_every_pair():
@@ -210,8 +219,7 @@ def _brute_force_csr(g):
         if g.n <= 200:
             rows.append([j for j in range(g.n) if gr.adjacent(g.gf, g.vertices[i], g.vertices[j])])
         else:
-            rows.append(np.flatnonzero((la.dot(g.gf, g.hmat[i], g.vmat) == 0)
-                                       & (la.dot(g.gf, g.hmat, g.vmat[i]) == 0)))
+            rows.append(_adjacent_row(g, i))
     indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
     return indptr, np.concatenate(rows).astype(np.int16)
 
@@ -264,6 +272,64 @@ def test_a_dropped_table_entry_changes_the_gf2_graph(monkeypatch):
     assert not (np.array_equal(bad._indptr, indptr) and np.array_equal(bad._indices, indices))
 
 
+def _common_neighbours_by_rows(graph, i, j):
+    """Reference common neighbours: the sorted intersection of the two CSR
+    rows of each pair, as the (t, w) arrays of common_neighbor_blocks."""
+    both = [np.intersect1d(graph.neighbors(a), graph.neighbors(b))
+            for a, b in zip(i.tolist(), j.tolist())]
+    return (np.repeat(np.arange(len(both)), [w.size for w in both]),
+            np.concatenate([np.zeros(0, dtype=np.int16)] + both).astype(np.intp))
+
+
+def _common_neighbours(graph, i, j):
+    return [np.concatenate(part) for part in zip(*gr.common_neighbor_blocks(graph, i, j))]
+
+
+def test_common_neighbours_equal_the_csr_intersections(monkeypatch):
+    graphs = _block_test_graphs()
+    cases = []
+    for g in graphs:
+        if g.n <= 200:
+            i, j = np.triu_indices(g.n)
+        else:
+            rng = np.random.default_rng(g.n)
+            i, j = rng.integers(0, g.n, (2, 3000))
+            # and the ends of 1000 edges, which share their common neighbours
+            src, dst = (np.concatenate(part) for part in list(zip(*gr.edge_blocks(g)))[:2])
+            pick = rng.integers(0, src.size, 1000)
+            i, j = np.concatenate([i, src[pick]]), np.concatenate([j, dst[pick]])
+        cases.append((g, i, j, _common_neighbours_by_rows(g, i, j)))
+    assert not all(g.ascending for g in graphs)
+    for g, i, j, (t, w) in cases:
+        got_t, got_w = _common_neighbours(g, i, j)
+        assert got_t.dtype == got_w.dtype == np.intp
+        assert np.array_equal(got_t, t) and np.array_equal(got_w, w)
+    # blocks of 7 elements hold one pair each; the first 300 pairs pin the seams
+    monkeypatch.setattr(gr, "BULK_BLOCK", 7)
+    for g, i, j, (t, w) in cases:
+        got = _common_neighbours(g, i[:300], j[:300])
+        assert all(np.array_equal(x, y[t < 300]) for x, y in zip(got, (t, w)))
+
+
+def test_a_dropped_plane_changes_the_gf2_triangle_count():
+    # negative control: one plane missing from the list of planes through
+    # one point loses the common neighbours on it, so the triangle count
+    # moves off 3360 and the CSR intersections see it
+    good = gr.build_projective_graph(field_of_order(2))
+    bad = copy.copy(good)
+    bad.through = good.through.copy()
+    bad.through[0, 0] = len(good.planes)
+
+    def triangles(g):
+        return sum(len(block) for block in gr.triangle_blocks(g))
+
+    assert triangles(good) == 3360 and triangles(bad) != 3360
+    i, j = np.triu_indices(good.n)
+    want = _common_neighbours_by_rows(good, i, j)
+    got = _common_neighbours(bad, i, j)
+    assert not all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
 def test_graph_builds_its_vertex_tuples_on_first_read():
     good = gr.build_projective_graph(field_of_order(2))
     g = gr.Graph(good.gf, good.vmat, good.hmat)
@@ -296,9 +362,23 @@ def _assert_factored(gf, vmat, hmat):
     return factored
 
 
-def _assert_c_ordered(graph):
-    for rows in (graph._kills, graph._killed, graph.rows(np.arange(graph.n))):
-        assert rows.flags.c_contiguous
+def _assert_vertex_table(graph):
+    """The vertex table, the padded point and plane lists and the order
+    flag of a graph against their definitions; the tables are C-ordered,
+    so the flat take of the gathers copies nothing."""
+    n_planes, n_points = graph.zero.shape
+    at = np.full((n_points + 1, n_planes + 1), -1)
+    at[graph.p_id, graph.h_id] = np.arange(graph.n)
+    assert graph.at.dtype == np.int16 and np.array_equal(graph.at, at)
+    for lists, incidence, pad in ((graph.on, graph.zero, n_points),
+                                  (graph.through, graph.zero.T, n_planes)):
+        assert lists.shape == (len(incidence), incidence.sum(axis=1).max())
+        for row, members in zip(lists.tolist(), incidence):
+            ids = np.flatnonzero(members).tolist()
+            assert row == ids + [pad] * (lists.shape[1] - len(ids))
+    for table in (graph.at, graph.on, graph.through):
+        assert table.flags.c_contiguous
+    assert graph.ascending == _lexicographic(graph)
 
 
 @pytest.mark.parametrize("q", (2, 4))
@@ -309,7 +389,7 @@ def test_factor_vertices_of_the_enumerated_graphs(q):
     assert np.array_equal(graph.points, points) and np.array_equal(graph.p_id, p_id)
     assert np.array_equal(graph.planes, planes) and np.array_equal(graph.h_id, h_id)
     assert np.array_equal(graph.zero, values == 0)
-    _assert_c_ordered(graph)
+    _assert_vertex_table(graph)
 
 
 def test_factor_vertices_of_a_gf8_stack_with_repeated_rows():
@@ -321,7 +401,7 @@ def test_factor_vertices_of_a_gf8_stack_with_repeated_rows():
                   for _ in range(2))
     points, _, planes, _, _ = _assert_factored(gf, vmat, hmat)
     assert len(points) <= 12 and len(planes) <= 12
-    _assert_c_ordered(cons._rational_subgraph_with_twists(gf))
+    _assert_vertex_table(cons._rational_subgraph_with_twists(gf))
 
 
 @pytest.mark.parametrize("q", (2, 4, 8))
@@ -552,33 +632,61 @@ def test_diameter_matches_queue_bfs():
         assert gr.diameter(graph) == want
 
 
-def _neighbour_row_reach(graph):
-    """Reference two-step reach: the OR of the packed rows of the
-    neighbours of each vertex, one vertex at a time."""
-    rows = graph.rows(slice(None))
-    reach = np.zeros_like(rows)
-    for u in range(graph.n):
-        nbrs = graph.neighbors(u)
-        if nbrs.size:
-            reach[u] = np.bitwise_or.reduce(rows[nbrs], axis=0)
-    return reach
+def _within_two_by_rows(graph):
+    """Reference distance-two test: for every vertex u, the OR of the
+    packed closed rows (the neighbours and the vertex itself) of u and of
+    its neighbours is all ones.  The rows are built from the CSR."""
+    closed = np.eye(graph.n, dtype=bool)
+    closed[graph.dart_sources(), graph._indices] = True
+    rows = np.packbits(closed, axis=1)
+    full = np.packbits(np.ones(graph.n, dtype=bool))
+    return all((np.bitwise_or.reduce(rows[np.append(graph.neighbors(u), u)]) == full).all()
+               for u in range(graph.n))
 
 
-def test_two_step_reach_matches_neighbour_rows():
-    g4 = gr.build_projective_graph(field_of_order(4))
-    rng = random.Random(17)
-    induced = [subgraph(g4, rng.sample(range(g4.n), 300)) for _ in range(3)]
-    for graph in _test_graphs() + [gr.build_affine_graph(field_of_order(2)), g4] + induced:
-        want = _neighbour_row_reach(graph)
-        reach = np.zeros_like(want)
-        seen = np.zeros(graph.n, dtype=np.int64)
-        for members, rows in gr.two_step_reach(graph):
-            # one class per covector, each vertex in the class of its own
-            assert (graph.h_id[members] == graph.h_id[members[0]]).all()
-            reach[members] = rows
-            seen[members] += 1
-        assert (seen == 1).all()
-        assert np.array_equal(reach, want)
+def _distance_two_graphs():
+    """51 graphs: the GF(2) and GF(4) graphs, _test_graphs(), and seeded
+    induced subgraphs of the GF(4) graph on 30 to 5439 vertices and of
+    the GF(2) graph on 10 to 119 vertices."""
+    g2, g4 = (gr.build_projective_graph(field_of_order(q)) for q in (2, 4))
+    rng = random.Random(33)
+    sizes4 = [30, 40, 50, 60, 70, 80, 100, 120, 150, 200, 250,
+              300, 400, 500, 600, 800, 1000, 1500, 2500, 4000, 5439]
+    sizes2 = list(range(10, 119, 5)) + [119]
+    return ([g2, g4] + _test_graphs()
+            + [subgraph(g4, rng.sample(range(g4.n), k)) for k in sizes4]
+            + [subgraph(g2, rng.sample(range(g2.n), k)) for k in sizes2])
+
+
+def test_distance_two_test_equals_the_brute_force():
+    graphs = _distance_two_graphs()
+    assert len(graphs) == 51
+    got = [gr._within_two(graph) for graph in graphs]
+    assert got == [_within_two_by_rows(graph) for graph in graphs]
+    # both outcomes occur, and the full graphs pass
+    assert got[:2] == [True, True] and False in got
+
+
+def test_plane_set_classes_are_their_definitions():
+    # every R and K set against its definition, also on subgraphs, whose
+    # sets are thin enough that one plane more or less moves a common
+    # neighbour (over the full graphs R and K share at least q planes or none)
+    g2, g4 = (gr.build_projective_graph(field_of_order(q)) for q in (2, 4))
+    rng = random.Random(34)
+    graphs = ([g2, g4] + _test_graphs() + _adjacency_test_graphs()[1:]
+              + [subgraph(g4, rng.sample(range(g4.n), k)) for k in (40, 300)]
+              + [subgraph(g2, rng.sample(range(g2.n), 90))])
+    for g in graphs:
+        r_rows, r_class, k_rows, k_class = gr._plane_set_classes(g)
+        n_planes = len(g.planes)
+        vertex = (g.at[:-1, :-1] >= 0).astype(np.float32)
+        both_on = (g.zero[:, None, :] & g.zero[None, :, :]).astype(np.float32)
+        for rows, cls, want in ((r_rows, r_class, both_on @ vertex > 0),
+                                (k_rows, k_class, g.zero.T[:, None, :] & g.zero.T[None, :, :])):
+            sets = np.unpackbits(rows.view(np.uint8), axis=1, count=n_planes).astype(bool)
+            assert np.array_equal(sets[cls], want)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+    assert [len(rows) for rows in gr._plane_set_classes(g4)[::2]] == [442, 442]
 
 
 def test_diameter_takes_bfs_only_past_distance_two(monkeypatch):
@@ -829,8 +937,8 @@ def test_span_sampler_refuses_other_bases():
 
 
 def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):
-    # with blocks of 7 elements each packed row is a block of its own, and a
-    # frontier block holds one long row or a few short ones
+    # with blocks of 7 elements each gathered row is a block of its own, and
+    # a frontier block holds one long row or a few short ones
     graphs = [gr.build_projective_graph(field_of_order(q)) for q in (2, 4)] + _test_graphs()
     want = [(g._indptr, g._indices, [gr.bfs(g, s) for s in (0, g.n - 1)]) for g in graphs]
     monkeypatch.setattr(gr, "BULK_BLOCK", 7)
@@ -838,14 +946,47 @@ def test_csr_and_distances_are_the_same_at_any_block_size(monkeypatch):
         got = gr.Graph(g.gf, g.vmat, g.hmat)
         assert got._indptr.dtype == np.int64 and got._indices.dtype == np.int16
         assert np.array_equal(got._indptr, indptr) and np.array_equal(got._indices, indices)
-        # each row against its own unpacked packed row
+        # each row against the array form of the adjacency definition
         for i in range(0, g.n, max(1, g.n // 97)):
-            row = np.unpackbits(got.rows(i), count=g.n)
-            assert got.neighbors(i).tolist() == np.flatnonzero(row).tolist()
+            assert got.neighbors(i).tolist() == _adjacent_row(got, i).tolist()
         src = got.dart_sources()
         assert src.dtype == np.int16
         assert src.tolist() == [i for i in range(g.n) for _ in range(got.degree(i))]
         assert all(np.array_equal(gr.bfs(got, s), d) for s, d in zip((0, g.n - 1), dists))
+
+
+def _block_test_graphs():
+    """The GF(2) and GF(4) graphs, _test_graphs(), and stacks out of
+    (p_id, h_id) order: the shuffled thirteen-vertex subgraph, the GF(8)
+    and GF(16) subgraphs and a seeded 600-vertex subgraph of the GF(4)
+    graph."""
+    g4 = gr.build_projective_graph(field_of_order(4))
+    return ([gr.build_projective_graph(field_of_order(2)), g4] + _test_graphs()
+            + _adjacency_test_graphs()[1:]
+            + [subgraph(g4, random.Random(6).sample(range(g4.n), 600))])
+
+
+def _frontier_edges(graph):
+    """Reference edge pass: the darts of every row from frontier_blocks
+    over all rows, those with i < j."""
+    for src, pos in gr.frontier_blocks(graph._indptr, np.arange(graph.n)):
+        keep = src < graph._indices[pos]
+        yield src[keep], graph._indices[pos[keep]], pos[keep]
+
+
+def test_edge_blocks_equal_the_frontier_form(monkeypatch):
+    graphs = _block_test_graphs()
+    assert not all(g.ascending for g in graphs)
+    for block in (gr.BULK_BLOCK, 7):
+        monkeypatch.setattr(gr, "BULK_BLOCK", block)
+        for g in graphs:
+            got, want = list(gr.edge_blocks(g)), list(_frontier_edges(g))
+            assert len(got) == len(want)
+            for parts, wants in zip(got, want):
+                assert [x.dtype for x in parts] == [np.int64, np.int16, np.int64]
+                assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                           for x, y in zip(parts, wants))
+            assert sum(part[0].size for part in got) == g.edge_count()
 
 
 def _full_scan_bfs(indptr, indices, start):

@@ -7,6 +7,7 @@ import gc
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from phcover.field import field_of_order
@@ -52,6 +53,13 @@ def _voltage_table(tmp_path):
 def _diameter(tmp_path):
     graph = gr.build_projective_graph(field_of_order(4))
     return lambda: gr.diameter(graph)
+
+
+def _common_neighbors(tmp_path):
+    # 20,000 seeded pairs, each a padded 21 x 21 gather of the vertex table
+    graph = gr.build_projective_graph(field_of_order(4))
+    i, j = np.random.default_rng(20).integers(0, graph.n, (2, 20000))
+    return lambda: sum(t.size for t, _ in gr.common_neighbor_blocks(graph, i, j))
 
 
 def _spanning_tree(tmp_path):
@@ -124,6 +132,7 @@ def _base_graph_export(fmt):
 
 
 PASSES = {"graph": _graph, "voltage_table": _voltage_table, "diameter": _diameter,
+          "common_neighbors": _common_neighbors,
           "spanning_tree": _spanning_tree,
           "cycle_span_report": _cycle_span_report,
           "cycle_span_report_gf16": _cycle_span_report_gf16,
