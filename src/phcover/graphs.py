@@ -529,8 +529,8 @@ def common_neighbor_blocks(graph: Graph, i: np.ndarray, j: np.ndarray):
     n_planes, n_points = graph.zero.shape
     # the padding row and column meet nothing
     zero = np.pad(graph.zero, ((0, 1), (0, 1)))
-    # at most as many pairs per block as when each pair read an n-bit row,
-    # which sets the size of the triangle and 4-cycle blocks built on them
+    # at most BULK_BLOCK // n pairs per block, which bounds the triangle and
+    # 4-cycle blocks built on a block and the lists their table checks make
     for lo, hi in blocks(i.size, max(graph.n, graph.on.shape[1] * graph.through.shape[1])):
         a, b = i[lo:hi], j[lo:hi]
         points, planes = graph.on[h_id[a]], graph.through[p_id[a]]
