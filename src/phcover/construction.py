@@ -457,14 +457,18 @@ def _check_table_cycles(cycle_blocks, voltages, passes, key):
     """Tally the closed walks of (B, L) blocks of vertex ids by the pass
     mask passes(volts), each witness {key: cycle, "voltage": voltage}.
     voltages(rows) lists the packed voltage of each walk of a block, given
-    an iterator over the block's rows as tuples."""
-    cycles, volts = [], []
+    an iterator over the block's rows as tuples.  Each block is tallied as
+    it is checked, so only one block is held at a time."""
+    checked = violations = 0
+    witnesses = []
     for block in cycle_blocks:
-        cycles.append(block.astype(np.int32))
-        volts.append(np.array(voltages(zip(*block.T.tolist())), dtype=np.uint64))
-    cycles, volts = np.concatenate(cycles), np.concatenate(volts)
-    return tally(passes(volts), lambda t: {key: tuple(cycles[t].tolist()),
-                                           "voltage": int(volts[t])})
+        volts = np.array(voltages(zip(*block.T.tolist())), dtype=np.uint64)
+        n, bad, found = tally(passes(volts), lambda t: {key: tuple(block[t].tolist()),
+                                                        "voltage": int(volts[t])})
+        checked += n
+        violations += bad
+        witnesses += found
+    return checked, violations, witnesses[:5]
 
 
 def _check_table_quadrangles(gf: GF, table: DartTable, cycle_blocks):

@@ -14,9 +14,8 @@ exported coordinate reproducible:
     k=3 : x^3 + x + 1    -> 0b1011
     k=4 : x^4 + x + 1    -> 0b10011
 
-Addition is XOR.  Inversion is by exponentiation, a^(2^k - 2), which
-is branch-free; the test suite checks it exhaustively against
-multiplication.
+Addition is XOR.  Inverses are read off the multiplication table: the
+inverse of a is the b whose product with a is 1.
 """
 
 from __future__ import annotations
@@ -81,11 +80,7 @@ class GF:
         # multiplication-by-a map.  inverses[0] is 0, not an inverse.
         self.mul_rows = [[self._mul_raw(a, b) for b in range(self.order)]
                          for a in range(self.order)]
-        self.inverses = [0] * self.order
-        for a in range(1, self.order):
-            self.inverses[a] = self.pow_(a, self.order - 2)
-            if self.mul_rows[a][self.inverses[a]] != 1:
-                raise AssertionError(f"inverse table broken at {a}")
+        self.inverses = [0] + [row.index(1) for row in self.mul_rows[1:]]
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Carry-less multiply of a and b, reduced modulo the field modulus."""
@@ -116,17 +111,6 @@ class GF:
         if a == 0:
             raise ValueError("0 has no multiplicative inverse")
         return self.inverses[a]
-
-    def pow_(self, a: int, n: int) -> int:
-        """a**n by square and multiply (n >= 0)."""
-        r = 1
-        a = self.check(a)
-        while n:
-            if n & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            n >>= 1
-        return r
 
     def elements(self) -> range:
         """All 2^k elements, 0 first, in a fixed order."""

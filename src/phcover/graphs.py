@@ -568,15 +568,6 @@ def quadrangle_blocks(graph: Graph):
 # reduct verification
 # ----------------------------------------------------------------------
 
-def _kill_rows(zero: np.ndarray, p_id: np.ndarray, h_id: np.ndarray):
-    """Packed rows (kills, killed): bit j of kills[h] is set when covector h
-    vanishes on v_j and of killed[p] when h_j vanishes on vector p, so the
-    neighbour row of vertex i is kills[h_id[i]] & killed[p_id[i]].  take,
-    unlike a fancy index on axis 1, keeps the rows C-ordered."""
-    return (np.packbits(zero.take(p_id, axis=1), axis=1),
-            np.packbits(zero.T.take(h_id, axis=1), axis=1))
-
-
 def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     """Exhaustively check that two affine vertices have identical neighbour
     sets exactly when their normalised pairs coincide, that the classes are
@@ -591,7 +582,10 @@ def verify_reduct_is_neighborhood_equality(gf: GF) -> dict:
     vmat, hmat = affine_vertices(gf)
     _, p_id, _, h_id, values = factor_vertices(gf, vmat, hmat)
     zero = values == 0
-    kills, killed = _kill_rows(zero, p_id, h_id)
+    # bit j of kills[h] is set when covector h vanishes on v_j and of
+    # killed[p] when h_j vanishes on vector p, so the neighbour row of
+    # vertex i is kills[h_id[i]] & killed[p_id[i]]
+    kills, killed = _bit_rows(zero.take(p_id, axis=1)), _bit_rows(zero.T.take(h_id, axis=1))
     ids = vertex_ids(build_projective_graph(gf), vmat, hmat)
     order = np.argsort(ids, kind="stable")
     classes = np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)

@@ -140,7 +140,6 @@ class DartTable:
         self.indices = graph._indices
         self.volts = volts
         self._rows: dict = {}  # row i -> {neighbour: voltage}, see dart
-        self._tree_cache: dict = {}
 
     @classmethod
     def from_scalar(cls, graph: Graph, packed_dart_fn) -> "DartTable":
@@ -181,9 +180,6 @@ def spanning_tree_potentials(table: DartTable, root: int):
     any tie-break among shortest paths) is deterministic: it is the tree
     of :func:`phcover.graphs.csr_bfs`, and pot is filled one level at a
     time from it."""
-    cached = table._tree_cache.get(root)
-    if cached is not None:
-        return cached
     dist, parent, dart = csr_bfs(table.indptr, table.indices, root)
     if (dist < 0).any():
         raise ValueError("graph is not connected")
@@ -191,8 +187,6 @@ def spanning_tree_potentials(table: DartTable, root: int):
     for d in range(1, int(dist.max()) + 1):
         level = np.flatnonzero(dist == d)
         pot[level] = pot[parent[level]] ^ table.volts[dart[level]]
-    if len(table._tree_cache) < 8:
-        table._tree_cache[root] = (parent, pot)
     return parent, pot
 
 

@@ -198,7 +198,7 @@ def test_cover_and_cycle_span_meet_the_lift_and_tree_pins(tracing):
     # its tree once
     gf4 = field_of_order(4)
     cons.voltage_table(gr.build_affine_graph(field_of_order(2)))
-    cons.voltage_table(gr.build_projective_graph(gf4))._tree_cache.clear()
+    cons.voltage_table(gr.build_projective_graph(gf4))
     cons.cover_data.cache_clear()
     tracer = tracing.Tracer()
     try:

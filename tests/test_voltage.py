@@ -347,11 +347,9 @@ def test_tree_and_span_are_the_same_at_any_block_size(q, monkeypatch):
     table = cons.voltage_table(graph)
 
     def run(root):
-        # a fresh table shares the arrays but not the cached trees
-        fresh = vg.DartTable(graph, table.volts)
-        parent, pot = vg.spanning_tree_potentials(fresh, root)
+        parent, pot = vg.spanning_tree_potentials(table, root)
         # a third of the voltages fail, so the witnesses and their order count
-        res = vg.fundamental_cycle_span(fresh, root, member_fn=lambda x: x % 3 != 0)
+        res = vg.fundamental_cycle_span(table, root, member_fn=lambda x: x % 3 != 0)
         res["span"] = res["span"].pivots
         return parent.tolist(), [int(x) for x in pot], res
 
@@ -361,6 +359,22 @@ def test_tree_and_span_are_the_same_at_any_block_size(q, monkeypatch):
     # a block of 7 darts holds one long frontier row or a few short ones
     monkeypatch.setattr(gr, "BULK_BLOCK", 7)
     assert [run(root) for root in roots] == want
+
+
+def test_spanning_tree_follows_its_table():
+    # one bit of a tree edge's voltage flipped in place, on both darts
+    graph = gr.build_affine_graph(field_of_order(2))
+    table = vg.DartTable(graph, cons.voltage_table(graph).volts.copy())
+    parent, before = vg.spanning_tree_potentials(table, 0)
+    v = int(np.flatnonzero(parent >= 0)[0])
+    for a, b in ((int(parent[v]), v), (v, int(parent[v]))):
+        lo = int(table.indptr[a])
+        table.volts[lo + table.indices[lo:table.indptr[a + 1]].tolist().index(b)] ^= np.uint64(1)
+    parent, pot = vg.spanning_tree_potentials(table, 0)
+    want_parent, want_pot = _queue_bfs_tree(table, 0)
+    assert parent.tolist() == want_parent
+    assert [int(x) for x in pot] == want_pot
+    assert pot[v] == before[v] ^ 1
 
 
 def test_spanning_tree_refuses_disconnected_graph():
