@@ -522,14 +522,14 @@ def verify_pentagons(gf: GF, samples: int = 10 ** 5, seed: int = 12345) -> dict:
                            partial(in_w2_plus_u, gf), "cycle")
 
 
-def verify_long_cycles(gf: GF, lengths=(6, 7, 8), samples: int = 2000,
-                       seed: int = 12345) -> dict:
-    """Sampled closed walks of the given lengths stay in the same span.
-    Raises ValueError when asked for no sample or no length."""
-    rng = _seeded(min(samples, len(lengths)), seed, "the long-cycle check")
+def verify_long_cycles(gf: GF, samples: int = 2000, seed: int = 12345) -> dict:
+    """Sampled closed walks of lengths 6, 7 and 8, samples of each, stay in
+    the same span.  Raises ValueError when asked for no sample."""
+    rng = _seeded(samples, seed, "the long-cycle check")
+    lengths = [6, 7, 8]
     walks = (sample_closed_walk(gf, length, rng) for length in lengths for _ in range(samples))
     return _sampled_cycles("long-cycles", gf, walks, partial(in_w2_plus_u, gf), "walk",
-                           lengths=list(lengths))
+                           lengths=lengths)
 
 
 # ----------------------------------------------------------------------
@@ -624,24 +624,21 @@ def _rational_subgraph_with_twists(gf: GF) -> Graph:
     return Graph(gf, normalized(gf, vmat[first]), normalized(gf, hmat[first]))
 
 
-def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> dict:
+def cycle_span_report(gf: GF, seed: int = 12345) -> dict:
     """Span of the fundamental-cycle voltages of the reduct graph, modulo U.
 
     For GF(2) and GF(4) the span runs over every non-tree edge of the full
     projective graph.  For GF(8) the full graph has ~7e8 edges, so the span
     is computed on the canonical connected subgraph carrying the generator
     quadrangles, and the containment of general cycle voltages is sampled
-    on walk_samples random closed walks of the full graph instead, and
-    fewer than one walk raises ValueError.
+    on 2000 random closed walks of the full graph instead.
     """
     if gf.k <= 2:
         graph = build_projective_graph(gf)
-        mode = "exhaustive"
+        mode, walks = "exhaustive", 0
     else:
-        if walk_samples < 1:
-            raise ValueError("the cycle-span walk check needs at least one walk")
         graph = _rational_subgraph_with_twists(gf)
-        mode = "subgraph+sampled"
+        mode, walks = "subgraph+sampled", 2000
     table = voltage_table(graph)
     res = fundamental_cycle_span(table, 0, member_fn=partial(packed_in_w2_plus_u, gf))
     span = res["span"]
@@ -650,11 +647,11 @@ def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> di
     dim_mod_u = span.dim - 1
     missing = sum(not span.contains(x) for x in _square_basis(gf))
     walk_violations, walk_witnesses = 0, []
-    if mode != "exhaustive":
+    if walks:
         # default_rng refuses negative seeds: fold the integers one to one
         # onto the naturals
         rng = np.random.default_rng(2 * seed if seed >= 0 else -2 * seed - 1)
-        lengths = rng.integers(4, 9, walk_samples)
+        lengths = rng.integers(4, 9, walks)
         vs, hs = sample_closed_walks(gf, lengths, rng)
         # each walk's darts in walk order, the last one back to its start
         starts = np.cumsum(lengths) - lengths
@@ -675,7 +672,7 @@ def cycle_span_report(gf: GF, seed: int = 12345, walk_samples: int = 2000) -> di
                   contains_u=contains_u,
                   squares_contained=missing == 0,
                   fundamental_in_w2u=res["violations"] == 0,
-                  sampled_walks=walk_samples if mode != "exhaustive" else 0,
+                  sampled_walks=walks,
                   dim_ok=dim_ok)
 
 
@@ -932,13 +929,11 @@ def _row_blocks(rows: np.ndarray):
     return (rows[lo:hi] for lo, hi in blocks(len(rows), rows.shape[1]))
 
 
-def export_cover(path: str, fmt: str = "json") -> None:
+def export_cover(path: str) -> None:
     """Write the GF(2) cover with canonical labels (base index, tag bits)
-    to the file at path, in the bytes of :func:`_write_cover`."""
-    if fmt not in ("json", "edgelist"):
-        raise ValueError(f"unknown format {fmt!r}")
+    to the file at path as JSON, in the bytes of :func:`_write_cover`."""
     with open(path, "w") as fh:
-        _write_cover(fh, fmt)
+        _write_cover(fh, "json")
 
 
 def _write_cover(fh, fmt: str) -> None:
@@ -1025,30 +1020,29 @@ def cover_report() -> dict:
                   connected=connected)
 
 
-def fiber_coset_report(gf: GF, n_vertices: int = 10, n_paths: int = 10,
-                       seed: int = 12345) -> dict:
+def fiber_coset_report(gf: GF, seed: int = 12345) -> dict:
     """Certify the fiber structure over an enumerated reduct graph without
     building the lift: all sampled path voltages from the root to a vertex
     agree modulo the cycle span, so each fiber is a coset of it.
 
-    Each vertex draws one reference path root-m0-target and n_paths paths
-    root-m-target compared with it, as the 4-cycle (root, m0, target, m);
-    the report counts the comparisons actually made.  Raises ValueError
-    when asked for no vertex or no path."""
-    rng = _seeded(min(n_vertices, n_paths), seed, "the fiber-coset check")
+    Each of 10 random target vertices draws one reference path
+    root-m0-target and 10 paths root-m-target compared with it, as the
+    4-cycle (root, m0, target, m); the report counts the comparisons
+    actually made."""
+    rng = random.Random(seed)
     graph = build_projective_graph(gf)
     table = voltage_table(graph)
     root = _vertex_v0_id(graph)
 
     cycles = []
-    for _ in range(n_vertices):
+    for _ in range(10):
         target = rng.randrange(graph.n)
         # the graph has no loops, so no mid is the root or the target
         mids = next(common_neighbor_blocks(graph, np.array([root]), np.array([target])))[1]
         if not mids.size:
             continue
         m0 = mids[rng.randrange(len(mids))]
-        cycles += [(root, m0, target, mids[rng.randrange(len(mids))]) for _ in range(n_paths)]
+        cycles += [(root, m0, target, mids[rng.randrange(len(mids))]) for _ in range(10)]
     return report("fiber-cosets", gf, "sample", *_check_table_quadrangles(
         gf, table, [np.array(cycles, dtype=np.int64).reshape(-1, 4)]))
 
@@ -1072,12 +1066,9 @@ def verify_main_theorem(gf: GF, seed: int = 12345, samples: int = 10 ** 4) -> di
 # invariance suites
 # ----------------------------------------------------------------------
 
-def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
-                        seed: int = 12345) -> dict:
+def u_invariance_report(gf: GF, seed: int = 12345) -> dict:
     """U is fixed by unimodular matrices and scaled by the determinant in
-    general.  Raises ValueError on a negative count or on none at all."""
-    if min(n_sl, n_gl) < 0 or n_sl + n_gl == 0:
-        raise ValueError("u-invariance needs at least one matrix")
+    general, on 100 random SL4 and 20 random GL4 matrices."""
     rng = random.Random(seed)
     u = big_u(gf)
 
@@ -1086,11 +1077,11 @@ def u_invariance_report(gf: GF, n_sl: int = 100, n_gl: int = 20,
         return None if image == want else {"matrix": act.m, "image": image}
 
     def results():
-        # n_sl random SL4 matrices must fix U, then n_gl random GL4 matrices
-        # must scale it by their determinant
-        for _ in range(n_sl):
+        # the SL4 matrices must fix U, then the GL4 matrices must scale it
+        # by their determinant
+        for _ in range(100):
             yield witness(action(gf, random_sl4(gf, rng)), u)
-        for _ in range(n_gl):
+        for _ in range(20):
             act = action(gf, random_gl4(gf, rng))
             yield witness(act, sym_scale(gf, act.det, u))
 

@@ -74,16 +74,16 @@ def adjacent(gf: GF, a, b) -> bool:
     return evaluate(gf, a[1], b[0]) == 0 and evaluate(gf, b[1], a[0]) == 0
 
 
-def _nonzero_rows(gf: GF, dim: int) -> np.ndarray:
-    """All nonzero coordinate rows of length dim, in lexicographic order,
-    as a uint8 array."""
-    return np.array(list(itertools.product(gf.elements(), repeat=dim))[1:], dtype=np.uint8)
+def _nonzero_rows(gf: GF) -> np.ndarray:
+    """All nonzero coordinate rows of length 4, in lexicographic order, as
+    a uint8 array."""
+    return np.array(list(itertools.product(gf.elements(), repeat=4))[1:], dtype=np.uint8)
 
 
-def proj_points(gf: GF, dim: int = 4) -> np.ndarray:
+def proj_points(gf: GF) -> np.ndarray:
     """All normalised nonzero coordinate rows, in lexicographic order, as
     a uint8 array."""
-    rows = _nonzero_rows(gf, dim)
+    rows = _nonzero_rows(gf)
     return rows[(normalized(gf, rows) == rows).all(axis=1)]
 
 
@@ -105,25 +105,25 @@ def affine_vertices(gf: GF):
             f"affine vertex set of size {total} exceeds the enumeration cap {ENUM_CAP};"
             " use the lazy samplers"
         )
-    return nonincident_pairs(gf, _nonzero_rows(gf, 4))
+    return nonincident_pairs(gf, _nonzero_rows(gf))
 
 
-def count_projective_vertices(gf: GF, dim: int = 4) -> int:
+def count_projective_vertices(gf: GF) -> int:
     """Number of non-incident (point, hyperplane) pairs: each of the
-    (q^dim - 1)/(q - 1) points lies off q^(dim-1) of the hyperplanes."""
+    (q^4 - 1)/(q - 1) points lies off q^3 of the hyperplanes."""
     q = gf.order
-    return (q ** dim - 1) // (q - 1) * q ** (dim - 1)
+    return (q ** 4 - 1) // (q - 1) * q ** 3
 
 
-def projective_vertices(gf: GF, dim: int = 4):
+def projective_vertices(gf: GF):
     """All projective vertices in lexicographic order, as (vmat, hmat);
     refuses above ENUM_CAP."""
-    total = count_projective_vertices(gf, dim)
+    total = count_projective_vertices(gf)
     if total > ENUM_CAP:
         raise ValueError(
             f"projective vertex set of size {total} exceeds the enumeration cap {ENUM_CAP}"
         )
-    return nonincident_pairs(gf, proj_points(gf, dim))
+    return nonincident_pairs(gf, proj_points(gf))
 
 
 def row_codes(gf: GF, rows: np.ndarray) -> np.ndarray:
@@ -314,14 +314,13 @@ def build_affine_graph(gf: GF) -> Graph:
     return build_projective_graph(gf)
 
 
-def build_projective_graph(gf: GF, dim: int = 4) -> Graph:
-    """The projective graph, built once per field and dimension, and refused
-    above ADJ_CAP vertices before any is enumerated."""
-    key = (gf.order, dim)
-    if key not in _graph_cache:
-        _refuse_above_adj_cap(count_projective_vertices(gf, dim))
-        _graph_cache[key] = Graph(gf, *projective_vertices(gf, dim=dim))
-    return _graph_cache[key]
+def build_projective_graph(gf: GF) -> Graph:
+    """The projective graph, built once per field, and refused above ADJ_CAP
+    vertices before any is enumerated."""
+    if gf.order not in _graph_cache:
+        _refuse_above_adj_cap(count_projective_vertices(gf))
+        _graph_cache[gf.order] = Graph(gf, *projective_vertices(gf))
+    return _graph_cache[gf.order]
 
 
 def frontier_darts(indptr: np.ndarray, frontier: np.ndarray):

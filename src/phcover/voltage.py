@@ -233,6 +233,9 @@ class CapExceeded(RuntimeError):
     pass
 
 
+LIFT_CAP = 10 ** 7  # vertex cap of component_of
+
+
 def lift_keys(gf: GF, b, t) -> np.ndarray:
     """The lift vertices (b[i], t[i]) packed one per uint64 key, the base
     above the 21k tag bits, so that keys sort by base and then tag.  Bases
@@ -243,14 +246,14 @@ def lift_keys(gf: GF, b, t) -> np.ndarray:
     return np.asarray(b).astype(np.uint64) << np.uint64(21 * gf.k) | np.asarray(t, dtype=np.uint64)
 
 
-def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int = 0):
-    """BFS over the lift with N-valued tags, starting at (root, root_tag).
+def component_of(table: DartTable, root: int):
+    """BFS over the lift with N-valued tags, starting at (root, 0).
 
     Tags are canonical packed representatives modulo U; the unique lift
     neighbour of (u, m) over the base neighbour v carries the tag
     m + voltage(u, v).  Returns {"vertices": the (n, 2) int64 array of
     (base, tag) rows in BFS order}.  Raises CapExceeded when the component
-    has more than cap vertices.
+    has more than LIFT_CAP vertices.
 
     The BFS runs one level at a time: the darts of a level are gathered
     row after row, and the lift neighbours not seen before are queued in
@@ -258,7 +261,7 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
     gives them.
     """
     queue_b = np.array([root], dtype=np.int64)
-    queue_t = n_project_packed(table.gf, [root_tag])
+    queue_t = np.zeros(1, dtype=np.uint64)
     seen = lift_keys(table.gf, queue_b, queue_t)  # every key queued, sorted
     head = 0
     while head < queue_b.size:
@@ -275,9 +278,9 @@ def component_of(table: DartTable, root: int, cap: int = 10 ** 7, root_tag: int 
         fresh = np.minimum.reduceat(order, runs) - seen.size
         fresh = np.sort(fresh[fresh >= 0])
         seen = keys[runs]
-        if queue_b.size + fresh.size > cap:
+        if queue_b.size + fresh.size > LIFT_CAP:
             raise CapExceeded(
-                f"lift component exceeded the cap of {cap} vertices;"
+                f"lift component exceeded the cap of {LIFT_CAP} vertices;"
                 " use the cycle-span computation instead"
             )
         queue_b = np.concatenate([queue_b, nb[fresh]])

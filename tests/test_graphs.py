@@ -11,6 +11,7 @@ from phcover.field import field_of_order
 from phcover.linalg import E4, evaluate, vec_add, vec_scale
 from phcover import graphs as gr
 from phcover import linalg as la
+from phcover import voltage as vg
 from helpers import pairs, random_in_span_loop, stack, subgraph, vertex_index
 from test_linalg import _rref_kernel
 
@@ -73,7 +74,6 @@ def test_projective_count_formula_matches_enumeration():
     for q in (2, 4, 8):
         gf = field_of_order(q)
         assert gr.count_projective_vertices(gf) == len(gr.projective_vertices(gf)[0])
-        assert gr.count_projective_vertices(gf, dim=3) == len(gr.projective_vertices(gf, dim=3)[0])
     for q in (2, 4):
         gf = field_of_order(q)
         assert gr.count_projective_vertices(gf) == len(gr.affine_vertices(gf)[0]) // (q - 1) ** 2
@@ -86,11 +86,12 @@ def test_enumeration_caps():
         gr.projective_vertices(field_of_order(16))
     # the cap and the sampling budgets are constants, not parameters
     for fn, knob in ((gr.affine_vertices, "cap"), (gr.projective_vertices, "cap"),
-                     (gr.verify_reduct_is_neighborhood_equality, "cap"),
+                     (gr.verify_reduct_is_neighborhood_equality, "cap"), (vg.component_of, "cap"),
                      (gr.sample_common_neighbor, "tries"), (gr.random_neighbor, "tries"),
                      (la.random_sl4, "length")):
         assert knob not in inspect.signature(fn).parameters
-    assert (gr.ENUM_CAP, gr.NEIGHBOR_TRIES, la.SL4_FACTORS) == (10 ** 6, 64, 20)
+    assert (gr.ENUM_CAP, gr.NEIGHBOR_TRIES, la.SL4_FACTORS, vg.LIFT_CAP) == \
+        (10 ** 6, 64, 20, 10 ** 7)
 
 
 def test_graph_refuses_more_vertices_than_adj_cap():
@@ -732,7 +733,9 @@ def test_local_graph_looks_like_dimension_three_graph():
     # the big graph is locally the one of one lower projective dimension:
     # same vertex count, same regular degree, same edge count
     gf = field_of_order(2)
-    small = gr.build_projective_graph(gf, dim=3)
+    # over GF(2) each nonzero row of length 3 is a point of the plane
+    points = np.array(list(itertools.product((0, 1), repeat=3))[1:], dtype=np.uint8)
+    small = gr.Graph(gf, *gr.nonincident_pairs(gf, points))
     assert small.n == 28
     small_degrees = {small.degree(i) for i in range(small.n)}
     big = gr.build_affine_graph(gf)

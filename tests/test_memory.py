@@ -101,7 +101,9 @@ def _cover_report(tmp_path):
 def _export(fmt):
     def setup(tmp_path):
         cons.cover_data()
-        return lambda: cons.export_cover(str(tmp_path / "cover"), fmt)
+        argv = ["export", "cover", "--field", "2", "--format", fmt,
+                "--out", str(tmp_path / "cover")]
+        return lambda: cli.main(argv)
     return setup
 
 

@@ -37,15 +37,15 @@ KEPT = {
 
 
 def _definitions(tree):
-    """(name, first line, last line, is a method) of every top-level
-    function and class and of every method, dunder methods aside."""
+    """(node, is a method) of every top-level function and class and of
+    every method, dunder methods aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno, False
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield item.name, item.lineno, item.end_lineno, True
+                    yield item, True
 
 
 def _references(tree):
@@ -65,7 +65,8 @@ def test_every_definition_has_a_caller():
             for name, line, attr in _references(tree)]
     defined, unused = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, first, last, method in _definitions(trees[path]):
+        for node, method in _definitions(trees[path]):
+            name, first, last = node.name, node.lineno, node.end_lineno
             defined.add(name)
             if name not in KEPT and not any(
                     ref == name and (attr or not method)
@@ -74,6 +75,67 @@ def test_every_definition_has_a_caller():
                 unused.append(f"{path.name}:{first} {name}")
     assert unused == []
     assert KEPT <= defined  # no stale exception
+
+
+# optional parameters that no call sets, each kept on purpose; what they
+# forward counts as set
+UNSET_KEPT = {
+    # the non-split claim holds for every alpha outside F2, and a test
+    # checks alpha = 0b100 over GF(16)
+    ("nonsplit_check", "alpha"),
+}
+
+
+def _optional(fn, method):
+    """{name: position} of the parameters of fn with a default, position
+    None for a keyword-only one; a method's positions skip its first."""
+    args = (fn.args.posonlyargs + fn.args.args)[method:]
+    found = {arg.arg: i for i, arg in enumerate(args) if i >= len(args) - len(fn.args.defaults)}
+    found.update((arg.arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                 if default is not None)
+    return found
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    # a parameter with a default is an option only when some call in the
+    # program or the benchmark, outside the function's own body, sets it;
+    # calls are matched by name, as above
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    params, bodies = {}, []  # params: (function, parameter) -> position
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, method in _definitions(trees[path]):
+            if isinstance(fn, ast.ClassDef):
+                continue
+            bodies.append((path, fn.lineno, fn.end_lineno, fn.name))
+            params.update(((fn.name, arg), pos) for arg, pos in _optional(fn, method).items())
+    # each value a call passes to an optional parameter, with the names of
+    # the functions whose body holds the call
+    passed = []
+    for path, tree in trees.items():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            callers = {name for where, first, last, name in bodies
+                       if where == path and first <= call.lineno <= last}
+            for (fn, arg), pos in params.items():
+                if fn == callee and fn not in callers:
+                    passed += [((fn, arg), callers, value) for value in
+                               [k.value for k in call.keywords if k.arg in (arg, None)]
+                               + [v for i, v in enumerate(call.args)
+                                  if i == pos or isinstance(v, ast.Starred)]]
+    # a value forwarded from a caller's own optional parameter sets nothing
+    # unless that parameter is set or kept: grow the set parameters to a
+    # fixed point
+    set_ = set()
+    while True:
+        unset = params.keys() - set_ - UNSET_KEPT
+        grown = {key for key, callers, value in passed
+                 if not any((caller, getattr(value, "id", None)) in unset for caller in callers)}
+        if grown == set_:
+            break
+        set_ = grown
+    assert sorted(f"{fn}.{arg}" for fn, arg in unset) == []
+    assert UNSET_KEPT <= params.keys() - set_  # no stale exception
 
 
 def test_only_voltage_report_builds_a_report():

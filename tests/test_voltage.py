@@ -406,12 +406,12 @@ def test_component_zero_voltage_is_base():
     assert sorted(verts[:, 0].tolist()) == list(range(graph.n))
 
 
-def _queue_component(table, root, root_tag):
+def _queue_component(table, root):
     """Reference lift BFS: a first-in-first-out queue of (base, tag) keys."""
     from collections import deque
 
     up = ml.u_packed(table.gf)
-    start = (root, min(root_tag, root_tag ^ up))
+    start = (root, 0)
     verts, seen, queue = [start], {start}, deque([start])
     while queue:
         u, tag = queue.popleft()
@@ -428,21 +428,21 @@ def _queue_component(table, root, root_tag):
 def test_component_matches_queue_bfs():
     gf = field_of_order(2)
     table = cons.voltage_table(gr.build_affine_graph(gf))
-    comp = vg.component_of(table, 5, root_tag=3)
+    comp = vg.component_of(table, 5)
     assert list(comp) == ["vertices"]
     verts = comp["vertices"]
     assert verts.shape == (7680, 2) and verts.dtype == np.int64
-    assert verts[:3].tolist() == [[5, 3], [17, 2305], [19, 3392]]
-    assert list(map(tuple, verts.tolist())) == _queue_component(table, 5, 3)
+    assert verts[:3].tolist() == [[5, 0], [17, 2306], [19, 3395]]
+    assert list(map(tuple, verts.tolist())) == _queue_component(table, 5)
     assert set(np.bincount(verts[:, 0]).tolist()) == {64} and verts[:, 0].max() == 119
 
 
-def _stable_sort_component(table, root, root_tag):
+def _stable_sort_component(table, root):
     """Reference component_of: each level's keys after the seen ones, the
     first entry of each key found by a stable argsort."""
     gf = table.gf
     queue_b = np.array([root], dtype=np.int64)
-    queue_t = ml.n_project_packed(gf, [root_tag])
+    queue_t = np.zeros(1, dtype=np.uint64)
     seen = vg.lift_keys(gf, queue_b, queue_t)
     head = 0
     while head < queue_b.size:
@@ -462,31 +462,31 @@ def _stable_sort_component(table, root, root_tag):
     return np.stack([queue_b, queue_t.astype(np.int64)], axis=1)
 
 
-def test_component_matches_the_stable_sort_reference():
+def test_component_matches_the_stable_sort_reference(monkeypatch):
     gf = field_of_order(2)
     table = cons.voltage_table(gr.build_affine_graph(gf))
-    top = (1 << 21) - 1
     # a zero table: the lift is the base graph, one tag throughout
     zero = vg.DartTable(table.graph, table.volts * 0)
-    cases = [(table, 0, 0), (table, 5, 3), (table, 119, top), (table, 60, ml.u_packed(gf)),
-             (table, 33, 0x15A5A5), (zero, 7, 9)]
-    for tab, root, root_tag in cases:
-        want = _stable_sort_component(tab, root, root_tag)
+    for tab, root in [(table, 0), (table, 5), (table, 119), (table, 60), (table, 33), (zero, 7)]:
+        want = _stable_sort_component(tab, root)
         # capped at the reference's size, so that a lift that queues a key
         # twice fails at once
-        got = vg.component_of(tab, root, cap=len(want), root_tag=root_tag)["vertices"]
-        assert np.array_equal(got, want)
+        monkeypatch.setattr(vg, "LIFT_CAP", len(want))
+        assert np.array_equal(vg.component_of(tab, root)["vertices"], want)
 
 
-def test_component_cap_guard():
+def test_component_cap_guard(monkeypatch):
     gf = field_of_order(2)
     table = cons.voltage_table(gr.build_affine_graph(gf))
+    monkeypatch.setattr(vg, "LIFT_CAP", 1000)
     with pytest.raises(vg.CapExceeded):
-        vg.component_of(table, 0, cap=1000)
+        vg.component_of(table, 0)
     # the cap bounds the vertex count exactly
-    assert len(vg.component_of(table, 0, cap=7680)["vertices"]) == 7680
+    monkeypatch.setattr(vg, "LIFT_CAP", 7680)
+    assert len(vg.component_of(table, 0)["vertices"]) == 7680
+    monkeypatch.setattr(vg, "LIFT_CAP", 7679)
     with pytest.raises(vg.CapExceeded):
-        vg.component_of(table, 0, cap=7679)
+        vg.component_of(table, 0)
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -520,11 +520,12 @@ def test_lift_keys_refuse_wide_tags(q):
         vg.lift_keys(field_of_order(q), np.array([0]), np.array([1], dtype=np.uint64))
 
 
-def test_component_cap_guard_gf4():
+def test_component_cap_guard_gf4(monkeypatch):
     gf = field_of_order(4)
     table = cons.voltage_table(gr.build_projective_graph(gf))
+    monkeypatch.setattr(vg, "LIFT_CAP", 2000)
     with pytest.raises(vg.CapExceeded):
-        vg.component_of(table, 0, cap=2000)
+        vg.component_of(table, 0)
 
 
 def test_local_isomorphism_on_cover():
